@@ -178,7 +178,6 @@ writePerfBlock(obs::JsonWriter &j, bool enabled, bool degraded,
                const std::vector<obs::PerfStageTotals> &stages)
 {
     j.beginObject();
-    j.kv("compiled_in", obs::perfCompiledIn());
     j.kv("enabled", enabled);
     j.kv("degraded", degraded);
     j.key("stages").beginArray();

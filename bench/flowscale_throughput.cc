@@ -523,8 +523,7 @@ writeJson(const Options &opt, const std::vector<Cell> &cells,
     j.kv("emc_entries", opt.emcEntries);
     j.kv("smoke", opt.smoke);
     j.kv("host_cpus", std::thread::hardware_concurrency());
-    j.kv("perf_compiled_in", obs::perfCompiledIn());
-    j.kv("perf_enabled", opt.perf && obs::perfCompiledIn());
+    j.kv("perf_enabled", opt.perf);
     j.kv("perf_degraded", !runs.empty() && runs.back().perfDegraded);
     j.kv("headline_adaptive_over_fixed",
          policyRatio(runs, bigFlows, bigSkew, EmcPolicy::Adaptive,
@@ -642,10 +641,6 @@ main(int argc, char **argv)
 
     banner("Flow-scale throughput",
            "EMC policy (fixed/adaptive/off) at 1M-10M concurrent flows");
-    if (opt.perf && !obs::perfCompiledIn())
-        std::fprintf(stderr,
-                     "warning: built with HALO_PERF=OFF; --perf will "
-                     "record nothing\n");
 
     std::vector<Cell> cells;
     if (opt.smoke) {

@@ -572,7 +572,6 @@ writeJson(const std::string &path, const Results &res,
     j.kv("unit", "ops_per_sec");
     j.kv("min_time_sec", minTime);
     j.kv("burst", static_cast<std::uint64_t>(burstWindow));
-    j.kv("perf_compiled_in", obs::perfCompiledIn());
     j.kv("perf_enabled", perfGroup != nullptr);
     j.kv("perf_degraded", perfGroup && perfGroup->degraded());
     j.key("ops_per_sec").beginObject();
@@ -711,17 +710,13 @@ main(int argc, char **argv)
     banner("Host throughput",
            "wall-clock ops/sec of the functional fast paths");
 
-    if (perf && obs::perfCompiledIn()) {
+    if (perf) {
         perfGroup = std::make_unique<obs::PerfCounterGroup>();
         if (perfGroup->degraded())
             std::fprintf(stderr,
                          "note: perf_event_open failed (errno %d); "
                          "recording rdtsc-only hw cycles\n",
                          perfGroup->degradedErrno());
-    } else if (perf) {
-        std::fprintf(stderr,
-                     "warning: built with HALO_PERF=OFF; --perf will "
-                     "record nothing\n");
     }
 
     Results res;

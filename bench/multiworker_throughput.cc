@@ -305,9 +305,7 @@ writeJson(const Options &opt, const std::vector<ScaleResult> &runs,
     j.kv("smoke", opt.smoke);
     j.kv("host_cpus", std::thread::hardware_concurrency());
     j.kv("sampler_interval_us", opt.sampleMicros);
-    j.kv("tracing_compiled_in", obs::traceCompiledIn());
-    j.kv("perf_compiled_in", obs::perfCompiledIn());
-    j.kv("perf_enabled", opt.perf && obs::perfCompiledIn());
+    j.kv("perf_enabled", opt.perf);
     j.kv("perf_degraded",
          !runs.empty() && runs.back().perfDegraded);
     j.kv("methodology",
@@ -410,14 +408,6 @@ main(int argc, char **argv)
 
     banner("Multi-worker host throughput",
            "shared-nothing runtime scaling over ManyFlows");
-    if (!opt.tracePath.empty() && !obs::traceCompiledIn())
-        std::fprintf(stderr,
-                     "warning: built with HALO_TRACING=OFF; the trace "
-                     "will contain no spans\n");
-    if (opt.perf && !obs::perfCompiledIn())
-        std::fprintf(stderr,
-                     "warning: built with HALO_PERF=OFF; --perf will "
-                     "record nothing\n");
 
     const std::uint64_t flows = opt.smoke ? 10000 : 100000;
     if (opt.smoke && opt.packets == 200000)
@@ -451,7 +441,6 @@ main(int argc, char **argv)
             // Only the last pass writes the Chrome trace.
             const bool traceOk = i + 1 != runs.size() ||
                                  opt.tracePath.empty() ||
-                                 !obs::traceCompiledIn() ||
                                  r.traceEvents > 0;
             if (r.aggregateCpuPps <= 0.0 || r.processed == 0 ||
                 r.processed != r.offered - r.ringFullDrops ||
@@ -476,7 +465,7 @@ main(int argc, char **argv)
         // must attribute work to the batch stage; on unprivileged
         // runners the run must still complete with rdtsc-only cycles
         // (degraded mode) — either way the stage totals exist.
-        if (opt.perf && obs::perfCompiledIn()) {
+        if (opt.perf) {
             const ScaleResult &last = runs.back();
             bool batchSeen = false;
             for (const obs::PerfStageTotals &s : last.perfStages)

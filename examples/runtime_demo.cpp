@@ -8,7 +8,7 @@
  * per-worker and aggregate accounting once everything has drained.
  *
  * The run is fully instrumented with the obs/ layer:
- *  - each worker records HALO_TRACE_SCOPE spans (batches, EMC probes,
+ *  - each worker records HALO_STAGE spans (batches, EMC probes,
  *    tuple-space searches) into a private ring, drained afterwards into
  *    runtime_demo.trace.json — open it in chrome://tracing or
  *    https://ui.perfetto.dev;

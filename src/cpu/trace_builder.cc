@@ -15,8 +15,6 @@ loadsFor(const MemRef &ref)
 {
     if (ref.phase == AccessPhase::Metadata)
         return 1; // hot fields only; the rest stays in registers
-    if (ref.phase == AccessPhase::Filter)
-        return 1; // k counters of one block line MSHR-merge
     const unsigned n = (ref.size + 15u) / 16u;
     return std::clamp(n, 1u, 4u);
 }

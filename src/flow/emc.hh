@@ -143,8 +143,7 @@ class ExactMatchCache
     bool managedEnabled() const { return managed_; }
 
     /** Writer-side: epoch stamped into subsequent inserts (the
-     *  revalidator's aging sweep advances it, like
-     *  CuckooHashTable::setTimestampEpoch). */
+     *  revalidator's aging sweep advances it). */
     void setEpoch(std::uint16_t epoch) { epoch_ = epoch; }
     std::uint16_t epoch() const { return epoch_; }
 

@@ -25,8 +25,7 @@ TupleSpace::ensureTuple(const FlowMask &mask)
     tcfg.capacity = cfg.tupleCapacity;
     tcfg.hashKind = cfg.hashKind;
     tcfg.seed = cfg.seed + tuples.size() * 0x9e3779b9u;
-    tcfg.filter = cfg.filter;
-    tcfg.adaptiveFilterLoadFactor = cfg.adaptiveFilterLoadFactor;
+    tcfg.negativeFilter = cfg.negativeFilter;
     tuples.push_back(std::make_unique<Tuple>(mem, mask, tcfg));
     return static_cast<unsigned>(tuples.size() - 1);
 }

@@ -57,12 +57,9 @@ class TupleSpace
         std::uint64_t tupleCapacity = 65536;
         HashKind hashKind = HashKind::XxMix;
         std::uint64_t seed = 0x7a57e;
-        /// Lookup-filter mode applied to every tuple's cuckoo table
-        /// (EMOMA probe steering / Cuckoo++ negative filters).
-        CuckooFilter filter = CuckooHashTable::Config{}.filter;
-        /// Occupancy-adaptive steering threshold forwarded to every
-        /// tuple table (CuckooHashTable::Config; 0 = fixed mode).
-        double adaptiveFilterLoadFactor = 0.0;
+        /// Cuckoo++ negative filter on every tuple's cuckoo table
+        /// (CuckooHashTable::Config::negativeFilter).
+        bool negativeFilter = false;
     };
 
     explicit TupleSpace(SimMemory &memory);

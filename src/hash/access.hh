@@ -29,7 +29,6 @@ enum class AccessPhase : std::uint8_t
     KeyValue,   ///< key-value pair slot
     Payload,    ///< other structure data (tree nodes, rule bodies, ...)
     Result,     ///< writing a lookup result (LOOKUP_NB destination)
-    Filter,     ///< probe-steering filter line (EMOMA counting block)
 };
 
 /** One recorded reference to simulated memory. */

@@ -50,21 +50,11 @@ CuckooHashTable::CuckooHashTable(SimMemory &memory, const Config &config)
     for (std::uint64_t s = md.kvSlots; s > 0; --s)
         freeSlots.push_back(static_cast<std::uint32_t>(s - 1));
 
-    // Lookup filters last, so a filter-off table's region layout stays
-    // byte-identical to builds that predate the filters.
-    filterMode_ = config.filter;
-    emoma_ = cuckooFilterSteers(filterMode_);
-    negFilter_ = cuckooFilterNegative(filterMode_);
-    if (emoma_)
-        filter_.init(mem, md.kvSlots);
-    adaptiveLf_ = emoma_ ? config.adaptiveFilterLoadFactor : 0.0;
-    HALO_ASSERT(adaptiveLf_ >= 0.0 && adaptiveLf_ <= 1.0,
-                "adaptive filter threshold is a load factor");
+    negFilter_ = config.negativeFilter;
 }
 
 std::uint64_t
-CuckooHashTable::primaryBucket(KeyView key, std::uint32_t &sig,
-                               std::uint64_t *hash_out) const
+CuckooHashTable::primaryBucket(KeyView key, std::uint32_t &sig) const
 {
     const std::uint64_t h =
         hashBytes(static_cast<HashKind>(md.hashKind), md.seed, key);
@@ -77,8 +67,6 @@ CuckooHashTable::primaryBucket(KeyView key, std::uint32_t &sig,
         if (sig == 0)
             sig = 1;
     }
-    if (hash_out)
-        *hash_out = h;
     return h & md.bucketMask;
 }
 
@@ -129,7 +117,7 @@ CuckooHashTable::writeEntryRaw(std::uint64_t bucket, unsigned way,
 {
     BucketEntry stored = entry;
     if (negFilter_) {
-        // The aux byte (Bloom/timestamp) shares the entry word: carry
+        // The aux byte (Bloom) shares the entry word: carry
         // the current one through the store.
         const std::uint8_t aux =
             bucketLine(bucket)[way * bucketEntryBytes + auxByteInEntry];
@@ -179,23 +167,6 @@ CuckooHashTable::auxByteStore(std::uint64_t bucket, unsigned aux_index,
         return;
     }
     mem.store<std::uint8_t>(entry_addr + auxByteInEntry, v);
-}
-
-void
-CuckooHashTable::stampBucket(std::uint64_t bucket, AccessTrace *trace)
-{
-    if (!negFilter_)
-        return;
-    const std::uint8_t *line = bucketLine(bucket);
-    if (auxStampOf(line) == epoch_)
-        return; // already stamped this epoch (the common case)
-    for (unsigned i = 0; i < 4; ++i)
-        auxByteStore(bucket, 4 + i,
-                     static_cast<std::uint8_t>(epoch_ >> (8 * i)));
-    // One line-local byte store's worth of trace: the stamp rides the
-    // bucket line the mutation already owns.
-    recordRef(trace, bucketAddr(md, bucket) + auxByteOffset(4), 1, true,
-              AccessPhase::Bucket);
 }
 
 void
@@ -249,20 +220,6 @@ CuckooHashTable::txEnd(std::uint64_t a, std::uint64_t b)
     if (b != a)
         seq_.writeEnd(b);
     seq_.writeEnd(a);
-}
-
-std::uint32_t
-CuckooHashTable::bucketTimestamp(std::uint64_t bucket) const
-{
-    HALO_ASSERT(negFilter_, "bucket timestamps need a negative-filter "
-                "mode");
-    HALO_ASSERT(bucket < md.numBuckets);
-    if (concurrent_) [[unlikely]] {
-        alignas(8) std::uint8_t line[cacheLineBytes];
-        mem.readAtomic(bucketAddr(md, bucket), line, cacheLineBytes);
-        return auxStampOf(line);
-    }
-    return auxStampOf(bucketLine(bucket));
 }
 
 void
@@ -376,111 +333,10 @@ CuckooHashTable::lookupUntraced(KeyView key) const
                 return value;
             }
         }
-        if (b1 == b2)
+        if (b1 == b2 || (negFilter_ && !bloomMayContain(line, sig)))
             break;
     }
     return std::nullopt;
-}
-
-std::optional<std::uint64_t>
-CuckooHashTable::lookupFiltered(KeyView key, AccessTrace *trace,
-                                Addr key_addr) const
-{
-    if (trace) {
-        recordRef(trace, mdAddr, cacheLineBytes, false,
-                  AccessPhase::Metadata);
-        recordRef(trace, versionAddr(), 8, false, AccessPhase::Lock);
-        recordRef(trace, key_addr, static_cast<std::uint16_t>(md.keyLen),
-                  false, AccessPhase::KeyFetch);
-    }
-
-    std::uint32_t sig = 0;
-    std::uint64_t h = 0;
-    const std::uint64_t b1 = primaryBucket(key, sig, &h);
-    const std::uint64_t b2 = alternativeBucket(b1, sig, md.bucketMask);
-    const bool low_entropy = md.numBuckets <= 8;
-
-    // Steering: consult the counting block filter (one line) before any
-    // bucket read. No false negatives → a negative answer proves the
-    // key cannot rest in b2, making the single primary probe a complete
-    // lookup for hits AND misses. A (rare) false positive merely probes
-    // the alternate first and falls back — never a wrong answer.
-    const bool steer =
-        steeringActive() && !filter_.degraded() && b2 != b1;
-    bool alt_maybe = true;
-    if (steer) {
-        // Get the primary line in flight behind the filter read:
-        // steering picks it whenever the key is not alternate-resident
-        // (the ~95% case), so the hint overlaps the filter query's
-        // latency instead of serializing filter -> bucket.
-        __builtin_prefetch(bucketLine(b1), 0, 3);
-        recordRef(trace, filter_.blockAddr(h), cacheLineBytes, false,
-                  AccessPhase::Filter);
-        alt_maybe = filter_.query(h);
-        filterSteers_.fetch_add(1, std::memory_order_relaxed);
-    }
-
-    std::uint64_t order[2];
-    unsigned norder = 0;
-    if (steer && !alt_maybe) {
-        order[norder++] = b1; // definitive single-bucket probe
-    } else if (steer) {
-        order[norder++] = b2; // alternate first, primary fallback
-        order[norder++] = b1;
-    } else {
-        order[norder++] = b1;
-        if (b2 != b1)
-            order[norder++] = b2;
-    }
-
-    std::optional<std::uint64_t> result;
-    for (unsigned oi = 0; oi < norder && !result; ++oi) {
-        const std::uint64_t bucket = order[oi];
-        if (trace) {
-            recordRef(trace, bucketAddr(md, bucket), cacheLineBytes,
-                      false, AccessPhase::Bucket, /*depends=*/oi == 0);
-            trace->back().lowEntropyBranch = low_entropy;
-        }
-        const std::uint8_t *line = bucketLine(bucket);
-        for (unsigned mask = sigScan(line, sig); mask && !result;
-             mask &= mask - 1) {
-            const unsigned way =
-                static_cast<unsigned>(std::countr_zero(mask));
-            const BucketEntry entry = entryAt(line, way);
-            const Addr slot_addr = kvSlotAddr(md, entry.kvRef - 1);
-            if (trace) {
-                recordRef(trace, slot_addr,
-                          static_cast<std::uint16_t>(md.kvSlotBytes),
-                          false, AccessPhase::KeyValue,
-                          /*depends=*/true);
-                trace->back().lowEntropyBranch = low_entropy;
-            }
-            const std::uint8_t *slot =
-                mem.rangeView(slot_addr, md.kvSlotBytes);
-            std::uint8_t bounce[8 + 64];
-            if (!slot) [[unlikely]] { // slot straddles a page
-                mem.read(slot_addr, bounce, md.kvSlotBytes);
-                slot = bounce;
-            }
-            if (bytesEqual(key.data(), slot + kvKeyOffset, md.keyLen)) {
-                std::uint64_t value;
-                std::memcpy(&value, slot + kvValueOffset, sizeof(value));
-                result = value;
-            }
-        }
-        // Cuckoo++ early termination: an unsteered primary miss only
-        // proceeds to the alternate when the Bloom of signatures
-        // displaced OUT of this bucket admits the probe signature —
-        // displaced keys always leave their bits behind, so a clear
-        // Bloom makes the one-bucket miss definitive.
-        if (!result && negFilter_ && !steer && oi == 0 && norder == 2 &&
-            !bloomMayContain(line, sig))
-            break;
-    }
-
-    if (trace)
-        recordRef(trace, versionAddr(), 8, false, AccessPhase::Lock);
-    return result;
 }
 
 std::optional<std::uint64_t>
@@ -499,8 +355,7 @@ CuckooHashTable::lookupConcurrent(KeyView key, AccessTrace *trace,
     }
 
     std::uint32_t sig = 0;
-    std::uint64_t h = 0;
-    const std::uint64_t b1 = primaryBucket(key, sig, &h);
+    const std::uint64_t b1 = primaryBucket(key, sig);
     const std::uint64_t b2 = alternativeBucket(b1, sig, md.bucketMask);
     const bool low_entropy = md.numBuckets <= 8;
     // Rewind point: a retry re-records the probe refs so the winning
@@ -509,11 +364,10 @@ CuckooHashTable::lookupConcurrent(KeyView key, AccessTrace *trace,
 
     for (;;) {
         // Both candidate counters are snapshotted up front even when
-        // steering probes only one bucket: any filter-affecting
-        // mutation of this key's pair (displacement, insert, erase)
-        // runs under at least one of the two seqlocks, so validating
-        // both makes the steered single-bucket read safe against a
-        // concurrently moving key.
+        // the Bloom skips the alternate: any mutation of this key's
+        // pair (displacement, insert, erase) runs under at least one of
+        // the two seqlocks, so validating both makes the single-bucket
+        // miss safe against a concurrently moving key.
         const std::uint32_t v1 = seq_.readBegin(b1);
         const std::uint32_t v2 = b2 == b1 ? v1 : seq_.readBegin(b2);
         if ((v1 | v2) & 1u) { // writer mid-mutation: don't bother
@@ -525,19 +379,6 @@ CuckooHashTable::lookupConcurrent(KeyView key, AccessTrace *trace,
         bool hit = false;
         bool stale = false;
         std::uint64_t value = 0;
-
-        const bool steer =
-            steeringActive() && !filter_.degraded() && b2 != b1;
-        bool alt_maybe = true;
-        if (steer) {
-            // Overlap the primary line fetch with the filter query
-            // (see lookupFiltered); the hint doesn't touch seqlocks.
-            __builtin_prefetch(bucketLine(b1), 0, 3);
-            recordRef(trace, filter_.blockAddr(h), cacheLineBytes,
-                      false, AccessPhase::Filter);
-            alt_maybe = filter_.queryAtomic(h);
-            filterSteers_.fetch_add(1, std::memory_order_relaxed);
-        }
 
         const auto probe_bucket = [&](std::uint64_t bucket, bool first,
                                       std::uint8_t *line_out) {
@@ -580,22 +421,13 @@ CuckooHashTable::lookupConcurrent(KeyView key, AccessTrace *trace,
             }
         };
 
-        if (steer && !alt_maybe) {
-            // Filter-negative: the primary probe is a complete lookup.
-            probe_bucket(b1, true, nullptr);
-        } else if (steer) {
-            probe_bucket(b2, true, nullptr);
-            if (!hit && !stale)
-                probe_bucket(b1, false, nullptr);
-        } else {
-            // Keep the primary line snapshot around: the Cuckoo++
-            // Bloom that gates the alternate probe lives in it.
-            alignas(8) std::uint8_t line1[cacheLineBytes];
-            probe_bucket(b1, true, line1);
-            if (!hit && !stale && b2 != b1 &&
-                (!negFilter_ || bloomMayContain(line1, sig)))
-                probe_bucket(b2, false, nullptr);
-        }
+        // Keep the primary line snapshot around: the Cuckoo++ Bloom
+        // that gates the alternate probe lives in it.
+        alignas(8) std::uint8_t line1[cacheLineBytes];
+        probe_bucket(b1, true, line1);
+        if (!hit && !stale && b2 != b1 &&
+            (!negFilter_ || bloomMayContain(line1, sig)))
+            probe_bucket(b2, false, nullptr);
 
         // Order the data loads above before the counter re-check.
         std::atomic_thread_fence(std::memory_order_acquire);
@@ -648,26 +480,6 @@ CuckooHashTable::lookupUntracedBulk(const std::uint8_t *const *keys,
         return found;
     }
 
-    if (filterMode_ != CuckooFilter::None) [[unlikely]] {
-        if (traces) {
-            // Filtered probe order is data-dependent (the steering
-            // read precedes and decides the bucket reads), so the
-            // scalar traced lookup IS the reference stream; replay it
-            // lane by lane to keep traced bulk byte-identical to
-            // scalar by construction.
-            std::uint32_t found = 0;
-            for (std::size_t i = 0; i < n; ++i) {
-                if (const auto v = lookup(KeyView(keys[i], md.keyLen),
-                                          traces[i], invalidAddr)) {
-                    values[i] = *v;
-                    found |= 1u << i;
-                }
-            }
-            return found;
-        }
-        return lookupFilteredBulk(keys, n, values);
-    }
-
     struct Lane
     {
         std::uint64_t b1, b2;
@@ -683,7 +495,10 @@ CuckooHashTable::lookupUntracedBulk(const std::uint8_t *const *keys,
 
     // --- Stage 0: hash every key and prefetch both candidate bucket
     //     lines. By the time stage 1 reads lane 0's line, the other
-    //     n-1 hashes have hidden most of its memory latency. ---
+    //     n-1 hashes have hidden most of its memory latency. With the
+    //     negative filter only the primary line is prefetched here:
+    //     most lanes end there, and stage 2a fetches the alternate of
+    //     the lanes whose Bloom admits it. ---
     for (std::size_t i = 0; i < n; ++i) {
         Lane &ln = lanes[i];
         ln.b1 = primaryBucket(KeyView(keys[i], md.keyLen), ln.sig);
@@ -691,7 +506,7 @@ CuckooHashTable::lookupUntracedBulk(const std::uint8_t *const *keys,
         ln.line1 = bucketLine(ln.b1);
         ln.line2 = bucketLine(ln.b2);
         __builtin_prefetch(ln.line1, 0, 3);
-        if (ln.b2 != ln.b1)
+        if (ln.b2 != ln.b1 && !negFilter_)
             __builtin_prefetch(ln.line2, 0, 3);
         if (traces) {
             AccessTrace *tr = traces[i];
@@ -720,7 +535,7 @@ CuckooHashTable::lookupUntracedBulk(const std::uint8_t *const *keys,
         traces || kv_bytes > (4ull << 20); // ~LLC-sized threshold
     for (std::size_t i = 0; i < n; ++i) {
         Lane &ln = lanes[i];
-        ln.mask1 = scanBucketSigs(ln.line1, ln.sig);
+        ln.mask1 = sigScan(ln.line1, ln.sig);
         ln.cand0 = nullptr;
         if (!kv_prefetch)
             continue;
@@ -789,7 +604,10 @@ CuckooHashTable::lookupUntracedBulk(const std::uint8_t *const *keys,
             if (hit) {
                 values[i] = value;
                 found |= 1u << i;
-            } else if (ln.b2 != ln.b1) {
+            } else if (ln.b2 != ln.b1 &&
+                       (!negFilter_ || bloomMayContain(ln.line1, ln.sig))) {
+                if (negFilter_)
+                    __builtin_prefetch(ln.line2, 0, 3);
                 pending[npending++] = static_cast<std::uint8_t>(i);
             }
         }
@@ -799,7 +617,7 @@ CuckooHashTable::lookupUntracedBulk(const std::uint8_t *const *keys,
         //     kv slots in flight together.
         for (std::size_t p = 0; p < npending; ++p) {
             Lane &ln = lanes[pending[p]];
-            mask2[p] = scanBucketSigs(ln.line2, ln.sig);
+            mask2[p] = sigScan(ln.line2, ln.sig);
             for (unsigned mask = mask2[p]; mask; mask &= mask - 1) {
                 const unsigned way =
                     static_cast<unsigned>(std::countr_zero(mask));
@@ -876,14 +694,15 @@ CuckooHashTable::lookupUntracedBulk(const std::uint8_t *const *keys,
             probe_slot(entryIn(ln.line1, way),
                        mask == ln.mask1 ? ln.cand0 : nullptr);
         }
-        if (!hit && ln.b2 != ln.b1) {
+        if (!hit && ln.b2 != ln.b1 &&
+            (!negFilter_ || bloomMayContain(ln.line1, ln.sig))) {
             if (tr) {
                 recordRef(tr, bucketAddr(md, ln.b2), cacheLineBytes,
                           false, AccessPhase::Bucket,
                           /*depends=*/false);
                 tr->back().lowEntropyBranch = low_entropy;
             }
-            for (unsigned mask = scanBucketSigs(ln.line2, ln.sig);
+            for (unsigned mask = sigScan(ln.line2, ln.sig);
                  mask && !hit; mask &= mask - 1) {
                 const unsigned way =
                     static_cast<unsigned>(std::countr_zero(mask));
@@ -900,208 +719,12 @@ CuckooHashTable::lookupUntracedBulk(const std::uint8_t *const *keys,
     return found;
 }
 
-std::uint32_t
-CuckooHashTable::lookupFilteredBulk(const std::uint8_t *const *keys,
-                                    std::size_t n,
-                                    std::uint64_t *values) const
-{
-    struct Lane
-    {
-        std::uint64_t h;
-        std::uint64_t b1, b2;
-        std::uint64_t first;  ///< steered first (often only) probe
-        std::uint64_t second; ///< fallback bucket when secondOk
-        const std::uint8_t *lineFirst;
-        const std::uint8_t *cand0;
-        std::uint32_t sig;
-        unsigned maskFirst;
-        std::uint8_t secondOk;  ///< a fallback probe is permitted
-        std::uint8_t bloomGate; ///< fallback still gated on the Bloom
-    };
-    Lane lanes[maxBulkLanes];
-    // When the per-bucket Bloom is available (mode Both) the pipeline
-    // prefers it over EMOMA steering: it gates the fallback probe just
-    // as well but rides the bucket line the lane reads anyway, so no
-    // separate filter line enters the stream. The counting filter still
-    // steers the scalar and concurrent paths, where the probe order
-    // (not just the line count) matters.
-    const bool steerable =
-        steeringActive() && !negFilter_ && !filter_.degraded();
-
-    // --- Stage 0a: hash every key; get the filter blocks AND the
-    //     primary bucket lines in flight (steering picks the primary
-    //     for every non-alternate-resident key, so the primary hint is
-    //     the right single line for the vast majority of lanes — the
-    //     rare steer-positive lane adds its alternate in stage 0b). ---
-    for (std::size_t i = 0; i < n; ++i) {
-        Lane &ln = lanes[i];
-        ln.b1 = primaryBucket(KeyView(keys[i], md.keyLen), ln.sig,
-                              &ln.h);
-        ln.b2 = alternativeBucket(ln.b1, ln.sig, md.bucketMask);
-        __builtin_prefetch(bucketLine(ln.b1), 0, 3);
-        if (steerable && ln.b2 != ln.b1)
-            __builtin_prefetch(
-                mem.lineView(filter_.blockAddr(ln.h)).data(), 0, 3);
-    }
-
-    // --- Stage 0b: steer, then prefetch exactly ONE bucket line per
-    //     lane — half the unfiltered pipeline's prefetch traffic. ---
-    std::uint64_t steered = 0;
-    for (std::size_t i = 0; i < n; ++i) {
-        Lane &ln = lanes[i];
-        const bool steer = steerable && ln.b2 != ln.b1;
-        steered += steer ? 1 : 0;
-        ln.bloomGate = 0;
-        if (steer && !filter_.query(ln.h)) {
-            ln.first = ln.b1; // definitive single-bucket lookup
-            ln.secondOk = 0;
-        } else if (steer) {
-            ln.first = ln.b2; // alternate first, primary fallback
-            ln.second = ln.b1;
-            ln.secondOk = 1;
-        } else {
-            ln.first = ln.b1;
-            ln.second = ln.b2;
-            ln.secondOk = ln.b2 != ln.b1;
-            ln.bloomGate = static_cast<std::uint8_t>(negFilter_);
-        }
-        ln.lineFirst = bucketLine(ln.first);
-        __builtin_prefetch(ln.lineFirst, 0, 3);
-    }
-    if (steered)
-        filterSteers_.fetch_add(steered, std::memory_order_relaxed);
-
-    // --- Stage 1: scan the first lines, prefetch candidate kv slots
-    //     (same footprint gate as the unfiltered pipeline). ---
-    const std::uint64_t kv_bytes = md.kvSlots * md.kvSlotBytes;
-    const bool kv_prefetch = kv_bytes > (4ull << 20);
-    for (std::size_t i = 0; i < n; ++i) {
-        Lane &ln = lanes[i];
-        ln.maskFirst = sigScan(ln.lineFirst, ln.sig);
-        ln.cand0 = nullptr;
-        if (!kv_prefetch)
-            continue;
-        for (unsigned mask = ln.maskFirst; mask; mask &= mask - 1) {
-            const unsigned way =
-                static_cast<unsigned>(std::countr_zero(mask));
-            const BucketEntry entry = entryIn(ln.lineFirst, way);
-            const Addr slot_addr = kvSlotAddr(md, entry.kvRef - 1);
-            const std::uint8_t *p =
-                mem.rangeView(slot_addr, md.kvSlotBytes);
-            if (!p)
-                continue; // page-straddling slot: compare bounces it
-            __builtin_prefetch(p, 0, 3);
-            const auto a = reinterpret_cast<std::uintptr_t>(p);
-            if ((a ^ (a + md.kvSlotBytes - 1)) >> 6)
-                __builtin_prefetch(p + md.kvSlotBytes - 1, 0, 3);
-            if (mask == ln.maskFirst)
-                ln.cand0 = p;
-        }
-    }
-
-    std::uint32_t found = 0;
-    auto probe = [&](std::size_t i, const std::uint8_t *line,
-                     unsigned way, const std::uint8_t *known,
-                     std::uint64_t &value) {
-        const BucketEntry entry = entryIn(line, way);
-        const Addr slot_addr = kvSlotAddr(md, entry.kvRef - 1);
-        const std::uint8_t *slot =
-            known ? known : mem.rangeView(slot_addr, md.kvSlotBytes);
-        std::uint8_t bounce[8 + 64];
-        if (!slot) [[unlikely]] { // slot straddles a page
-            mem.read(slot_addr, bounce, md.kvSlotBytes);
-            slot = bounce;
-        }
-        if (!bytesEqual(keys[i], slot + kvKeyOffset, md.keyLen))
-            return false;
-        std::memcpy(&value, slot + kvValueOffset, sizeof(value));
-        return true;
-    };
-
-    // --- Stage 2a: first-bucket compares. A missing lane proceeds
-    //     only when steering permits a fallback AND (for unsteered
-    //     negative-filter lanes) the primary's displaced-out Bloom
-    //     admits the signature; survivors' second lines start
-    //     prefetching here, the first time anything touches them. ---
-    std::uint8_t pending[maxBulkLanes];
-    const std::uint8_t *line2[maxBulkLanes];
-    unsigned mask2[maxBulkLanes];
-    std::size_t npending = 0;
-    for (std::size_t i = 0; i < n; ++i) {
-        Lane &ln = lanes[i];
-        bool hit = false;
-        std::uint64_t value = 0;
-        for (unsigned mask = ln.maskFirst; mask && !hit;
-             mask &= mask - 1) {
-            const unsigned way =
-                static_cast<unsigned>(std::countr_zero(mask));
-            hit = probe(i, ln.lineFirst, way,
-                        mask == ln.maskFirst ? ln.cand0 : nullptr,
-                        value);
-        }
-        if (hit) {
-            values[i] = value;
-            found |= 1u << i;
-            continue;
-        }
-        if (!ln.secondOk ||
-            (ln.bloomGate && !bloomMayContain(ln.lineFirst, ln.sig)))
-            continue; // the single-bucket miss is definitive
-        const std::uint8_t *line = bucketLine(ln.second);
-        __builtin_prefetch(line, 0, 3);
-        line2[npending] = line;
-        pending[npending++] = static_cast<std::uint8_t>(i);
-    }
-
-    // --- Stage 2b: scan the (now in-flight) second lines together,
-    //     prefetching their kv candidates. ---
-    for (std::size_t p = 0; p < npending; ++p) {
-        Lane &ln = lanes[pending[p]];
-        mask2[p] = sigScan(line2[p], ln.sig);
-        for (unsigned mask = mask2[p]; mask; mask &= mask - 1) {
-            const unsigned way =
-                static_cast<unsigned>(std::countr_zero(mask));
-            const BucketEntry entry = entryIn(line2[p], way);
-            const std::uint8_t *ptr = mem.rangeView(
-                kvSlotAddr(md, entry.kvRef - 1), md.kvSlotBytes);
-            if (ptr)
-                __builtin_prefetch(ptr, 0, 3);
-        }
-    }
-
-    // --- Stage 2c: fallback-bucket compares over the warm slots. ---
-    for (std::size_t p = 0; p < npending; ++p) {
-        const std::size_t i = pending[p];
-        bool hit = false;
-        std::uint64_t value = 0;
-        for (unsigned mask = mask2[p]; mask && !hit; mask &= mask - 1) {
-            const unsigned way =
-                static_cast<unsigned>(std::countr_zero(mask));
-            hit = probe(i, line2[p], way, nullptr, value);
-        }
-        if (hit) {
-            values[i] = value;
-            found |= 1u << i;
-        }
-    }
-    return found;
-}
-
 void
 CuckooHashTable::prefetchBuckets(const std::uint8_t *key) const
 {
     std::uint32_t sig = 0;
-    std::uint64_t h = 0;
-    const std::uint64_t b1 =
-        primaryBucket(KeyView(key, md.keyLen), sig, &h);
+    const std::uint64_t b1 = primaryBucket(KeyView(key, md.keyLen), sig);
     const std::uint64_t b2 = alternativeBucket(b1, sig, md.bucketMask);
-    if (steeringActive() && !filter_.degraded() && b2 != b1) {
-        // Steered warm-up: exactly the one line the probe will read.
-        const bool alt_maybe =
-            concurrent_ ? filter_.queryAtomic(h) : filter_.query(h);
-        __builtin_prefetch(bucketLine(alt_maybe ? b2 : b1), 0, 3);
-        return;
-    }
     __builtin_prefetch(bucketLine(b1), 0, 3);
     if (b2 != b1)
         __builtin_prefetch(bucketLine(b2), 0, 3);
@@ -1115,8 +738,6 @@ CuckooHashTable::lookup(KeyView key, AccessTrace *trace,
 
     if (concurrent_) [[unlikely]]
         return lookupConcurrent(key, trace, key_addr);
-    if (filterMode_ != CuckooFilter::None) [[unlikely]]
-        return lookupFiltered(key, trace, key_addr);
     if (!trace)
         return lookupUntraced(key);
 
@@ -1158,7 +779,13 @@ CuckooHashTable::lookup(KeyView key, AccessTrace *trace,
         if (keyMatches(entry.kvRef - 1, key))
             loc = Located{b1, way, entry.kvRef - 1};
     }
-    if (!loc && b2 != b1) {
+    // Cuckoo++ early termination: a primary miss proceeds to the
+    // alternate only when the Bloom of signatures displaced OUT of the
+    // primary admits the probe signature. Displaced keys always leave
+    // their bits behind, so a clear Bloom makes the one-bucket miss
+    // definitive.
+    if (!loc && b2 != b1 &&
+        (!negFilter_ || bloomMayContain(line, sig))) {
         recordRef(trace, bucketAddr(md, b2), cacheLineBytes, false,
                   AccessPhase::Bucket, /*depends=*/false);
         if (trace)
@@ -1284,20 +911,19 @@ CuckooHashTable::makeRoom(std::uint64_t start_bucket, AccessTrace *trace)
     while (idx >= 0) {
         const Node node = nodes[idx];
         const BucketEntry entry = readEntry(node.bucket, node.way);
-        if (filterMode_ != CuckooFilter::None) [[unlikely]] {
-            // The filters track residence relative to each key's
-            // PRIMARY bucket, which only the key's full hash reveals:
-            // fetch the moved key back out of its kv slot.
+        if (negFilter_) [[unlikely]] {
+            // The Bloom tracks keys displaced out of their PRIMARY
+            // bucket, which only the key's full hash reveals: fetch
+            // the moved key back out of its kv slot.
             const Addr slot_addr = kvSlotAddr(md, entry.kvRef - 1);
             std::uint8_t keybuf[64];
             mem.read(slot_addr + kvKeyOffset, keybuf, md.keyLen);
             recordRef(trace, slot_addr,
                       static_cast<std::uint16_t>(md.kvSlotBytes), false,
                       AccessPhase::KeyValue);
-            const std::uint64_t h =
-                hashBytes(static_cast<HashKind>(md.hashKind), md.seed,
-                          KeyView(keybuf, md.keyLen));
-            const std::uint64_t primary = h & md.bucketMask;
+            std::uint32_t moved_sig = 0;
+            const std::uint64_t primary =
+                primaryBucket(KeyView(keybuf, md.keyLen), moved_sig);
             HALO_ASSERT(node.bucket == primary ||
                             free_bucket == primary,
                         "cuckoo move outside the key's bucket pair");
@@ -1308,22 +934,10 @@ CuckooHashTable::makeRoom(std::uint64_t start_bucket, AccessTrace *trace)
             txBegin(free_bucket, node.bucket);
             writeEntryRaw(free_bucket, free_way, entry);
             writeEntryRaw(node.bucket, node.way, BucketEntry{});
-            if (free_bucket != primary) {
-                // Displaced OUT of its primary: the steering filter
-                // gains the key, the primary's Bloom keeps the crumb.
-                if (emoma_) {
-                    filter_.add(h, concurrent_);
-                    recordRef(trace, filter_.blockAddr(h), 8, true,
-                              AccessPhase::Filter);
-                }
+            // Displaced OUT of its primary: the primary's Bloom keeps
+            // the crumb.
+            if (free_bucket != primary)
                 bloomAdd(primary, entry.sig, trace);
-            } else if (emoma_) {
-                // Moved back home: un-count the alternate residence.
-                filter_.remove(h, concurrent_);
-                recordRef(trace, filter_.blockAddr(h), 8, true,
-                          AccessPhase::Filter);
-            }
-            stampBucket(free_bucket, trace);
             txEnd(free_bucket, node.bucket);
         } else {
             writeEntry(free_bucket, free_way, entry);
@@ -1351,8 +965,7 @@ CuckooHashTable::insert(KeyView key, std::uint64_t value,
     HALO_ASSERT(key.size() == md.keyLen, "key length mismatch");
 
     std::uint32_t sig = 0;
-    std::uint64_t h = 0;
-    const std::uint64_t b1 = primaryBucket(key, sig, &h);
+    const std::uint64_t b1 = primaryBucket(key, sig);
     const std::uint64_t b2 = alternativeBucket(b1, sig, md.bucketMask);
 
     recordRef(trace, mdAddr, cacheLineBytes, false, AccessPhase::Metadata);
@@ -1372,11 +985,9 @@ CuckooHashTable::insert(KeyView key, std::uint64_t value,
             mem.storeWordAtomic(kvSlotAddr(md, loc->slot) +
                                     kvValueOffset,
                                 value);
-            stampBucket(loc->bucket, trace);
             seq_.writeEnd(loc->bucket);
         } else {
             mem.store(kvSlotAddr(md, loc->slot) + kvValueOffset, value);
-            stampBucket(loc->bucket, trace);
         }
         recordRef(trace, kvSlotAddr(md, loc->slot), 8, true,
                   AccessPhase::KeyValue, true);
@@ -1441,25 +1052,16 @@ CuckooHashTable::insert(KeyView key, std::uint64_t value,
     recordRef(trace, slot_addr, static_cast<std::uint16_t>(md.kvSlotBytes),
               true, AccessPhase::KeyValue);
 
-    if (filterMode_ != CuckooFilter::None) [[unlikely]] {
-        // Publish the entry and its filter bookkeeping in one write
-        // section over the bucket pair: a reader that steered past the
-        // alternate (or Bloom-skipped it) while this key was landing
-        // there fails its counter validation and retries.
-        const auto tw = static_cast<unsigned>(target_way);
+    if (negFilter_ && target_bucket != b1) [[unlikely]] {
+        // Landing in the alternate straight away counts as displaced
+        // out of the primary. Publish the entry and the primary's Bloom
+        // bits in one write section over the bucket pair: a reader that
+        // Bloom-skipped the alternate while this key was landing there
+        // fails its counter validation and retries.
         txBegin(target_bucket, b1);
-        writeEntryRaw(target_bucket, tw, BucketEntry{sig, slot + 1});
-        if (target_bucket != b1) {
-            // Landing in the alternate straight away still counts as
-            // displaced-out of the primary for both filters.
-            if (emoma_) {
-                filter_.add(h, concurrent_);
-                recordRef(trace, filter_.blockAddr(h), 8, true,
-                          AccessPhase::Filter);
-            }
-            bloomAdd(b1, sig, trace);
-        }
-        stampBucket(target_bucket, trace);
+        writeEntryRaw(target_bucket, static_cast<unsigned>(target_way),
+                      BucketEntry{sig, slot + 1});
+        bloomAdd(b1, sig, trace);
         txEnd(target_bucket, b1);
     } else {
         writeEntry(target_bucket, static_cast<unsigned>(target_way),
@@ -1472,7 +1074,6 @@ CuckooHashTable::insert(KeyView key, std::uint64_t value,
     bumpVersion(trace);
     ++numItems;
     itemsPub_.set(numItems);
-    maybeAdaptFilter();
     return true;
 }
 
@@ -1482,8 +1083,7 @@ CuckooHashTable::erase(KeyView key, AccessTrace *trace)
     HALO_ASSERT(key.size() == md.keyLen, "key length mismatch");
 
     std::uint32_t sig = 0;
-    std::uint64_t h = 0;
-    const std::uint64_t b1 = primaryBucket(key, sig, &h);
+    const std::uint64_t b1 = primaryBucket(key, sig);
     const std::uint64_t b2 = alternativeBucket(b1, sig, md.bucketMask);
 
     recordRef(trace, mdAddr, cacheLineBytes, false, AccessPhase::Metadata);
@@ -1498,29 +1098,15 @@ CuckooHashTable::erase(KeyView key, AccessTrace *trace)
                   AccessPhase::Bucket);
 
     bumpVersion(trace);
-    if (filterMode_ != CuckooFilter::None) [[unlikely]] {
-        // loc->bucket is one of the key's pair, so readers validating
-        // both counters observe entry clear + filter decrement as one
-        // step. The primary's Bloom bits stay behind: stale crumbs cost
-        // at most an extra probe, never an answer.
-        txBegin(loc->bucket, loc->bucket);
-        writeEntryRaw(loc->bucket, loc->way, BucketEntry{});
-        if (emoma_ && loc->bucket != b1) {
-            filter_.remove(h, concurrent_);
-            recordRef(trace, filter_.blockAddr(h), 8, true,
-                      AccessPhase::Filter);
-        }
-        txEnd(loc->bucket, loc->bucket);
-    } else {
-        writeEntry(loc->bucket, loc->way, BucketEntry{});
-    }
+    // The primary's Bloom bits stay behind: stale crumbs cost at most an
+    // extra probe, never an answer.
+    writeEntry(loc->bucket, loc->way, BucketEntry{});
     recordRef(trace, bucketEntryAddr(md, loc->bucket, loc->way),
               bucketEntryBytes, true, AccessPhase::Bucket);
     freeSlot(loc->slot);
     bumpVersion(trace);
     --numItems;
     itemsPub_.set(numItems);
-    maybeAdaptFilter();
     return true;
 }
 
@@ -1528,7 +1114,7 @@ std::uint64_t
 CuckooHashTable::footprintBytes() const
 {
     return 2 * cacheLineBytes + md.numBuckets * cacheLineBytes +
-           md.kvSlots * md.kvSlotBytes + filter_.footprintBytes();
+           md.kvSlots * md.kvSlotBytes;
 }
 
 void
@@ -1541,39 +1127,6 @@ CuckooHashTable::forEachLine(const std::function<void(Addr)> &fn) const
     const std::uint64_t kv_bytes = md.kvSlots * md.kvSlotBytes;
     for (std::uint64_t off = 0; off < kv_bytes; off += cacheLineBytes)
         fn(md.kvArrayAddr + off);
-    if (filter_.enabled())
-        for (std::uint64_t blk = 0; blk < filter_.numBlocks(); ++blk)
-            fn(filter_.baseAddr() + blk * cacheLineBytes);
-}
-
-void
-CuckooHashTable::maybeAdaptFilter()
-{
-    // Occupancy-adaptive steering (writer side, after every occupancy
-    // change): past the threshold most keys sit displaced in their
-    // alternate bucket, so EMOMA's "one definitive probe" decays into
-    // a guess that costs a filter line AND both buckets — flip to the
-    // plain Cuckoo++-style two-bucket probe until the table drains.
-    // The filter structures stay maintained throughout so steering can
-    // resume with counters intact; the 1/8 release band below the trip
-    // point keeps border occupancy from flapping the mode.
-    if (adaptiveLf_ == 0.0) [[likely]]
-        return;
-    const double lf = static_cast<double>(numItems) /
-                      static_cast<double>(md.numBuckets *
-                                          entriesPerBucket);
-    const bool suppressed =
-        steerSuppressed_.load(std::memory_order_relaxed);
-    bool flip = false;
-    if (!suppressed && lf > adaptiveLf_)
-        flip = true;
-    else if (suppressed && lf < adaptiveLf_ * 0.875)
-        flip = true;
-    if (flip) {
-        steerSuppressed_.store(!suppressed, std::memory_order_relaxed);
-        ++switchCount_;
-        filterSwitchesPub_.set(switchCount_);
-    }
 }
 
 } // namespace halo

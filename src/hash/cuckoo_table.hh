@@ -24,11 +24,9 @@
 #include <functional>
 #include <optional>
 #include <span>
-#include <string_view>
 #include <vector>
 
 #include "hash/access.hh"
-#include "hash/block_filter.hh"
 #include "hash/seqlock.hh"
 #include "hash/table_layout.hh"
 #include "mem/sim_memory.hh"
@@ -38,75 +36,6 @@ namespace halo {
 
 /** Key bytes as viewed by table operations. */
 using KeyView = std::span<const std::uint8_t>;
-
-/**
- * Lookup-filter modes (DESIGN.md §13, "Miss-optimized exact match").
- *
- * Emoma:    an EMOMA-style counting block filter (block_filter.hh)
- *           steers every lookup to exactly one of the two candidate
- *           buckets — filter-negative probes the primary alone (a
- *           counting filter has no false negatives, so that single
- *           read is a complete lookup), filter-positive probes the
- *           alternate first with the primary as fallback.
- * CuckooPP: Cuckoo++-style per-bucket negative filter — signatures
- *           shrink to 24 bits and the freed byte per entry packs a
- *           32-bit Bloom of displaced-out signatures plus a 32-bit
- *           aging timestamp into the bucket line (table_layout.hh), so
- *           a miss whose primary Bloom probe is negative terminates
- *           after one bucket read.
- * Both:     the two composed (steering for hits, Bloom for the misses
- *           the steering path still sends through two buckets when the
- *           block filter false-positives).
- */
-enum class CuckooFilter : std::uint8_t
-{
-    None = 0,
-    Emoma,
-    CuckooPP,
-    Both,
-};
-
-/** True when @p f steers probes through the counting block filter. */
-constexpr bool
-cuckooFilterSteers(CuckooFilter f)
-{
-    return f == CuckooFilter::Emoma || f == CuckooFilter::Both;
-}
-
-/** True when @p f packs the per-bucket negative filter + timestamp. */
-constexpr bool
-cuckooFilterNegative(CuckooFilter f)
-{
-    return f == CuckooFilter::CuckooPP || f == CuckooFilter::Both;
-}
-
-/** Stable lowercase name, for bench JSON and CLI flags. */
-constexpr const char *
-cuckooFilterName(CuckooFilter f)
-{
-    switch (f) {
-      case CuckooFilter::Emoma: return "emoma";
-      case CuckooFilter::CuckooPP: return "cuckoopp";
-      case CuckooFilter::Both: return "both";
-      case CuckooFilter::None: break;
-    }
-    return "none";
-}
-
-/** Parse a mode name as printed by cuckooFilterName(). */
-inline std::optional<CuckooFilter>
-parseCuckooFilter(std::string_view name)
-{
-    if (name == "none")
-        return CuckooFilter::None;
-    if (name == "emoma")
-        return CuckooFilter::Emoma;
-    if (name == "cuckoopp")
-        return CuckooFilter::CuckooPP;
-    if (name == "both")
-        return CuckooFilter::Both;
-    return std::nullopt;
-}
 
 /**
  * Cuckoo hash table (paper SS2.2). Thread-unsafe by default: concurrency
@@ -133,23 +62,12 @@ class CuckooHashTable
         std::uint64_t seed = 0x5151bead;
         /// Target max load factor used to size the bucket array.
         double maxLoadFactor = 0.95;
-        /// Lookup-filter mode. Building with -DHALO_CUCKOO_EMOMA flips
-        /// the default to Emoma so a whole build can be steered without
-        /// touching callers; an explicit Config wins either way.
-#ifdef HALO_CUCKOO_EMOMA
-        CuckooFilter filter = CuckooFilter::Emoma;
-#else
-        CuckooFilter filter = CuckooFilter::None;
-#endif
-        /// Occupancy-adaptive EMOMA steering (PR 6 leftover): above
-        /// this load factor the filter's single-bucket steering stops
-        /// paying (most lookups displace into the alternate bucket and
-        /// the counters saturate), so steering is suppressed and
-        /// lookups fall back to the plain two-bucket probe — the
-        /// Cuckoo++-style behaviour — until occupancy recedes. 0 = off
-        /// (fixed mode, the previous behaviour). Only meaningful for
-        /// Emoma/Both modes.
-        double adaptiveFilterLoadFactor = 0.0;
+        /// Cuckoo++ negative filter (DESIGN.md §13): signatures shrink
+        /// to 24 bits and the freed byte per entry packs a 32-bit Bloom
+        /// of displaced-out signatures into the bucket line
+        /// (table_layout.hh), so a miss whose primary Bloom probe is
+        /// negative ends after one bucket read.
+        bool negativeFilter = false;
     };
 
     /** Build an empty table inside @p memory. */
@@ -164,26 +82,15 @@ class CuckooHashTable
           numItems(other.numItems),
           displaceCount(other.displaceCount),
           freeSlots(std::move(other.freeSlots)),
-          filterMode_(other.filterMode_),
-          emoma_(other.emoma_),
           negFilter_(other.negFilter_),
-          filter_(other.filter_),
-          epoch_(other.epoch_),
-          adaptiveLf_(other.adaptiveLf_),
           concurrent_(other.concurrent_),
           seq_(std::move(other.seq_)),
-          seqRetries_(other.seqRetries_.load(std::memory_order_relaxed)),
-          filterSteers_(
-              other.filterSteers_.load(std::memory_order_relaxed)),
-          steerSuppressed_(
-              other.steerSuppressed_.load(std::memory_order_relaxed)),
-          switchCount_(other.switchCount_)
+          seqRetries_(other.seqRetries_.load(std::memory_order_relaxed))
     {
         // Published mirrors are non-movable atomics: re-publish from
         // the plain writer-owned sources (setup-time only, see above).
         itemsPub_.set(numItems);
         movesPub_.set(displaceCount);
-        filterSwitchesPub_.set(switchCount_);
     }
 
     /** @name Functional operations */
@@ -283,51 +190,8 @@ class CuckooHashTable
      *  thread; published mirror). */
     std::uint64_t cuckooMoves() const { return movesPub_.value(); }
 
-    /** @name Lookup filters (EMOMA steering, Cuckoo++ negative filter)
-     *
-     * Configured at construction via Config::filter; see CuckooFilter.
-     */
-    /**@{*/
-    CuckooFilter filterMode() const { return filterMode_; }
-
-    /** True when a saturated counter forced steering off (lookups fall
-     *  back to the unfiltered two-bucket probe; correctness intact). */
-    bool filterDegraded() const { return emoma_ && filter_.degraded(); }
-
-    /** Steering mode flips by the occupancy-adaptive switch (either
-     *  direction). Any thread; published mirror. */
-    std::uint64_t filterModeSwitches() const
-    {
-        return filterSwitchesPub_.value();
-    }
-
-    /** True while the adaptive switch has EMOMA steering suppressed
-     *  (lookups run plain two-bucket probes). Any thread. */
-    bool steeringSuppressed() const
-    {
-        return steerSuppressed_.load(std::memory_order_relaxed);
-    }
-
-    /** Simulated bytes of the counting block filter (0 when off). */
-    std::uint64_t filterFootprintBytes() const
-    {
-        return filter_.footprintBytes();
-    }
-
-    /**
-     * Writer-side: set the epoch stamped into bucket aux timestamps on
-     * subsequent inserts/updates. No-op outside the negative-filter
-     * modes. The revalidator's aging sweep advances this each epoch so
-     * bucket timestamps track flow recency for free.
-     */
-    void setTimestampEpoch(std::uint32_t epoch) { epoch_ = epoch; }
-    std::uint32_t timestampEpoch() const { return epoch_; }
-
-    /** Last epoch stamped into @p bucket (negative-filter modes only);
-     *  rides the bucket line, so the aging sweep reads it without any
-     *  extra memory reference. */
-    std::uint32_t bucketTimestamp(std::uint64_t bucket) const;
-    /**@}*/
+    /** True when the table runs the Cuckoo++ negative filter. */
+    bool negativeFilter() const { return negFilter_; }
 
     /** @name Concurrent host-path mode (single writer, seqlocked readers)
      *
@@ -347,15 +211,6 @@ class CuckooHashTable
         return seqRetries_.load(std::memory_order_relaxed);
     }
 
-    /** Lookups whose probe order the EMOMA filter steered (single
-     *  definitive-bucket reads and alternate-first probes alike).
-     *  Relaxed counter, any thread. */
-    std::uint64_t
-    filterSteers() const
-    {
-        return filterSteers_.load(std::memory_order_relaxed);
-    }
-
     /**
      * Test hooks: hold / release the seqlock of @p key's primary bucket
      * as a writer would mid-mutation, so tests can pin a reader in its
@@ -373,11 +228,9 @@ class CuckooHashTable
         std::uint32_t slot; ///< kv slot index
     };
 
-    /** Hash @p key: primary bucket index, signature (24-bit in the
-     *  negative-filter layout), and optionally the full 64-bit hash
-     *  (the block filter keys off it). */
-    std::uint64_t primaryBucket(KeyView key, std::uint32_t &sig,
-                                std::uint64_t *hash_out = nullptr) const;
+    /** Hash @p key: primary bucket index and signature (24-bit in the
+     *  negative-filter layout). */
+    std::uint64_t primaryBucket(KeyView key, std::uint32_t &sig) const;
     /** Zero-copy host view of a bucket's cache line. */
     const std::uint8_t *bucketLine(std::uint64_t bucket) const;
     /** Decode entry @p way out of a bucket-line view. */
@@ -401,9 +254,6 @@ class CuckooHashTable
      *  caller holds the bucket's seqlock). */
     void auxByteStore(std::uint64_t bucket, unsigned aux_index,
                       std::uint8_t v);
-    /** Stamp @p bucket's aux timestamp with the current epoch
-     *  (negative-filter modes; no-op otherwise). */
-    void stampBucket(std::uint64_t bucket, AccessTrace *trace);
     /** Set @p sig's Bloom bits in @p bucket's aux filter (the key was
      *  displaced out of this, its primary, bucket). */
     void bloomAdd(std::uint64_t bucket, std::uint32_t sig,
@@ -412,7 +262,8 @@ class CuckooHashTable
     static bool bloomMayContain(const std::uint8_t *line,
                                 std::uint32_t sig);
     /** writeBegin/writeEnd one or two buckets' seqlocks around a
-     *  filtered multi-store mutation (no-ops when not concurrent). */
+     *  negative-filter multi-store mutation (no-ops when not
+     *  concurrent). */
     void txBegin(std::uint64_t a, std::uint64_t b);
     void txEnd(std::uint64_t a, std::uint64_t b);
     bool keyMatches(std::uint32_t slot, KeyView key) const;
@@ -420,29 +271,6 @@ class CuckooHashTable
                                 std::uint64_t b1, std::uint64_t b2) const;
     /** Recording-free lookup used when no trace is requested. */
     std::optional<std::uint64_t> lookupUntraced(KeyView key) const;
-
-    /**
-     * Steered/filtered scalar lookup (any filter mode, non-concurrent;
-     * handles both traced and untraced callers). Probe order: block
-     * filter negative → primary only (complete — counting filters have
-     * no false negatives); positive → alternate then primary; without
-     * steering, primary first with the per-bucket negative Bloom gating
-     * the alternate probe.
-     */
-    std::optional<std::uint64_t> lookupFiltered(KeyView key,
-                                                AccessTrace *trace,
-                                                Addr key_addr) const;
-
-    /**
-     * Untraced steered bulk pipeline (filter modes, non-concurrent):
-     * stage 0 hashes, consults the block filter, and prefetches exactly
-     * ONE bucket line per lane (half the unfiltered pipeline's prefetch
-     * traffic); later stages touch a second line only for lanes whose
-     * steering or negative Bloom allows a fallback probe.
-     */
-    std::uint32_t lookupFilteredBulk(const std::uint8_t *const *keys,
-                                     std::size_t n,
-                                     std::uint64_t *values) const;
 
     /**
      * Optimistic concurrent lookup (concurrent_ mode): snapshot both
@@ -471,16 +299,8 @@ class CuckooHashTable
     std::uint64_t displaceCount = 0;
     std::vector<std::uint32_t> freeSlots; ///< host-side free list
 
-    /// Lookup filters (Config::filter). emoma_/negFilter_ cache the
-    /// mode predicates for the hot paths; epoch_ is the writer-owned
-    /// timestamp epoch stamped into bucket aux bytes.
-    CuckooFilter filterMode_ = CuckooFilter::None;
-    bool emoma_ = false;
+    /// Config::negativeFilter.
     bool negFilter_ = false;
-    CountingBlockFilter filter_;
-    std::uint32_t epoch_ = 0;
-    /// Config::adaptiveFilterLoadFactor (0 = fixed steering).
-    double adaptiveLf_ = 0.0;
 
     /// Published mirrors of numItems/displaceCount so size(),
     /// loadFactor() and cuckooMoves() are readable from any thread
@@ -495,29 +315,6 @@ class CuckooHashTable
     bool concurrent_ = false;
     SeqlockArray seq_;
     mutable std::atomic<std::uint64_t> seqRetries_{0};
-    /// Filter-steered lookups (see filterSteers()). Relaxed; bulk
-    /// paths batch their increments into one add per call.
-    mutable std::atomic<std::uint64_t> filterSteers_{0};
-
-    /// Occupancy-adaptive steering switch. The writer maintains the
-    /// filter structures unconditionally (so steering can resume with
-    /// counters intact); readers consult one relaxed flag. switchCount_
-    /// is writer-owned, mirrored for any-thread reads.
-    std::atomic<bool> steerSuppressed_{false};
-    std::uint64_t switchCount_ = 0;
-    PublishedCounter filterSwitchesPub_;
-
-    /** Reader-side: is EMOMA steering in effect right now? */
-    bool
-    steeringActive() const
-    {
-        return emoma_ &&
-               !steerSuppressed_.load(std::memory_order_relaxed);
-    }
-
-    /** Writer-side: flip steering when the load factor crosses the
-     *  configured threshold (with release hysteresis). */
-    void maybeAdaptFilter();
 };
 
 } // namespace halo

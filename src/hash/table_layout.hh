@@ -122,9 +122,7 @@ inline constexpr std::uint32_t kvKeyOffset = 8;
  *                             whose primary scan fails and whose Bloom
  *                             probe is negative terminates after ONE
  *                             bucket read;
- *   aux bytes of ways 4..7  — 32-bit timestamp epoch, stamped on
- *                             insert/update, readable by the aging
- *                             sweep for free (same line as the probe).
+ *   aux bytes of ways 4..7  — unused (zero).
  */
 /**@{*/
 /** Low 24 bits of an entry's sig field hold the filtered-mode
@@ -149,16 +147,6 @@ auxBloomOf(const std::uint8_t *line)
            static_cast<std::uint32_t>(line[auxByteOffset(1)]) << 8 |
            static_cast<std::uint32_t>(line[auxByteOffset(2)]) << 16 |
            static_cast<std::uint32_t>(line[auxByteOffset(3)]) << 24;
-}
-
-/** Decode the 32-bit timestamp epoch out of a bucket-line view. */
-constexpr std::uint32_t
-auxStampOf(const std::uint8_t *line)
-{
-    return static_cast<std::uint32_t>(line[auxByteOffset(4)]) |
-           static_cast<std::uint32_t>(line[auxByteOffset(5)]) << 8 |
-           static_cast<std::uint32_t>(line[auxByteOffset(6)]) << 16 |
-           static_cast<std::uint32_t>(line[auxByteOffset(7)]) << 24;
 }
 
 /** Two Bloom bit positions (0..31) derived from a 24-bit signature. */

@@ -4,9 +4,8 @@
 #include <cerrno>
 #include <chrono>
 #include <cstring>
-#include <mutex>
-#include <string_view>
 
+#include "obs/stage.hh"
 #include "sim/logging.hh"
 
 #if defined(__linux__)
@@ -77,54 +76,6 @@ defaultOpen(std::uint32_t type, std::uint64_t config, int group_fd)
     return -ENOSYS;
 #endif
 }
-
-/** Process-global stage-name registry (mirrors trace.cc's). */
-class StageRegistry
-{
-  public:
-    std::uint16_t intern(const char *name)
-    {
-        std::lock_guard<std::mutex> lock(mu_);
-        for (std::size_t i = 0; i < names_.size(); ++i) {
-            if (names_[i] == name ||
-                std::string_view(names_[i]) == std::string_view(name))
-                return static_cast<std::uint16_t>(i);
-        }
-        HALO_ASSERT(names_.size() < maxPerfStages,
-                    "perf stage table full");
-        names_.push_back(name);
-        count_.store(names_.size(), std::memory_order_release);
-        return static_cast<std::uint16_t>(names_.size() - 1);
-    }
-
-    std::size_t count() const
-    {
-        return count_.load(std::memory_order_acquire);
-    }
-
-    const char *name(std::uint16_t id) const
-    {
-        HALO_ASSERT(id < count(), "perf stage id out of range");
-        std::lock_guard<std::mutex> lock(mu_);
-        return names_[id];
-    }
-
-  private:
-    mutable std::mutex mu_;
-    /// String literals only (interned by pointer-or-content); the
-    /// vector never shrinks, so name(id) stays valid forever.
-    std::vector<const char *> names_;
-    std::atomic<std::size_t> count_{0};
-};
-
-StageRegistry &
-stageRegistry()
-{
-    static StageRegistry reg;
-    return reg;
-}
-
-thread_local PerfRecorder *tlsPerfRecorder = nullptr;
 
 } // namespace
 
@@ -238,24 +189,6 @@ PerfCounterGroup::read() const
     return r;
 }
 
-std::uint16_t
-internPerfStage(const char *name)
-{
-    return stageRegistry().intern(name);
-}
-
-std::size_t
-perfStageCount()
-{
-    return stageRegistry().count();
-}
-
-const char *
-perfStageName(std::uint16_t id)
-{
-    return stageRegistry().name(id);
-}
-
 double
 PerfStageTotals::estimatedEvents(unsigned event) const
 {
@@ -291,7 +224,7 @@ PerfRecorder::shouldSample(std::uint16_t stage) const
 {
     if (degraded_.load(std::memory_order_relaxed))
         return false;
-    HALO_ASSERT(stage < maxPerfStages, "perf stage id out of range");
+    HALO_ASSERT(stage < numStages, "perf stage id out of range");
     // Entry 0 samples, so even a short run gets one group read.
     return (stages_[stage].entries.load(std::memory_order_relaxed) &
             sampleMask_) == 0;
@@ -307,7 +240,7 @@ void
 PerfRecorder::accumulate(std::uint16_t stage, std::uint64_t tsc_delta,
                          bool sampled, const PerfGroupReading &before)
 {
-    HALO_ASSERT(stage < maxPerfStages, "perf stage id out of range");
+    HALO_ASSERT(stage < numStages, "perf stage id out of range");
     StageTotals &t = stages_[stage];
     t.entries.fetch_add(1, std::memory_order_relaxed);
     t.tscCycles.fetch_add(tsc_delta, std::memory_order_relaxed);
@@ -325,7 +258,7 @@ PerfRecorder::addSample(
     std::uint16_t stage, std::uint64_t tsc_delta,
     const std::array<std::uint64_t, numPerfEvents> *events)
 {
-    HALO_ASSERT(stage < maxPerfStages, "perf stage id out of range");
+    HALO_ASSERT(stage < numStages, "perf stage id out of range");
     StageTotals &t = stages_[stage];
     t.entries.fetch_add(1, std::memory_order_relaxed);
     t.tscCycles.fetch_add(tsc_delta, std::memory_order_relaxed);
@@ -340,11 +273,10 @@ PerfRecorder::addSample(
 PerfStageTotals
 PerfRecorder::stage(std::uint16_t id) const
 {
-    HALO_ASSERT(id < maxPerfStages, "perf stage id out of range");
+    HALO_ASSERT(id < numStages, "perf stage id out of range");
     const StageTotals &t = stages_[id];
     PerfStageTotals out;
-    if (id < perfStageCount())
-        out.stage = perfStageName(id);
+    out.stage = stageName(id);
     out.entries = t.entries.load(std::memory_order_relaxed);
     out.tscCycles = t.tscCycles.load(std::memory_order_relaxed);
     out.sampledEntries =
@@ -354,26 +286,11 @@ PerfRecorder::stage(std::uint16_t id) const
     return out;
 }
 
-PerfRecorder *
-PerfRecorder::installThisThread(PerfRecorder *recorder)
-{
-    PerfRecorder *prev = tlsPerfRecorder;
-    tlsPerfRecorder = recorder;
-    return prev;
-}
-
-PerfRecorder *
-PerfRecorder::current()
-{
-    return tlsPerfRecorder;
-}
-
 std::vector<PerfStageTotals>
 perfSnapshotStages(const PerfRecorder &rec)
 {
     std::vector<PerfStageTotals> out;
-    const std::size_t n = perfStageCount();
-    for (std::size_t id = 0; id < n; ++id) {
+    for (std::size_t id = 0; id < numStages; ++id) {
         PerfStageTotals t = rec.stage(static_cast<std::uint16_t>(id));
         if (t.entries > 0)
             out.push_back(std::move(t));

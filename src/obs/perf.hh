@@ -12,9 +12,9 @@
  * the PMU has counters, raw deltas are scaled by
  * enabled/running — the standard perf estimate).
  *
- * Attribution mirrors the tracing layer: HALO_PERF_SCOPE(name) is an
- * RAII scope that charges its dynamic extent to a named pipeline stage
- * ("vswitch/burst_emc", "revalidator/sweep", ...). Because a PMU group
+ * Attribution is per pipeline stage: a HALO_STAGE scope (obs/stage.hh)
+ * charges its dynamic extent to a named stage ("vswitch/burst_emc",
+ * "revalidator/sweep", ...). Because a PMU group
  * read is a syscall (~1 µs), a scope never reads the group on every
  * entry; it always accumulates an rdtsc delta (a few ns) and samples
  * the full group once per 2^sampleShift entries per stage. Reports
@@ -29,14 +29,10 @@
  * hardware counters.
  *
  * Threading contract (mirrors TraceRecorder): exactly one thread —
- * the one that called installThisThread()/openThisThread() — enters
- * scopes on a recorder; the per-stage totals are relaxed atomics so
- * any other thread (sampler, Prometheus exporter) may snapshot a live
- * recorder without locks.
- *
- * Compile-time gate: HALO_PERF_ENABLED (CMake option HALO_PERF)
- * removes every HALO_PERF_SCOPE at preprocessing time so OFF builds
- * pay literally zero.
+ * the one that called openThisThread() and installed the recorder —
+ * enters scopes on a recorder; the per-stage totals are relaxed atomics
+ * so any other thread (sampler, Prometheus exporter) may snapshot a
+ * live recorder without locks.
  */
 
 #ifndef HALO_OBS_PERF_HH
@@ -49,10 +45,6 @@
 #include <memory>
 #include <string>
 #include <vector>
-
-#ifndef HALO_PERF_ENABLED
-#define HALO_PERF_ENABLED 1
-#endif
 
 namespace halo::obs {
 
@@ -69,17 +61,6 @@ inline constexpr unsigned numPerfEvents = 5;
 
 /** Stable snake_case name for JSON keys / metric names. */
 const char *perfEventName(unsigned event);
-
-/** True when HALO_PERF_SCOPE sites were compiled in. */
-constexpr bool
-perfCompiledIn()
-{
-#if HALO_PERF_ENABLED
-    return true;
-#else
-    return false;
-#endif
-}
 
 /**
  * Monotonic cycle source for the always-on half of a scope: rdtsc on
@@ -152,20 +133,9 @@ class PerfCounterGroup
     int degradedErrno_ = 0;
 };
 
-/** Ceiling on distinct attribution stages (ids are dense u16). */
-inline constexpr std::size_t maxPerfStages = 128;
-
-/**
- * Interns a stage name into the process-global stage table; returns a
- * dense id. Idempotent per name (string compare), so pre-registering
- * canonical names and the macro's static-local interning agree on
- * ids. Thread-safe; call sites amortize it behind a static local.
- */
-std::uint16_t internPerfStage(const char *name);
-/** Number of stages interned so far. */
-std::size_t perfStageCount();
-/** Name for an interned id (asserts on out-of-range). */
-const char *perfStageName(std::uint16_t id);
+/** Ceiling on stage ids (obs/stage.hh: numStages); PerfRecorder keeps
+ *  one totals slot per id. */
+inline constexpr std::size_t maxStages = 16;
 
 /** Plain per-stage totals, snapshotted or merged for reports. */
 struct PerfStageTotals
@@ -182,13 +152,13 @@ struct PerfStageTotals
 };
 
 /**
- * Per-thread stage accumulator behind HALO_PERF_SCOPE.
+ * Per-thread stage accumulator behind HALO_STAGE.
  *
  * Construct anywhere (the owning Runtime usually does it while still
  * single-threaded), then openThisThread() from the measured thread —
  * perf_event_open counts the *calling* thread, so the group cannot be
- * opened in the constructor. installThisThread()/current() mirror
- * TraceRecorder's TLS slot.
+ * opened in the constructor — and install it there with
+ * installStageRecorders().
  */
 class PerfRecorder
 {
@@ -219,7 +189,7 @@ class PerfRecorder
 
     unsigned sampleShift() const { return sampleShift_; }
 
-    /** @name Owner-thread hot path (used by PerfScope) */
+    /** @name Owner-thread hot path (used by StageScope) */
     /**@{*/
     bool shouldSample(std::uint16_t stage) const;
     PerfGroupReading readGroup() const;
@@ -238,10 +208,6 @@ class PerfRecorder
     /** Any thread: relaxed snapshot of one stage's totals. */
     PerfStageTotals stage(std::uint16_t id) const;
 
-    /** TLS slot, mirroring TraceRecorder::installThisThread(). */
-    static PerfRecorder *installThisThread(PerfRecorder *recorder);
-    static PerfRecorder *current();
-
   private:
     struct StageTotals
     {
@@ -251,7 +217,7 @@ class PerfRecorder
         std::array<std::atomic<std::uint64_t>, numPerfEvents> events{};
     };
 
-    std::array<StageTotals, maxPerfStages> stages_;
+    std::array<StageTotals, maxStages> stages_;
     std::unique_ptr<PerfCounterGroup> group_; ///< set by openThisThread
     PerfCounterGroup::OpenFn openFn_;
     unsigned sampleShift_;
@@ -270,60 +236,6 @@ std::vector<PerfStageTotals> perfSnapshotStages(const PerfRecorder &rec);
 void perfMergeStages(std::vector<PerfStageTotals> &into,
                      const std::vector<PerfStageTotals> &from);
 
-/** RAII stage scope; all cost gated on an installed recorder. */
-class PerfScope
-{
-  public:
-    explicit PerfScope(std::uint16_t stage)
-        : rec_(PerfRecorder::current()), stage_(stage)
-    {
-        if (!rec_)
-            return;
-        sampled_ = rec_->shouldSample(stage_);
-        if (sampled_)
-            before_ = rec_->readGroup();
-        tsc0_ = perfTscNow();
-    }
-
-    ~PerfScope()
-    {
-        if (!rec_)
-            return;
-        rec_->accumulate(stage_, perfTscNow() - tsc0_, sampled_,
-                         before_);
-    }
-
-    PerfScope(const PerfScope &) = delete;
-    PerfScope &operator=(const PerfScope &) = delete;
-
-  private:
-    PerfRecorder *rec_;
-    std::uint16_t stage_;
-    bool sampled_ = false;
-    std::uint64_t tsc0_ = 0;
-    PerfGroupReading before_;
-};
-
 } // namespace halo::obs
-
-#define HALO_PERF_CONCAT_IMPL(a, b) a##b
-#define HALO_PERF_CONCAT(a, b) HALO_PERF_CONCAT_IMPL(a, b)
-
-#if HALO_PERF_ENABLED
-/**
- * Charge the rest of the enclosing block to pipeline stage @p name.
- * Compiled out entirely when HALO_PERF_ENABLED is 0; with no
- * PerfRecorder installed on the thread it costs one TLS load and a
- * branch.
- */
-#define HALO_PERF_SCOPE(name)                                             \
-    static const std::uint16_t HALO_PERF_CONCAT(halo_perf_id_,            \
-                                                __LINE__) =               \
-        ::halo::obs::internPerfStage(name);                               \
-    ::halo::obs::PerfScope HALO_PERF_CONCAT(halo_perf_scope_, __LINE__)(  \
-        HALO_PERF_CONCAT(halo_perf_id_, __LINE__))
-#else
-#define HALO_PERF_SCOPE(name) ((void)0)
-#endif
 
 #endif // HALO_OBS_PERF_HH

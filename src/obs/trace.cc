@@ -2,77 +2,17 @@
 
 #include <algorithm>
 #include <chrono>
-#include <mutex>
-#include <string_view>
 
 #include "obs/json.hh"
+#include "obs/stage.hh"
 #include "sim/logging.hh"
 
 namespace halo::obs {
-
-namespace {
-
-/** Interned span names. Guarded by a mutex: touched once per
- *  instrumentation site (static-local init), never per event. */
-struct NameRegistry
-{
-    std::mutex mtx;
-    std::vector<const char *> names;
-};
-
-NameRegistry &
-nameRegistry()
-{
-    static NameRegistry reg;
-    return reg;
-}
-
-thread_local TraceRecorder *tlsRecorder = nullptr;
-
-} // namespace
-
-std::uint16_t
-internTraceName(const char *name)
-{
-    NameRegistry &reg = nameRegistry();
-    std::lock_guard<std::mutex> lock(reg.mtx);
-    for (std::size_t i = 0; i < reg.names.size(); ++i) {
-        if (reg.names[i] == name ||
-            std::string_view(reg.names[i]) == name)
-            return static_cast<std::uint16_t>(i);
-    }
-    HALO_ASSERT(reg.names.size() < 0xffff, "trace name table full");
-    reg.names.push_back(name);
-    return static_cast<std::uint16_t>(reg.names.size() - 1);
-}
-
-const char *
-traceName(std::uint16_t id)
-{
-    NameRegistry &reg = nameRegistry();
-    std::lock_guard<std::mutex> lock(reg.mtx);
-    HALO_ASSERT(id < reg.names.size(), "unknown trace name id ", id);
-    return reg.names[id];
-}
 
 TraceRecorder::TraceRecorder(std::size_t capacity)
     : ring_(nextPowerOfTwo(std::max<std::size_t>(capacity, 2))),
       mask_(ring_.size() - 1)
 {
-}
-
-TraceRecorder *
-TraceRecorder::installThisThread(TraceRecorder *rec)
-{
-    TraceRecorder *prev = tlsRecorder;
-    tlsRecorder = rec;
-    return prev;
-}
-
-TraceRecorder *
-TraceRecorder::current()
-{
-    return tlsRecorder;
 }
 
 std::uint64_t
@@ -114,7 +54,7 @@ writeChromeTrace(std::ostream &os, std::span<const TraceThread> threads)
         for (std::size_t i = 0; i < t.recorder->size(); ++i) {
             const TraceEvent &e = t.recorder->event(i);
             j.beginObject();
-            j.kv("name", traceName(e.nameId));
+            j.kv("name", stageName(e.nameId));
             j.kv("ph", "X");
             j.kv("pid", 0);
             j.kv("tid", t.tid);

@@ -1,36 +1,20 @@
 /**
  * @file
- * Scoped tracing into per-thread fixed-capacity rings.
+ * Per-thread fixed-capacity trace rings and the Chrome trace drain.
  *
- * Instrumentation sites drop an RAII span into the code:
- *
- *   void Worker::threadMain() {
- *       ...
- *       { HALO_TRACE_SCOPE("worker/batch"); processBatch(); }
- *   }
- *
- * Each closed span is one 16-byte TraceEvent (start nanos, duration,
- * interned name id) appended to the TraceRecorder installed on the
- * current thread. The ring is preallocated and wraps — recording never
- * allocates, never blocks, and keeps the newest events — so tracing a
- * billion-packet run costs the same memory as tracing one batch. After
- * the run (post-join) the rings from all threads are drained into one
- * Chrome trace_event JSON (writeChromeTrace) that chrome://tracing or
- * https://ui.perfetto.dev renders as a per-worker timeline.
- *
- * Cost model, chosen so the host fast path keeps its PR 1/2 numbers:
- *  - compiled out (HALO_TRACING=OFF): HALO_TRACE_SCOPE expands to
- *    nothing — zero instructions, zero code-size;
- *  - compiled in, no recorder installed on this thread: one
- *    thread-local load and a predictable branch per scope;
- *  - compiled in and recording: two steady_clock reads plus a 16-byte
- *    ring store per scope.
+ * HALO_STAGE scopes (obs/stage.hh) append one 16-byte TraceEvent
+ * (start nanos, duration, stage id) per closed span to the
+ * TraceRecorder installed on the current thread. The ring is
+ * preallocated and wraps — recording never allocates, never blocks, and
+ * keeps the newest events — so tracing a billion-packet run costs the
+ * same memory as tracing one batch. After the run (post-join) the rings
+ * from all threads are drained into one Chrome trace_event JSON
+ * (writeChromeTrace) that chrome://tracing or https://ui.perfetto.dev
+ * renders as a per-worker timeline.
  *
  * Threading contract: a TraceRecorder is single-writer. Install it on
- * exactly one thread (TraceRecorder::installThisThread); drain it only
- * after that thread has quiesced (joined). Name interning is the one
- * shared structure and is mutex-protected; it is touched once per
- * instrumentation site per process, not per event.
+ * exactly one thread (installStageRecorders); drain it only after that
+ * thread has quiesced (joined).
  */
 
 #ifndef HALO_OBS_TRACE_HH
@@ -51,29 +35,11 @@ struct TraceEvent
 {
     std::uint64_t startNanos; ///< steady_clock, process-wide epoch
     std::uint32_t durNanos;   ///< saturated at ~4.29 s
-    std::uint16_t nameId;     ///< internTraceName() id
+    std::uint16_t nameId;     ///< stage id (obs/stage.hh)
     std::uint16_t reserved = 0;
 };
 
 static_assert(sizeof(TraceEvent) == 16, "events must stay 16 bytes");
-
-/** Intern a span name (string literal or otherwise long-lived). Done
- *  once per instrumentation site; safe from any thread. */
-std::uint16_t internTraceName(const char *name);
-
-/** The name for an interned id (for drains and tests). */
-const char *traceName(std::uint16_t id);
-
-/** True when instrumentation macros are compiled in. */
-constexpr bool
-traceCompiledIn()
-{
-#if HALO_TRACE_ENABLED
-    return true;
-#else
-    return false;
-#endif
-}
 
 class TraceRecorder
 {
@@ -135,15 +101,6 @@ class TraceRecorder
         written_ = 0;
     }
 
-    /** @name Per-thread installation */
-    /**@{*/
-    /** Make @p rec the recorder HALO_TRACE_SCOPE feeds on this thread
-     *  (nullptr uninstalls). The previous recorder is returned so
-     *  nested harnesses can restore it. */
-    static TraceRecorder *installThisThread(TraceRecorder *rec);
-    static TraceRecorder *current();
-    /**@}*/
-
     /** Monotonic nanoseconds on the process-wide steady epoch. */
     static std::uint64_t nowNanos();
 
@@ -151,33 +108,6 @@ class TraceRecorder
     std::vector<TraceEvent> ring_;
     std::uint64_t mask_;
     std::uint64_t written_ = 0;
-};
-
-/** RAII span: times construction → destruction into the recorder that
- *  was installed on this thread at construction. */
-class TraceScope
-{
-  public:
-    explicit TraceScope(std::uint16_t name_id)
-        : rec_(TraceRecorder::current()), nameId_(name_id)
-    {
-        if (rec_)
-            start_ = TraceRecorder::nowNanos();
-    }
-
-    ~TraceScope()
-    {
-        if (rec_)
-            rec_->record(nameId_, start_, TraceRecorder::nowNanos());
-    }
-
-    TraceScope(const TraceScope &) = delete;
-    TraceScope &operator=(const TraceScope &) = delete;
-
-  private:
-    TraceRecorder *rec_;
-    std::uint16_t nameId_;
-    std::uint64_t start_ = 0;
 };
 
 /** One thread's drained ring plus how to label it in the trace UI. */
@@ -197,26 +127,5 @@ void writeChromeTrace(std::ostream &os,
                       std::span<const TraceThread> threads);
 
 } // namespace halo::obs
-
-#if HALO_TRACE_ENABLED
-
-#define HALO_TRACE_CONCAT2(a, b) a##b
-#define HALO_TRACE_CONCAT(a, b) HALO_TRACE_CONCAT2(a, b)
-
-/** Open a span named @p name (a string literal) for the rest of the
- *  enclosing block. Compiles to nothing when HALO_TRACING is off. */
-#define HALO_TRACE_SCOPE(name)                                            \
-    static const std::uint16_t HALO_TRACE_CONCAT(halo_trace_id_,          \
-                                                 __LINE__) =              \
-        ::halo::obs::internTraceName(name);                               \
-    ::halo::obs::TraceScope HALO_TRACE_CONCAT(                            \
-        halo_trace_scope_, __LINE__)(HALO_TRACE_CONCAT(halo_trace_id_,    \
-                                                       __LINE__))
-
-#else
-
-#define HALO_TRACE_SCOPE(name) ((void)0)
-
-#endif // HALO_TRACE_ENABLED
 
 #endif // HALO_OBS_TRACE_HH

@@ -22,7 +22,7 @@ Revalidator::Revalidator(const RevalidatorConfig &config,
         std::min<std::size_t>(cfg.maxTrackedFlows, 1u << 16));
     if (cfg.traceCapacity)
         trace_ = std::make_unique<obs::TraceRecorder>(cfg.traceCapacity);
-    if (cfg.perfEnabled && obs::perfCompiledIn())
+    if (cfg.perfEnabled)
         perf_ = std::make_unique<obs::PerfRecorder>(cfg.perfSampleShift);
 }
 
@@ -81,21 +81,17 @@ Revalidator::threadMain()
     const auto sweep_interval =
         std::chrono::microseconds(cfg.sweepIntervalMicros);
 
-    obs::TraceRecorder *prev_rec =
-        obs::TraceRecorder::installThisThread(trace_.get());
-    obs::PerfRecorder *prev_perf = nullptr;
-    if (perf_) {
+    if (perf_)
         perf_->openThisThread();
-        prev_perf = obs::PerfRecorder::installThisThread(perf_.get());
-    }
+    const obs::StageRecorders prev_rec =
+        obs::installStageRecorders({trace_.get(), perf_.get()});
 
     auto next_sweep = SteadyClock::now() + sweep_interval;
     while (true) {
         const std::size_t n =
             ring_.popBatch(drainBuf_.data(), drainBuf_.size());
         if (n) {
-            HALO_TRACE_SCOPE("revalidator/drain");
-            HALO_PERF_SCOPE("revalidator/drain");
+            HALO_STAGE("revalidator/drain");
             for (std::size_t i = 0; i < n; ++i)
                 handle(drainBuf_[i]);
             upcallsProcessed_.add(n);
@@ -116,9 +112,7 @@ Revalidator::threadMain()
         }
     }
 
-    obs::TraceRecorder::installThisThread(prev_rec);
-    if (perf_)
-        obs::PerfRecorder::installThisThread(prev_perf);
+    obs::installStageRecorders(prev_rec);
 }
 
 void
@@ -134,8 +128,7 @@ Revalidator::handle(const UpcallRequest &rq)
 void
 Revalidator::handleMiss(const UpcallRequest &rq)
 {
-    HALO_TRACE_SCOPE("revalidator/upcall");
-    HALO_PERF_SCOPE("revalidator/upcall");
+    HALO_STAGE("revalidator/upcall");
     const ShardHooks &s = shards_[rq.worker];
     const auto key = rq.tuple.toKey();
     TupleSpace &tuples = s.vswitch->tupleSpace();
@@ -186,8 +179,7 @@ Revalidator::handleMiss(const UpcallRequest &rq)
 void
 Revalidator::handlePromote(const UpcallRequest &rq)
 {
-    HALO_TRACE_SCOPE("revalidator/promote");
-    HALO_PERF_SCOPE("revalidator/promote");
+    HALO_STAGE("revalidator/promote");
     const ShardHooks &s = shards_[rq.worker];
     const auto key = rq.tuple.toKey();
     const std::span<const std::uint8_t, FiveTuple::keyBytes> key_span(
@@ -233,8 +225,7 @@ Revalidator::handlePromote(const UpcallRequest &rq)
 void
 Revalidator::controlEpoch()
 {
-    HALO_TRACE_SCOPE("revalidator/control");
-    HALO_PERF_SCOPE("revalidator/control");
+    HALO_STAGE("revalidator/control");
     for (std::size_t i = 0; i < shards_.size(); ++i) {
         const ShardHooks &s = shards_[i];
         if (!s.estimator)
@@ -339,20 +330,10 @@ Revalidator::track(TrackedFlow &&flow)
 void
 Revalidator::sweep()
 {
-    HALO_TRACE_SCOPE("revalidator/sweep");
-    HALO_PERF_SCOPE("revalidator/sweep");
+    HALO_STAGE("revalidator/sweep");
     sweeps_.add(1);
     for (const ShardHooks &s : shards_) {
         s.activity->advanceEpoch();
-        // Cuckoo++ negative-filter tables carry a per-bucket timestamp
-        // in the bucket line's aux bytes; keep their epoch counter in
-        // step with the activity epoch so fast-path inserts stamp the
-        // value this sweep compares against (bucketTimestamp()).
-        CuckooHashTable &exact =
-            s.vswitch->tupleSpace().table(s.exactTuple);
-        if (cuckooFilterNegative(exact.filterMode()))
-            exact.setTimestampEpoch(static_cast<std::uint32_t>(
-                s.activity->epoch()));
         // Managed EMC inserts stamp the epoch into the slot's freed
         // signature-word bytes; keep it in step for recency-informed
         // eviction.

@@ -39,8 +39,7 @@
 
 #include "flow/flow_activity.hh"
 #include "flow/flow_estimator.hh"
-#include "obs/perf.hh"
-#include "obs/trace.hh"
+#include "obs/stage.hh"
 #include "runtime/emc_controller.hh"
 #include "runtime/mpsc_ring.hh"
 #include "runtime/upcall.hh"

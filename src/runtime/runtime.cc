@@ -269,22 +269,10 @@ Runtime::snapshot() const
 namespace {
 
 /**
- * Canonical HALO_PERF_SCOPE stage names, pre-interned before metric
- * attachment so the per-stage series exist (at zero) even for stages
- * whose first scope has not run yet. The macro's static-local
- * interning returns the same ids (interning is idempotent by name).
+ * Attach one PerfRecorder's per-stage series under @p labels: one per
+ * obs::kStageNames entry, so every stage has its series (at zero)
+ * before its first scope runs.
  */
-const char *const kPerfStagePreset[] = {
-    "worker/batch",        "worker/offload",
-    "vswitch/upcall",      "vswitch/burst_prepass",
-    "vswitch/burst_emc",   "vswitch/burst_tss",
-    "vswitch/emc",         "vswitch/tuple_space",
-    "vswitch/cuckoo",      "revalidator/drain",
-    "revalidator/upcall",  "revalidator/promote",
-    "revalidator/sweep",
-};
-
-/** Attach one PerfRecorder's per-stage series under @p labels. */
 void
 registerPerfRecorder(obs::MetricsRegistry &reg,
                      const obs::PerfRecorder &rec,
@@ -292,11 +280,10 @@ registerPerfRecorder(obs::MetricsRegistry &reg,
 {
     reg.attach("halo_perf_degraded", labels, obs::MetricKind::Gauge,
                [&rec] { return rec.degraded() ? 1.0 : 0.0; });
-    const std::size_t stages = obs::perfStageCount();
-    for (std::size_t s = 0; s < stages; ++s) {
+    for (std::size_t s = 0; s < obs::numStages; ++s) {
         const auto id = static_cast<std::uint16_t>(s);
         obs::MetricLabels l = labels;
-        l.emplace_back("stage", obs::perfStageName(id));
+        l.emplace_back("stage", obs::stageName(id));
         reg.attach("halo_perf_stage_entries", l,
                    obs::MetricKind::Counter, [&rec, id] {
                        return static_cast<double>(
@@ -383,8 +370,8 @@ Runtime::registerMetrics(obs::MetricsRegistry &reg)
                        return static_cast<double>(w->ring().size());
                    });
 
-        // Seqlock retries and EMOMA steers live on the tables; sum
-        // them per worker (relaxed counter reads on stable objects).
+        // Seqlock retries live on the tables; sum them per worker
+        // (relaxed counter reads on stable objects).
         const ExactMatchCache *emc = &w->vswitch().emc();
 
         // EMC cache-management telemetry (relaxed counter/gauge reads;
@@ -438,29 +425,6 @@ Runtime::registerMetrics(obs::MetricsRegistry &reg)
                            sum += t->seqlockRetries();
                        return static_cast<double>(sum);
                    });
-        if (tables_stable) {
-            reg.attach("halo_worker_filter_steers", l,
-                       obs::MetricKind::Counter, [tables] {
-                           std::uint64_t sum = 0;
-                           for (const CuckooHashTable *t : tables)
-                               sum += t->filterSteers();
-                           return static_cast<double>(sum);
-                       });
-            reg.attach("halo_worker_filter_degraded", l,
-                       obs::MetricKind::Gauge, [tables] {
-                           for (const CuckooHashTable *t : tables)
-                               if (t->filterDegraded())
-                                   return 1.0;
-                           return 0.0;
-                       });
-            reg.attach("halo_worker_filter_mode_switches", l,
-                       obs::MetricKind::Counter, [tables] {
-                           std::uint64_t sum = 0;
-                           for (const CuckooHashTable *t : tables)
-                               sum += t->filterModeSwitches();
-                           return static_cast<double>(sum);
-                       });
-        }
     }
 
     if (reval_) {
@@ -510,15 +474,12 @@ Runtime::registerMetrics(obs::MetricsRegistry &reg)
     if (elastic_)
         elastic_->registerMetrics(reg);
 
-    // Per-thread, per-stage PMU series. Pre-intern the canonical
-    // stage list so attachment happens before the first scope runs.
+    // Per-thread, per-stage PMU series.
     bool any_perf = false;
     for (const auto &w : workers_)
         any_perf |= w->perfRecorder() != nullptr;
     any_perf |= reval_ && reval_->perfRecorder();
     if (any_perf) {
-        for (const char *name : kPerfStagePreset)
-            obs::internPerfStage(name);
         for (std::size_t i = 0; i < workers_.size(); ++i) {
             if (const obs::PerfRecorder *pr =
                     workers_[i]->perfRecorder())
@@ -644,7 +605,7 @@ Runtime::report() const
 {
     RuntimeReport rep;
     rep.aggregate = snapshot();
-    rep.perfEnabled = cfg.perfEnabled && obs::perfCompiledIn();
+    rep.perfEnabled = cfg.perfEnabled;
     rep.workers.reserve(workers_.size());
     for (const auto &w : workers_) {
         WorkerReport wr;

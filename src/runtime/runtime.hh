@@ -98,12 +98,11 @@ struct RuntimeConfig
      */
     EmcPolicyConfig emcPolicy;
     /**
-     * Per-thread PMU attribution (HALO_PERF_SCOPE): every worker and
-     * the revalidator get a PerfRecorder whose perf_event_open group
-     * is opened on the owning thread. Open failure (EPERM/ENOENT in
+     * Per-thread PMU attribution (HALO_STAGE): every worker and the
+     * revalidator get a PerfRecorder whose perf_event_open group is
+     * opened on the owning thread. Open failure (EPERM/ENOENT in
      * containers) degrades to rdtsc-only stage cycles and sets
-     * RuntimeReport::perfDegraded. No effect when the HALO_PERF CMake
-     * option compiled the scopes out.
+     * RuntimeReport::perfDegraded.
      */
     bool perfEnabled = false;
     /// One full PMU group read (a syscall) per 2^shift scope entries
@@ -189,7 +188,7 @@ struct RuntimeReport
     /// Producer start → drain end; only set by run().
     double wallSeconds = 0.0;
     /// @name PMU attribution, merged across workers + revalidator
-    /// (empty unless cfg.perfEnabled and HALO_PERF compiled in)
+    /// (empty unless cfg.perfEnabled)
     /**@{*/
     bool perfEnabled = false;
     /// True when any thread's perf_event_open failed (rdtsc-only).
@@ -263,8 +262,8 @@ class Runtime
     /**
      * Attach this runtime's live telemetry to @p registry: runtime
      * offered/enqueued/drop counters, per-worker packet/upcall/ring
-     * series, per-worker seqlock-retry and filter-steer sums over the
-     * shard's EMC and megaflow tables, revalidator counters, RSS
+     * series, per-worker seqlock-retry sums over the shard's EMC and
+     * megaflow tables, revalidator counters, RSS
      * rebalance stats, and — when cfg.perfEnabled — per-worker
      * per-stage PMU series (cycles, LLC misses, ...).
      *
@@ -289,8 +288,7 @@ class Runtime
 
     /** Drain every worker's TraceRecorder into one Chrome trace_event
      *  JSON (open in chrome://tracing or Perfetto). Only valid after
-     *  stop(); empty trace when cfg.traceCapacity was 0 or tracing is
-     *  compiled out. */
+     *  stop(); empty trace when cfg.traceCapacity was 0. */
     void writeChromeTrace(std::ostream &os) const;
 
     /** Convenience: start → produce → drain → stop → report, with

@@ -51,7 +51,7 @@ Worker::Worker(const WorkerConfig &config, const RuleSet &rules)
         resultBuf_.resize(cfg.batchSize);
     if (cfg.traceCapacity)
         trace_ = std::make_unique<obs::TraceRecorder>(cfg.traceCapacity);
-    if (cfg.perfEnabled && obs::perfCompiledIn())
+    if (cfg.perfEnabled)
         perf_ = std::make_unique<obs::PerfRecorder>(cfg.perfSampleShift);
     if (cfg.upcallRing) {
         recentMiss_.resize(1024);
@@ -143,7 +143,7 @@ Worker::counters() const
 void
 Worker::offload(const PacketResult &res)
 {
-    HALO_PERF_SCOPE("worker/offload");
+    HALO_STAGE("worker/offload");
     ++packetSeq_;
     if (res.slowPathPending) {
         // Dedup window: while a flow's install is in flight every one
@@ -195,17 +195,14 @@ Worker::threadMain()
     using SteadyClock = std::chrono::steady_clock;
     VirtualSwitch &vs = shard_.vswitch();
 
-    // Route this thread's HALO_TRACE_SCOPE sites (here and down in the
-    // vswitch pipeline) into the worker's private ring, if configured.
-    obs::TraceRecorder *prev_rec =
-        obs::TraceRecorder::installThisThread(trace_.get());
-    // Same for HALO_PERF_SCOPE: the PMU group must be opened on the
-    // measured thread (perf_event_open pid=0 counts the caller).
-    obs::PerfRecorder *prev_perf = nullptr;
-    if (perf_) {
+    // Route this thread's HALO_STAGE sites (here and down in the
+    // vswitch pipeline) into the worker's recorders, if configured. The
+    // PMU group must be opened on the measured thread (perf_event_open
+    // pid=0 counts the caller).
+    if (perf_)
         perf_->openThisThread();
-        prev_perf = obs::PerfRecorder::installThisThread(perf_.get());
-    }
+    const obs::StageRecorders prev_rec =
+        obs::installStageRecorders({trace_.get(), perf_.get()});
 
     while (true) {
         // Migration gate: a bucket is being remapped *to* this shard;
@@ -289,8 +286,7 @@ Worker::threadMain()
         std::uint64_t matched = 0;
         std::uint64_t emc_hits = 0;
         {
-            HALO_TRACE_SCOPE("worker/batch");
-            HALO_PERF_SCOPE("worker/batch");
+            HALO_STAGE("worker/batch");
             if (cfg.classifyBurst > 1) {
                 // Whole ring batches go through the burst pipeline;
                 // the vswitch chunks them to its burstLanes window.
@@ -328,9 +324,7 @@ Worker::threadMain()
         busyNanos_.add(cpu1 - cpu0);
     }
 
-    obs::TraceRecorder::installThisThread(prev_rec);
-    if (perf_)
-        obs::PerfRecorder::installThisThread(prev_perf);
+    obs::installStageRecorders(prev_rec);
 }
 
 } // namespace halo

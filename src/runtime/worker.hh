@@ -20,8 +20,8 @@
  * obs::HdrHistogram (p50..p999 in bounded space, mergeable across
  * workers) instead of an unbounded vector, and when traceCapacity is
  * nonzero the thread installs a private obs::TraceRecorder so
- * HALO_TRACE_SCOPE sites in the worker and the vswitch pipeline record
- * into it; the runtime drains all recorders into one Chrome trace
+ * HALO_STAGE sites in the worker and the vswitch pipeline record into
+ * it; the runtime drains all recorders into one Chrome trace
  * after stop().
  */
 
@@ -39,8 +39,7 @@
 #include "flow/flow_estimator.hh"
 #include "net/packet.hh"
 #include "obs/histogram.hh"
-#include "obs/perf.hh"
-#include "obs/trace.hh"
+#include "obs/stage.hh"
 #include "runtime/mpsc_ring.hh"
 #include "runtime/order_validator.hh"
 #include "runtime/spsc_ring.hh"
@@ -70,8 +69,7 @@ struct WorkerConfig
     unsigned classifyBurst = 1;
     bool warmTables = true;
     /// Trace-event ring slots for this worker's TraceRecorder
-    /// (0 = no recorder; HALO_TRACE_SCOPE sites then cost one
-    /// thread-local check). 16 bytes per slot.
+    /// (0 = no recorder). 16 bytes per slot.
     std::size_t traceCapacity = 0;
     /**
      * Decoupled slow path: deferred misses/promotions are enqueued
@@ -89,10 +87,10 @@ struct WorkerConfig
     /// Sample 1-in-2^shift megaflow hits for EMC promotion upcalls
     /// (OVS's probabilistic EMC insertion; 0 = promote every hit).
     unsigned promoteSampleShift = 3;
-    /// Install a PerfRecorder on the worker thread so HALO_PERF_SCOPE
-    /// sites attribute PMU counts to pipeline stages. The PMU group is
+    /// Install a PerfRecorder on the worker thread so HALO_STAGE sites
+    /// attribute PMU counts to pipeline stages. The PMU group is
     /// opened on the worker thread itself; open failure degrades to
-    /// rdtsc-only. No effect when HALO_PERF_ENABLED is 0.
+    /// rdtsc-only.
     bool perfEnabled = false;
     /// One full PMU group read per 2^shift scope entries per stage.
     unsigned perfSampleShift = 6;

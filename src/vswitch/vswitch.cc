@@ -2,8 +2,7 @@
 
 #include <algorithm>
 
-#include "obs/perf.hh"
-#include "obs/trace.hh"
+#include "obs/stage.hh"
 #include "sim/logging.hh"
 
 namespace halo {
@@ -104,8 +103,7 @@ void
 VirtualSwitch::openflowUpcall(const FiveTuple &tuple, PacketResult &res,
                               Cycles &now)
 {
-    HALO_TRACE_SCOPE("vswitch/upcall");
-    HALO_PERF_SCOPE("vswitch/upcall");
+    HALO_STAGE("vswitch/upcall");
     // The OpenFlow layer searches EVERY tuple and keeps the highest
     // priority match (paper SS2.2) — strictly slower than MegaFlow.
     const auto key = tuple.toKey();
@@ -319,8 +317,7 @@ VirtualSwitch::burstChunkSoftware(std::span<const FiveTuple> batch,
     //     and reference streams are captured here; the replay below
     //     prices them against the core model in packet order. ---
     {
-        HALO_TRACE_SCOPE("vswitch/burst_prepass");
-        HALO_PERF_SCOPE("vswitch/burst_prepass");
+        HALO_STAGE("vswitch/burst_prepass");
         const std::uint8_t *key_ptrs[maxBulkLanes];
         for (std::size_t i = 0; i < n; ++i) {
             SoftLane &ln = burst.lanes[i];
@@ -335,8 +332,7 @@ VirtualSwitch::burstChunkSoftware(std::span<const FiveTuple> batch,
 
         std::uint32_t emc_hits = 0;
         if (cfg.useEmc && emcCache.enabled()) {
-            HALO_TRACE_SCOPE("vswitch/burst_emc");
-            HALO_PERF_SCOPE("vswitch/burst_emc");
+            HALO_STAGE("vswitch/burst_emc");
             std::uint64_t values[maxBulkLanes];
             std::uint64_t slots[maxBulkLanes][2];
             AccessTrace *traces[maxBulkLanes];
@@ -358,8 +354,7 @@ VirtualSwitch::burstChunkSoftware(std::span<const FiveTuple> batch,
 
         // Tuple-space walk for the EMC misses, all lanes in flight.
         {
-            HALO_TRACE_SCOPE("vswitch/burst_tss");
-            HALO_PERF_SCOPE("vswitch/burst_tss");
+            HALO_STAGE("vswitch/burst_tss");
             const std::uint8_t *walk_keys[maxBulkLanes];
             TupleSpace::BulkWalkLane *walk_lanes[maxBulkLanes];
             unsigned lane_of[maxBulkLanes];
@@ -604,8 +599,7 @@ VirtualSwitch::softwareClassify(const FiveTuple &tuple, PacketResult &res,
     // --- EMC probe (the adaptive controller may have it off: one
     // relaxed flag load is the entire hybrid-mode cost then). ---
     if (cfg.useEmc && emcCache.enabled()) {
-        HALO_TRACE_SCOPE("vswitch/emc");
-        HALO_PERF_SCOPE("vswitch/emc");
+        HALO_STAGE("vswitch/emc");
         bool hit = false;
         std::uint64_t hit_value = 0;
         const AccessTrace *refs = nullptr;
@@ -644,8 +638,7 @@ VirtualSwitch::softwareClassify(const FiveTuple &tuple, PacketResult &res,
     //     costs a full Table-1-profile cuckoo lookup. ---
     std::optional<TupleMatch> match;
     {
-        HALO_TRACE_SCOPE("vswitch/tuple_space");
-        HALO_PERF_SCOPE("vswitch/tuple_space");
+        HALO_STAGE("vswitch/tuple_space");
         OpTrace &ops = opScratch;
         ops.clear();
         unsigned searched = 0;
@@ -672,8 +665,7 @@ VirtualSwitch::softwareClassify(const FiveTuple &tuple, PacketResult &res,
                 refScratch.clear();
                 std::optional<std::uint64_t> value;
                 {
-                    HALO_TRACE_SCOPE("vswitch/cuckoo");
-                    HALO_PERF_SCOPE("vswitch/cuckoo");
+                    HALO_STAGE("vswitch/cuckoo");
                     value = tuples.table(t).lookup(
                         KeyView(maskScratch.data(), maskScratch.size()),
                         &refScratch);

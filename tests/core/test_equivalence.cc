@@ -72,8 +72,9 @@ TEST_P(EquivalenceParam, AcceleratorMatchesSoftwareThroughChurn)
                                                  key.size()));
             ASSERT_EQ(qr.found, sw.has_value())
                 << "op " << op << " id " << id;
-            if (sw)
+            if (sw) {
                 ASSERT_EQ(qr.value, *sw);
+            }
         }
     }
 }
@@ -167,11 +168,9 @@ TEST(TraceEquivalence, FastPathKeepsTraceAndCyclesIdentical)
     CoreModel core_got(hier_got, 0), core_want(hier_want, 0);
     TraceBuilder builder;
     // The reference reconstruction below models the unfiltered probe
-    // walk; pin the mode so a -DHALO_CUCKOO_EMOMA build (which flips
-    // the config default) doesn't add steering refs the oracle lacks.
-    // Filtered trace equivalence lives in tests/hash.
+    // walk; filtered trace equivalence lives in tests/hash.
     CuckooHashTable table(mem, {16, 4096, HashKind::XxMix, 0xfeed,
-                                0.95, CuckooFilter::None});
+                                0.95, false});
     const Addr key_stage = mem.allocate(cacheLineBytes, cacheLineBytes);
 
     Xoshiro256 rng(0x7777);
@@ -192,8 +191,9 @@ TEST(TraceEquivalence, FastPathKeepsTraceAndCyclesIdentical)
                                          key_stage);
         const auto untraced = table.lookup(KeyView(key.data(), 16));
         ASSERT_EQ(traced.has_value(), untraced.has_value()) << "i=" << i;
-        if (traced)
+        if (traced) {
             ASSERT_EQ(*traced, *untraced) << "i=" << i;
+        }
 
         const AccessTrace want = referenceLookupTrace(
             mem, table, KeyView(key.data(), 16), key_stage);

@@ -72,8 +72,9 @@ TEST(TraceBuilder, DependenciesPointBackward)
     OpTrace ops;
     builder.lowerTableOp(hitLookupRefs(), ops);
     for (std::size_t i = 0; i < ops.size(); ++i) {
-        if (ops[i].dep >= 0)
+        if (ops[i].dep >= 0) {
             EXPECT_LT(static_cast<std::size_t>(ops[i].dep), i);
+        }
     }
 }
 

@@ -73,8 +73,9 @@ TEST(EmcBulk, MatchesScalarLookupIncludingTraces)
         const auto scalar = emc.lookup(keys[i], &scalar_trace);
         EXPECT_EQ((mask >> i) & 1u, scalar.has_value() ? 1u : 0u)
             << "lane " << i;
-        if (scalar)
+        if (scalar) {
             EXPECT_EQ(values[i], *scalar) << "lane " << i;
+        }
         expectSameTrace(traces[i], scalar_trace, i);
         // A lane's two candidate slots must be distinct and inside the
         // table (the burst path uses them for conflict detection).

@@ -239,8 +239,9 @@ TEST(RuleSet, DedupesIdenticalMaskedKeys)
     // No two rules share (mask, maskedKey).
     for (std::size_t i = 0; i < rules.size(); ++i) {
         for (std::size_t j = i + 1; j < rules.size(); ++j) {
-            if (rules[i].mask == rules[j].mask)
+            if (rules[i].mask == rules[j].mask) {
                 EXPECT_FALSE(rules[i].maskedKey == rules[j].maskedKey);
+            }
         }
     }
 }

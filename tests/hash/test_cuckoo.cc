@@ -405,8 +405,9 @@ TEST(Cuckoo, BulkLookupMatchesScalarIncludingTraces)
                 t.lookup(KeyView(keys[i]), &scalar_trace);
             EXPECT_EQ((mask >> i) & 1u, scalar.has_value() ? 1u : 0u)
                 << "lane " << i;
-            if (scalar)
+            if (scalar) {
                 EXPECT_EQ(values[i], *scalar) << "lane " << i;
+            }
             ASSERT_EQ(traces[i].size(), scalar_trace.size())
                 << "lane " << i;
             for (std::size_t k = 0; k < traces[i].size(); ++k)

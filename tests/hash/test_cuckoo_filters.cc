@@ -1,17 +1,15 @@
 /**
  * @file
- * Tests for the cuckoo table's lookup filters (DESIGN.md §13): the
- * EMOMA counting block filter that steers every probe to one bucket,
- * and the Cuckoo++ per-bucket negative filter (displaced-signature
- * Bloom + timestamp epoch packed into the bucket line's aux bytes).
+ * Tests for the cuckoo table's Cuckoo++ negative filter (DESIGN.md
+ * §13): a Bloom of displaced signatures packed into the bucket line's
+ * aux bytes.
  *
- * The filters are pure lookup accelerators, so the load-bearing
- * properties are (a) every mode returns exactly what the unfiltered
+ * The filter is a pure lookup accelerator, so the load-bearing
+ * properties are (a) the table returns exactly what the unfiltered
  * table returns for any operation sequence, (b) traced and untraced
  * lookups agree, scalar and bulk agree, and (c) the traced reference
- * streams actually show the access-count wins the modes claim: one
- * bucket read per steered lookup, miss termination without a key-value
- * probe, one filter line per EMOMA query.
+ * streams actually show the access-count win it claims: miss
+ * termination after one bucket read without a key-value probe.
  */
 
 #include <gtest/gtest.h>
@@ -49,29 +47,20 @@ readsOf(const AccessTrace &trace, AccessPhase phase)
     return n;
 }
 
-constexpr CuckooFilter allModes[] = {CuckooFilter::None,
-                                     CuckooFilter::Emoma,
-                                     CuckooFilter::CuckooPP,
-                                     CuckooFilter::Both};
-constexpr CuckooFilter filteredModes[] = {CuckooFilter::Emoma,
-                                          CuckooFilter::CuckooPP,
-                                          CuckooFilter::Both};
-
 CuckooHashTable
-makeTable(SimMemory &mem, std::uint64_t capacity, CuckooFilter mode)
+makeTable(SimMemory &mem, std::uint64_t capacity, bool negative)
 {
     CuckooHashTable::Config cfg;
     cfg.keyLen = keyLen;
     cfg.capacity = capacity;
-    cfg.filter = mode;
+    cfg.negativeFilter = negative;
     return CuckooHashTable(mem, cfg);
 }
 
 /**
- * Every filter mode must be observationally identical to the
- * unfiltered table across a long random insert/erase/lookup sequence
- * that drives displacement (the mutation paths all maintain filter
- * state), checked against a host-map reference.
+ * With and without the filter the table must match a host-map
+ * reference across a long random insert/erase/lookup sequence that
+ * drives displacement (the mutation paths maintain the Bloom).
  */
 TEST(CuckooFilters, RandomOpsMatchReferenceInEveryMode)
 {
@@ -79,11 +68,11 @@ TEST(CuckooFilters, RandomOpsMatchReferenceInEveryMode)
     constexpr std::uint64_t keyRange = 40000; // > capacity: misses too
     constexpr std::uint64_t ops = 1u << 20;
 
-    for (const CuckooFilter mode : filteredModes) {
+    for (const bool negative : {false, true}) {
         SimMemory mem(256ull << 20);
-        CuckooHashTable table = makeTable(mem, capacity, mode);
+        CuckooHashTable table = makeTable(mem, capacity, negative);
         std::unordered_map<std::uint64_t, std::uint64_t> ref;
-        Xoshiro256 rng(0xf117e5 + static_cast<unsigned>(mode));
+        Xoshiro256 rng(0xf117e5 + (negative ? 1u : 0u));
 
         for (std::uint64_t op = 0; op < ops; ++op) {
             const std::uint64_t id = rng.nextBounded(keyRange);
@@ -93,11 +82,12 @@ TEST(CuckooFilters, RandomOpsMatchReferenceInEveryMode)
               case 0:   // insert / update
               case 1: {
                 const std::uint64_t val = (op << 16) | (id & 0xffff);
-                if (table.insert(kv, val))
+                if (table.insert(kv, val)) {
                     ref[id] = val;
-                else
+                } else {
                     EXPECT_GE(ref.size(), capacity * 4 / 5)
                         << "insert failed far from the ceiling";
+                }
                 break;
               }
               case 2: { // erase
@@ -110,8 +100,9 @@ TEST(CuckooFilters, RandomOpsMatchReferenceInEveryMode)
                 const auto it = ref.find(id);
                 ASSERT_EQ(v.has_value(), it != ref.end())
                     << "id " << id << " op " << op;
-                if (v)
+                if (v) {
                     EXPECT_EQ(*v, it->second);
+                }
                 break;
               }
             }
@@ -119,7 +110,6 @@ TEST(CuckooFilters, RandomOpsMatchReferenceInEveryMode)
         EXPECT_EQ(table.size(), ref.size());
         EXPECT_GT(table.cuckooMoves(), 0u)
             << "sequence never displaced; test is too weak";
-        EXPECT_FALSE(table.filterDegraded());
 
         // Full sweep: everything the reference holds is findable with
         // its latest value; a sample of absent ids stays absent.
@@ -139,16 +129,16 @@ TEST(CuckooFilters, RandomOpsMatchReferenceInEveryMode)
 }
 
 /**
- * Traced and untraced lookups must return identical results in every
- * mode — tracing selects the reference-recording twin of the same
- * probe, never a different algorithm outcome.
+ * Traced and untraced lookups must return identical results with and
+ * without the filter — tracing selects the reference-recording twin of
+ * the same probe, never a different algorithm outcome.
  */
 TEST(CuckooFilters, TracedAndUntracedLookupsAgree)
 {
     constexpr std::uint64_t capacity = 8000;
-    for (const CuckooFilter mode : allModes) {
+    for (const bool negative : {false, true}) {
         SimMemory mem(64ull << 20);
-        CuckooHashTable table = makeTable(mem, capacity, mode);
+        CuckooHashTable table = makeTable(mem, capacity, negative);
         for (std::uint64_t id = 0; id < capacity; ++id) {
             const auto key = keyForId(id);
             ASSERT_TRUE(table.insert(KeyView(key.data(), key.size()),
@@ -163,88 +153,25 @@ TEST(CuckooFilters, TracedAndUntracedLookupsAgree)
             const auto traced = table.lookup(kv, &trace, invalidAddr);
             ASSERT_EQ(traced.has_value(), untraced.has_value())
                 << "id " << id;
-            if (traced)
+            if (traced) {
                 EXPECT_EQ(*traced, *untraced);
+            }
             EXPECT_FALSE(trace.empty());
         }
     }
 }
 
 /**
- * The EMOMA steering contract, read off the traced reference stream:
- * every lookup touches exactly one filter line, hits average one
- * bucket read (a steering false positive may add the fallback probe,
- * never more), and a steer-negative miss terminates after ONE bucket
- * read with no key-value probe. The counting filter has no false
- * negatives, so no lookup may read more than two buckets.
- */
-TEST(CuckooFilters, EmomaStoresSteerToOneBucket)
-{
-    constexpr std::uint64_t capacity = 20000;
-    SimMemory mem(128ull << 20);
-    CuckooHashTable table = makeTable(mem, capacity,
-                                      CuckooFilter::Emoma);
-    for (std::uint64_t id = 0; id < capacity; ++id) {
-        const auto key = keyForId(id);
-        ASSERT_TRUE(
-            table.insert(KeyView(key.data(), key.size()), id + 1));
-    }
-    ASSERT_GT(table.cuckooMoves(), 0u);
-    ASSERT_FALSE(table.filterDegraded());
-
-    AccessTrace trace;
-    std::uint64_t hits = 0, hitBuckets = 0;
-    std::uint64_t misses = 0, missBuckets = 0, oneBucketMisses = 0;
-    for (std::uint64_t id = 0; id < 2 * capacity; id += 5) {
-        const auto key = keyForId(id);
-        trace.clear();
-        const auto v = table.lookup(KeyView(key.data(), key.size()),
-                                    &trace, invalidAddr);
-        // Exactly one steering line per lookup — except for the rare
-        // key whose two candidate buckets coincide (the sig-derived
-        // offset wraps to zero), where steering is pointless and the
-        // single probe needs no filter at all.
-        const unsigned filterReads = readsOf(trace, AccessPhase::Filter);
-        const unsigned buckets = readsOf(trace, AccessPhase::Bucket);
-        if (filterReads == 0)
-            EXPECT_EQ(buckets, 1u) << "unsteered multi-bucket probe";
-        else
-            EXPECT_EQ(filterReads, 1u);
-        ASSERT_GE(buckets, 1u);
-        ASSERT_LE(buckets, 2u); // 2 = steering false positive fallback
-        if (v) {
-            ++hits;
-            hitBuckets += buckets;
-        } else {
-            ++misses;
-            missBuckets += buckets;
-            oneBucketMisses += buckets == 1;
-            // A steered miss that stopped at one bucket never chased a
-            // key-value slot: the signature scan alone decided it.
-            if (buckets == 1)
-                EXPECT_EQ(readsOf(trace, AccessPhase::KeyValue), 0u);
-        }
-    }
-    ASSERT_GT(hits, 0u);
-    ASSERT_GT(misses, 0u);
-    EXPECT_GT(oneBucketMisses, 0u);
-    EXPECT_LE(double(hitBuckets) / double(hits), 1.05);
-    EXPECT_LE(double(missBuckets) / double(misses), 1.05);
-}
-
-/**
  * Cuckoo++ negative filtering: while nothing has ever been displaced
  * out of a bucket, its Bloom is empty, so EVERY miss terminates after
- * the primary bucket's signature scan — exactly one bucket read, no
- * filter line (the Bloom rides the bucket line itself), no key-value
- * probe.
+ * the primary bucket's signature scan — exactly one bucket read (the
+ * Bloom rides the bucket line itself), no key-value probe.
  */
 TEST(CuckooFilters, CuckooPPBloomStopsMissesAtThePrimaryBucket)
 {
     constexpr std::uint64_t capacity = 20000;
     SimMemory mem(128ull << 20);
-    CuckooHashTable table = makeTable(mem, capacity,
-                                      CuckooFilter::CuckooPP);
+    CuckooHashTable table = makeTable(mem, capacity, true);
     // Low occupancy: no displacement, so every Bloom stays empty.
     constexpr std::uint64_t fill = capacity / 5;
     for (std::uint64_t id = 0; id < fill; ++id) {
@@ -264,63 +191,30 @@ TEST(CuckooFilters, CuckooPPBloomStopsMissesAtThePrimaryBucket)
         ASSERT_FALSE(v.has_value());
         ++misses;
         EXPECT_EQ(readsOf(trace, AccessPhase::Bucket), 1u);
-        EXPECT_EQ(readsOf(trace, AccessPhase::Filter), 0u);
         EXPECT_EQ(readsOf(trace, AccessPhase::KeyValue), 0u);
     }
     ASSERT_GT(misses, 0u);
 }
 
 /**
- * The timestamp epoch half of the Cuckoo++ aux bytes: inserts and
- * update-in-place stamp the touched bucket with the current epoch, so
- * a flow-aging scan can skip buckets whose stamp proves every entry
- * older than the horizon.
- */
-TEST(CuckooFilters, TimestampEpochStampsTouchedBuckets)
-{
-    SimMemory mem(32ull << 20);
-    CuckooHashTable table = makeTable(mem, 1000, CuckooFilter::Both);
-    const std::uint64_t buckets = table.metadata().numBuckets;
-
-    auto stampedWith = [&](std::uint32_t epoch) {
-        std::uint64_t n = 0;
-        for (std::uint64_t b = 0; b < buckets; ++b)
-            n += table.bucketTimestamp(b) == epoch;
-        return n;
-    };
-
-    ASSERT_EQ(table.timestampEpoch(), 0u);
-    table.setTimestampEpoch(42);
-    const auto key = keyForId(1);
-    ASSERT_TRUE(table.insert(KeyView(key.data(), key.size()), 7));
-    EXPECT_EQ(stampedWith(42), 1u) << "insert must stamp its bucket";
-
-    // Update-in-place re-stamps under the new epoch.
-    table.setTimestampEpoch(43);
-    ASSERT_TRUE(table.insert(KeyView(key.data(), key.size()), 8));
-    EXPECT_EQ(stampedWith(42), 0u);
-    EXPECT_EQ(stampedWith(43), 1u);
-    EXPECT_EQ(*table.lookup(KeyView(key.data(), key.size())), 8u);
-}
-
-/**
- * The bulk pipeline must agree lane-for-lane with scalar lookups in
- * every filter mode, and when traces are requested each lane's stream
- * must be byte-identical to the scalar traced lookup of that key.
+ * The bulk pipeline must agree lane-for-lane with scalar lookups with
+ * and without the filter, and when traces are requested each lane's
+ * stream must be byte-identical to the scalar traced lookup of that
+ * key.
  */
 TEST(CuckooFilters, BulkAgreesWithScalarInEveryMode)
 {
     constexpr std::uint64_t capacity = 8000;
-    for (const CuckooFilter mode : allModes) {
+    for (const bool negative : {false, true}) {
         SimMemory mem(64ull << 20);
-        CuckooHashTable table = makeTable(mem, capacity, mode);
+        CuckooHashTable table = makeTable(mem, capacity, negative);
         for (std::uint64_t id = 0; id < capacity; ++id) {
             const auto key = keyForId(id);
             ASSERT_TRUE(table.insert(KeyView(key.data(), key.size()),
                                      id * 11 + 3));
         }
 
-        Xoshiro256 rng(0xbcd + static_cast<unsigned>(mode));
+        Xoshiro256 rng(0xbcd + (negative ? 2u : 0u));
         for (int batch = 0; batch < 64; ++batch) {
             std::array<std::array<std::uint8_t, keyLen>, maxBulkLanes>
                 keys;
@@ -374,130 +268,17 @@ TEST(CuckooFilters, BulkAgreesWithScalarInEveryMode)
 }
 
 /**
- * Filter metadata surfaces: modes report what they enable, footprints
- * only exist where a counter region was allocated, and the simulated
- * footprint accounting includes it.
+ * The filter reports itself and costs no simulated memory: the Bloom
+ * rides the bucket line.
  */
 TEST(CuckooFilters, ModeReportingAndFootprint)
 {
     SimMemory mem(64ull << 20);
-    CuckooHashTable none = makeTable(mem, 1000, CuckooFilter::None);
-    CuckooHashTable emoma = makeTable(mem, 1000, CuckooFilter::Emoma);
-    CuckooHashTable pp = makeTable(mem, 1000, CuckooFilter::CuckooPP);
-
-    EXPECT_FALSE(cuckooFilterSteers(none.filterMode()));
-    EXPECT_FALSE(cuckooFilterNegative(none.filterMode()));
-    EXPECT_TRUE(cuckooFilterSteers(emoma.filterMode()));
-    EXPECT_FALSE(cuckooFilterNegative(emoma.filterMode()));
-    EXPECT_FALSE(cuckooFilterSteers(pp.filterMode()));
-    EXPECT_TRUE(cuckooFilterNegative(pp.filterMode()));
-    EXPECT_TRUE(cuckooFilterSteers(CuckooFilter::Both));
-    EXPECT_TRUE(cuckooFilterNegative(CuckooFilter::Both));
-
-    EXPECT_EQ(none.filterFootprintBytes(), 0u);
-    EXPECT_GT(emoma.filterFootprintBytes(), 0u);
-    EXPECT_EQ(pp.filterFootprintBytes(), 0u); // rides the bucket line
-    EXPECT_EQ(emoma.footprintBytes(),
-              none.footprintBytes() + emoma.filterFootprintBytes());
-
-    EXPECT_EQ(parseCuckooFilter("emoma"), CuckooFilter::Emoma);
-    EXPECT_EQ(parseCuckooFilter("cuckoopp"), CuckooFilter::CuckooPP);
-    EXPECT_EQ(parseCuckooFilter("both"), CuckooFilter::Both);
-    EXPECT_EQ(parseCuckooFilter("none"), CuckooFilter::None);
-    EXPECT_STREQ(cuckooFilterName(CuckooFilter::Both), "both");
-}
-
-/**
- * The occupancy-adaptive steering switch (DESIGN.md §16 satellite):
- * past the configured load factor EMOMA steering stops paying, so the
- * table must suppress it — plain two-bucket probes, zero filter-line
- * reads — and release it again only once occupancy falls a hysteresis
- * band (7/8 of the trip point) lower. Lookup results must be correct
- * in both modes and across both transitions.
- */
-TEST(CuckooFilters, AdaptiveSwitchSuppressesSteeringAtHighOccupancy)
-{
-    constexpr std::uint64_t capacity = 20000;
-    constexpr double trip = 0.5;
-    SimMemory mem(128ull << 20);
-    CuckooHashTable::Config cfg;
-    cfg.keyLen = keyLen;
-    cfg.capacity = capacity;
-    cfg.filter = CuckooFilter::Emoma;
-    cfg.adaptiveFilterLoadFactor = trip;
-    CuckooHashTable table(mem, cfg);
-
-    auto filterReadsOverSample = [&](std::uint64_t upTo) {
-        AccessTrace trace;
-        unsigned filterReads = 0;
-        for (std::uint64_t id = 0; id < upTo; id += 97) {
-            const auto key = keyForId(id);
-            trace.clear();
-            const auto v = table.lookup(
-                KeyView(key.data(), key.size()), &trace, invalidAddr);
-            EXPECT_TRUE(v.has_value()) << "id " << id;
-            if (v)
-                EXPECT_EQ(*v, id * 3 + 7);
-            filterReads += readsOf(trace, AccessPhase::Filter);
-            EXPECT_LE(readsOf(trace, AccessPhase::Bucket), 2u);
-        }
-        return filterReads;
-    };
-
-    // Below the threshold steering runs: filter lines show up in the
-    // traced reference streams.
-    std::uint64_t id = 0;
-    while (table.loadFactor() <= trip - 0.03) {
-        const auto key = keyForId(id);
-        ASSERT_TRUE(
-            table.insert(KeyView(key.data(), key.size()), id * 3 + 7));
-        ++id;
-    }
-    EXPECT_FALSE(table.steeringSuppressed());
-    EXPECT_EQ(table.filterModeSwitches(), 0u);
-    EXPECT_GT(filterReadsOverSample(id), 0u);
-
-    // Cross the trip point: one switch, steering off.
-    while (!table.steeringSuppressed()) {
-        ASSERT_LT(id, capacity) << "switch never tripped";
-        const auto key = keyForId(id);
-        ASSERT_TRUE(
-            table.insert(KeyView(key.data(), key.size()), id * 3 + 7));
-        ++id;
-    }
-    EXPECT_EQ(table.filterModeSwitches(), 1u);
-    EXPECT_GT(table.loadFactor(), trip);
-
-    // Suppressed: correct results, not one filter line read — and
-    // misses stay misses (the plain two-bucket probe needs no filter).
-    EXPECT_EQ(filterReadsOverSample(id), 0u);
-    for (std::uint64_t miss = capacity * 2; miss < capacity * 2 + 500;
-         ++miss) {
-        const auto key = keyForId(miss);
-        EXPECT_FALSE(
-            table.lookup(KeyView(key.data(), key.size())).has_value());
-    }
-
-    // Hysteresis: droop below the trip point but above the release
-    // band (trip * 0.875) must NOT flap steering back on.
-    while (table.loadFactor() >= trip * 0.875 + 0.03) {
-        const auto key = keyForId(--id);
-        ASSERT_TRUE(table.erase(KeyView(key.data(), key.size())));
-    }
-    EXPECT_TRUE(table.steeringSuppressed());
-    EXPECT_EQ(table.filterModeSwitches(), 1u);
-
-    // Drain past the release band: steering resumes (second switch)
-    // and the maintained-throughout filter steers correctly again.
-    while (table.steeringSuppressed()) {
-        ASSERT_GT(id, 0u) << "switch never released";
-        const auto key = keyForId(--id);
-        ASSERT_TRUE(table.erase(KeyView(key.data(), key.size())));
-    }
-    EXPECT_EQ(table.filterModeSwitches(), 2u);
-    EXPECT_LT(table.loadFactor(), trip * 0.875);
-    EXPECT_GT(filterReadsOverSample(id), 0u);
-    EXPECT_FALSE(table.filterDegraded());
+    CuckooHashTable none = makeTable(mem, 1000, false);
+    CuckooHashTable pp = makeTable(mem, 1000, true);
+    EXPECT_FALSE(none.negativeFilter());
+    EXPECT_TRUE(pp.negativeFilter());
+    EXPECT_EQ(pp.footprintBytes(), none.footprintBytes());
 }
 
 } // namespace

@@ -87,8 +87,9 @@ TEST(Hierarchy, InclusionBackInvalidatesPrivateCaches)
     // LLC.
     for (Addr i = 0; i <= 16; ++i) {
         const Addr a = i * 4 * 64 * 4;
-        if (h.l1(0).contains(a))
+        if (h.l1(0).contains(a)) {
             EXPECT_TRUE(h.llcSlice(h.sliceOf(a)).contains(a));
+        }
     }
     EXPECT_GT(h.stats().counterValue("back_invalidations"), 0u);
 }

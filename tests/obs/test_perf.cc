@@ -15,6 +15,7 @@
 
 #include "obs/metrics.hh"
 #include "obs/perf.hh"
+#include "obs/stage.hh"
 
 namespace halo::obs {
 namespace {
@@ -30,11 +31,11 @@ failingOpen(int err)
 struct ScopedInstall
 {
     explicit ScopedInstall(PerfRecorder *rec)
-        : prev(PerfRecorder::installThisThread(rec))
+        : prev(installStageRecorders({nullptr, rec}))
     {
     }
-    ~ScopedInstall() { PerfRecorder::installThisThread(prev); }
-    PerfRecorder *prev;
+    ~ScopedInstall() { installStageRecorders(prev); }
+    StageRecorders prev;
 };
 
 TEST(PerfCounterGroup, DegradesWhenOpenFails)
@@ -118,19 +119,6 @@ TEST(PerfScaledDelta, ZeroOnInvalidOrStalledReadings)
     EXPECT_EQ(perfScaledDelta(valid, stalled)[0], 0u);
 }
 
-TEST(PerfStage, InterningIsIdempotent)
-{
-    const std::uint16_t a = internPerfStage("unit/intern_a");
-    // Distinct pointer, same content: must map to the same id.
-    const std::string copy("unit/intern_a");
-    EXPECT_EQ(internPerfStage(copy.c_str()), a);
-    EXPECT_STREQ(perfStageName(a), "unit/intern_a");
-
-    const std::uint16_t b = internPerfStage("unit/intern_b");
-    EXPECT_NE(a, b);
-    EXPECT_GE(perfStageCount(), 2u);
-}
-
 TEST(PerfStageTotals, EstimatedEventsScalesSampledToAllEntries)
 {
     PerfStageTotals t;
@@ -146,7 +134,7 @@ TEST(PerfStageTotals, EstimatedEventsScalesSampledToAllEntries)
 
 TEST(PerfRecorder, DegradedScopesStillCountEntriesAndTsc)
 {
-    const std::uint16_t stage = internPerfStage("unit/degraded_scope");
+    const std::uint16_t stage = stageId("worker/batch");
     PerfRecorder rec(/*sample_shift=*/0, failingOpen(EPERM));
     rec.openThisThread();
     EXPECT_TRUE(rec.degraded());
@@ -154,18 +142,18 @@ TEST(PerfRecorder, DegradedScopesStillCountEntriesAndTsc)
 
     {
         ScopedInstall install(&rec);
-        ASSERT_EQ(PerfRecorder::current(), &rec);
+        ASSERT_EQ(tlsStageRecorders.perf, &rec);
         volatile std::uint64_t sink = 0;
         for (int i = 0; i < 16; ++i) {
-            PerfScope scope(stage);
+            StageScope scope(stage);
             for (int j = 0; j < 64; ++j)
                 sink = sink + static_cast<std::uint64_t>(j);
         }
     }
-    EXPECT_EQ(PerfRecorder::current(), nullptr);
+    EXPECT_EQ(tlsStageRecorders.perf, nullptr);
 
     const PerfStageTotals t = rec.stage(stage);
-    EXPECT_EQ(t.stage, "unit/degraded_scope");
+    EXPECT_EQ(t.stage, "worker/batch");
     EXPECT_EQ(t.entries, 16u);
     EXPECT_GT(t.tscCycles, 0u);
     // rdtsc-only mode: no group reads, no event counts.
@@ -176,15 +164,15 @@ TEST(PerfRecorder, DegradedScopesStillCountEntriesAndTsc)
 
 TEST(PerfRecorder, ScopeIsNoopWithoutInstalledRecorder)
 {
-    ASSERT_EQ(PerfRecorder::current(), nullptr);
-    const std::uint16_t stage = internPerfStage("unit/noop_scope");
-    PerfScope scope(stage); // must not crash or touch anything
+    ASSERT_EQ(tlsStageRecorders.perf, nullptr);
+    const std::uint16_t stage = stageId("worker/offload");
+    StageScope scope(stage); // must not crash or touch anything
 }
 
 TEST(PerfRecorder, AddSampleAndSnapshot)
 {
-    const std::uint16_t sa = internPerfStage("unit/snap_a");
-    const std::uint16_t sb = internPerfStage("unit/snap_b");
+    const std::uint16_t sa = stageId("revalidator/drain");
+    const std::uint16_t sb = stageId("vswitch/emc");
     PerfRecorder rec(6, failingOpen(ENOENT));
 
     std::array<std::uint64_t, numPerfEvents> ev{};
@@ -205,8 +193,8 @@ TEST(PerfRecorder, AddSampleAndSnapshot)
     const std::vector<PerfStageTotals> snap = perfSnapshotStages(rec);
     // Only stages this recorder touched appear, sorted by name.
     ASSERT_EQ(snap.size(), 2u);
-    EXPECT_EQ(snap[0].stage, "unit/snap_a");
-    EXPECT_EQ(snap[1].stage, "unit/snap_b");
+    EXPECT_EQ(snap[0].stage, "revalidator/drain");
+    EXPECT_EQ(snap[1].stage, "vswitch/emc");
     EXPECT_EQ(snap[1].tscCycles, 7u);
 }
 
@@ -242,8 +230,8 @@ TEST(PerfExposition, GoldenPrometheusRendering)
 {
     // Mirror Runtime::registerMetrics' per-recorder wiring for two
     // known stages and pin the exact exposition text.
-    const std::uint16_t ga = internPerfStage("golden/a");
-    const std::uint16_t gb = internPerfStage("golden/b");
+    const std::uint16_t ga = stageId("revalidator/sweep");
+    const std::uint16_t gb = stageId("worker/batch");
     PerfRecorder rec(6, failingOpen(EPERM));
     rec.openThisThread();
 
@@ -257,7 +245,7 @@ TEST(PerfExposition, GoldenPrometheusRendering)
                [&rec] { return rec.degraded() ? 1.0 : 0.0; });
     for (std::uint16_t id : {ga, gb}) {
         MetricLabels l = base;
-        l.emplace_back("stage", perfStageName(id));
+        l.emplace_back("stage", stageName(id));
         reg.attach("halo_perf_stage_entries", l, MetricKind::Counter,
                    [&rec, id] {
                        return static_cast<double>(rec.stage(id).entries);
@@ -279,35 +267,37 @@ TEST(PerfExposition, GoldenPrometheusRendering)
         "# TYPE halo_perf_degraded gauge\n"
         "halo_perf_degraded{worker=\"0\"} 1\n"
         "# TYPE halo_perf_stage_branch_misses counter\n"
-        "halo_perf_stage_branch_misses{worker=\"0\",stage=\"golden/a\"}"
+        "halo_perf_stage_branch_misses{worker=\"0\","
+        "stage=\"revalidator/sweep\"}"
         " 50\n"
-        "halo_perf_stage_branch_misses{worker=\"0\",stage=\"golden/b\"}"
+        "halo_perf_stage_branch_misses{worker=\"0\",stage=\"worker/batch\"}"
         " 0\n"
         "# TYPE halo_perf_stage_cycles counter\n"
-        "halo_perf_stage_cycles{worker=\"0\",stage=\"golden/a\"} 10\n"
-        "halo_perf_stage_cycles{worker=\"0\",stage=\"golden/b\"} 0\n"
+        "halo_perf_stage_cycles{worker=\"0\",stage=\"revalidator/sweep\"} 10\n"
+        "halo_perf_stage_cycles{worker=\"0\",stage=\"worker/batch\"} 0\n"
         "# TYPE halo_perf_stage_dtlb_load_misses counter\n"
         "halo_perf_stage_dtlb_load_misses{worker=\"0\","
-        "stage=\"golden/a\"} 40\n"
+        "stage=\"revalidator/sweep\"} 40\n"
         "halo_perf_stage_dtlb_load_misses{worker=\"0\","
-        "stage=\"golden/b\"} 0\n"
+        "stage=\"worker/batch\"} 0\n"
         "# TYPE halo_perf_stage_entries counter\n"
-        "halo_perf_stage_entries{worker=\"0\",stage=\"golden/a\"} 1\n"
-        "halo_perf_stage_entries{worker=\"0\",stage=\"golden/b\"} 1\n"
+        "halo_perf_stage_entries{worker=\"0\",stage=\"revalidator/sweep\"} 1\n"
+        "halo_perf_stage_entries{worker=\"0\",stage=\"worker/batch\"} 1\n"
         "# TYPE halo_perf_stage_instructions counter\n"
-        "halo_perf_stage_instructions{worker=\"0\",stage=\"golden/a\"}"
+        "halo_perf_stage_instructions{worker=\"0\","
+        "stage=\"revalidator/sweep\"}"
         " 20\n"
-        "halo_perf_stage_instructions{worker=\"0\",stage=\"golden/b\"}"
+        "halo_perf_stage_instructions{worker=\"0\",stage=\"worker/batch\"}"
         " 0\n"
         "# TYPE halo_perf_stage_llc_load_misses counter\n"
         "halo_perf_stage_llc_load_misses{worker=\"0\","
-        "stage=\"golden/a\"} 30\n"
+        "stage=\"revalidator/sweep\"} 30\n"
         "halo_perf_stage_llc_load_misses{worker=\"0\","
-        "stage=\"golden/b\"} 0\n"
+        "stage=\"worker/batch\"} 0\n"
         "# TYPE halo_perf_stage_tsc_cycles counter\n"
-        "halo_perf_stage_tsc_cycles{worker=\"0\",stage=\"golden/a\"}"
+        "halo_perf_stage_tsc_cycles{worker=\"0\",stage=\"revalidator/sweep\"}"
         " 100\n"
-        "halo_perf_stage_tsc_cycles{worker=\"0\",stage=\"golden/b\"}"
+        "halo_perf_stage_tsc_cycles{worker=\"0\",stage=\"worker/batch\"}"
         " 7\n";
     EXPECT_EQ(reg.renderPrometheus(), expected);
 }

@@ -1,6 +1,7 @@
 /**
  * @file
- * Unit tests for the trace recorder, scope macro, and Chrome drain.
+ * Unit tests for the trace recorder ring and the Chrome drain (the
+ * HALO_STAGE scope that feeds it is covered in test_stage.cc).
  */
 
 #include <gtest/gtest.h>
@@ -11,31 +12,21 @@
 #include <string>
 #include <thread>
 
-#include "obs/trace.hh"
+#include "obs/stage.hh"
 
 namespace halo::obs {
 namespace {
 
-/** Uninstall any recorder on scope exit so tests stay independent. */
+/** Uninstall the recorder on scope exit so tests stay independent. */
 struct ScopedInstall
 {
     explicit ScopedInstall(TraceRecorder *rec)
-        : prev(TraceRecorder::installThisThread(rec))
+        : prev(installStageRecorders({rec, nullptr}))
     {
     }
-    ~ScopedInstall() { TraceRecorder::installThisThread(prev); }
-    TraceRecorder *prev;
+    ~ScopedInstall() { installStageRecorders(prev); }
+    StageRecorders prev;
 };
-
-TEST(TraceName, InterningIsIdempotent)
-{
-    const std::uint16_t a = internTraceName("test/intern_a");
-    const std::uint16_t b = internTraceName("test/intern_b");
-    EXPECT_NE(a, b);
-    EXPECT_EQ(internTraceName("test/intern_a"), a);
-    EXPECT_STREQ(traceName(a), "test/intern_a");
-    EXPECT_STREQ(traceName(b), "test/intern_b");
-}
 
 TEST(TraceRecorder, CapacityRoundsUpToPowerOfTwo)
 {
@@ -48,7 +39,7 @@ TEST(TraceRecorder, CapacityRoundsUpToPowerOfTwo)
 TEST(TraceRecorder, RecordsInOrder)
 {
     TraceRecorder rec(8);
-    const std::uint16_t id = internTraceName("test/order");
+    const std::uint16_t id = stageId("worker/batch");
     for (std::uint64_t i = 0; i < 5; ++i)
         rec.record(id, i * 100, i * 100 + 50);
     ASSERT_EQ(rec.size(), 5u);
@@ -64,7 +55,7 @@ TEST(TraceRecorder, RecordsInOrder)
 TEST(TraceRecorder, WraparoundKeepsNewestOldestFirst)
 {
     TraceRecorder rec(4);
-    const std::uint16_t id = internTraceName("test/wrap");
+    const std::uint16_t id = stageId("worker/batch");
     for (std::uint64_t i = 0; i < 10; ++i)
         rec.record(id, i, i + 1);
     EXPECT_EQ(rec.size(), 4u);
@@ -78,58 +69,21 @@ TEST(TraceRecorder, WraparoundKeepsNewestOldestFirst)
 TEST(TraceRecorder, DurationSaturatesAt32Bits)
 {
     TraceRecorder rec(4);
-    const std::uint16_t id = internTraceName("test/sat");
+    const std::uint16_t id = stageId("worker/batch");
     rec.record(id, 0, 10ull << 32); // ~42.9 s
     EXPECT_EQ(rec.event(0).durNanos, 0xffffffffu);
     rec.record(id, 100, 50); // end before start clamps to 0
     EXPECT_EQ(rec.event(1).durNanos, 0u);
 }
 
-TEST(TraceScope, RecordsOnlyWhenInstalled)
-{
-    if (!traceCompiledIn())
-        GTEST_SKIP() << "built with HALO_TRACING=OFF";
-
-    TraceRecorder rec(16);
-    {
-        // No recorder installed: the scope must be a cheap no-op.
-        HALO_TRACE_SCOPE("test/scope_uninstalled");
-    }
-    EXPECT_EQ(rec.recorded(), 0u);
-
-    {
-        ScopedInstall install(&rec);
-        HALO_TRACE_SCOPE("test/scope_installed");
-    }
-    ASSERT_EQ(rec.recorded(), 1u);
-    EXPECT_STREQ(traceName(rec.event(0).nameId),
-                 "test/scope_installed");
-}
-
-TEST(TraceScope, InstallationIsPerThread)
-{
-    if (!traceCompiledIn())
-        GTEST_SKIP() << "built with HALO_TRACING=OFF";
-
-    TraceRecorder mine(16);
-    ScopedInstall install(&mine);
-    std::thread other([] {
-        // This thread never installed a recorder.
-        EXPECT_EQ(TraceRecorder::current(), nullptr);
-        HALO_TRACE_SCOPE("test/other_thread");
-    });
-    other.join();
-    EXPECT_EQ(mine.recorded(), 0u);
-}
-
 TEST(WriteChromeTrace, EmitsWellFormedJson)
 {
     TraceRecorder rec(8);
-    const std::uint16_t id = internTraceName("test/json \"quoted\"");
+    const std::uint16_t id = stageId("vswitch/emc");
     rec.record(id, 1000, 2500);
     rec.record(id, 3000, 3100);
 
-    const TraceThread threads[] = {{&rec, "worker0", 1}};
+    const TraceThread threads[] = {{&rec, "worker \"0\"", 1}};
     std::ostringstream os;
     writeChromeTrace(os, threads);
     const std::string json = os.str();
@@ -161,10 +115,10 @@ TEST(WriteChromeTrace, EmitsWellFormedJson)
     EXPECT_EQ(braces, 0);
     EXPECT_EQ(brackets, 0);
 
-    // The span name survives (escaped), the thread row is labeled, and
+    // The span name survives, the thread row is labeled (escaped), and
     // both events are complete ("X") events.
-    EXPECT_NE(json.find("test/json \\\"quoted\\\""), std::string::npos);
-    EXPECT_NE(json.find("worker0"), std::string::npos);
+    EXPECT_NE(json.find("\"vswitch/emc\""), std::string::npos);
+    EXPECT_NE(json.find("worker \\\"0\\\""), std::string::npos);
     EXPECT_NE(json.find("\"ph\": \"X\""), std::string::npos);
     EXPECT_NE(json.find("thread_name"), std::string::npos);
 }
@@ -173,14 +127,12 @@ TEST(WriteChromeTrace, DrainConcurrentWithLiveRecorderIsClean)
 {
     // The contract is per-recorder: drain a recorder only after its
     // owner thread joined. Another thread recording into its *own*
-    // ring — and interning names, the one shared structure — must not
-    // race the drain. TSan builds verify exactly that.
+    // ring must not race the drain. TSan builds verify exactly that.
     TraceRecorder joined(64);
     {
         std::thread t([&joined] {
             ScopedInstall install(&joined);
-            const std::uint16_t id =
-                internTraceName("test/joined_span");
+            const std::uint16_t id = stageId("revalidator/sweep");
             for (int i = 0; i < 32; ++i)
                 joined.record(id, static_cast<std::uint64_t>(i) * 10,
                               static_cast<std::uint64_t>(i) * 10 + 5);
@@ -191,15 +143,8 @@ TEST(WriteChromeTrace, DrainConcurrentWithLiveRecorderIsClean)
     TraceRecorder live(64);
     std::thread writer([&live] {
         ScopedInstall install(&live);
-        // Interning stores the pointer, so names must be literals;
-        // cycling through several keeps the interning mutex hot under
-        // the concurrent drains below.
-        static const char *const kNames[] = {
-            "test/live_span_0", "test/live_span_1",
-            "test/live_span_2", "test/live_span_3"};
         for (int spin = 0; spin < 20000; ++spin) {
-            const std::uint16_t id = internTraceName(kNames[spin & 3]);
-            TraceScope scope(id);
+            StageScope scope(static_cast<std::uint16_t>(spin & 3));
         }
     });
 
@@ -207,7 +152,8 @@ TEST(WriteChromeTrace, DrainConcurrentWithLiveRecorderIsClean)
         const TraceThread threads[] = {{&joined, "joined", 1}};
         std::ostringstream os;
         writeChromeTrace(os, threads);
-        EXPECT_NE(os.str().find("test/joined_span"), std::string::npos);
+        EXPECT_NE(os.str().find("revalidator/sweep"),
+                  std::string::npos);
     }
     writer.join();
 
@@ -216,7 +162,7 @@ TEST(WriteChromeTrace, DrainConcurrentWithLiveRecorderIsClean)
                                    {&live, "live", 2}};
     std::ostringstream os;
     writeChromeTrace(os, threads);
-    EXPECT_NE(os.str().find("test/live_span_0"), std::string::npos);
+    EXPECT_NE(os.str().find(kStageNames[3]), std::string::npos);
 }
 
 TEST(WriteChromeTrace, EmptyRecorderStillValid)

@@ -114,8 +114,9 @@ TEST(RssDispatcher, RebalanceMapSteersOneBucket)
 
     // Every other bucket keeps its default round-robin assignment.
     for (unsigned b = 0; b < rss.tableEntries(); ++b)
-        if (b != bucket)
+        if (b != bucket) {
             ASSERT_EQ(rss.entry(b), b % cfg.numShards);
+        }
 
     rss.resetTable();
     EXPECT_EQ(rss.shardFor(hot), before);

@@ -105,8 +105,9 @@ TEST(SramTcam, FunctionalParityWithTcam)
         const auto a = tcam.lookup(t.toKey());
         const auto b = sram.lookup(t.toKey());
         ASSERT_EQ(a.has_value(), b.has_value());
-        if (a)
+        if (a) {
             EXPECT_EQ(a->action.port, b->action.port);
+        }
     }
 }
 

@@ -55,8 +55,9 @@ TEST(BurstNb, MatchesPerPacketClassification)
     for (std::size_t i = 0; i < batch.size(); ++i) {
         const PacketResult single = reference.classifyTuple(batch[i]);
         ASSERT_EQ(burst[i].matched, single.matched) << "packet " << i;
-        if (single.matched)
+        if (single.matched) {
             EXPECT_EQ(burst[i].action, single.action) << "packet " << i;
+        }
     }
 }
 

@@ -7,8 +7,8 @@ CI uses this to gate regressions against committed baselines:
 
 Metrics come in two classes and the distinction is the whole point:
 
-  deterministic — simulated/traced counts (bucket reads per lookup,
-      filter lines). Identical code must reproduce them on any host,
+  deterministic — simulated/traced counts (bucket reads per lookup).
+      Identical code must reproduce them on any host,
       so they are always compared, regardless of where either file
       was produced.
   timing — wall-clock rates (ops/sec, cpu-pps, Mops) and hardware PMU
@@ -56,16 +56,13 @@ def _cells_key(cell):
 def extract_cuckoo_miss_sweep(doc):
     out = []
     for top, direction in (("miss_speedup", HIGHER),
-                           ("hit_throughput_ratio_emoma", HIGHER),
-                           ("hit_throughput_ratio_both", HIGHER),
                            ("bulk_hit_speedup", HIGHER)):
         if _num(doc.get(top)):
             out.append(Metric(top, doc[top], TIMING, direction))
     for cell in doc.get("cells", []):
         key = _cells_key(cell)
         for field, direction in (("buckets_per_hit", LOWER),
-                                 ("buckets_per_miss", LOWER),
-                                 ("filter_lines_per_lookup", LOWER)):
+                                 ("buckets_per_miss", LOWER)):
             if _num(cell.get(field)):
                 out.append(Metric("%s.%s" % (key, field), cell[field],
                                   DETERMINISTIC, direction))

@@ -21,10 +21,9 @@ def sweep_doc(mops=20.0, buckets_per_miss=1.01, meta=META):
         "meta": dict(meta),
         "miss_speedup": 1.4,
         "cells": [{
-            "mode": "both", "occupancy": 0.75, "hit_ratio": 0.0,
+            "mode": "cuckoopp", "occupancy": 0.75, "hit_ratio": 0.0,
             "mops": mops, "buckets_per_hit": 0.0,
             "buckets_per_miss": buckets_per_miss,
-            "filter_lines_per_lookup": 1.0,
         }],
     }
 
@@ -80,6 +79,18 @@ class BenchDiffTest(unittest.TestCase):
         del cur["cells"][0]["buckets_per_miss"]
         rc, out = self._run(sweep_doc(), cur, "--strict-keys")
         self.assertEqual(rc, 1, out)
+
+    def test_removed_filter_metrics_are_not_compared(self):
+        # Baselines from the four-mode sweep still carry the EMOMA
+        # ratios and filter-line counts; the extractor ignores them,
+        # so even --strict-keys passes against an on/off sweep.
+        base = sweep_doc()
+        base["hit_throughput_ratio_emoma"] = 0.85
+        base["hit_throughput_ratio_both"] = 0.78
+        base["cells"][0]["filter_lines_per_lookup"] = 0.0
+        rc, out = self._run(base, sweep_doc(), "--strict-keys")
+        self.assertEqual(rc, 0, out)
+        self.assertNotIn("MISSING", out)
 
     def test_provenance_mismatch_skips_timing(self):
         other = dict(META, hostname="laptop")
