@@ -20,29 +20,24 @@
  * at 100% hits per (mode, occupancy) to cover the bulk pipeline (which
  * prefetches only the primary line per lane with the filter on).
  *
- * Usage:
- *   cuckoo_miss_sweep [--out FILE] [--lookups N] [--smoke]
- *                     [--prom FILE] [--sample-us N] [--perf]
+ * Usage: cuckoo_miss_sweep [--out FILE] [--smoke] [--perf] [--prom FILE]
+ *                          [--sample-us N] [--lookups N]
  *
- *   --out      JSON output path (default BENCH_cuckoo_miss.json)
+ * Shared flags: see bench_common.hh. Here --out defaults to
+ * BENCH_cuckoo_miss.json; --smoke shrinks the table to occupancy 75%
+ * only and exits nonzero unless filtered misses average <= 1.05 bucket
+ * reads, the 0%-hit miss_speedup is >= 1.0x, and the 100%-hit
+ * throughput ratio clears a loose sanity floor (>= 0.65x unfiltered);
+ * --prom writes per-cell Mops, buckets per miss and perf degradation;
+ * --sample-us records sweep progress (cells and lookups completed) as
+ * a time series (default 0 = off); --perf runs a dedicated measured
+ * pass per cell on one main-thread PMU group, recording exact (not
+ * sampled) cycles/instructions/LLC/dTLB/branch-miss deltas — hardware
+ * LLC-misses-per-lookup next to the simulated buckets-per-lookup —
+ * and falls back to rdtsc-only (perf_degraded=true) when the kernel
+ * refuses the syscall.
+ *
  *   --lookups  timed lookups per cell (default 1M, smoke 200k)
- *   --smoke    CI mode: smaller table, occupancy 75% only; exits
- *              nonzero unless filtered misses average <= 1.05 bucket
- *              reads, the 0%-hit miss_speedup is >= 1.0x, and the
- *              100%-hit throughput ratio clears a loose sanity floor
- *              (>= 0.65x unfiltered)
- *   --prom     write the sweep's metrics (per-cell Mops and buckets per
- *              miss, perf degradation) as Prometheus text
- *   --sample-us  background sampler interval in microseconds
- *              (0 = off): records sweep progress (cells and lookups
- *              completed) as a time series in the JSON
- *   --perf     hardware counters (perf_event_open, main thread): a
- *              dedicated measured pass per cell records exact (not
- *              sampled) cycles/instructions/LLC/dTLB/branch-miss
- *              deltas, giving hardware LLC-misses-per-lookup next to
- *              the simulated buckets-per-lookup; falls back to
- *              rdtsc-only (perf_degraded=true) when the kernel
- *              refuses the syscall
  *
  * Gate calibration: the bucket-read counts are deterministic (traced
  * reference counting, no clock involved) and regime-independent, so
@@ -98,16 +93,6 @@ constexpr bool sanitizedBuild = false;
 constexpr bool sanitizedBuild = false;
 #endif
 
-struct Options
-{
-    std::string outPath = "BENCH_cuckoo_miss.json";
-    std::string promPath;
-    std::uint64_t lookups = 1u << 20;
-    std::uint64_t sampleMicros = 0;
-    bool smoke = false;
-    bool perf = false;
-};
-
 struct Cell
 {
     bool negative = false; ///< Cuckoo++ negative filter on
@@ -117,13 +102,9 @@ struct Cell
     double mops = 0.0;
     double bucketsPerHit = 0.0;
     double bucketsPerMiss = 0.0;
-    /// @name --perf: exact PMU deltas over a dedicated measured pass
-    /**@{*/
+    /// --perf: exact PMU deltas over a dedicated measured pass
     bool hwRecorded = false; ///< the pass ran (rdtsc at minimum)
-    bool hwValid = false;    ///< PMU group open succeeded
-    double hwTscCyclesPerLookup = 0.0;
-    std::array<double, obs::numPerfEvents> hwPerLookup{};
-    /**@}*/
+    HwPass hw;
 };
 
 struct BulkCell
@@ -217,58 +198,27 @@ struct ModeTable
 int
 main(int argc, char **argv)
 {
-    Options opt;
-    bool lookups_given = false;
-    for (int i = 1; i < argc; ++i) {
-        const std::string arg = argv[i];
-        if (arg == "--out" && i + 1 < argc) {
-            opt.outPath = argv[++i];
-        } else if (arg == "--prom" && i + 1 < argc) {
-            opt.promPath = argv[++i];
-        } else if (arg == "--lookups" && i + 1 < argc) {
-            opt.lookups = std::strtoull(argv[++i], nullptr, 10);
-            lookups_given = true;
-        } else if (arg == "--sample-us" && i + 1 < argc) {
-            opt.sampleMicros = std::strtoull(argv[++i], nullptr, 10);
-        } else if (arg == "--smoke") {
-            opt.smoke = true;
-        } else if (arg == "--perf") {
-            opt.perf = true;
-        } else {
-            std::fprintf(stderr,
-                         "usage: %s [--out FILE] [--lookups N] "
-                         "[--smoke] [--prom FILE] [--sample-us N] "
-                         "[--perf]\n",
-                         argv[0]);
-            return 2;
-        }
-    }
-    if (opt.smoke && !lookups_given)
-        opt.lookups = 200000;
+    BenchFlags flags;
+    flags.outPath = "BENCH_cuckoo_miss.json";
+    std::uint64_t lookups = 1u << 20;
+    parseFlags(argc, argv, flags,
+               OutFlag | SmokeFlag | PerfFlag | PromFlag | SampleUsFlag,
+               {numberFlag("--lookups", "N", lookups, std::uint64_t{1})});
+    if (flags.smoke)
+        flags.unlessGiven("--lookups", lookups, 200000);
 
     banner("Cuckoo negative-filter sweep",
            "Cuckoo++ per-bucket Bloom of displaced signatures");
 
-    // --perf: one main-thread group, opened once; the sweep is
-    // single-threaded, so exact before/after reads around a dedicated
-    // pass per cell need no sampling. Degraded (refused syscall) keeps
-    // the rdtsc-only pass.
-    std::unique_ptr<obs::PerfCounterGroup> perfGroup;
-    if (opt.perf) {
-        perfGroup = std::make_unique<obs::PerfCounterGroup>();
-        if (perfGroup->degraded())
-            std::fprintf(stderr,
-                         "note: perf_event_open failed (errno %d); "
-                         "recording rdtsc-only hw cycles\n",
-                         perfGroup->degradedErrno());
-    }
+    const std::unique_ptr<obs::PerfCounterGroup> perfGroup =
+        openPerfGroup(flags.perf);
 
     // --sample-us: sweep progress as a time series (long full sweeps
     // stall invisibly otherwise; the columns mirror the runtime
     // benches' sampler contract — relaxed-atomic reads only).
     PublishedCounter cellsDone, lookupsDone;
     std::unique_ptr<obs::Sampler> sampler;
-    if (opt.sampleMicros > 0) {
+    if (flags.sampleMicros > 0) {
         sampler = std::make_unique<obs::Sampler>(
             std::vector<std::string>{"cells_done", "lookups_done"},
             [&cellsDone, &lookupsDone] {
@@ -276,7 +226,7 @@ main(int argc, char **argv)
                     double(cellsDone.value()),
                     double(lookupsDone.value())};
             });
-        sampler->start(std::chrono::microseconds(opt.sampleMicros),
+        sampler->start(std::chrono::microseconds(flags.sampleMicros),
                        512);
     }
 
@@ -285,12 +235,12 @@ main(int argc, char **argv)
     // an exact fraction of bucket-entry slots. The full-size table
     // (16 MiB of buckets + ~46 MiB of kv slots) spills far out of the
     // LLC, which is the regime the filter targets.
-    const std::uint64_t buckets = opt.smoke ? 1u << 15 : 1u << 18;
+    const std::uint64_t buckets = flags.smoke ? 1u << 15 : 1u << 18;
     const std::uint64_t slots = buckets * entriesPerBucket;
     const std::uint64_t capacity = slots * 95 / 100;
 
     const std::vector<double> occupancies =
-        opt.smoke ? std::vector<double>{0.75}
+        flags.smoke ? std::vector<double>{0.75}
                   : std::vector<double>{0.25, 0.50, 0.75, 0.95};
     const std::vector<double> hitRatios = {0.0, 0.25, 0.50, 0.75, 1.0};
     const std::uint64_t tracedSamples = 4096;
@@ -328,7 +278,7 @@ main(int argc, char **argv)
                                static_cast<std::uint64_t>(occ * 100) *
                                    131);
                 const std::uint64_t schedLen =
-                    std::min<std::uint64_t>(opt.lookups, 1u << 20);
+                    std::min<std::uint64_t>(lookups, 1u << 20);
                 std::vector<const std::uint8_t *> sched(schedLen);
                 for (auto &ptr : sched) {
                     const bool want_hit =
@@ -348,7 +298,7 @@ main(int argc, char **argv)
                 double dt = 1e30;
                 for (unsigned rep = 0; rep < timingReps; ++rep) {
                     const double t0 = nowSeconds();
-                    for (std::uint64_t i = 0; i < opt.lookups; ++i) {
+                    for (std::uint64_t i = 0; i < lookups; ++i) {
                         const auto v = mt.table.lookup(
                             KeyView(sched[i % schedLen], keyLen));
                         checksum += v ? *v : 0;
@@ -360,11 +310,11 @@ main(int argc, char **argv)
                 c.negative = negative;
                 c.occupancy = occ;
                 c.hitRatio = hit;
-                c.nsPerLookup = dt * 1e9 / double(opt.lookups);
+                c.nsPerLookup = dt * 1e9 / double(lookups);
                 c.mops = dt > 0.0
-                             ? double(opt.lookups) / dt / 1e6
+                             ? double(lookups) / dt / 1e6
                              : 0.0;
-                lookupsDone.add(opt.lookups * timingReps);
+                lookupsDone.add(lookups * timingReps);
 
                 // Hardware truth: exact PMU deltas (no sampling, no
                 // multiplex pressure beyond the 5-event group) around
@@ -372,29 +322,17 @@ main(int argc, char **argv)
                 // timed loop so caches are in steady state.
                 if (perfGroup) {
                     const std::uint64_t hwLookups =
-                        std::min<std::uint64_t>(opt.lookups, schedLen);
-                    const obs::PerfGroupReading r0 = perfGroup->read();
-                    const std::uint64_t t0 = obs::perfTscNow();
-                    std::uint64_t hwSum = 0;
-                    for (std::uint64_t i = 0; i < hwLookups; ++i) {
-                        const auto v = mt.table.lookup(
-                            KeyView(sched[i % schedLen], keyLen));
-                        hwSum += v ? *v : 0;
-                    }
-                    const std::uint64_t t1 = obs::perfTscNow();
-                    const obs::PerfGroupReading r1 = perfGroup->read();
-                    checksumSink = hwSum;
+                        std::min<std::uint64_t>(lookups, schedLen);
+                    c.hw = measureHw(*perfGroup, hwLookups, [&] {
+                        std::uint64_t hwSum = 0;
+                        for (std::uint64_t i = 0; i < hwLookups; ++i) {
+                            const auto v = mt.table.lookup(
+                                KeyView(sched[i % schedLen], keyLen));
+                            hwSum += v ? *v : 0;
+                        }
+                        checksumSink = hwSum;
+                    });
                     c.hwRecorded = true;
-                    c.hwTscCyclesPerLookup =
-                        double(t1 - t0) / double(hwLookups);
-                    if (r0.hwValid && r1.hwValid) {
-                        const auto delta = obs::perfScaledDelta(r0, r1);
-                        c.hwValid = true;
-                        for (unsigned e = 0; e < obs::numPerfEvents;
-                             ++e)
-                            c.hwPerLookup[e] =
-                                double(delta[e]) / double(hwLookups);
-                    }
                     lookupsDone.add(hwLookups);
                 }
 
@@ -441,7 +379,7 @@ main(int argc, char **argv)
                 // never walks a batch off its end.
                 const std::uint64_t schedLen = std::max<std::uint64_t>(
                     maxBulkLanes,
-                    std::min<std::uint64_t>(opt.lookups, 1u << 20) &
+                    std::min<std::uint64_t>(lookups, 1u << 20) &
                         ~std::uint64_t(maxBulkLanes - 1));
                 std::vector<const std::uint8_t *> sched(schedLen);
                 for (auto &ptr : sched)
@@ -452,7 +390,7 @@ main(int argc, char **argv)
                 for (unsigned rep = 0; rep < timingReps; ++rep) {
                     const double t0 = nowSeconds();
                     for (std::uint64_t i = 0;
-                         i + maxBulkLanes <= opt.lookups;
+                         i + maxBulkLanes <= lookups;
                          i += maxBulkLanes) {
                         checksum += mt.table.lookupUntracedBulk(
                             &sched[i % schedLen], maxBulkLanes, values,
@@ -463,7 +401,7 @@ main(int argc, char **argv)
                 BulkCell b;
                 b.negative = negative;
                 b.occupancy = occ;
-                b.mops = dt > 0.0 ? double(opt.lookups) / dt / 1e6
+                b.mops = dt > 0.0 ? double(lookups) / dt / 1e6
                                   : 0.0;
                 bulkCells.push_back(b);
                 std::printf("%-9s %5.0f  bulk %10s %8.2f\n",
@@ -511,24 +449,19 @@ main(int argc, char **argv)
     const double bulkSpeedup =
         noneBulk && ppBulk ? ratio(ppBulk->mops, noneBulk->mops) : 0.0;
 
-    std::ofstream out(opt.outPath);
-    if (!out) {
-        std::fprintf(stderr, "error: cannot write %s\n",
-                     opt.outPath.c_str());
-        return 1;
-    }
+    std::ofstream out = openOutput(flags.outPath);
     obs::JsonWriter j(out);
     j.beginObject();
     j.kv("benchmark", "cuckoo_miss_sweep");
     obs::writeMetaBlock(j);
-    j.kv("smoke", opt.smoke);
+    j.kv("smoke", flags.smoke);
     j.kv("buckets", buckets);
     j.kv("kv_slots", capacity);
     j.kv("key_len", keyLen);
-    j.kv("lookups_per_cell", opt.lookups);
+    j.kv("lookups_per_cell", lookups);
     j.kv("traced_samples", tracedSamples);
     j.kv("bucket_scan", bucketScanKind);
-    j.kv("sampler_interval_us", opt.sampleMicros);
+    j.kv("sampler_interval_us", flags.sampleMicros);
     j.kv("perf_enabled", perfGroup != nullptr);
     j.kv("perf_degraded", perfDegraded);
     j.kv("miss_speedup", missSpeedup, 3);
@@ -561,15 +494,8 @@ main(int argc, char **argv)
             // Hardware buckets-per-lookup proxy next to the simulated
             // number: llc_load_misses_per_lookup is the DRAM-line
             // count the filter claims to save.
-            j.key("hw").beginObject();
-            j.kv("valid", c.hwValid);
-            j.kv("tsc_cycles_per_lookup", c.hwTscCyclesPerLookup, 2);
-            if (c.hwValid)
-                for (unsigned e = 0; e < obs::numPerfEvents; ++e)
-                    j.kv(std::string(obs::perfEventName(e)) +
-                             "_per_lookup",
-                         c.hwPerLookup[e], 4);
-            j.endObject();
+            j.key("hw");
+            writeHwBlock(j, c.hw, "lookup");
         }
         j.endObject();
     }
@@ -588,7 +514,7 @@ main(int argc, char **argv)
     }
     j.endArray();
     j.endObject();
-    std::printf("\nwrote %s\n", opt.outPath.c_str());
+    std::printf("\nwrote %s\n", flags.outPath.c_str());
     std::printf("miss_speedup (cuckoopp/none, 75%% occ, 0%% hit): "
                 "%.2fx\n",
                 missSpeedup);
@@ -597,7 +523,7 @@ main(int argc, char **argv)
     std::printf("bulk hit speedup (cuckoopp/none): %.2fx\n",
                 bulkSpeedup);
 
-    if (!opt.promPath.empty()) {
+    if (!flags.promPath.empty()) {
         obs::MetricsRegistry reg;
         for (const Cell &c : cells) {
             const std::vector<std::pair<std::string, std::string>>
@@ -609,24 +535,17 @@ main(int argc, char **argv)
             reg.gauge("halo_sweep_mops", labels, c.mops);
             reg.gauge("halo_sweep_buckets_per_miss", labels,
                       c.bucketsPerMiss);
-            if (c.hwValid)
+            if (c.hw.valid)
                 reg.gauge("halo_sweep_hw_llc_misses_per_lookup",
                           labels,
-                          c.hwPerLookup[unsigned(
+                          c.hw.perOp[unsigned(
                               obs::PerfEvent::LlcLoadMisses)]);
         }
         reg.gauge("halo_perf_degraded", {}, perfDegraded ? 1.0 : 0.0);
-        std::ofstream prom(opt.promPath);
-        if (!prom) {
-            std::fprintf(stderr, "error: cannot write %s\n",
-                         opt.promPath.c_str());
-            return 1;
-        }
-        reg.writePrometheus(prom);
-        std::printf("wrote %s\n", opt.promPath.c_str());
+        writePromFile(reg, flags.promPath);
     }
 
-    if (opt.smoke) {
+    if (flags.smoke) {
         bool ok = true;
         if (!ppMiss || ppMiss->bucketsPerMiss > 1.05) {
             std::fprintf(stderr,
@@ -659,7 +578,7 @@ main(int argc, char **argv)
             // Every cell must have recorded hardware cycles, degraded
             // or not (the rdtsc pass never needs privileges).
             for (const Cell &c : cells)
-                if (!c.hwRecorded || c.hwTscCyclesPerLookup <= 0.0) {
+                if (!c.hwRecorded || c.hw.tscCyclesPerOp <= 0.0) {
                     std::fprintf(stderr,
                                  "smoke FAILED: --perf cell recorded "
                                  "no hw cycles\n");
@@ -674,16 +593,16 @@ main(int argc, char **argv)
                 // tables where misses are ~0.
                 const unsigned llc =
                     unsigned(obs::PerfEvent::LlcLoadMisses);
-                if (noneMiss && ppMiss && noneMiss->hwValid &&
-                    ppMiss->hwValid &&
-                    ppMiss->hwPerLookup[llc] >
-                        noneMiss->hwPerLookup[llc] * 1.25 + 0.5) {
+                if (noneMiss && ppMiss && noneMiss->hw.valid &&
+                    ppMiss->hw.valid &&
+                    ppMiss->hw.perOp[llc] >
+                        noneMiss->hw.perOp[llc] * 1.25 + 0.5) {
                     std::fprintf(stderr,
                                  "smoke FAILED: cuckoopp hw llc "
                                  "misses/lookup %.3f > unfiltered %.3f "
                                  "(misses)\n",
-                                 ppMiss->hwPerLookup[llc],
-                                 noneMiss->hwPerLookup[llc]);
+                                 ppMiss->hw.perOp[llc],
+                                 noneMiss->hw.perOp[llc]);
                     ok = false;
                 }
             }

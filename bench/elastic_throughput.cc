@@ -40,15 +40,13 @@
  * waits that expired on an oversubscribed host; the gate still
  * self-clears safely) are reported but never gate.
  *
- * Usage:
- *   elastic_throughput [--out FILE] [--prom FILE] [--packets N]
- *                      [--flows N] [--workers N] [--skew S]
- *                      [--hot-keys N] [--elastic] [--static]
- *                      [--sample-us N] [--smoke]
+ * Usage: elastic_throughput [shared flags] [--flows N] [--workers N]
+ *                           [--skew S] [--hot-keys N] [--elastic]
+ *                           [--static]
  *
- *   --out       JSON output path (default BENCH_elastic.json)
- *   --prom      dump the last run's live Prometheus registry here
- *   --packets   packets per run (default 200000)
+ * Shared flags: see bench_common.hh. Defaults here: --out
+ * BENCH_elastic.json, --packets 200000, --sample-us 0 (off).
+ *
  *   --flows     flow population (default 4096)
  *   --workers   restrict the worker sweep to one count
  *               (default sweep: 2, 4, 8)
@@ -57,30 +55,24 @@
  *   --hot-keys  hottest ranks colocated in RSS bucket 0 (default 16)
  *   --elastic   run only the elastic mode
  *   --static    run only the static mode
- *   --sample-us sampler interval in microseconds (default 0 = off)
- *   --smoke     CI mode: tiny counts, workers {2}, skews {0.5, 1.3};
- *               exits nonzero unless every run conserves packets with
- *               zero reorder violations and the elastic run at the
- *               skewed cell actually migrated
+ *
+ * --smoke runs 30000 packets, 512 flows, 8 hot keys (flags given
+ * explicitly win), workers {2} and skews {0.5, 1.3}, and exits nonzero
+ * unless the elastic run at the skewed cell actually migrated. Every
+ * run, smoke or not, must conserve packets with zero reorder
+ * violations.
  */
 
 #include <algorithm>
-#include <chrono>
-#include <cmath>
 #include <cstdint>
 #include <cstdio>
-#include <cstring>
-#include <fstream>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "bench_common.hh"
 #include "flow/ruleset.hh"
 #include "hash/table_layout.hh"
 #include "obs/json.hh"
-#include "obs/meta.hh"
-#include "obs/metrics.hh"
 #include "runtime/order_validator.hh"
 #include "runtime/runtime.hh"
 
@@ -91,49 +83,13 @@ namespace {
 
 struct Options
 {
-    std::string outPath = "BENCH_elastic.json";
-    std::string promPath;
-    std::uint64_t packets = 200000;
     std::uint64_t flows = 4096;
     unsigned workersOverride = 0; ///< 0 = default sweep
     double skewOverride = -1.0;   ///< < 0 = default sweep
     unsigned hotKeys = 16;
-    std::uint64_t sampleMicros = 0;
     bool onlyElastic = false;
     bool onlyStatic = false;
-    bool smoke = false;
 };
-
-/** Deterministic, never-repeating five-tuple for flow @p id. */
-FiveTuple
-tupleForId(std::uint64_t id)
-{
-    const std::uint64_t m = id * 0x9e3779b97f4a7c15ull;
-    FiveTuple t;
-    // Low 24 id bits in srcIp keep tuples unique for any id < 2^24.
-    t.srcIp = 0x0a000000u | static_cast<std::uint32_t>(id & 0xffffff);
-    t.dstIp = 0xac100000u |
-              static_cast<std::uint32_t>((m >> 24) & 0xfffff);
-    t.srcPort = static_cast<std::uint16_t>(1024 + (m & 0xffff) % 60000);
-    t.dstPort = (m >> 40) & 1 ? 443 : 80;
-    t.proto = static_cast<std::uint8_t>(IpProto::Udp);
-    return t;
-}
-
-/** Slow path: one match-all fallback rule (see flowscale_throughput —
- *  flows are pre-installed; the OpenFlow layer resolves the misses
- *  migrated flows take at their destination shard). */
-RuleSet
-fallbackRules()
-{
-    RuleSet rules;
-    FlowRule fallback;
-    fallback.mask = FlowMask{}; // all-wildcard: matches everything
-    fallback.priority = 1;
-    fallback.action = Action{ActionKind::Forward, 1};
-    rules.push_back(fallback);
-    return rules;
-}
 
 /** Shared RSS shape for every run (and the placement probe). */
 RssConfig
@@ -194,13 +150,8 @@ struct ElasticRun
     bool elastic = false;
     unsigned workers = 0;
     double skew = 0.0;
+    RuntimeReport rep;
     double effectivePps = 0.0;
-    double aggregateCpuPps = 0.0;
-    double wallPps = 0.0;
-    std::uint64_t offered = 0;
-    std::uint64_t enqueued = 0;
-    std::uint64_t processed = 0;
-    std::uint64_t ringFullDrops = 0;
     std::uint64_t orderObserved = 0;
     std::uint64_t reorderViolations = 0;
     ElasticCounters ctrl; ///< zeros in static mode
@@ -210,45 +161,45 @@ struct ElasticRun
     std::uint64_t maxBusyNanos = 0;
     double packetImbalance = 0.0; ///< max/mean per-worker packets
     unsigned parkedEnd = 0;
-    std::uint64_t upcallsEnqueued = 0;
-    std::uint64_t installs = 0;
-    std::uint64_t agedFlows = 0;
-    obs::SampleSeries samples;
+
+    std::string
+    label() const
+    {
+        char buf[48];
+        std::snprintf(buf, sizeof buf, "%s w%u zipf %.2f",
+                      elastic ? "elastic" : "static", workers, skew);
+        return buf;
+    }
 };
 
 ElasticRun
 runOnce(unsigned workers, double skew, bool elastic,
-        const std::vector<FiveTuple> &flows, const Options &opt,
-        bool dumpProm = false)
+        const std::vector<FiveTuple> &flows, const BenchFlags &flags,
+        const Options &opt, bool lastRun)
 {
-    using SteadyClock = std::chrono::steady_clock;
-
+    // Flows are pre-installed; the match-all slow path resolves the
+    // misses migrated flows take at their destination shard.
     const RuleSet ofRules = fallbackRules();
     const std::uint64_t perShardCap = nextPowerOfTwo(
         std::max<std::uint64_t>(opt.flows * 4, 4096));
 
-    RuntimeConfig cfg;
-    cfg.numWorkers = workers;
-    cfg.ringCapacity = 1024;
-    cfg.batchSize = 32;
+    RuntimeConfig cfg = benchRuntimeConfig(workers);
     cfg.shard.vswitch.tupleConfig.tupleCapacity = perShardCap;
     cfg.shard.vswitch.useOpenflowLayer = true;
     // EMC off in both modes: uniform per-packet cost isolates the
     // balancing effect (flowscale_throughput owns the EMC trade).
     cfg.shard.vswitch.useEmc = false;
     cfg.rss = rssShape();
-    cfg.enqueueRetries = 65536;
-    cfg.samplerIntervalMicros = opt.sampleMicros;
     cfg.warmTables = false;
     cfg.openflowRules = &ofRules;
     cfg.decoupled = true;
     cfg.revalidator.ringCapacity = 8192;
-    if (opt.smoke)
+    if (flags.smoke)
         cfg.revalidator.sweepIntervalMicros = 200;
     cfg.elastic.enabled = elastic;
     // Short control epochs: even smoke runs (which may execute under
     // TSan at a fraction of native speed) span tens of epochs.
-    cfg.elastic.controlIntervalMicros = opt.smoke ? 500 : 1000;
+    cfg.elastic.controlIntervalMicros = flags.smoke ? 500 : 1000;
     cfg.elastic.hysteresisEpochs = 2;
     cfg.elastic.cooldownEpochs = 1;
     cfg.elastic.maxMigrationsPerEpoch = 8;
@@ -262,44 +213,23 @@ runOnce(unsigned workers, double skew, bool elastic,
     cfg.elastic.parkAfterEpochs = 8;
     cfg.elastic.unparkBusyFraction = 0.5;
 
+    applyTelemetry(cfg, flags, lastRun);
+
     FlowOrderValidator oracle(opt.flows + 2);
     cfg.orderValidator = &oracle;
 
     const RuleSet empty;
     Runtime rt(cfg, empty);
 
-    // Live registry for --prom: attach before the run so the elastic
-    // controller's gauges/counters render from real run state.
-    obs::MetricsRegistry liveReg;
-    if (dumpProm)
-        rt.registerMetrics(liveReg);
-
-    // Steady state: every flow pre-installed as an exact-match
-    // megaflow entry in its initial owning shard, with the dispatcher
-    // charged for the live flows (the revalidator keeps the accounting
-    // current for flows it re-installs after migration).
-    const std::uint64_t fallbackValue = encodeRuleValue(
-        ofRules.front().action, ofRules.front().priority);
-    std::vector<unsigned> exactTuple(workers);
-    for (unsigned w = 0; w < workers; ++w)
-        exactTuple[w] = rt.worker(w).vswitch().tupleSpace().ensureTuple(
-            FlowMask::exact());
-    for (const FiveTuple &t : flows) {
-        const unsigned shard = rt.dispatcher().shardFor(t);
-        const auto key = t.toKey();
-        TupleSpace &tuples = rt.worker(shard).vswitch().tupleSpace();
-        if (!tuples.table(exactTuple[shard])
-                 .insert(KeyView(key.data(), key.size()),
-                         fallbackValue)) {
-            std::fprintf(stderr,
-                         "error: pre-install failed (shard %u, "
-                         "capacity %llu)\n",
-                         shard,
-                         static_cast<unsigned long long>(perShardCap));
-            std::exit(1);
-        }
+    // Steady state: every flow pre-installed in its initial owning
+    // shard, with the dispatcher charged for the live flows (the
+    // revalidator keeps the accounting current for flows it
+    // re-installs after migration).
+    preinstallExact(
+        rt, flows.size(), [&flows](std::uint64_t i) { return flows[i]; },
+        ofRules.front());
+    for (const FiveTuple &t : flows)
         rt.dispatcher().noteNewFlow(t);
-    }
 
     // One stream per (flows, skew): mode-invariant, so static and
     // elastic classify the identical packet sequence.
@@ -307,57 +237,35 @@ runOnce(unsigned workers, double skew, bool elastic,
     ZipfDistribution zipf(opt.flows, skew);
     std::vector<std::uint32_t> seq(opt.flows, 0);
 
-    rt.start();
-    rt.startSampler();
-    const auto t0 = SteadyClock::now();
-    for (std::uint64_t p = 0; p < opt.packets; ++p) {
-        const std::uint64_t id = zipf.sample(rng);
-        const FiveTuple &t = flows[id];
-        Packet pkt = Packet::fromTuple(t);
-        // Flow ids are 1-based in the tag so rank 0's first packet is
-        // not the ignored all-zero tag.
-        pkt.stampOrderTag(((id + 1) << 32) |
-                          static_cast<std::uint64_t>(seq[id]++));
-        rt.offer(std::move(pkt), t);
-    }
-    rt.drain();
-    const auto t1 = SteadyClock::now();
-    rt.stopSampler();
-    rt.stop();
-
-    const RuntimeReport rep = rt.report();
-    const double wallSeconds =
-        std::chrono::duration<double>(t1 - t0).count();
-
     ElasticRun res;
     res.elastic = elastic;
     res.workers = workers;
     res.skew = skew;
-    res.offered = rep.aggregate.offered;
-    res.enqueued = rep.aggregate.enqueued;
-    res.processed = rep.aggregate.processed;
-    res.ringFullDrops = rep.aggregate.ringFullDrops;
-    res.wallPps = wallSeconds > 0.0
-                      ? double(rep.aggregate.processed) / wallSeconds
-                      : 0.0;
+    res.rep = instrumentedRun(rt, flags, lastRun, [&] {
+        for (std::uint64_t p = 0; p < flags.packets; ++p) {
+            const std::uint64_t id = zipf.sample(rng);
+            const FiveTuple &t = flows[id];
+            Packet pkt = Packet::fromTuple(t);
+            // Flow ids are 1-based in the tag so rank 0's first packet
+            // is not the ignored all-zero tag.
+            pkt.stampOrderTag(((id + 1) << 32) |
+                              static_cast<std::uint64_t>(seq[id]++));
+            rt.offer(std::move(pkt), t);
+        }
+    });
+
+    const RuntimeSnapshot &a = res.rep.aggregate;
     std::uint64_t maxPackets = 0;
-    for (const WorkerReport &w : rep.workers) {
+    for (const WorkerReport &w : res.rep.workers) {
         res.maxBusyNanos =
             std::max(res.maxBusyNanos, w.counters.busyNanos);
         maxPackets = std::max(maxPackets, w.counters.packets);
-        res.aggregateCpuPps +=
-            w.counters.busyNanos > 0
-                ? double(w.counters.packets) * 1e9 /
-                      double(w.counters.busyNanos)
-                : 0.0;
     }
     res.effectivePps =
         res.maxBusyNanos > 0
-            ? double(rep.aggregate.processed) * 1e9 /
-                  double(res.maxBusyNanos)
+            ? double(a.processed) * 1e9 / double(res.maxBusyNanos)
             : 0.0;
-    const double meanPackets =
-        double(rep.aggregate.processed) / double(workers);
+    const double meanPackets = double(a.processed) / double(workers);
     res.packetImbalance =
         meanPackets > 0.0 ? double(maxPackets) / meanPackets : 0.0;
     res.orderObserved = oracle.observed();
@@ -369,28 +277,13 @@ runOnce(unsigned workers, double skew, bool elastic,
     res.tableEntriesEnd = rt.dispatcher().tableEntries();
     for (unsigned w = 0; w < workers; ++w)
         res.parkedEnd += rt.worker(w).parked() ? 1 : 0;
-    res.upcallsEnqueued = rep.aggregate.upcallsEnqueued;
-    res.installs = rep.aggregate.revalidator.installs;
-    res.agedFlows = rep.aggregate.revalidator.agedFlows;
-    res.samples = rep.samples;
-
-    if (dumpProm) {
-        std::ofstream prom(opt.promPath);
-        if (!prom) {
-            std::fprintf(stderr, "error: cannot write %s\n",
-                         opt.promPath.c_str());
-            std::exit(1);
-        }
-        liveReg.writePrometheus(prom);
-        std::printf("wrote %s\n", opt.promPath.c_str());
-    }
 
     std::printf(
         "%-7s w%u zipf %.2f: %9.0f eff pps, %9.0f cpu, %8.0f wall | "
         "mig %llu split %llu park %llu | imb %.2f tbl %u | "
         "viol %llu gateto %llu\n",
         elastic ? "elastic" : "static", workers, skew,
-        res.effectivePps, res.aggregateCpuPps, res.wallPps,
+        res.effectivePps, aggregateCpuPps(res.rep), wallPps(res.rep),
         static_cast<unsigned long long>(res.ctrl.migrations),
         static_cast<unsigned long long>(res.ctrl.splits),
         static_cast<unsigned long long>(res.ctrl.parks),
@@ -423,26 +316,18 @@ speedup(const std::vector<ElasticRun> &runs, unsigned workers,
 }
 
 void
-writeJson(const Options &opt, const std::vector<unsigned> &workerSweep,
+writeJson(const BenchFlags &flags, const Options &opt,
+          const std::vector<unsigned> &workerSweep,
           const std::vector<double> &skews,
           const std::vector<ElasticRun> &runs, unsigned headlineWorkers,
           double headlineSkew, double uniformSkew)
 {
-    std::ofstream out(opt.outPath);
-    if (!out) {
-        std::fprintf(stderr, "error: cannot write %s\n",
-                     opt.outPath.c_str());
-        std::exit(1);
-    }
+    std::ofstream out = openOutput(flags.outPath);
     obs::JsonWriter j(out);
-    j.beginObject();
-    j.kv("benchmark", "elastic_throughput");
-    obs::writeMetaBlock(j);
-    j.kv("packets_per_run", opt.packets);
+    writeHeader(j, "elastic_throughput", flags,
+                runs.back().rep.perfDegraded);
     j.kv("flows", opt.flows);
     j.kv("hot_keys", opt.hotKeys);
-    j.kv("smoke", opt.smoke);
-    j.kv("host_cpus", std::thread::hardware_concurrency());
     j.kv("headline_workers", headlineWorkers);
     j.kv("headline_skew", headlineSkew, 2);
     j.kv("headline_elastic_over_static",
@@ -485,12 +370,7 @@ writeJson(const Options &opt, const std::vector<unsigned> &workerSweep,
         j.kv("workers", static_cast<std::uint64_t>(r.workers));
         j.kv("zipf_skew", r.skew, 2);
         j.kv("effective_pps", r.effectivePps, 1);
-        j.kv("aggregate_cpu_pps", r.aggregateCpuPps, 1);
-        j.kv("wall_pps", r.wallPps, 1);
-        j.kv("offered", r.offered);
-        j.kv("enqueued", r.enqueued);
-        j.kv("processed", r.processed);
-        j.kv("ring_full_drops", r.ringFullDrops);
+        writeRunCommon(j, r.rep);
         j.kv("order_observed", r.orderObserved);
         j.kv("reorder_violations", r.reorderViolations);
         j.kv("ctrl_epochs", r.ctrl.epochs);
@@ -506,18 +386,14 @@ writeJson(const Options &opt, const std::vector<unsigned> &workerSweep,
         j.kv("max_busy_nanos", r.maxBusyNanos);
         j.kv("packet_imbalance", r.packetImbalance, 3);
         j.kv("parked_end", static_cast<std::uint64_t>(r.parkedEnd));
-        j.kv("upcalls_enqueued", r.upcallsEnqueued);
-        j.kv("installs", r.installs);
-        j.kv("aged_flows", r.agedFlows);
-        if (!r.samples.columns.empty()) {
-            j.key("samples");
-            writeSampleSeries(j, r.samples);
-        }
+        j.kv("upcalls_enqueued", r.rep.aggregate.upcallsEnqueued);
+        j.kv("installs", r.rep.aggregate.revalidator.installs);
+        j.kv("aged_flows", r.rep.aggregate.revalidator.agedFlows);
         j.endObject();
     }
     j.endArray();
     j.endObject();
-    std::printf("\nwrote %s\n", opt.outPath.c_str());
+    std::printf("\nwrote %s\n", flags.outPath.c_str());
 }
 
 } // namespace
@@ -525,43 +401,17 @@ writeJson(const Options &opt, const std::vector<unsigned> &workerSweep,
 int
 main(int argc, char **argv)
 {
+    BenchFlags flags;
+    flags.outPath = "BENCH_elastic.json";
+    flags.packets = 200000;
     Options opt;
-    for (int i = 1; i < argc; ++i) {
-        const std::string arg = argv[i];
-        if (arg == "--out" && i + 1 < argc) {
-            opt.outPath = argv[++i];
-        } else if (arg == "--prom" && i + 1 < argc) {
-            opt.promPath = argv[++i];
-        } else if (arg == "--packets" && i + 1 < argc) {
-            opt.packets = std::strtoull(argv[++i], nullptr, 10);
-        } else if (arg == "--flows" && i + 1 < argc) {
-            opt.flows = std::strtoull(argv[++i], nullptr, 10);
-        } else if (arg == "--workers" && i + 1 < argc) {
-            opt.workersOverride = static_cast<unsigned>(
-                std::strtoul(argv[++i], nullptr, 10));
-        } else if (arg == "--skew" && i + 1 < argc) {
-            opt.skewOverride = std::strtod(argv[++i], nullptr);
-        } else if (arg == "--hot-keys" && i + 1 < argc) {
-            opt.hotKeys = static_cast<unsigned>(
-                std::strtoul(argv[++i], nullptr, 10));
-        } else if (arg == "--sample-us" && i + 1 < argc) {
-            opt.sampleMicros = std::strtoull(argv[++i], nullptr, 10);
-        } else if (arg == "--elastic") {
-            opt.onlyElastic = true;
-        } else if (arg == "--static") {
-            opt.onlyStatic = true;
-        } else if (arg == "--smoke") {
-            opt.smoke = true;
-        } else {
-            std::fprintf(stderr,
-                         "usage: %s [--out FILE] [--prom FILE] "
-                         "[--packets N] [--flows N] [--workers N] "
-                         "[--skew S] [--hot-keys N] [--elastic] "
-                         "[--static] [--sample-us N] [--smoke]\n",
-                         argv[0]);
-            return 2;
-        }
-    }
+    parseFlags(argc, argv, flags, RuntimeFlags,
+               {numberFlag("--flows", "N", opt.flows, std::uint64_t{1}),
+                numberFlag("--workers", "N", opt.workersOverride, 1u),
+                numberFlag("--skew", "S", opt.skewOverride, 0.0),
+                numberFlag("--hot-keys", "N", opt.hotKeys),
+                switchFlag("--elastic", opt.onlyElastic),
+                switchFlag("--static", opt.onlyStatic)});
     if (opt.onlyElastic && opt.onlyStatic) {
         std::fprintf(stderr,
                      "error: --elastic and --static are exclusive\n");
@@ -573,13 +423,10 @@ main(int argc, char **argv)
 
     std::vector<unsigned> workerSweep = {2, 4, 8};
     std::vector<double> skews = {0.5, 0.99, 1.3};
-    if (opt.smoke) {
-        if (opt.packets == 200000)
-            opt.packets = 30000;
-        if (opt.flows == 4096)
-            opt.flows = 512;
-        if (opt.hotKeys == 16)
-            opt.hotKeys = 8;
+    if (flags.smoke) {
+        flags.unlessGiven("--packets", flags.packets, 30000);
+        flags.unlessGiven("--flows", opt.flows, 512);
+        flags.unlessGiven("--hot-keys", opt.hotKeys, 8);
         workerSweep = {2};
         skews = {0.5, 1.3};
     }
@@ -593,23 +440,19 @@ main(int argc, char **argv)
     std::vector<ElasticRun> runs;
     for (const unsigned w : workerSweep) {
         for (const double s : skews) {
-            // --prom dumps the live registry of the sweep's last run
-            // (elastic when both modes run, so the controller series
-            // render from real migration/split/park activity).
-            const bool last_cell =
+            // The sweep's last run (elastic when both modes run, so the
+            // controller series render from real migration/split/park
+            // activity) carries the --prom/--trace telemetry.
+            const bool lastCell =
                 w == workerSweep.back() && s == skews.back();
             if (!opt.onlyElastic)
-                runs.push_back(runOnce(
-                    w, s, false, flows, opt,
-                    !opt.promPath.empty() && last_cell &&
-                        opt.onlyStatic));
+                runs.push_back(runOnce(w, s, false, flows, flags, opt,
+                                       lastCell && opt.onlyStatic));
             if (!opt.onlyStatic)
-                runs.push_back(runOnce(
-                    w, s, true, flows, opt,
-                    !opt.promPath.empty() && last_cell));
+                runs.push_back(
+                    runOnce(w, s, true, flows, flags, opt, lastCell));
         }
     }
-
     // Headline cell: 4 workers at the highest skew when swept,
     // otherwise the largest swept worker count.
     unsigned headlineWorkers = workerSweep.back();
@@ -621,7 +464,7 @@ main(int argc, char **argv)
     const double uniformSkew =
         *std::min_element(skews.begin(), skews.end());
 
-    writeJson(opt, workerSweep, skews, runs, headlineWorkers,
+    writeJson(flags, opt, workerSweep, skews, runs, headlineWorkers,
               headlineSkew, uniformSkew);
 
     const double headline =
@@ -638,34 +481,20 @@ main(int argc, char **argv)
     // only record that the controller stopped blocking on a slow
     // drain (gates still self-clear), which is scheduling noise on an
     // oversubscribed host.
-    bool failed = false;
+    bool ok = true;
     for (const ElasticRun &r : runs) {
-        if (r.processed == 0 || r.processed != r.enqueued ||
-            r.enqueued + r.ringFullDrops != r.offered) {
-            std::fprintf(
-                stderr,
-                "GATE FAILED (%s w%u zipf %.2f): packet conservation "
-                "(offered %llu enqueued %llu processed %llu drops "
-                "%llu)\n",
-                r.elastic ? "elastic" : "static", r.workers, r.skew,
-                static_cast<unsigned long long>(r.offered),
-                static_cast<unsigned long long>(r.enqueued),
-                static_cast<unsigned long long>(r.processed),
-                static_cast<unsigned long long>(r.ringFullDrops));
-            failed = true;
-        }
+        ok &= conserved(r.rep, r.label());
         if (r.reorderViolations != 0) {
-            std::fprintf(
-                stderr,
-                "GATE FAILED (%s w%u zipf %.2f): %llu reorder "
-                "violations\n",
-                r.elastic ? "elastic" : "static", r.workers, r.skew,
-                static_cast<unsigned long long>(r.reorderViolations));
-            failed = true;
+            std::fprintf(stderr, "GATE FAILED (%s): %llu reorder "
+                                 "violations\n",
+                         r.label().c_str(),
+                         static_cast<unsigned long long>(
+                             r.reorderViolations));
+            ok = false;
         }
     }
 
-    if (opt.smoke && !opt.onlyStatic) {
+    if (flags.smoke && !opt.onlyStatic) {
         // Forced skew must actually trip the controller.
         const ElasticRun *hot =
             findRun(runs, workerSweep.back(), headlineSkew, true);
@@ -673,29 +502,31 @@ main(int argc, char **argv)
             std::fprintf(stderr,
                          "GATE FAILED: elastic controller never "
                          "migrated at the skewed cell\n");
-            failed = true;
+            ok = false;
         }
     }
-    if (!opt.smoke && !opt.onlyElastic && !opt.onlyStatic &&
+    if (flags.smoke && flags.perf)
+        ok &= perfStagesRecorded(runs.back().rep);
+    if (!flags.smoke && !opt.onlyElastic && !opt.onlyStatic &&
         headline > 0.0) {
         if (headline < 1.4) {
             std::fprintf(stderr,
                          "GATE FAILED: elastic %.3fx static at the "
                          "headline cell (< 1.4x)\n",
                          headline);
-            failed = true;
+            ok = false;
         }
         if (uniform > 0.0 && uniform < 0.97) {
             std::fprintf(stderr,
                          "GATE FAILED: elastic %.3fx static on the "
                          "uniform cell (< 0.97x)\n",
                          uniform);
-            failed = true;
+            ok = false;
         }
     }
-    if (failed)
+    if (!ok)
         return 1;
-    if (opt.smoke)
+    if (flags.smoke)
         std::printf("smoke OK\n");
     return 0;
 }

@@ -33,40 +33,31 @@
  * count and estimate are deterministic (fixed seeds), so committed
  * baselines can gate estimator accuracy with bench_diff --no-timing.
  *
- * Usage:
- *   flowscale_throughput [--out FILE] [--packets N] [--flows N]
- *                        [--workers N] [--emc-entries N] [--smoke]
- *                        [--prom FILE] [--prom-port N] [--trace FILE]
- *                        [--sample-us N] [--perf]
+ * Usage: flowscale_throughput [shared flags] [--flows N] [--workers N]
+ *                             [--emc-entries N]
  *
- *   --out         JSON output path (default BENCH_flowscale.json)
- *   --packets     packets per run (default 500000)
+ * Shared flags: see bench_common.hh. Defaults here: --out
+ * BENCH_flowscale.json, --packets 500000, --sample-us 2000.
+ *
  *   --flows       override the flow-count sweep with one cell
  *                 (default sweep: 1M, 4M, 10M + a 20k small-case cell)
  *   --workers     worker threads (default 2)
  *   --emc-entries EMC slots per shard (default 65536)
- *   --smoke       CI mode: tiny counts; exits nonzero unless every run
- *                 conserves packets, the adaptive controller acted at
- *                 the high-flow cell (>= 1 disable/enable/resize),
- *                 adaptive cpu-pps >= fixed there, the small-case cell
- *                 keeps adaptive >= 0.85x fixed, and the reference
- *                 estimator lands within 30% of the true distinct count
- *   --prom        write the last run's metrics as Prometheus text
- *   --prom-port   serve GET /metrics live during the last run
- *   --trace       write the last run's Chrome trace here
- *   --sample-us   sampler interval in microseconds (default 2000)
- *   --perf        per-thread PMU groups (perf_event_open)
+ *
+ * --smoke runs 2 workers, 80000 packets and 4096 EMC entries (flags
+ * given explicitly win) over a small and a scan-heavy cell, and exits
+ * nonzero unless the adaptive controller acted at the high-flow cell
+ * (>= 1 disable/enable/resize), adaptive cpu-pps >= fixed there, the
+ * small-case cell keeps adaptive >= 0.85x fixed, and the reference
+ * estimator lands within 30% of the true distinct count. Every run,
+ * smoke or not, must conserve packets.
  */
 
 #include <algorithm>
-#include <chrono>
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
-#include <cstring>
-#include <fstream>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "bench_common.hh"
@@ -74,9 +65,6 @@
 #include "flow/ruleset.hh"
 #include "hash/table_layout.hh"
 #include "obs/json.hh"
-#include "obs/meta.hh"
-#include "obs/metrics.hh"
-#include "obs/prom_http.hh"
 #include "runtime/runtime.hh"
 
 using namespace halo;
@@ -86,18 +74,9 @@ namespace {
 
 struct Options
 {
-    std::string outPath = "BENCH_flowscale.json";
-    std::string promPath;
-    std::string tracePath;
-    std::uint64_t packets = 500000;
     std::uint64_t flowsOverride = 0; ///< 0 = default sweep
     unsigned workers = 2;
     std::uint64_t emcEntries = 65536;
-    std::uint64_t sampleMicros = 2000;
-    std::uint16_t promPort = 0;
-    bool promPortSet = false;
-    bool smoke = false;
-    bool perf = false;
 };
 
 enum class EmcPolicy
@@ -126,41 +105,6 @@ struct Cell
     bool smallCase = false; ///< EMC-friendly reference cell
 };
 
-/** Deterministic, never-repeating five-tuple for flow @p id. */
-FiveTuple
-tupleForId(std::uint64_t id)
-{
-    const std::uint64_t m = id * 0x9e3779b97f4a7c15ull;
-    FiveTuple t;
-    // Low 24 id bits in srcIp keep tuples unique for any id < 2^24.
-    t.srcIp = 0x0a000000u | static_cast<std::uint32_t>(id & 0xffffff);
-    t.dstIp = 0xac100000u |
-              static_cast<std::uint32_t>((m >> 24) & 0xfffff);
-    t.srcPort = static_cast<std::uint16_t>(1024 + (m & 0xffff) % 60000);
-    t.dstPort = (m >> 40) & 1 ? 443 : 80;
-    t.proto = static_cast<std::uint8_t>(IpProto::Udp);
-    return t;
-}
-
-/**
- * Slow path: one match-all fallback rule. Every flow is pre-installed
- * into the megaflow layer before the run, so the OpenFlow layer exists
- * only to resolve the (rare) stragglers and to give the revalidator a
- * consistent install value — this bench isolates fast-path EMC cost,
- * not slow-path search cost (churn_throughput covers that).
- */
-RuleSet
-fallbackRules()
-{
-    RuleSet rules;
-    FlowRule fallback;
-    fallback.mask = FlowMask{}; // all-wildcard: matches everything
-    fallback.priority = 1;
-    fallback.action = Action{ActionKind::Forward, 1};
-    rules.push_back(fallback);
-    return rules;
-}
-
 /** Mixes a flow id into the reference estimator's hash domain. */
 std::uint64_t
 refHash(std::uint64_t id)
@@ -175,21 +119,7 @@ struct ScaleResult
     std::uint64_t flows = 0;
     double skew = 0.0;
     bool smallCase = false;
-    double aggregateCpuPps = 0.0;
-    double wallPps = 0.0;
-    std::uint64_t offered = 0;
-    std::uint64_t processed = 0;
-    std::uint64_t matched = 0;
-    std::uint64_t emcHits = 0;
-    std::uint64_t ringFullDrops = 0;
-    std::uint64_t preinstalled = 0;
-    double batchP50Us = 0.0;
-    double batchP99Us = 0.0;
-    /// Upcall/revalidator traffic (all runs are decoupled).
-    std::uint64_t upcallsEnqueued = 0;
-    std::uint64_t promotesEnqueued = 0;
-    std::uint64_t upcallDrops = 0;
-    RevalidatorCounters reval;
+    RuntimeReport rep;
     /// End-of-run EMC state summed over shards.
     std::uint64_t emcLookupHits = 0;
     std::uint64_t emcLookupMisses = 0;
@@ -202,18 +132,17 @@ struct ScaleResult
     double refEstimate = 0.0;
     double refRelError = 0.0;
     bool refSaturated = false;
-    obs::SampleSeries samples;
-    bool perfEnabled = false;
-    bool perfDegraded = false;
-    std::vector<obs::PerfStageTotals> perfStages;
+
+    double pps() const { return aggregateCpuPps(rep); }
 };
 
 ScaleResult
-runOnce(const Cell &cell, EmcPolicy policy, const Options &opt,
-        bool last_run)
+runOnce(const Cell &cell, EmcPolicy policy, const BenchFlags &flags,
+        const Options &opt, bool lastRun)
 {
-    using SteadyClock = std::chrono::steady_clock;
-
+    // Every flow is pre-installed, so the match-all slow path only
+    // resolves stragglers: this bench isolates fast-path EMC cost
+    // (churn_throughput covers slow-path search cost).
     const RuleSet ofRules = fallbackRules();
 
     // Every shard holds only its RSS share of the population; x2 slack
@@ -222,10 +151,7 @@ runOnce(const Cell &cell, EmcPolicy policy, const Options &opt,
         cell.flows / opt.workers, 1024);
     const std::uint64_t perShardCap = nextPowerOfTwo(perShard * 2);
 
-    RuntimeConfig cfg;
-    cfg.numWorkers = opt.workers;
-    cfg.ringCapacity = 1024;
-    cfg.batchSize = 32;
+    RuntimeConfig cfg = benchRuntimeConfig(opt.workers);
     // Lazily paged (bound, not footprint): sized so a 10M-flow shard's
     // tuple tables + EMC never hit the SimMemory exhaustion fatal.
     cfg.shardMemBytes =
@@ -234,10 +160,6 @@ runOnce(const Cell &cell, EmcPolicy policy, const Options &opt,
     cfg.shard.vswitch.useOpenflowLayer = true;
     cfg.shard.vswitch.emcEntries = opt.emcEntries;
     cfg.shard.vswitch.useEmc = policy != EmcPolicy::Off;
-    cfg.rss.symmetric = true;
-    cfg.enqueueRetries = 65536;
-    cfg.samplerIntervalMicros = opt.sampleMicros;
-    cfg.perfEnabled = opt.perf;
     cfg.warmTables = false; // 10M-flow tables are paged in by insert
     cfg.openflowRules = &ofRules;
     cfg.decoupled = true;
@@ -253,7 +175,7 @@ runOnce(const Cell &cell, EmcPolicy policy, const Options &opt,
         // the disable edge.
         cfg.emcPolicy.disableRepeatFraction = 0.15;
         cfg.emcPolicy.enableRepeatFraction = 0.30;
-        if (opt.smoke) {
+        if (flags.smoke) {
             // Smoke runs are short and may execute under TSan at a
             // fraction of native throughput: shorten the control epoch
             // and accept small estimator windows so the controller
@@ -269,65 +191,15 @@ runOnce(const Cell &cell, EmcPolicy policy, const Options &opt,
             cfg.emcPolicy.minWindowSamples = 64;
         }
     }
-    if (opt.smoke)
+    if (flags.smoke)
         cfg.revalidator.sweepIntervalMicros = 200;
-    if (!opt.tracePath.empty() && last_run) {
-        cfg.traceCapacity = 1 << 15;
-        cfg.revalidator.traceCapacity = 1 << 14;
-    }
+    applyTelemetry(cfg, flags, lastRun);
 
     const RuleSet empty;
     Runtime rt(cfg, empty);
 
-    // Steady state: install every flow as an exact-match megaflow
-    // entry in its owning shard, exactly the entries the revalidator
-    // would install one upcall at a time. Single-threaded, pre-start:
-    // the workers have not spawned, so plain inserts are safe.
-    const std::uint64_t fallbackValue =
-        encodeRuleValue(ofRules.front().action, ofRules.front().priority);
-    std::vector<unsigned> exactTuple(opt.workers);
-    for (unsigned w = 0; w < opt.workers; ++w)
-        exactTuple[w] = rt.worker(w).vswitch().tupleSpace().ensureTuple(
-            FlowMask::exact());
-    std::uint64_t preinstalled = 0;
-    for (std::uint64_t id = 0; id < cell.flows; ++id) {
-        const FiveTuple t = tupleForId(id);
-        const unsigned shard = rt.dispatcher().shardFor(t);
-        const auto key = t.toKey();
-        TupleSpace &tuples = rt.worker(shard).vswitch().tupleSpace();
-        if (!tuples.table(exactTuple[shard])
-                 .insert(KeyView(key.data(), key.size()),
-                         fallbackValue)) {
-            std::fprintf(stderr,
-                         "error: pre-install failed at flow %llu of "
-                         "%llu (shard %u, capacity %llu)\n",
-                         static_cast<unsigned long long>(id),
-                         static_cast<unsigned long long>(cell.flows),
-                         shard,
-                         static_cast<unsigned long long>(perShardCap));
-            std::exit(1);
-        }
-        ++preinstalled;
-    }
-
-    obs::MetricsRegistry liveReg;
-    std::unique_ptr<obs::PromHttpExporter> exporter;
-    const bool want_prom =
-        last_run && (!opt.promPath.empty() || opt.promPortSet);
-    if (want_prom)
-        rt.registerMetrics(liveReg);
-    if (last_run && opt.promPortSet) {
-        obs::PromHttpExporter::Options eo;
-        eo.port = opt.promPort;
-        exporter = std::make_unique<obs::PromHttpExporter>(
-            eo, [&liveReg] { return liveReg.renderPrometheus(); });
-        if (exporter->start())
-            std::printf("serving GET http://127.0.0.1:%u/metrics\n",
-                        exporter->port());
-        else
-            std::fprintf(stderr, "warning: prom exporter: %s\n",
-                         exporter->lastError().c_str());
-    }
+    // Steady state: every flow pre-installed in its owning shard.
+    preinstallExact(rt, cell.flows, tupleForId, ofRules.front());
 
     // One stream per cell: the seed depends only on (flows, skew), so
     // every policy of a cell classifies the identical packet sequence
@@ -342,79 +214,25 @@ runOnce(const Cell &cell, EmcPolicy policy, const Options &opt,
     std::uint64_t distinct = 0;
     ShardFlowEstimator refEst(1ull << 20, 0);
 
-    rt.start();
-    rt.startSampler();
-    const auto t0 = SteadyClock::now();
-    for (std::uint64_t p = 0; p < opt.packets; ++p) {
-        const std::uint64_t id = zipf.sample(rng);
-        std::uint64_t &word = seen[id >> 6];
-        const std::uint64_t bit = 1ull << (id & 63);
-        if (!(word & bit)) {
-            word |= bit;
-            ++distinct;
-        }
-        refEst.observe(refHash(id));
-        const FiveTuple t = tupleForId(id);
-        rt.offer(Packet::fromTuple(t), t);
-    }
-    rt.drain();
-    const auto t1 = SteadyClock::now();
-    rt.stopSampler();
-    rt.stop();
-
-    if (exporter) {
-        exporter->stop();
-        std::printf("prom exporter served %llu scrape%s\n",
-                    static_cast<unsigned long long>(
-                        exporter->scrapesServed()),
-                    exporter->scrapesServed() == 1 ? "" : "s");
-    }
-
-    const RuntimeReport rep = rt.report();
-    const double wallSeconds =
-        std::chrono::duration<double>(t1 - t0).count();
-
-    if (cfg.traceCapacity) {
-        std::ofstream trace(opt.tracePath);
-        if (!trace) {
-            std::fprintf(stderr, "error: cannot write %s\n",
-                         opt.tracePath.c_str());
-            std::exit(1);
-        }
-        rt.writeChromeTrace(trace);
-        std::printf("wrote %s\n", opt.tracePath.c_str());
-    }
-
     ScaleResult res;
     res.policy = policy;
     res.flows = cell.flows;
     res.skew = cell.skew;
     res.smallCase = cell.smallCase;
-    res.preinstalled = preinstalled;
-    res.offered = rep.aggregate.offered;
-    res.processed = rep.aggregate.processed;
-    res.matched = rep.aggregate.matched;
-    res.emcHits = rep.aggregate.emcHits;
-    res.ringFullDrops = rep.aggregate.ringFullDrops;
-    res.wallPps = wallSeconds > 0.0
-                      ? double(rep.aggregate.processed) / wallSeconds
-                      : 0.0;
-    res.batchP50Us = rep.batchP50Nanos / 1e3;
-    res.batchP99Us = rep.batchP99Nanos / 1e3;
-    for (const WorkerReport &w : rep.workers)
-        res.aggregateCpuPps +=
-            w.counters.busyNanos > 0
-                ? double(w.counters.packets) * 1e9 /
-                      double(w.counters.busyNanos)
-                : 0.0;
-    res.upcallsEnqueued = rep.aggregate.upcallsEnqueued;
-    res.promotesEnqueued = rep.aggregate.promotesEnqueued;
-    res.upcallDrops = rep.aggregate.upcallDrops;
-    res.reval = rep.aggregate.revalidator;
-    res.samples = rep.samples;
-    res.perfEnabled = rep.perfEnabled;
-    res.perfDegraded = rep.perfDegraded;
-    res.perfStages = rep.perfStages;
+    res.rep = instrumentedRun(rt, flags, lastRun, [&] {
+        for (std::uint64_t p = 0; p < flags.packets; ++p) {
+            const std::uint64_t id = zipf.sample(rng);
+            std::uint64_t &word = seen[id >> 6];
+            const std::uint64_t bit = 1ull << (id & 63);
+            if (!(word & bit)) {
+                word |= bit;
+                ++distinct;
+            }
+            refEst.observe(refHash(id));
+            const FiveTuple t = tupleForId(id);
+            rt.offer(Packet::fromTuple(t), t);
+        }
+    });
 
     for (unsigned w = 0; w < rt.numWorkers(); ++w) {
         ExactMatchCache &emc = rt.worker(w).vswitch().emc();
@@ -438,31 +256,19 @@ runOnce(const Cell &cell, EmcPolicy policy, const Options &opt,
                   double(distinct)
             : 0.0;
 
-    if (!opt.promPath.empty() && last_run) {
-        liveReg.gauge("halo_rt_aggregate_cpu_pps", {},
-                      res.aggregateCpuPps);
-        std::ofstream prom(opt.promPath);
-        if (!prom) {
-            std::fprintf(stderr, "error: cannot write %s\n",
-                         opt.promPath.c_str());
-            std::exit(1);
-        }
-        liveReg.writePrometheus(prom);
-        std::printf("wrote %s\n", opt.promPath.c_str());
-    }
-
+    const RevalidatorCounters &rv = res.rep.aggregate.revalidator;
     std::printf(
         "%-8s %8llu flows zipf %.2f: %10.0f pkt/s cpu, %9.0f wall, "
         "emc %llu/%llu h/m, ctrl d%llu/e%llu/r%llu, thr %llu\n",
         policyName(policy),
         static_cast<unsigned long long>(cell.flows), cell.skew,
-        res.aggregateCpuPps, res.wallPps,
+        res.pps(), wallPps(res.rep),
         static_cast<unsigned long long>(res.emcLookupHits),
         static_cast<unsigned long long>(res.emcLookupMisses),
-        static_cast<unsigned long long>(res.reval.ctrlDisables),
-        static_cast<unsigned long long>(res.reval.ctrlEnables),
-        static_cast<unsigned long long>(res.reval.ctrlResizes),
-        static_cast<unsigned long long>(res.reval.promotesThrottled));
+        static_cast<unsigned long long>(rv.ctrlDisables),
+        static_cast<unsigned long long>(rv.ctrlEnables),
+        static_cast<unsigned long long>(rv.ctrlResizes),
+        static_cast<unsigned long long>(rv.promotesThrottled));
     return res;
 }
 
@@ -482,58 +288,55 @@ policyRatio(const std::vector<ScaleResult> &runs, std::uint64_t flows,
 {
     const ScaleResult *n = findRun(runs, flows, skew, num);
     const ScaleResult *d = findRun(runs, flows, skew, den);
-    return n && d && d->aggregateCpuPps > 0.0
-               ? n->aggregateCpuPps / d->aggregateCpuPps
-               : 0.0;
+    return n && d && d->pps() > 0.0 ? n->pps() / d->pps() : 0.0;
 }
 
-void
-writeJson(const Options &opt, const std::vector<Cell> &cells,
-          const std::vector<ScaleResult> &runs)
+
+/** Headline cells: the largest swept population at its least-skewed
+ *  (most EMC-hostile) setting, and the small-case reference. */
+struct Headline
 {
-    // Headline cells: the largest swept population at its least-skewed
-    // (most EMC-hostile) setting, and the small-case reference.
     std::uint64_t bigFlows = 0;
     double bigSkew = 0.0;
     std::uint64_t smallFlows = 0;
     double smallSkew = 0.0;
-    for (const Cell &c : cells) {
-        if (c.smallCase) {
-            smallFlows = c.flows;
-            smallSkew = c.skew;
-        } else if (c.flows > bigFlows ||
-                   (c.flows == bigFlows && c.skew < bigSkew)) {
-            bigFlows = c.flows;
-            bigSkew = c.skew;
+    bool hasSmall = false;
+
+    explicit Headline(const std::vector<Cell> &cells)
+    {
+        for (const Cell &c : cells) {
+            if (c.smallCase) {
+                smallFlows = c.flows;
+                smallSkew = c.skew;
+                hasSmall = true;
+            } else if (c.flows > bigFlows ||
+                       (c.flows == bigFlows && c.skew < bigSkew)) {
+                bigFlows = c.flows;
+                bigSkew = c.skew;
+            }
         }
     }
+};
 
-    std::ofstream out(opt.outPath);
-    if (!out) {
-        std::fprintf(stderr, "error: cannot write %s\n",
-                     opt.outPath.c_str());
-        std::exit(1);
-    }
+void
+writeJson(const BenchFlags &flags, const Options &opt,
+          const Headline &h, const std::vector<ScaleResult> &runs)
+{
+    std::ofstream out = openOutput(flags.outPath);
     obs::JsonWriter j(out);
-    j.beginObject();
-    j.kv("benchmark", "flowscale_throughput");
-    obs::writeMetaBlock(j);
-    j.kv("packets_per_run", opt.packets);
+    writeHeader(j, "flowscale_throughput", flags,
+                runs.back().rep.perfDegraded);
     j.kv("workers", opt.workers);
     j.kv("emc_entries", opt.emcEntries);
-    j.kv("smoke", opt.smoke);
-    j.kv("host_cpus", std::thread::hardware_concurrency());
-    j.kv("perf_enabled", opt.perf);
-    j.kv("perf_degraded", !runs.empty() && runs.back().perfDegraded);
     j.kv("headline_adaptive_over_fixed",
-         policyRatio(runs, bigFlows, bigSkew, EmcPolicy::Adaptive,
+         policyRatio(runs, h.bigFlows, h.bigSkew, EmcPolicy::Adaptive,
                      EmcPolicy::Fixed), 3);
     j.kv("headline_off_over_fixed",
-         policyRatio(runs, bigFlows, bigSkew, EmcPolicy::Off,
+         policyRatio(runs, h.bigFlows, h.bigSkew, EmcPolicy::Off,
                      EmcPolicy::Fixed), 3);
     j.kv("small_case_adaptive_over_fixed",
-         policyRatio(runs, smallFlows, smallSkew, EmcPolicy::Adaptive,
-                     EmcPolicy::Fixed), 3);
+         policyRatio(runs, h.smallFlows, h.smallSkew,
+                     EmcPolicy::Adaptive, EmcPolicy::Fixed), 3);
     j.kv("methodology",
          "Each (flows, skew) cell pre-installs every flow as an "
          "exact-match megaflow entry in its owning shard, then pushes "
@@ -546,29 +349,23 @@ writeJson(const Options &opt, const std::vector<Cell> &cells,
          "committed baselines gate estimator accuracy without timing.");
     j.key("runs").beginArray();
     for (const ScaleResult &r : runs) {
+        const RuntimeSnapshot &a = r.rep.aggregate;
         j.beginObject();
         j.kv("policy", policyName(r.policy));
         j.kv("flows", r.flows);
         j.kv("zipf_skew", r.skew, 2);
         j.kv("small_case", r.smallCase);
-        j.kv("preinstalled", r.preinstalled);
-        j.kv("aggregate_cpu_pps", r.aggregateCpuPps, 1);
-        j.kv("wall_pps", r.wallPps, 1);
-        j.kv("offered", r.offered);
-        j.kv("processed", r.processed);
-        j.kv("matched", r.matched);
-        j.kv("emc_hits", r.emcHits);
-        j.kv("ring_full_drops", r.ringFullDrops);
-        j.kv("batch_p50_us", r.batchP50Us, 1);
-        j.kv("batch_p99_us", r.batchP99Us, 1);
-        j.kv("upcalls_enqueued", r.upcallsEnqueued);
-        j.kv("promotes_enqueued", r.promotesEnqueued);
-        j.kv("upcall_drops", r.upcallDrops);
-        j.kv("promotes", r.reval.promotes);
-        j.kv("promotes_throttled", r.reval.promotesThrottled);
-        j.kv("ctrl_disables", r.reval.ctrlDisables);
-        j.kv("ctrl_enables", r.reval.ctrlEnables);
-        j.kv("ctrl_resizes", r.reval.ctrlResizes);
+        j.kv("preinstalled", r.flows);
+        writeRunCommon(j, r.rep);
+        j.kv("emc_hits", a.emcHits);
+        j.kv("upcalls_enqueued", a.upcallsEnqueued);
+        j.kv("promotes_enqueued", a.promotesEnqueued);
+        j.kv("upcall_drops", a.upcallDrops);
+        j.kv("promotes", a.revalidator.promotes);
+        j.kv("promotes_throttled", a.revalidator.promotesThrottled);
+        j.kv("ctrl_disables", a.revalidator.ctrlDisables);
+        j.kv("ctrl_enables", a.revalidator.ctrlEnables);
+        j.kv("ctrl_resizes", a.revalidator.ctrlResizes);
         j.kv("emc_lookup_hits", r.emcLookupHits);
         j.kv("emc_lookup_misses", r.emcLookupMisses);
         j.kv("emc_evict_overwrites", r.emcEvictOverwrites);
@@ -579,20 +376,11 @@ writeJson(const Options &opt, const std::vector<Cell> &cells,
         j.kv("ref_estimate", r.refEstimate, 1);
         j.kv("ref_rel_error", r.refRelError, 4);
         j.kv("ref_saturated", r.refSaturated);
-        if (!r.samples.columns.empty()) {
-            j.key("samples");
-            writeSampleSeries(j, r.samples);
-        }
-        if (r.perfEnabled) {
-            j.key("perf");
-            writePerfBlock(j, r.perfEnabled, r.perfDegraded,
-                           r.perfStages);
-        }
         j.endObject();
     }
     j.endArray();
     j.endObject();
-    std::printf("\nwrote %s\n", opt.outPath.c_str());
+    std::printf("\nwrote %s\n", flags.outPath.c_str());
 }
 
 } // namespace
@@ -600,55 +388,26 @@ writeJson(const Options &opt, const std::vector<Cell> &cells,
 int
 main(int argc, char **argv)
 {
+    BenchFlags flags;
+    flags.outPath = "BENCH_flowscale.json";
+    flags.packets = 500000;
+    flags.sampleMicros = 2000;
     Options opt;
-    for (int i = 1; i < argc; ++i) {
-        const std::string arg = argv[i];
-        if (arg == "--out" && i + 1 < argc) {
-            opt.outPath = argv[++i];
-        } else if (arg == "--packets" && i + 1 < argc) {
-            opt.packets = std::strtoull(argv[++i], nullptr, 10);
-        } else if (arg == "--flows" && i + 1 < argc) {
-            opt.flowsOverride = std::strtoull(argv[++i], nullptr, 10);
-        } else if (arg == "--workers" && i + 1 < argc) {
-            opt.workers = static_cast<unsigned>(
-                std::strtoul(argv[++i], nullptr, 10));
-        } else if (arg == "--emc-entries" && i + 1 < argc) {
-            opt.emcEntries = std::strtoull(argv[++i], nullptr, 10);
-        } else if (arg == "--prom" && i + 1 < argc) {
-            opt.promPath = argv[++i];
-        } else if (arg == "--prom-port" && i + 1 < argc) {
-            opt.promPort = static_cast<std::uint16_t>(
-                std::strtoull(argv[++i], nullptr, 10));
-            opt.promPortSet = true;
-        } else if (arg == "--trace" && i + 1 < argc) {
-            opt.tracePath = argv[++i];
-        } else if (arg == "--sample-us" && i + 1 < argc) {
-            opt.sampleMicros = std::strtoull(argv[++i], nullptr, 10);
-        } else if (arg == "--smoke") {
-            opt.smoke = true;
-        } else if (arg == "--perf") {
-            opt.perf = true;
-        } else {
-            std::fprintf(stderr,
-                         "usage: %s [--out FILE] [--packets N] "
-                         "[--flows N] [--workers N] [--emc-entries N] "
-                         "[--smoke] [--prom FILE] [--prom-port N] "
-                         "[--trace FILE] [--sample-us N] [--perf]\n",
-                         argv[0]);
-            return 2;
-        }
-    }
+    parseFlags(argc, argv, flags, RuntimeFlags,
+               {numberFlag("--flows", "N", opt.flowsOverride,
+                           std::uint64_t{1}),
+                numberFlag("--workers", "N", opt.workers, 1u),
+                numberFlag("--emc-entries", "N", opt.emcEntries,
+                           std::uint64_t{1})});
 
     banner("Flow-scale throughput",
            "EMC policy (fixed/adaptive/off) at 1M-10M concurrent flows");
 
     std::vector<Cell> cells;
-    if (opt.smoke) {
-        opt.workers = 2;
-        if (opt.packets == 500000)
-            opt.packets = 80000;
-        if (opt.emcEntries == 65536)
-            opt.emcEntries = 4096;
+    if (flags.smoke) {
+        flags.unlessGiven("--workers", opt.workers, 2);
+        flags.unlessGiven("--packets", flags.packets, 80000);
+        flags.unlessGiven("--emc-entries", opt.emcEntries, 4096);
         cells.push_back({2000, 1.1, true});
         cells.push_back({30000, 0.5, false});
     } else if (opt.flowsOverride) {
@@ -669,45 +428,32 @@ main(int argc, char **argv)
              {EmcPolicy::Off, EmcPolicy::Fixed, EmcPolicy::Adaptive}) {
             const bool last = c + 1 == cells.size() &&
                               policy == EmcPolicy::Adaptive;
-            runs.push_back(runOnce(cells[c], policy, opt, last));
+            runs.push_back(runOnce(cells[c], policy, flags, opt, last));
         }
     }
-    writeJson(opt, cells, runs);
+    const Headline h(cells);
+    writeJson(flags, opt, h, runs);
 
     // Console headline: adaptive vs always-on at the hostile cell.
-    std::uint64_t bigFlows = 0;
-    double bigSkew = 0.0;
-    const Cell *smallCell = nullptr;
-    for (const Cell &c : cells) {
-        if (c.smallCase)
-            smallCell = &c;
-        else if (c.flows > bigFlows ||
-                 (c.flows == bigFlows && c.skew < bigSkew)) {
-            bigFlows = c.flows;
-            bigSkew = c.skew;
-        }
-    }
     const double bigRatio = policyRatio(
-        runs, bigFlows, bigSkew, EmcPolicy::Adaptive, EmcPolicy::Fixed);
+        runs, h.bigFlows, h.bigSkew, EmcPolicy::Adaptive,
+        EmcPolicy::Fixed);
     std::printf("adaptive/fixed @ %llu flows zipf %.2f: %.3fx\n",
-                static_cast<unsigned long long>(bigFlows), bigSkew,
+                static_cast<unsigned long long>(h.bigFlows), h.bigSkew,
                 bigRatio);
 
-    if (opt.smoke) {
+    bool ok = true;
+    for (const ScaleResult &r : runs)
+        ok &= conserved(r.rep, std::string(policyName(r.policy)) + " " +
+                                   std::to_string(r.flows) + " flows");
+    if (flags.smoke) {
         for (const ScaleResult &r : runs) {
-            if (r.aggregateCpuPps <= 0.0 || r.processed == 0 ||
-                r.processed != r.offered - r.ringFullDrops) {
-                std::fprintf(
-                    stderr,
-                    "smoke FAILED (%s %llu flows): pps=%.1f "
-                    "processed=%llu offered=%llu drops=%llu\n",
-                    policyName(r.policy),
-                    static_cast<unsigned long long>(r.flows),
-                    r.aggregateCpuPps,
-                    static_cast<unsigned long long>(r.processed),
-                    static_cast<unsigned long long>(r.offered),
-                    static_cast<unsigned long long>(r.ringFullDrops));
-                return 1;
+            if (r.pps() <= 0.0) {
+                std::fprintf(stderr,
+                             "smoke FAILED (%s %llu flows): zero pps\n",
+                             policyName(r.policy),
+                             static_cast<unsigned long long>(r.flows));
+                ok = false;
             }
             if (!r.refSaturated && r.refRelError > 0.30) {
                 std::fprintf(stderr,
@@ -717,42 +463,46 @@ main(int argc, char **argv)
                              static_cast<unsigned long long>(
                                  r.streamDistinctFlows),
                              r.refEstimate);
-                return 1;
+                ok = false;
             }
         }
         const ScaleResult *adaptBig =
-            findRun(runs, bigFlows, bigSkew, EmcPolicy::Adaptive);
-        if (!adaptBig ||
-            adaptBig->reval.ctrlDisables + adaptBig->reval.ctrlEnables +
-                    adaptBig->reval.ctrlResizes ==
-                0) {
+            findRun(runs, h.bigFlows, h.bigSkew, EmcPolicy::Adaptive);
+        const RevalidatorCounters *rv =
+            adaptBig ? &adaptBig->rep.aggregate.revalidator : nullptr;
+        if (!rv ||
+            rv->ctrlDisables + rv->ctrlEnables + rv->ctrlResizes == 0) {
             std::fprintf(stderr,
                          "smoke FAILED: adaptive controller never "
                          "acted at the high-flow cell\n");
-            return 1;
+            ok = false;
         }
         if (bigRatio < 1.0) {
             std::fprintf(stderr,
                          "smoke FAILED: adaptive %.3fx fixed at %llu "
                          "flows (< 1.0x)\n",
                          bigRatio,
-                         static_cast<unsigned long long>(bigFlows));
-            return 1;
+                         static_cast<unsigned long long>(h.bigFlows));
+            ok = false;
         }
         const double smallRatio =
-            smallCell ? policyRatio(runs, smallCell->flows,
-                                    smallCell->skew,
-                                    EmcPolicy::Adaptive,
-                                    EmcPolicy::Fixed)
-                      : 1.0;
+            h.hasSmall ? policyRatio(runs, h.smallFlows, h.smallSkew,
+                                     EmcPolicy::Adaptive,
+                                     EmcPolicy::Fixed)
+                       : 1.0;
         if (smallRatio < 0.85) {
             std::fprintf(stderr,
                          "smoke FAILED: adaptive %.3fx fixed at the "
                          "small-case cell (< 0.85x)\n",
                          smallRatio);
-            return 1;
+            ok = false;
         }
-        std::printf("smoke OK\n");
+        if (flags.perf)
+            ok &= perfStagesRecorded(runs.back().rep);
     }
+    if (!ok)
+        return 1;
+    if (flags.smoke)
+        std::printf("smoke OK\n");
     return 0;
 }

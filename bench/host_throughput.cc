@@ -17,27 +17,25 @@
  * paths (lookupUntracedBulk, lookupBulk, lookupFirstBulk,
  * processBurst) added on top of the seed.
  *
- * Usage:
- *   host_throughput [--out FILE] [--baseline FILE] [--min-time SECS]
- *                   [--prom FILE] [--burst N] [--perf]
+ * Usage: host_throughput [--out FILE] [--prom FILE] [--smoke] [--perf]
+ *                        [--baseline FILE] [--min-time SECS] [--burst N]
  *
- *   --out      JSON output path (default BENCH_host_throughput.json)
+ * Shared flags: see bench_common.hh. Here --out defaults to
+ * BENCH_host_throughput.json; --prom writes
+ * halo_host_ops_per_sec{bench="..."}; --smoke shortens --min-time to
+ * 0.05 unless it is given; --perf opens one main-thread PMU group and
+ * records one exact-read pass per benchmark ("hw" per bench; rdtsc-only
+ * with perf_degraded when the syscall is refused).
+ *
  *   --baseline a previous output of this harness (e.g. one produced
  *              from the seed tree); its numbers are embedded under
  *              "seed" and per-benchmark speedups are computed
  *   --min-time minimum measured wall time per benchmark (default 0.5)
- *   --prom     also write the results in Prometheus text exposition
- *              format (halo_host_ops_per_sec{bench="..."})
  *   --burst    batch window for the *_burst benchmarks (default 16,
  *              clamped to [1, 32]; 1 routes through the scalar APIs,
  *              reproducing the scalar numbers). The cuckoo sweep
  *              cuckoo_lookup_burst{4,8,16,32} always runs all four
  *              sizes regardless.
- *   --perf     hardware counters (perf_event_open, main thread): one
- *              exact-read pass per benchmark records
- *              cycles/instructions/LLC/dTLB/branch misses per op into
- *              the JSON ("hw" per bench); degrades to rdtsc-only when
- *              the syscall is refused (perf_degraded)
  */
 
 #include <algorithm>
@@ -71,20 +69,9 @@ using Clock = std::chrono::steady_clock;
 double minTime = 0.5;
 unsigned burstWindow = 16;
 
-/** @name --perf: main-thread PMU group + per-bench exact deltas
- *  The sweep is single-threaded, so one group opened at startup covers
- *  every benchmark; measure() adds one exact-read pass per bench. */
-/**@{*/
+/// --perf: the main-thread PMU group and one exact pass per bench.
 std::unique_ptr<obs::PerfCounterGroup> perfGroup;
-
-struct HwStats
-{
-    bool valid = false; ///< PMU deltas usable (group not degraded)
-    double tscCyclesPerOp = 0.0;
-    std::array<double, obs::numPerfEvents> perOp{};
-};
-std::map<std::string, HwStats> hwStats;
-/**@}*/
+std::map<std::string, HwPass> hwStats;
 
 /** Measured results, in insertion order plus keyed access. */
 struct Results
@@ -129,27 +116,10 @@ measure(const char *name, std::uint64_t batch, Body &&body)
     std::printf("%-28s %12.0f ops/s  (%.2f Mops, best of %llu passes)\n",
                 name, rate, rate / 1e6,
                 static_cast<unsigned long long>(passes));
-    if (perfGroup) {
-        // Hardware truth: one more pass with exact PMU reads around
-        // it. Runs after the timed loop, so caches are steady-state
-        // and the pass does not perturb the reported rate.
-        const obs::PerfGroupReading r0 = perfGroup->read();
-        const std::uint64_t t0 = obs::perfTscNow();
-        body();
-        const std::uint64_t t1 = obs::perfTscNow();
-        const obs::PerfGroupReading r1 = perfGroup->read();
-        HwStats hw;
-        hw.tscCyclesPerOp =
-            static_cast<double>(t1 - t0) / static_cast<double>(batch);
-        if (r0.hwValid && r1.hwValid) {
-            const auto delta = obs::perfScaledDelta(r0, r1);
-            hw.valid = true;
-            for (unsigned e = 0; e < obs::numPerfEvents; ++e)
-                hw.perOp[e] = static_cast<double>(delta[e]) /
-                              static_cast<double>(batch);
-        }
-        hwStats[name] = hw;
-    }
+    // Hardware truth: one more pass with exact PMU reads around it,
+    // after the timed loop so it does not perturb the reported rate.
+    if (perfGroup)
+        hwStats[name] = measureHw(*perfGroup, batch, body);
     return rate;
 }
 
@@ -560,11 +530,7 @@ void
 writeJson(const std::string &path, const Results &res,
           const std::map<std::string, double> &baseline)
 {
-    std::ofstream out(path);
-    if (!out) {
-        std::fprintf(stderr, "error: cannot write %s\n", path.c_str());
-        std::exit(1);
-    }
+    std::ofstream out = openOutput(path);
     obs::JsonWriter j(out);
     j.beginObject();
     j.kv("benchmark", "host_throughput");
@@ -581,15 +547,8 @@ writeJson(const std::string &path, const Results &res,
     if (!hwStats.empty()) {
         j.key("hw").beginObject();
         for (const auto &[name, hw] : hwStats) {
-            j.key(name).beginObject();
-            j.kv("valid", hw.valid);
-            j.kv("tsc_cycles_per_op", hw.tscCyclesPerOp, 2);
-            if (hw.valid)
-                for (unsigned e = 0; e < obs::numPerfEvents; ++e)
-                    j.kv(std::string(obs::perfEventName(e)) +
-                             "_per_op",
-                         hw.perOp[e], 4);
-            j.endObject();
+            j.key(name);
+            writeHwBlock(j, hw, "op");
         }
         j.endObject();
     }
@@ -658,13 +617,7 @@ writeProm(const std::string &path, const Results &res)
                 "halo_host_hw_llc_misses_per_op", {{"bench", name}},
                 hw.perOp[unsigned(obs::PerfEvent::LlcLoadMisses)]);
     }
-    std::ofstream out(path);
-    if (!out) {
-        std::fprintf(stderr, "error: cannot write %s\n", path.c_str());
-        std::exit(1);
-    }
-    reg.writePrometheus(out);
-    std::printf("wrote %s\n", path.c_str());
+    writePromFile(reg, path);
 }
 
 } // namespace
@@ -672,52 +625,23 @@ writeProm(const std::string &path, const Results &res)
 int
 main(int argc, char **argv)
 {
-    std::string outPath = "BENCH_host_throughput.json";
+    BenchFlags flags;
+    flags.outPath = "BENCH_host_throughput.json";
     std::string baselinePath;
-    std::string promPath;
-    bool perf = false;
-    for (int i = 1; i < argc; ++i) {
-        const std::string arg = argv[i];
-        if (arg == "--out" && i + 1 < argc) {
-            outPath = argv[++i];
-        } else if (arg == "--baseline" && i + 1 < argc) {
-            baselinePath = argv[++i];
-        } else if (arg == "--min-time" && i + 1 < argc) {
-            minTime = std::strtod(argv[++i], nullptr);
-        } else if (arg == "--prom" && i + 1 < argc) {
-            promPath = argv[++i];
-        } else if (arg == "--burst" && i + 1 < argc) {
-            const long v = std::strtol(argv[++i], nullptr, 10);
-            burstWindow = static_cast<unsigned>(
-                std::clamp(v, 1l, static_cast<long>(maxBulkLanes)));
-        } else if (arg == "--smoke") {
-            // CI mode: short passes — enough to compute the
-            // burst_speedup ratios the workflow gates on, without
-            // spending minutes on publication-grade numbers.
-            minTime = 0.05;
-        } else if (arg == "--perf") {
-            perf = true;
-        } else {
-            std::fprintf(stderr,
-                         "usage: %s [--out FILE] [--baseline FILE] "
-                         "[--min-time SECS] [--prom FILE] [--burst N] "
-                         "[--smoke] [--perf]\n",
-                         argv[0]);
-            return 2;
-        }
-    }
+    parseFlags(argc, argv, flags, OutFlag | PromFlag | SmokeFlag | PerfFlag,
+               {stringFlag("--baseline", "FILE", baselinePath),
+                numberFlag("--min-time", "SECS", minTime, 0.0),
+                burstFlag(burstWindow)});
+    // CI mode: short passes — enough to compute the burst_speedup
+    // ratios the workflow gates on, without spending minutes on
+    // publication-grade numbers.
+    if (flags.smoke)
+        flags.unlessGiven("--min-time", minTime, 0.05);
 
     banner("Host throughput",
            "wall-clock ops/sec of the functional fast paths");
 
-    if (perf) {
-        perfGroup = std::make_unique<obs::PerfCounterGroup>();
-        if (perfGroup->degraded())
-            std::fprintf(stderr,
-                         "note: perf_event_open failed (errno %d); "
-                         "recording rdtsc-only hw cycles\n",
-                         perfGroup->degradedErrno());
-    }
+    perfGroup = openPerfGroup(flags.perf);
 
     Results res;
     benchCuckoo(res);
@@ -737,8 +661,8 @@ main(int argc, char **argv)
     std::map<std::string, double> baseline;
     if (!baselinePath.empty())
         baseline = parseBaseline(baselinePath);
-    writeJson(outPath, res, baseline);
-    if (!promPath.empty())
-        writeProm(promPath, res);
+    writeJson(flags.outPath, res, baseline);
+    if (!flags.promPath.empty())
+        writeProm(flags.promPath, res);
     return 0;
 }

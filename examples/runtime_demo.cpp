@@ -58,30 +58,27 @@ main()
 
     const std::uint64_t packets = 100000;
     Runtime rt(cfg, rules);
-    rt.start();
-    rt.startSampler();
-    rt.startProducer(traffic, packets);
 
-    // 3. Any thread may watch progress without locks. Sleep between
-    //    polls: on small hosts a spinning observer starves the workers.
-    RuntimeSnapshot live = rt.snapshot();
-    while (live.offered < packets) {
-        std::this_thread::sleep_for(std::chrono::milliseconds(50));
-        live = rt.snapshot();
-        std::printf("  in flight: offered %8llu  processed %8llu\n",
-                    static_cast<unsigned long long>(live.offered),
-                    static_cast<unsigned long long>(live.processed));
-    }
-
-    rt.joinProducer();
-    rt.drain();
-    rt.stopSampler();
-    rt.stop();
+    // 3. run() owns the lifecycle (start, sampler, drain, stop); the
+    //    producer callable feeds packets and, meanwhile, watches
+    //    progress without locks — any thread may. Sleep between polls:
+    //    on small hosts a spinning observer starves the workers.
+    const RuntimeReport rep = rt.run([&] {
+        rt.startProducer(traffic, packets);
+        RuntimeSnapshot live = rt.snapshot();
+        while (live.offered < packets) {
+            std::this_thread::sleep_for(std::chrono::milliseconds(50));
+            live = rt.snapshot();
+            std::printf("  in flight: offered %8llu  processed %8llu\n",
+                        static_cast<unsigned long long>(live.offered),
+                        static_cast<unsigned long long>(live.processed));
+        }
+        rt.joinProducer();
+    });
 
     // 4. Exact post-stop reduction: published counters, SwitchTotals
     //    from each shard, and batch-latency percentiles from the merged
     //    per-worker HdrHistograms.
-    const RuntimeReport rep = rt.report();
     for (std::size_t w = 0; w < rep.workers.size(); ++w) {
         const WorkerReport &wr = rep.workers[w];
         std::printf("worker %zu: %8llu pkts  %7llu emc hits  "

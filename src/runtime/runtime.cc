@@ -664,14 +664,13 @@ Runtime::writeChromeTrace(std::ostream &os) const
 }
 
 RuntimeReport
-Runtime::run(const TrafficConfig &traffic, std::uint64_t packets)
+Runtime::run(const std::function<void()> &produce)
 {
     using SteadyClock = std::chrono::steady_clock;
     start();
     startSampler();
     const auto t0 = SteadyClock::now();
-    startProducer(traffic, packets);
-    joinProducer();
+    produce();
     drain();
     const auto t1 = SteadyClock::now();
     stopSampler();
@@ -680,6 +679,12 @@ Runtime::run(const TrafficConfig &traffic, std::uint64_t packets)
     rep.wallSeconds =
         std::chrono::duration<double>(t1 - t0).count();
     return rep;
+}
+
+RuntimeReport
+Runtime::run(const TrafficConfig &traffic, std::uint64_t packets)
+{
+    return run([&] { startProducer(traffic, packets); joinProducer(); });
 }
 
 } // namespace halo

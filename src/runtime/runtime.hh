@@ -26,6 +26,7 @@
 #ifndef HALO_RUNTIME_RUNTIME_HH
 #define HALO_RUNTIME_RUNTIME_HH
 
+#include <functional>
 #include <memory>
 #include <ostream>
 #include <thread>
@@ -291,8 +292,11 @@ class Runtime
      *  stop(); empty trace when cfg.traceCapacity was 0. */
     void writeChromeTrace(std::ostream &os) const;
 
-    /** Convenience: start → produce → drain → stop → report, with
-     *  wallSeconds covering produce+drain. */
+    /** start → sampler → @p produce (an offer() loop, or
+     *  startProducer() + joinProducer()) → drain → stop → report;
+     *  wallSeconds covers produce + drain. */
+    RuntimeReport run(const std::function<void()> &produce);
+    /** run() driven by the built-in TrafficGenerator producer. */
     RuntimeReport run(const TrafficConfig &traffic,
                       std::uint64_t packets);
 

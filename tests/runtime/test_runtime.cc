@@ -162,6 +162,23 @@ TEST(Runtime, RingFullBackpressureDropsAreCounted)
     rt.drain();
     rt.stop();
     EXPECT_EQ(rt.snapshot().processed, s.enqueued);
+
+    // run() around a caller-side offer() loop: with live workers on
+    // the same tiny ring, every offered packet is still either
+    // processed or a counted drop, and run() times produce + drain.
+    Runtime live(cfg, wl.rules);
+    const std::uint64_t packets = 5000;
+    const RuntimeReport rep = live.run([&] {
+        for (std::uint64_t i = 0; i < packets; ++i) {
+            const FiveTuple &t = gen.nextTuple();
+            live.offer(Packet::fromTuple(t), t);
+        }
+    });
+    EXPECT_EQ(rep.aggregate.offered, packets);
+    EXPECT_EQ(rep.aggregate.processed, rep.aggregate.enqueued);
+    EXPECT_EQ(rep.aggregate.processed + rep.aggregate.ringFullDrops,
+              packets);
+    EXPECT_GT(rep.wallSeconds, 0.0);
 }
 
 /**
