@@ -393,8 +393,7 @@ main(int argc, char **argv)
                          i + maxBulkLanes <= lookups;
                          i += maxBulkLanes) {
                         checksum += mt.table.lookupUntracedBulk(
-                            &sched[i % schedLen], maxBulkLanes, values,
-                            nullptr);
+                            &sched[i % schedLen], maxBulkLanes, values);
                     }
                     dt = std::min(dt, nowSeconds() - t0);
                 }

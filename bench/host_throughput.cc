@@ -13,9 +13,9 @@
  * The scalar benchmarks are deliberately restricted to APIs that exist
  * in the seed tree (lookup/insert, lookupFirst, processPacket), so
  * they keep measuring the same thing the embedded --baseline numbers
- * did. The *_burst benchmarks exercise the batched, prefetch-pipelined
- * paths (lookupUntracedBulk, lookupBulk, lookupFirstBulk,
- * processBurst) added on top of the seed.
+ * did. The *_burst benchmarks exercise the untraced, batched,
+ * prefetch-pipelined table paths (lookupUntracedBulk, lookupBulk,
+ * lookupFirstBulk) added on top of the seed.
  *
  * Usage: host_throughput [--out FILE] [--prom FILE] [--smoke] [--perf]
  *                        [--baseline FILE] [--min-time SECS] [--burst N]
@@ -445,42 +445,6 @@ benchProcessPacket(Results &out, LookupMode mode, const char *name)
     }));
 }
 
-// --- End-to-end processBurst (software mode, batched pipeline). ---
-void
-benchProcessBurst(Results &out)
-{
-    Machine m(6ull << 30);
-    TrafficGenerator gen(TrafficGenerator::scenarioConfig(
-        TrafficScenario::ManyFlows, 100000));
-    const RuleSet rules =
-        scenarioRules(TrafficScenario::ManyFlows, gen.flows(), 0x303);
-
-    VSwitchConfig vcfg;
-    vcfg.mode = LookupMode::Software;
-    vcfg.burstLanes = burstWindow;
-    vcfg.tupleConfig.tupleCapacity =
-        nextPowerOfTwo(maxRulesPerMask(rules) + 64);
-    VirtualSwitch vs(m.mem, m.hier, m.core, &m.halo, vcfg);
-    vs.installRules(rules);
-    vs.warmTables();
-
-    constexpr std::uint64_t batch = 2048;
-    std::vector<Packet> packets;
-    packets.reserve(batch);
-    for (std::uint64_t i = 0; i < batch; ++i)
-        packets.push_back(gen.nextPacket());
-    std::vector<PacketResult> results(batch);
-
-    out.add("process_burst_software",
-            measure("process_burst_software", batch, [&] {
-                std::uint64_t acc = 0;
-                vs.processBurst(packets, results);
-                for (const PacketResult &r : results)
-                    acc += r.matched ? 1 : 0;
-                sink = acc;
-            }));
-}
-
 /**
  * Parse a previous output of this harness: scans for
  * `"name": value` pairs inside the "ops_per_sec" object. Good enough
@@ -570,8 +534,6 @@ writeJson(const std::string &path, const Results &res,
         {"cuckoo_dram", "cuckoo_lookup_dram", "cuckoo_lookup_dram_burst"},
         {"emc", "emc_probe", "emc_probe_burst"},
         {"tuple_space", "tuple_space_first", "tuple_space_first_burst"},
-        {"process_software", "process_packet_software",
-         "process_burst_software"},
     };
     for (const Pair &p : pairs) {
         const double scalar_ops = find(p.scalar);
@@ -656,7 +618,6 @@ main(int argc, char **argv)
                        "process_packet_halo_nonblocking");
     benchProcessPacket(res, LookupMode::Hybrid,
                        "process_packet_hybrid");
-    benchProcessBurst(res);
 
     std::map<std::string, double> baseline;
     if (!baselinePath.empty())

@@ -24,21 +24,15 @@
  * Chrome trace_event JSON; --prom dumps the final run's metrics in
  * Prometheus text exposition format.
  *
- * Usage: multiworker_throughput [shared flags] [--burst N]
+ * Usage: multiworker_throughput [shared flags]
  *
  * Shared flags: see bench_common.hh. Defaults here: --out
  * BENCH_multiworker.json, --packets 200000, --sample-us 2000.
  *
- *   --burst     classification burst width per worker (default 16,
- *               clamped to [1, 32]; 1 = scalar processPacket loop,
- *               reproducing the per-packet numbers)
- *
  * --smoke runs 20000 packets (unless --packets is given) through 2
- * workers, one scalar run then one burst run, and exits nonzero unless
- * throughput is nonzero, the sampler recorded samples, --trace
- * captured events, and the burst run holds at least 90% of the scalar
- * run's aggregate cpu-pps. Every run, smoke or not, must conserve
- * packets.
+ * workers and exits nonzero unless throughput is nonzero, the sampler
+ * recorded samples and --trace captured events. Every run, smoke or
+ * not, must conserve packets.
  */
 
 #include <cstdint>
@@ -59,14 +53,13 @@ namespace {
 struct ScaleResult
 {
     unsigned workers = 0;
-    unsigned classifyBurst = 1;
     RuntimeReport rep;
     std::uint64_t traceEvents = 0;
 };
 
 ScaleResult
-runOnce(unsigned workers, unsigned burst, std::uint64_t flows,
-        const BenchFlags &flags, bool lastRun)
+runOnce(unsigned workers, std::uint64_t flows, const BenchFlags &flags,
+        bool lastRun)
 {
     const TrafficConfig traffic = TrafficGenerator::scenarioConfig(
         TrafficScenario::ManyFlows, flows);
@@ -78,14 +71,12 @@ runOnce(unsigned workers, unsigned burst, std::uint64_t flows,
     cfg.shardMemBytes = 2ull << 30; // lazily paged; bound, not footprint
     cfg.shard.vswitch.tupleConfig.tupleCapacity =
         nextPowerOfTwo(maxRulesPerMask(rules) + 64);
-    cfg.classifyBurst = burst;
     applyTelemetry(cfg, flags, lastRun);
 
     Runtime rt(cfg, rules);
 
     ScaleResult res;
     res.workers = workers;
-    res.classifyBurst = burst;
     // The --prom file adds each shard's StatGroups and per-worker
     // gauges, labeled per worker, to the live registry.
     res.rep = instrumentedRun(
@@ -110,9 +101,9 @@ runOnce(unsigned workers, unsigned burst, std::uint64_t flows,
         if (const obs::TraceRecorder *rec = rt.worker(w).traceRecorder())
             res.traceEvents += rec->recorded();
 
-    std::printf("%u worker%s (burst %2u): %10.0f pkt/s aggregate "
+    std::printf("%u worker%s: %10.0f pkt/s aggregate "
                 "(cpu-time), %9.0f pkt/s wall, %llu drops, %zu samples\n",
-                workers, workers == 1 ? " " : "s", burst,
+                workers, workers == 1 ? " " : "s",
                 aggregateCpuPps(res.rep), wallPps(res.rep),
                 static_cast<unsigned long long>(
                     res.rep.aggregate.ringFullDrops),
@@ -154,7 +145,6 @@ writeJson(const BenchFlags &flags, const std::vector<ScaleResult> &runs,
     for (const ScaleResult &r : runs) {
         j.beginObject();
         j.kv("workers", r.workers);
-        j.kv("classify_burst", r.classifyBurst);
         j.kv("speedup_vs_1worker",
              base > 0.0 ? aggregateCpuPps(r.rep) / base : 0.0, 2);
         writeRunCommon(j, r.rep);
@@ -189,9 +179,7 @@ main(int argc, char **argv)
     flags.outPath = "BENCH_multiworker.json";
     flags.packets = 200000;
     flags.sampleMicros = 2000;
-    unsigned burst = 16;
-    parseFlags(argc, argv, flags, RuntimeFlags,
-               {burstFlag(burst)});
+    parseFlags(argc, argv, flags, RuntimeFlags);
 
     banner("Multi-worker host throughput",
            "shared-nothing runtime scaling over ManyFlows");
@@ -199,29 +187,23 @@ main(int argc, char **argv)
     const std::uint64_t flows = flags.smoke ? 10000 : 100000;
     if (flags.smoke)
         flags.unlessGiven("--packets", flags.packets, 20000);
-    // Each pass is (workers, classify-burst). Smoke mode runs the same
-    // 2-worker config scalar-then-burst so the gate below can compare
-    // the two paths on identical load; the full sweep runs every worker
-    // count at the requested burst width.
-    std::vector<std::pair<unsigned, unsigned>> passes;
-    if (flags.smoke) {
-        passes.emplace_back(2u, 1u);
-        if (burst > 1)
-            passes.emplace_back(2u, burst);
-    } else {
-        for (unsigned w : {1u, 2u, 4u, 8u})
-            passes.emplace_back(w, burst);
-    }
+    // Smoke mode runs one 2-worker pass; the full sweep runs every
+    // worker count.
+    std::vector<unsigned> passes;
+    if (flags.smoke)
+        passes.push_back(2u);
+    else
+        passes = {1u, 2u, 4u, 8u};
 
     std::vector<ScaleResult> runs;
     for (std::size_t i = 0; i < passes.size(); ++i)
-        runs.push_back(runOnce(passes[i].first, passes[i].second, flows,
-                               flags, i + 1 == passes.size()));
+        runs.push_back(
+            runOnce(passes[i], flows, flags, i + 1 == passes.size()));
     writeJson(flags, runs, flows);
 
     bool ok = true;
     for (const ScaleResult &r : runs)
-        ok &= conserved(r.rep, "burst " + std::to_string(r.classifyBurst));
+        ok &= conserved(r.rep, std::to_string(r.workers) + " workers");
     if (flags.smoke) {
         for (std::size_t i = 0; i < runs.size(); ++i) {
             const ScaleResult &r = runs[i];
@@ -233,9 +215,9 @@ main(int argc, char **argv)
                                  r.traceEvents > 0;
             if (aggregateCpuPps(r.rep) <= 0.0 || !samplerOk || !traceOk) {
                 std::fprintf(stderr,
-                             "smoke FAILED (burst %u): pps=%.1f "
+                             "smoke FAILED (%u workers): pps=%.1f "
                              "samples=%zu trace_events=%llu\n",
-                             r.classifyBurst, aggregateCpuPps(r.rep),
+                             r.workers, aggregateCpuPps(r.rep),
                              r.rep.samples.samples(),
                              static_cast<unsigned long long>(
                                  r.traceEvents));
@@ -248,19 +230,6 @@ main(int argc, char **argv)
         // (degraded mode) — either way the stage totals exist.
         if (flags.perf)
             ok &= perfStagesRecorded(runs.back().rep);
-        // Burst must not regress below the scalar path. The runtime's
-        // per-packet cost is dominated by NF work, so parity (with 10%
-        // headroom for CI noise) is the bar, not a speedup.
-        const double scalarPps = aggregateCpuPps(runs[0].rep);
-        if (runs.size() == 2 &&
-            aggregateCpuPps(runs[1].rep) < 0.9 * scalarPps) {
-            std::fprintf(stderr,
-                         "smoke FAILED: burst %u aggregate %.1f pps < "
-                         "90%% of scalar %.1f pps\n",
-                         runs[1].classifyBurst,
-                         aggregateCpuPps(runs[1].rep), scalarPps);
-            ok = false;
-        }
     }
     if (!ok)
         return 1;

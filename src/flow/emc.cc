@@ -146,8 +146,7 @@ ExactMatchCache::lookup(
 std::uint32_t
 ExactMatchCache::lookupBulk(const std::uint8_t *const *keys,
                             std::size_t n, std::uint64_t *values,
-                            std::uint64_t (*slots)[2],
-                            AccessTrace *const *traces) const
+                            std::uint64_t (*slots)[2]) const
 {
     HALO_ASSERT(n <= maxBulkLanes, "bulk EMC probe burst too large");
 
@@ -155,9 +154,8 @@ ExactMatchCache::lookupBulk(const std::uint8_t *const *keys,
 
     if (concurrent_) [[unlikely]] {
         // Under a concurrent writer every probe must take the
-        // seqlock-validated path; lane-at-a-time (the decoupled
-        // runtime runs scalar workers, so this is off the hot path).
-        // lookupConcurrent counts the hits/misses.
+        // seqlock-validated path, lane at a time. lookupConcurrent
+        // counts the hits/misses.
         std::uint32_t found = 0;
         for (std::size_t i = 0; i < n; ++i) {
             const std::span<const std::uint8_t, FiveTuple::keyBytes> key(
@@ -165,8 +163,7 @@ ExactMatchCache::lookupBulk(const std::uint8_t *const *keys,
             const std::uint64_t h = hashKey(key);
             slots[i][0] = h & mask;
             slots[i][1] = (h >> 32) & mask;
-            if (const auto v =
-                    lookupConcurrent(key, traces ? traces[i] : nullptr)) {
+            if (const auto v = lookupConcurrent(key, nullptr)) {
                 values[i] = *v;
                 found |= 1u << i;
             }
@@ -212,12 +209,9 @@ ExactMatchCache::lookupBulk(const std::uint8_t *const *keys,
     std::uint32_t found = 0;
     for (std::size_t i = 0; i < n; ++i) {
         Lane &ln = lanes[i];
-        AccessTrace *tr = traces ? traces[i] : nullptr;
         for (int probe = 0; probe < 2; ++probe) {
-            const Addr slot = slotAddr(ln.idx[probe]);
-            recordRef(tr, slot, slotBytes, false, AccessPhase::Bucket,
-                      probe == 0);
-            const std::uint8_t *view = mem.rangeView(slot, slotBytes);
+            const std::uint8_t *view =
+                mem.rangeView(slotAddr(ln.idx[probe]), slotBytes);
             HALO_ASSERT(view, "EMC slot straddles a page");
             std::uint32_t slot_gen, slot_sig;
             std::memcpy(&slot_gen, view + genOffset, sizeof(slot_gen));

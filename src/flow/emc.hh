@@ -67,21 +67,16 @@ class ExactMatchCache
            AccessTrace *trace = nullptr) const;
 
     /**
-     * Pipelined bulk probe of @p n keys (n <= maxBulkLanes): hash all
-     * keys and prefetch their candidate slots first, then run the
-     * probes over warm lines. Bit i of the returned mask is set and
+     * Pipelined, untraced bulk probe of @p n keys (n <= maxBulkLanes):
+     * hash all keys and prefetch their candidate slots first, then run
+     * the probes over warm lines. Bit i of the returned mask is set and
      * values[i] holds the cached value for every hit; values of miss
-     * lanes are untouched.
-     *
-     * slots[i] receives lane i's two candidate slot indices (the burst
-     * classifier uses them to detect in-batch insert conflicts), and
-     * traces[i] — when @p traces is non-null — receives exactly the
-     * MemRefs the scalar lookup() would record, appended.
+     * lanes are untouched. slots[i] receives lane i's two candidate
+     * slot indices (insert() writes one of them).
      */
     std::uint32_t lookupBulk(const std::uint8_t *const *keys,
                              std::size_t n, std::uint64_t *values,
-                             std::uint64_t (*slots)[2],
-                             AccessTrace *const *traces = nullptr) const;
+                             std::uint64_t (*slots)[2]) const;
 
     /**
      * Insert (replaces the older of the two candidates on conflict).

@@ -96,7 +96,6 @@ TupleSpace::lookupFirstBulk(const std::uint8_t *const *keys,
     for (unsigned t = 0;
          t < static_cast<unsigned>(tuples.size()) && num_live; ++t) {
         const std::uint8_t *key_ptrs[maxBulkLanes];
-        AccessTrace *trace_ptrs[maxBulkLanes];
         std::uint64_t values[maxBulkLanes];
         for (std::size_t j = 0; j < num_live; ++j) {
             const unsigned lane = live[j];
@@ -105,18 +104,15 @@ TupleSpace::lookupFirstBulk(const std::uint8_t *const *keys,
                                               FiveTuple::keyBytes),
                 bulkMaskScratch[j].data());
             key_ptrs[j] = bulkMaskScratch[j].data();
-            trace_ptrs[j] = &lanes[lane]->trace;
         }
         const std::uint32_t hits = tuples[t]->table.lookupUntracedBulk(
-            key_ptrs, num_live, values, trace_ptrs);
+            key_ptrs, num_live, values);
 
         std::size_t out = 0;
         for (std::size_t j = 0; j < num_live; ++j) {
             const unsigned lane = live[j];
             BulkWalkLane &st = *lanes[lane];
             ++st.searched;
-            st.probeEnds.push_back(
-                static_cast<std::uint32_t>(st.trace.size()));
             if (hits & (1u << j)) {
                 st.found = true;
                 st.match = TupleMatch{values[j],

@@ -92,18 +92,9 @@ class TupleSpace
     lookupFirst(std::span<const std::uint8_t> key,
                 AccessTrace *trace = nullptr) const;
 
-    /**
-     * Per-lane state of one bulk first-match walk. The reference
-     * streams of all probes a lane performed are concatenated into
-     * `trace`; probe k (the k-th tuple this lane searched) covers
-     * trace[probeEnds[k-1] .. probeEnds[k]) with probeEnds[-1] = 0 —
-     * exactly the refs a scalar traced probe of that tuple would have
-     * recorded, so callers can price probes individually.
-     */
+    /** Per-lane result of one bulk first-match walk. */
     struct BulkWalkLane
     {
-        AccessTrace trace;
-        std::vector<std::uint32_t> probeEnds;
         unsigned searched = 0;
         bool found = false;
         TupleMatch match;
@@ -111,23 +102,21 @@ class TupleSpace
         void
         reset()
         {
-            trace.clear();
-            probeEnds.clear();
             searched = 0;
             found = false;
         }
     };
 
     /**
-     * Bulk first-match walk over @p n full (unmasked) keys of
+     * Untraced bulk first-match walk over @p n full (unmasked) keys of
      * FiveTuple::keyBytes each (n <= maxBulkLanes). Walks the tuples in
      * order; at each tuple every still-unmatched lane is masked and
      * probed through the pipelined CuckooHashTable::lookupUntracedBulk,
      * so the memory latency of one lane's probe hides behind the
      * others'. lanes[i] must be reset() by the caller; on return bit i
      * of the result mask is set for every lane whose match is filled
-     * in, and every lane's trace/probeEnds/searched describe the walk
-     * it performed (identical to the scalar first-match walk).
+     * in, and every lane's searched count equals the scalar
+     * first-match walk's.
      */
     std::uint32_t lookupFirstBulk(const std::uint8_t *const *keys,
                                   std::size_t n,

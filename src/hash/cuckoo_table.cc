@@ -450,27 +450,17 @@ CuckooHashTable::lookupConcurrent(KeyView key, AccessTrace *trace,
 
 std::uint32_t
 CuckooHashTable::lookupUntracedBulk(const std::uint8_t *const *keys,
-                                    std::size_t n, std::uint64_t *values,
-                                    AccessTrace *const *traces) const
+                                    std::size_t n,
+                                    std::uint64_t *values) const
 {
     HALO_ASSERT(n <= maxBulkLanes, "bulk lookup burst too large");
 
     if (concurrent_) [[unlikely]] {
         // The pipelined stages below read lines through plain loads;
         // under a concurrent writer every probe must go through the
-        // seqlock-validated path instead. Lane-at-a-time is fine: the
-        // decoupled runtime runs its workers scalar (classifyBurst=1).
+        // seqlock-validated path instead, lane at a time.
         std::uint32_t found = 0;
         for (std::size_t i = 0; i < n; ++i) {
-            if (traces) {
-                AccessTrace *tr = traces[i];
-                if (const auto v = lookupConcurrent(
-                        KeyView(keys[i], md.keyLen), tr, invalidAddr)) {
-                    values[i] = *v;
-                    found |= 1u << i;
-                }
-                continue;
-            }
             if (const auto v = lookupConcurrent(
                     KeyView(keys[i], md.keyLen), nullptr, invalidAddr)) {
                 values[i] = *v;
@@ -491,7 +481,6 @@ CuckooHashTable::lookupUntracedBulk(const std::uint8_t *const *keys,
         unsigned mask1;
     };
     Lane lanes[maxBulkLanes];
-    const bool low_entropy = md.numBuckets <= 8;
 
     // --- Stage 0: hash every key and prefetch both candidate bucket
     //     lines. By the time stage 1 reads lane 0's line, the other
@@ -508,31 +497,20 @@ CuckooHashTable::lookupUntracedBulk(const std::uint8_t *const *keys,
         __builtin_prefetch(ln.line1, 0, 3);
         if (ln.b2 != ln.b1 && !negFilter_)
             __builtin_prefetch(ln.line2, 0, 3);
-        if (traces) {
-            AccessTrace *tr = traces[i];
-            recordRef(tr, mdAddr, cacheLineBytes, false,
-                      AccessPhase::Metadata);
-            recordRef(tr, versionAddr(), 8, false, AccessPhase::Lock);
-            recordRef(tr, invalidAddr,
-                      static_cast<std::uint16_t>(md.keyLen), false,
-                      AccessPhase::KeyFetch);
-        }
     }
 
     // --- Stage 1: branchless signature scan over the (now likely
     //     cached) primary bucket line only — cuckoo hits land in the
-    //     primary bucket most of the time, and the scalar probe order
-    //     we must reproduce touches the alternate only after a primary
-    //     miss. Prefetch the candidate kv slots and keep the first
-    //     one's translation so stage 2 doesn't redo it.
+    //     primary bucket most of the time. Prefetch the candidate kv
+    //     slots and keep the first one's translation so stage 2
+    //     doesn't redo it.
     //
     //     The kv prefetch is worth ~15% when the slot array spills out
     //     of the LLC but costs more than it hides on cache-resident
     //     tables (the demand loads already overlap across lanes there),
-    //     so the untraced fast path gates it on table footprint. ---
+    //     so it is gated on table footprint. ---
     const std::uint64_t kv_bytes = md.kvSlots * md.kvSlotBytes;
-    const bool kv_prefetch =
-        traces || kv_bytes > (4ull << 20); // ~LLC-sized threshold
+    const bool kv_prefetch = kv_bytes > (4ull << 20); // ~LLC-sized
     for (std::size_t i = 0; i < n; ++i) {
         Lane &ln = lanes[i];
         ln.mask1 = sigScan(ln.line1, ln.sig);
@@ -559,175 +537,89 @@ CuckooHashTable::lookupUntracedBulk(const std::uint8_t *const *keys,
 
     std::uint32_t found = 0;
 
-    if (!traces) {
-        // --- Untraced stage 2, split in three sub-passes so the
-        //     alternate-bucket lanes (displaced keys) get the same
-        //     memory-level parallelism as the primary-bucket ones
-        //     instead of a serialized line+slot chain per lane. Probe
-        //     order across buckets doesn't matter here: a key lives in
-        //     at most one slot, so whichever pass finds it is the
-        //     unique answer. ---
-        auto probe = [&](std::size_t i, const std::uint8_t *line,
-                         unsigned way, const std::uint8_t *known,
-                         std::uint64_t &value) {
-            const BucketEntry entry = entryIn(line, way);
-            const Addr slot_addr = kvSlotAddr(md, entry.kvRef - 1);
-            const std::uint8_t *slot =
-                known ? known : mem.rangeView(slot_addr, md.kvSlotBytes);
-            std::uint8_t bounce[8 + 64];
-            if (!slot) [[unlikely]] { // slot straddles a page
-                mem.read(slot_addr, bounce, md.kvSlotBytes);
-                slot = bounce;
-            }
-            if (!bytesEqual(keys[i], slot + kvKeyOffset, md.keyLen))
-                return false;
-            std::memcpy(&value, slot + kvValueOffset, sizeof(value));
-            return true;
-        };
-
-        // 2a: primary-bucket compares; collect the lanes that miss.
-        std::uint8_t pending[maxBulkLanes];
-        unsigned mask2[maxBulkLanes];
-        std::size_t npending = 0;
-        for (std::size_t i = 0; i < n; ++i) {
-            Lane &ln = lanes[i];
-            bool hit = false;
-            std::uint64_t value = 0;
-            for (unsigned mask = ln.mask1; mask && !hit;
-                 mask &= mask - 1) {
-                const unsigned way =
-                    static_cast<unsigned>(std::countr_zero(mask));
-                hit = probe(i, ln.line1, way,
-                            mask == ln.mask1 ? ln.cand0 : nullptr,
-                            value);
-            }
-            if (hit) {
-                values[i] = value;
-                found |= 1u << i;
-            } else if (ln.b2 != ln.b1 &&
-                       (!negFilter_ || bloomMayContain(ln.line1, ln.sig))) {
-                if (negFilter_)
-                    __builtin_prefetch(ln.line2, 0, 3);
-                pending[npending++] = static_cast<std::uint8_t>(i);
-            }
+    // --- Stage 2, split in three sub-passes so the alternate-bucket
+    //     lanes (displaced keys) get the same memory-level parallelism
+    //     as the primary-bucket ones instead of a serialized line+slot
+    //     chain per lane. Probe order across buckets doesn't matter: a
+    //     key lives in at most one slot, so whichever pass finds it is
+    //     the unique answer. ---
+    auto probe = [&](std::size_t i, const std::uint8_t *line,
+                     unsigned way, const std::uint8_t *known,
+                     std::uint64_t &value) {
+        const BucketEntry entry = entryIn(line, way);
+        const Addr slot_addr = kvSlotAddr(md, entry.kvRef - 1);
+        const std::uint8_t *slot =
+            known ? known : mem.rangeView(slot_addr, md.kvSlotBytes);
+        std::uint8_t bounce[8 + 64];
+        if (!slot) [[unlikely]] { // slot straddles a page
+            mem.read(slot_addr, bounce, md.kvSlotBytes);
+            slot = bounce;
         }
+        if (!bytesEqual(keys[i], slot + kvKeyOffset, md.keyLen))
+            return false;
+        std::memcpy(&value, slot + kvValueOffset, sizeof(value));
+        return true;
+    };
 
-        // 2b: one shared alternate-bucket pass — scan every pending
-        //     lane's second line (prefetched since stage 0) and get its
-        //     kv slots in flight together.
-        for (std::size_t p = 0; p < npending; ++p) {
-            Lane &ln = lanes[pending[p]];
-            mask2[p] = sigScan(ln.line2, ln.sig);
-            for (unsigned mask = mask2[p]; mask; mask &= mask - 1) {
-                const unsigned way =
-                    static_cast<unsigned>(std::countr_zero(mask));
-                const BucketEntry entry = entryIn(ln.line2, way);
-                const std::uint8_t *ptr = mem.rangeView(
-                    kvSlotAddr(md, entry.kvRef - 1), md.kvSlotBytes);
-                if (ptr)
-                    __builtin_prefetch(ptr, 0, 3);
-            }
-        }
-
-        // 2c: alternate-bucket compares over the warm slots.
-        for (std::size_t p = 0; p < npending; ++p) {
-            const std::size_t i = pending[p];
-            Lane &ln = lanes[i];
-            bool hit = false;
-            std::uint64_t value = 0;
-            for (unsigned mask = mask2[p]; mask && !hit;
-                 mask &= mask - 1) {
-                const unsigned way =
-                    static_cast<unsigned>(std::countr_zero(mask));
-                hit = probe(i, ln.line2, way, nullptr, value);
-            }
-            if (hit) {
-                values[i] = value;
-                found |= 1u << i;
-            }
-        }
-        return found;
-    }
-
-    // --- Traced stage 2: key compares in scalar probe order (primary
-    //     bucket's candidates first, then the alternate's), value
-    //     gathers on hit. The alternate bucket is scanned lazily here,
-    //     exactly when the scalar walk would read it, so the recorded
-    //     reference stream is byte-identical to lookup()'s. ---
+    // 2a: primary-bucket compares; collect the lanes that miss.
+    std::uint8_t pending[maxBulkLanes];
+    unsigned mask2[maxBulkLanes];
+    std::size_t npending = 0;
     for (std::size_t i = 0; i < n; ++i) {
         Lane &ln = lanes[i];
-        AccessTrace *tr = traces ? traces[i] : nullptr;
-        if (tr) {
-            recordRef(tr, bucketAddr(md, ln.b1), cacheLineBytes, false,
-                      AccessPhase::Bucket, /*depends=*/true);
-            tr->back().lowEntropyBranch = low_entropy;
-        }
         bool hit = false;
         std::uint64_t value = 0;
-        auto probe_slot = [&](const BucketEntry &entry,
-                              const std::uint8_t *known) {
-            const Addr slot_addr = kvSlotAddr(md, entry.kvRef - 1);
-            if (tr) {
-                recordRef(tr, slot_addr,
-                          static_cast<std::uint16_t>(md.kvSlotBytes),
-                          false, AccessPhase::KeyValue,
-                          /*depends=*/true);
-                tr->back().lowEntropyBranch = low_entropy;
-            }
-            const std::uint8_t *slot =
-                known ? known : mem.rangeView(slot_addr, md.kvSlotBytes);
-            std::uint8_t bounce[8 + 64];
-            if (!slot) [[unlikely]] { // slot straddles a page
-                mem.read(slot_addr, bounce, md.kvSlotBytes);
-                slot = bounce;
-            }
-            if (bytesEqual(keys[i], slot + kvKeyOffset, md.keyLen)) {
-                std::memcpy(&value, slot + kvValueOffset,
-                            sizeof(value));
-                hit = true;
-            }
-        };
-        for (unsigned mask = ln.mask1; mask && !hit;
-             mask &= mask - 1) {
+        for (unsigned mask = ln.mask1; mask && !hit; mask &= mask - 1) {
             const unsigned way =
                 static_cast<unsigned>(std::countr_zero(mask));
-            probe_slot(entryIn(ln.line1, way),
-                       mask == ln.mask1 ? ln.cand0 : nullptr);
+            hit = probe(i, ln.line1, way,
+                        mask == ln.mask1 ? ln.cand0 : nullptr, value);
         }
-        if (!hit && ln.b2 != ln.b1 &&
-            (!negFilter_ || bloomMayContain(ln.line1, ln.sig))) {
-            if (tr) {
-                recordRef(tr, bucketAddr(md, ln.b2), cacheLineBytes,
-                          false, AccessPhase::Bucket,
-                          /*depends=*/false);
-                tr->back().lowEntropyBranch = low_entropy;
-            }
-            for (unsigned mask = sigScan(ln.line2, ln.sig);
-                 mask && !hit; mask &= mask - 1) {
-                const unsigned way =
-                    static_cast<unsigned>(std::countr_zero(mask));
-                probe_slot(entryIn(ln.line2, way), nullptr);
-            }
+        if (hit) {
+            values[i] = value;
+            found |= 1u << i;
+        } else if (ln.b2 != ln.b1 &&
+                   (!negFilter_ || bloomMayContain(ln.line1, ln.sig))) {
+            if (negFilter_)
+                __builtin_prefetch(ln.line2, 0, 3);
+            pending[npending++] = static_cast<std::uint8_t>(i);
         }
-        if (tr)
-            recordRef(tr, versionAddr(), 8, false, AccessPhase::Lock);
+    }
+
+    // 2b: one shared alternate-bucket pass — scan every pending
+    //     lane's second line (prefetched since stage 0) and get its
+    //     kv slots in flight together.
+    for (std::size_t p = 0; p < npending; ++p) {
+        Lane &ln = lanes[pending[p]];
+        mask2[p] = sigScan(ln.line2, ln.sig);
+        for (unsigned mask = mask2[p]; mask; mask &= mask - 1) {
+            const unsigned way =
+                static_cast<unsigned>(std::countr_zero(mask));
+            const BucketEntry entry = entryIn(ln.line2, way);
+            const std::uint8_t *ptr = mem.rangeView(
+                kvSlotAddr(md, entry.kvRef - 1), md.kvSlotBytes);
+            if (ptr)
+                __builtin_prefetch(ptr, 0, 3);
+        }
+    }
+
+    // 2c: alternate-bucket compares over the warm slots.
+    for (std::size_t p = 0; p < npending; ++p) {
+        const std::size_t i = pending[p];
+        Lane &ln = lanes[i];
+        bool hit = false;
+        std::uint64_t value = 0;
+        for (unsigned mask = mask2[p]; mask && !hit; mask &= mask - 1) {
+            const unsigned way =
+                static_cast<unsigned>(std::countr_zero(mask));
+            hit = probe(i, ln.line2, way, nullptr, value);
+        }
         if (hit) {
             values[i] = value;
             found |= 1u << i;
         }
     }
     return found;
-}
-
-void
-CuckooHashTable::prefetchBuckets(const std::uint8_t *key) const
-{
-    std::uint32_t sig = 0;
-    const std::uint64_t b1 = primaryBucket(KeyView(key, md.keyLen), sig);
-    const std::uint64_t b2 = alternativeBucket(b1, sig, md.bucketMask);
-    __builtin_prefetch(bucketLine(b1), 0, 3);
-    if (b2 != b1)
-        __builtin_prefetch(bucketLine(b2), 0, 3);
 }
 
 std::optional<std::uint64_t>

@@ -118,36 +118,24 @@ class CuckooHashTable
     bool erase(KeyView key, AccessTrace *trace = nullptr);
 
     /**
-     * Pipelined bulk lookup of @p n keys (n <= maxBulkLanes), the
-     * software analogue of DPDK's rte_hash_lookup_bulk: stage 0 hashes
-     * every key and software-prefetches both candidate bucket lines,
-     * stage 1 scans bucket signatures (SIMD when compiled in, see
-     * bucket_scan.hh) and prefetches every candidate key-value slot,
-     * stage 2 runs the key compares. With N keys in flight the DRAM
-     * latency of one lane's lines is hidden behind the other lanes'
-     * work instead of being eaten serially per lookup.
+     * Pipelined, untraced bulk lookup of @p n keys (n <= maxBulkLanes),
+     * the software analogue of DPDK's rte_hash_lookup_bulk: stage 0
+     * hashes every key and software-prefetches both candidate bucket
+     * lines, stage 1 scans bucket signatures (SIMD when compiled in,
+     * see bucket_scan.hh) and prefetches every candidate key-value
+     * slot, stage 2 runs the key compares. With N keys in flight the
+     * DRAM latency of one lane's lines is hidden behind the other
+     * lanes' work instead of being eaten serially per lookup. It
+     * records no reference stream: the traced scalar lookup() is the
+     * timing reference.
      *
      * keys[i] points at keyLen() bytes. On return, bit i of the result
      * mask is set and values[i] holds the stored value for every found
      * key; values of missing lanes are untouched.
-     *
-     * When @p traces is non-null, traces[i] (each non-null) receives
-     * exactly the reference stream the traced scalar lookup() would
-     * record for key i against the same table state, appended in probe
-     * order — byte-identical MemRefs, so burst callers can price the
-     * recorded probes instead of re-probing.
      */
-    std::uint32_t lookupUntracedBulk(
-        const std::uint8_t *const *keys, std::size_t n,
-        std::uint64_t *values,
-        AccessTrace *const *traces = nullptr) const;
-
-    /**
-     * Software-prefetch both candidate bucket lines of @p key (keyLen()
-     * bytes) without reading them — the warm-up half of a pipelined
-     * lookup, for callers that interleave their own probe stage.
-     */
-    void prefetchBuckets(const std::uint8_t *key) const;
+    std::uint32_t lookupUntracedBulk(const std::uint8_t *const *keys,
+                                     std::size_t n,
+                                     std::uint64_t *values) const;
     /**@}*/
 
     /** Items currently stored. Safe from any thread in concurrent mode

@@ -29,8 +29,7 @@ namespace halo {
 /** Entries per bucket; one bucket occupies exactly one cache line. */
 inline constexpr unsigned entriesPerBucket = 8;
 
-/** Largest lane count one bulk table operation processes; also the
- *  chunk-size ceiling of the vswitch burst classification pipeline. */
+/** Largest lane count one bulk table operation processes. */
 inline constexpr unsigned maxBulkLanes = 32;
 
 /** Bytes per bucket entry: 32-bit signature + 32-bit kv reference. */

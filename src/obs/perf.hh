@@ -13,7 +13,7 @@
  * enabled/running — the standard perf estimate).
  *
  * Attribution is per pipeline stage: a HALO_STAGE scope (obs/stage.hh)
- * charges its dynamic extent to a named stage ("vswitch/burst_emc",
+ * charges its dynamic extent to a named stage ("vswitch/emc",
  * "revalidator/sweep", ...). Because a PMU group
  * read is a syscall (~1 µs), a scope never reads the group on every
  * entry; it always accumulates an rdtsc delta (a few ns) and samples

@@ -43,13 +43,12 @@ namespace halo::obs {
 
 /** Every HALO_STAGE name; the index is the stage id. */
 inline constexpr std::string_view kStageNames[] = {
-    "worker/batch",          "worker/offload",
-    "vswitch/upcall",        "vswitch/burst_prepass",
-    "vswitch/burst_emc",     "vswitch/burst_tss",
-    "vswitch/emc",           "vswitch/tuple_space",
-    "vswitch/cuckoo",        "revalidator/drain",
-    "revalidator/upcall",    "revalidator/promote",
-    "revalidator/control",   "revalidator/sweep",
+    "worker/batch",        "worker/offload",
+    "vswitch/upcall",      "vswitch/emc",
+    "vswitch/tuple_space", "vswitch/cuckoo",
+    "revalidator/drain",   "revalidator/upcall",
+    "revalidator/promote", "revalidator/control",
+    "revalidator/sweep",
 };
 
 inline constexpr std::size_t numStages = std::size(kStageNames);

@@ -46,7 +46,6 @@ Runtime::Runtime(const RuntimeConfig &config, const RuleSet &rules)
         wc.shardMemBytes = cfg.shardMemBytes;
         wc.shard = cfg.shard;
         wc.shard.coreId = w;
-        wc.classifyBurst = cfg.classifyBurst;
         wc.warmTables = cfg.warmTables;
         wc.traceCapacity = cfg.traceCapacity;
         wc.perfEnabled = cfg.perfEnabled;
@@ -55,10 +54,6 @@ Runtime::Runtime(const RuntimeConfig &config, const RuleSet &rules)
         if (!estimators_.empty())
             wc.flowEstimator = estimators_[w].get();
         if (cfg.decoupled) {
-            // The burst prepass-replay assumes tables quiesce between
-            // prepass and replay; the revalidator writes concurrently,
-            // so decoupled workers classify scalar.
-            wc.classifyBurst = 1;
             wc.shard.vswitch.useOpenflowLayer = true;
             wc.shard.vswitch.deferSlowPath = true;
             wc.upcallRing = upcallRing_.get();

@@ -56,10 +56,9 @@ struct RuntimeConfig
     /// Bounded producer yields before a full ring drops the packet
     /// (0 = drop immediately). Never an unbounded block.
     unsigned enqueueRetries = 0;
-    /// Classification burst width per worker (see
-    /// WorkerConfig::classifyBurst). 1 = scalar processPacket loop;
-    /// > 1 drains ring batches through the prefetch-pipelined
-    /// VirtualSwitch::processBurst.
+    /// Read by nothing: every worker classifies its popped batch packet
+    /// by packet. Kept only because the perfbench harness still assigns
+    /// it; drop it with that harness's next revision.
     unsigned classifyBurst = 1;
     bool warmTables = true;
     /// Per-worker trace-event ring slots (0 = tracing off). See
@@ -82,10 +81,7 @@ struct RuntimeConfig
      * revalidator thread — the single writer — which resolves them
      * against the OpenFlow layer, installs exact-match megaflow
      * entries, and ages idle flows in the background. The megaflow
-     * tuple tables and EMCs run in seqlocked concurrent mode; the
-     * worker classifyBurst is forced to 1 (the burst prepass-replay
-     * assumes tables quiesce between prepass and replay, which a
-     * concurrent writer breaks).
+     * tuple tables and EMCs run in seqlocked concurrent mode.
      */
     bool decoupled = false;
     RevalidatorConfig revalidator;

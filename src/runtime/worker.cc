@@ -28,27 +28,16 @@ threadCpuNanos()
             .count());
 }
 
-/** Burst width > 1 turns on the shard vswitch's burst pipeline. */
-ShardConfig
-withBurstLanes(ShardConfig shard, unsigned classify_burst)
-{
-    if (classify_burst > 1)
-        shard.vswitch.burstLanes = classify_burst;
-    return shard;
-}
-
 } // namespace
 
 Worker::Worker(const WorkerConfig &config, const RuleSet &rules)
     : cfg(config),
       mem_(cfg.shardMemBytes),
-      shard_(mem_, withBurstLanes(cfg.shard, cfg.classifyBurst)),
+      shard_(mem_, cfg.shard),
       ring_(cfg.ringCapacity)
 {
     shard_.install(rules, cfg.warmTables);
     batchBuf_.resize(cfg.batchSize);
-    if (cfg.classifyBurst > 1)
-        resultBuf_.resize(cfg.batchSize);
     if (cfg.traceCapacity)
         trace_ = std::make_unique<obs::TraceRecorder>(cfg.traceCapacity);
     if (cfg.perfEnabled)
@@ -274,8 +263,8 @@ Worker::threadMain()
             ringHwm_.store(depth, std::memory_order_relaxed);
 
         // Report processing order to the reorder oracle before
-        // classification (burst and scalar paths both consume the
-        // batch in index order).
+        // classification (the loop below consumes the batch in index
+        // order).
         if (cfg.orderValidator) [[unlikely]] {
             for (std::size_t i = 0; i < n; ++i)
                 cfg.orderValidator->observe(batchBuf_[i]);
@@ -287,27 +276,14 @@ Worker::threadMain()
         std::uint64_t emc_hits = 0;
         {
             HALO_STAGE("worker/batch");
-            if (cfg.classifyBurst > 1) {
-                // Whole ring batches go through the burst pipeline;
-                // the vswitch chunks them to its burstLanes window.
-                vs.processBurst(
-                    std::span<const Packet>(batchBuf_.data(), n),
-                    std::span<PacketResult>(resultBuf_.data(), n));
-                for (std::size_t i = 0; i < n; ++i) {
-                    matched += resultBuf_[i].matched ? 1 : 0;
-                    emc_hits += resultBuf_[i].emcHit ? 1 : 0;
-                    if (cfg.upcallRing)
-                        offload(resultBuf_[i]);
-                }
-            } else {
-                for (std::size_t i = 0; i < n; ++i) {
-                    const PacketResult r =
-                        vs.processPacket(batchBuf_[i]);
-                    matched += r.matched ? 1 : 0;
-                    emc_hits += r.emcHit ? 1 : 0;
-                    if (cfg.upcallRing)
-                        offload(r);
-                }
+            // Offload right after each packet: the revalidator can
+            // install a missed flow while the rest of the batch runs.
+            for (std::size_t i = 0; i < n; ++i) {
+                const PacketResult r = vs.processPacket(batchBuf_[i]);
+                matched += r.matched ? 1 : 0;
+                emc_hits += r.emcHit ? 1 : 0;
+                if (cfg.upcallRing)
+                    offload(r);
             }
         }
         const std::uint64_t cpu1 = threadCpuNanos();

@@ -7,8 +7,8 @@
  * simulated state is shared between workers, so they scale without any
  * cross-shard synchronization, the NFOS/shared-nothing argument applied
  * to this codebase. Packets arrive through a single-producer ring and
- * are drained in configurable batches through the host fast path
- * (processPacket over warmed tables, untraced cuckoo scans underneath).
+ * are drained in configurable batches, each packet of a batch through
+ * VirtualSwitch::processPacket in order.
  *
  * Progress is published after every batch through PublishedCounter
  * (relaxed atomics, see sim/stats.hh): any thread may snapshot a
@@ -59,14 +59,6 @@ struct WorkerConfig
     /// Capacity of the worker's private simulated memory.
     std::uint64_t shardMemBytes = 1ull << 30;
     ShardConfig shard;
-    /**
-     * Classification burst width: ring batches are fed through
-     * VirtualSwitch::processBurst in chunks of this many packets, so
-     * the shard's prefetch-pipelined prepass overlaps their table
-     * probes. 1 keeps the legacy packet-by-packet processPacket loop.
-     * Values > 1 also set the shard vswitch's burstLanes.
-     */
-    unsigned classifyBurst = 1;
     bool warmTables = true;
     /// Trace-event ring slots for this worker's TraceRecorder
     /// (0 = no recorder). 16 bytes per slot.
@@ -275,7 +267,6 @@ class Worker
     std::unique_ptr<obs::TraceRecorder> trace_; ///< worker thread only
     std::unique_ptr<obs::PerfRecorder> perf_; ///< scopes: worker thread
     std::vector<Packet> batchBuf_;          ///< worker thread only
-    std::vector<PacketResult> resultBuf_;   ///< worker thread only
 
     /// Direct-mapped recent-miss cache (worker thread only):
     /// suppresses duplicate Miss upcalls for a flow while its install

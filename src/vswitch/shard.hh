@@ -35,9 +35,7 @@ struct ShardConfig
     /// HaloBlocking/HaloNonBlocking/Hybrid lookup modes).
     bool useHalo = false;
     HaloConfig halo;
-    /// Full datapath configuration, including vswitch.burstLanes — the
-    /// window of VirtualSwitch::classifyBurst / processBurst, which a
-    /// runtime Worker sets from WorkerConfig::classifyBurst.
+    /// Full datapath configuration.
     VSwitchConfig vswitch;
 };
 

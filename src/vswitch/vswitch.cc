@@ -144,10 +144,6 @@ VirtualSwitch::openflowUpcall(const FiveTuple &tuple, PacketResult &res,
     mega.priority = best->priority;
     mega.action = res.action;
     tuples.addRule(mega);
-    // The install changes what later lanes of an in-flight burst would
-    // find: their prepass walks are stale from here on.
-    if (burstActive)
-        burst.tssDirty = true;
 }
 
 LookupMode
@@ -291,150 +287,15 @@ VirtualSwitch::nbBurstChunk(std::span<const FiveTuple> batch,
     clock = now;
 }
 
-bool
-VirtualSwitch::emcPrepassConflicts(const SoftLane &lane) const
-{
-    for (const std::uint64_t slot : burst.writtenEmcSlots) {
-        if (slot == lane.emcSlots[0] || slot == lane.emcSlots[1])
-            return true;
-    }
-    return false;
-}
-
-void
-VirtualSwitch::burstChunkSoftware(std::span<const FiveTuple> batch,
-                                  PacketResult *out,
-                                  bool charge_io_stages,
-                                  const Packet *const *packets)
-{
-    const std::size_t n = batch.size();
-    HALO_ASSERT(n <= maxBulkLanes, "burst chunk too large");
-    burst.writtenEmcSlots.clear();
-    burst.tssDirty = false;
-
-    // --- Pipelined prepass: pure functional reads against the current
-    //     table state, simulation-invisible. Every lane's probe results
-    //     and reference streams are captured here; the replay below
-    //     prices them against the core model in packet order. ---
-    {
-        HALO_STAGE("vswitch/burst_prepass");
-        const std::uint8_t *key_ptrs[maxBulkLanes];
-        for (std::size_t i = 0; i < n; ++i) {
-            SoftLane &ln = burst.lanes[i];
-            ln.key = batch[i].toKey();
-            ln.emcProbed = false;
-            ln.emcHit = false;
-            ln.emcTrace.clear();
-            ln.walked = false;
-            ln.walk.reset();
-            key_ptrs[i] = ln.key.data();
-        }
-
-        std::uint32_t emc_hits = 0;
-        if (cfg.useEmc && emcCache.enabled()) {
-            HALO_STAGE("vswitch/burst_emc");
-            std::uint64_t values[maxBulkLanes];
-            std::uint64_t slots[maxBulkLanes][2];
-            AccessTrace *traces[maxBulkLanes];
-            for (std::size_t i = 0; i < n; ++i)
-                traces[i] = &burst.lanes[i].emcTrace;
-            emc_hits =
-                emcCache.lookupBulk(key_ptrs, n, values, slots, traces);
-            for (std::size_t i = 0; i < n; ++i) {
-                SoftLane &ln = burst.lanes[i];
-                ln.emcProbed = true;
-                ln.emcSlots[0] = slots[i][0];
-                ln.emcSlots[1] = slots[i][1];
-                if (emc_hits & (1u << i)) {
-                    ln.emcHit = true;
-                    ln.emcValue = values[i];
-                }
-            }
-        }
-
-        // Tuple-space walk for the EMC misses, all lanes in flight.
-        {
-            HALO_STAGE("vswitch/burst_tss");
-            const std::uint8_t *walk_keys[maxBulkLanes];
-            TupleSpace::BulkWalkLane *walk_lanes[maxBulkLanes];
-            unsigned lane_of[maxBulkLanes];
-            std::size_t m = 0;
-            for (std::size_t i = 0; i < n; ++i) {
-                if (emc_hits & (1u << i))
-                    continue;
-                walk_keys[m] = burst.lanes[i].key.data();
-                walk_lanes[m] = &burst.lanes[i].walk;
-                lane_of[m] = static_cast<unsigned>(i);
-                ++m;
-            }
-            if (m) {
-                const std::uint32_t walk_hits =
-                    tuples.lookupFirstBulk(walk_keys, m, walk_lanes);
-                for (std::size_t j = 0; j < m; ++j)
-                    burst.lanes[lane_of[j]].walked = true;
-                // Shared upcall warm-up: lanes the MegaFlow layer
-                // missed are about to probe every OpenFlow tuple;
-                // prefetch those bucket lines in one pass.
-                if (cfg.useOpenflowLayer) {
-                    std::array<std::uint8_t, FiveTuple::keyBytes> masked;
-                    for (std::size_t j = 0; j < m; ++j) {
-                        if (walk_hits & (1u << j))
-                            continue;
-                        for (unsigned t = 0; t < openflow.numTuples();
-                             ++t) {
-                            openflow.mask(t).applyInto(
-                                std::span<const std::uint8_t>(
-                                    walk_keys[j], FiveTuple::keyBytes),
-                                masked.data());
-                            openflow.table(t).prefetchBuckets(
-                                masked.data());
-                        }
-                    }
-                }
-            }
-        }
-    }
-
-    // --- Sequential replay: timing charges and every mutation (EMC
-    //     promotion, upcall install, hybrid observe) land in exact
-    //     scalar order; lanes invalidated by an earlier lane's write
-    //     fall back to the scalar path inside softwareClassify. ---
-    burstActive = true;
-    for (std::size_t i = 0; i < n; ++i) {
-        out[i] = classifyTupleAt(batch[i], charge_io_stages,
-                                 packets ? packets[i] : nullptr,
-                                 &burst.lanes[i]);
-    }
-    burstActive = false;
-}
-
 void
 VirtualSwitch::classifyBurst(std::span<const FiveTuple> batch,
                              std::span<PacketResult> results)
 {
     HALO_ASSERT(results.size() >= batch.size(),
                 "result span smaller than the batch");
-    const unsigned lanes =
-        std::clamp(cfg.burstLanes, 1u, maxBulkLanes);
-    switch (cfg.mode) {
-      case LookupMode::Software:
-        if (lanes > 1) {
-            for (std::size_t off = 0; off < batch.size(); off += lanes) {
-                const std::size_t c =
-                    std::min<std::size_t>(lanes, batch.size() - off);
-                burstChunkSoftware(batch.subspan(off, c),
-                                   results.data() + off, false, nullptr);
-            }
-            return;
-        }
-        break;
-      case LookupMode::HaloNonBlocking:
+    if (cfg.mode == LookupMode::HaloNonBlocking) {
         nbBurst(batch, results.data());
         return;
-      default:
-        // Blocking sequences on each result; Hybrid can flip engines
-        // mid-burst. Both classify packet by packet.
-        break;
     }
     for (std::size_t i = 0; i < batch.size(); ++i)
         results[i] = classifyTupleAt(batch[i], false, nullptr);
@@ -446,53 +307,14 @@ VirtualSwitch::processBurst(std::span<const Packet> batch,
 {
     HALO_ASSERT(results.size() >= batch.size(),
                 "result span smaller than the batch");
-    const unsigned lanes =
-        std::clamp(cfg.burstLanes, 1u, maxBulkLanes);
-    if (cfg.mode != LookupMode::Software || lanes <= 1) {
-        for (std::size_t i = 0; i < batch.size(); ++i)
-            results[i] = processPacket(batch[i]);
-        return;
-    }
-
-    // Gather runs of well-formed packets into burst chunks; a malformed
-    // packet flushes the run ahead of it, then drops in place exactly
-    // as processPacket drops it — result order and datapath state match
-    // the packet-by-packet loop.
-    FiveTuple tuple_buf[maxBulkLanes];
-    const Packet *pkt_buf[maxBulkLanes];
-    std::size_t run_start = 0;
-    std::size_t m = 0;
-    auto flush = [&] {
-        if (!m)
-            return;
-        burstChunkSoftware(std::span<const FiveTuple>(tuple_buf, m),
-                           results.data() + run_start, true, pkt_buf);
-        m = 0;
-    };
-    for (std::size_t i = 0; i < batch.size(); ++i) {
-        const auto parsed = batch[i].parseHeaders();
-        if (!parsed) {
-            flush();
-            ++sums.packets;
-            results[i] = PacketResult{};
-            continue;
-        }
-        if (m == 0)
-            run_start = i;
-        tuple_buf[m] = parsed->tuple();
-        pkt_buf[m] = &batch[i];
-        ++m;
-        if (m == lanes)
-            flush();
-    }
-    flush();
+    for (std::size_t i = 0; i < batch.size(); ++i)
+        results[i] = processPacket(batch[i]);
 }
 
 PacketResult
 VirtualSwitch::classifyTupleAt(const FiveTuple &tuple,
                                bool charge_io_stages,
-                               const Packet *packet,
-                               const SoftLane *lane)
+                               const Packet *packet)
 {
     PacketResult res;
     res.tuple = tuple;
@@ -537,7 +359,7 @@ VirtualSwitch::classifyTupleAt(const FiveTuple &tuple,
 
     switch (effectiveMode()) {
       case LookupMode::Software:
-        softwareClassify(tuple, res, now, lane);
+        softwareClassify(tuple, res, now);
         break;
       case LookupMode::HaloBlocking:
         haloBlockingClassify(tuple, res, now);
@@ -592,7 +414,7 @@ VirtualSwitch::classifyTupleAt(const FiveTuple &tuple,
 
 void
 VirtualSwitch::softwareClassify(const FiveTuple &tuple, PacketResult &res,
-                                Cycles &now, const SoftLane *lane)
+                                Cycles &now)
 {
     const auto key = tuple.toKey();
 
@@ -600,28 +422,11 @@ VirtualSwitch::softwareClassify(const FiveTuple &tuple, PacketResult &res,
     // relaxed flag load is the entire hybrid-mode cost then). ---
     if (cfg.useEmc && emcCache.enabled()) {
         HALO_STAGE("vswitch/emc");
-        bool hit = false;
-        std::uint64_t hit_value = 0;
-        const AccessTrace *refs = nullptr;
-        if (lane && lane->emcProbed && !emcPrepassConflicts(*lane)) {
-            // Replay the prepass probe: no earlier lane wrote either
-            // candidate slot, so a fresh lookup would read the same
-            // bytes and record the same refs.
-            hit = lane->emcHit;
-            hit_value = lane->emcValue;
-            refs = &lane->emcTrace;
-        } else {
-            refScratch.clear();
-            const auto emc_hit = emcCache.lookup(key, &refScratch);
-            if (emc_hit) {
-                hit = true;
-                hit_value = *emc_hit;
-            }
-            refs = &refScratch;
-        }
+        refScratch.clear();
+        const auto hit = emcCache.lookup(key, &refScratch);
         OpTrace &emc_ops = opScratch;
         emc_ops.clear();
-        emcBuilder.lowerTableOp(*refs, emc_ops);
+        emcBuilder.lowerTableOp(refScratch, emc_ops);
         RunResult rr = core.run(emc_ops, now);
         res.emcCycles = rr.elapsed();
         res.instructions += rr.instructions;
@@ -629,7 +434,7 @@ VirtualSwitch::softwareClassify(const FiveTuple &tuple, PacketResult &res,
         if (hit) {
             res.emcHit = true;
             res.matched = true;
-            res.action = Action::decode(hit_value);
+            res.action = Action::decode(*hit);
             return;
         }
     }
@@ -642,43 +447,24 @@ VirtualSwitch::softwareClassify(const FiveTuple &tuple, PacketResult &res,
         OpTrace &ops = opScratch;
         ops.clear();
         unsigned searched = 0;
-        if (lane && lane->walked && !burst.tssDirty) {
-            // Replay the prepass walk: the tuple tables are untouched
-            // since the bulk probe (EMC promotions don't live there),
-            // so price its recorded per-probe reference streams.
-            const TupleSpace::BulkWalkLane &walk = lane->walk;
-            std::uint32_t begin = 0;
-            for (const std::uint32_t end : walk.probeEnds) {
-                tableBuilder.lowerCompute(4, 2, 0, ops);
-                tableBuilder.lowerTableOp(
-                    std::span<const MemRef>(walk.trace.data() + begin,
-                                            end - begin),
-                    ops);
-                begin = end;
+        for (unsigned t = 0; t < tuples.numTuples(); ++t) {
+            tuples.mask(t).applyInto(key, maskScratch.data());
+            refScratch.clear();
+            std::optional<std::uint64_t> value;
+            {
+                HALO_STAGE("vswitch/cuckoo");
+                value = tuples.table(t).lookup(
+                    KeyView(maskScratch.data(), maskScratch.size()),
+                    &refScratch);
             }
-            searched = walk.searched;
-            if (walk.found)
-                match = walk.match;
-        } else {
-            for (unsigned t = 0; t < tuples.numTuples(); ++t) {
-                tuples.mask(t).applyInto(key, maskScratch.data());
-                refScratch.clear();
-                std::optional<std::uint64_t> value;
-                {
-                    HALO_STAGE("vswitch/cuckoo");
-                    value = tuples.table(t).lookup(
-                        KeyView(maskScratch.data(), maskScratch.size()),
-                        &refScratch);
-                }
-                // Mask application: a handful of vector ANDs per tuple.
-                tableBuilder.lowerCompute(4, 2, 0, ops);
-                tableBuilder.lowerTableOp(refScratch, ops);
-                ++searched;
-                if (value) {
-                    match = TupleMatch{*value, decodeRulePriority(*value),
-                                       t, searched};
-                    break;
-                }
+            // Mask application: a handful of vector ANDs per tuple.
+            tableBuilder.lowerCompute(4, 2, 0, ops);
+            tableBuilder.lowerTableOp(refScratch, ops);
+            ++searched;
+            if (value) {
+                match = TupleMatch{*value, decodeRulePriority(*value),
+                                   t, searched};
+                break;
             }
         }
         RunResult rr = core.run(ops, now);
@@ -700,10 +486,7 @@ VirtualSwitch::softwareClassify(const FiveTuple &tuple, PacketResult &res,
             } else {
                 // Promote the flow into the EMC (write charged as part
                 // of "others"; OVS batches these inserts).
-                const std::uint64_t slot =
-                    emcCache.insert(key, match->value);
-                if (burstActive)
-                    burst.writtenEmcSlots.push_back(slot);
+                emcCache.insert(key, match->value);
             }
         }
     }

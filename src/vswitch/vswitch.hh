@@ -90,12 +90,9 @@ struct VSwitchConfig
     unsigned actArith = 24, actOthers = 48, actScratch = 18;
     /// EMC lookups are cheaper than full cuckoo lookups.
     unsigned emcProfileInstructions = 90;
-    /**
-     * Software-mode burst window: how many packets classifyBurst keeps
-     * in flight through the prefetch-pipelined EMC/tuple-space prepass
-     * (clamped to [1, maxBulkLanes]). 1 disables the pipeline and
-     * reproduces the scalar path exactly, packet for packet.
-     */
+    /// Read by nothing: the vswitch classifies Software-mode bursts
+    /// packet by packet. Kept only because the perfbench harness still
+    /// assigns it; drop it with that harness's next revision.
     unsigned burstLanes = 16;
 };
 
@@ -183,31 +180,17 @@ class VirtualSwitch
 
     /**
      * Classify a burst of pre-parsed tuples into @p results (one per
-     * tuple, results.size() >= batch.size()).
-     *
-     * In Software mode with cfg.burstLanes > 1 the burst runs as a
-     * prefetch-pipelined state machine: a host-side prepass probes the
-     * EMC and walks the tuple space for up to burstLanes packets at
-     * once (hiding each lane's DRAM latency behind the others', DPDK
-     * rte_hash_lookup_bulk style), then a sequential replay prices the
-     * recorded reference streams and applies every mutation — EMC
-     * promotions, upcall rule installs, hybrid-register updates — in
-     * exact scalar order. Results are byte-identical to calling
-     * classifyTuple per packet; lanes whose prepass was invalidated by
-     * an earlier lane's write fall back to the scalar path.
-     *
-     * HaloNonBlocking mode routes through the LOOKUP_NB burst engine
-     * (chunked to the key-staging capacity); Blocking and Hybrid modes
-     * classify packet by packet.
+     * tuple, results.size() >= batch.size()). HaloNonBlocking mode
+     * routes through the LOOKUP_NB burst engine (chunked to the
+     * key-staging capacity); every other mode classifies packet by
+     * packet, exactly as classifyTuple does.
      */
     void classifyBurst(std::span<const FiveTuple> batch,
                        std::span<PacketResult> results);
 
     /**
-     * Full pipeline (IO + preprocess + classification + action) over a
-     * burst of packets; the Software-mode classification stages share
-     * the classifyBurst prepass. Malformed packets are dropped in
-     * place, exactly as processPacket drops them.
+     * Full pipeline over a burst of packets: processPacket on each, in
+     * order (malformed packets are dropped in place).
      */
     void processBurst(std::span<const Packet> batch,
                       std::span<PacketResult> results);
@@ -258,44 +241,13 @@ class VirtualSwitch
     Cycles now() const { return clock; }
 
   private:
-    /**
-     * Prepass state of one burst lane: the EMC probe outcome (with the
-     * two candidate slot indices used for write-conflict detection) and
-     * the tuple-space walk, both with reference streams byte-identical
-     * to what the scalar path would have recorded against the same
-     * memory state.
-     */
-    struct SoftLane
-    {
-        std::array<std::uint8_t, FiveTuple::keyBytes> key{};
-        bool emcProbed = false;
-        bool emcHit = false;
-        std::uint64_t emcValue = 0;
-        std::uint64_t emcSlots[2] = {0, 0};
-        AccessTrace emcTrace;
-        bool walked = false;
-        TupleSpace::BulkWalkLane walk;
-    };
-
     PacketResult classifyTupleAt(const FiveTuple &tuple,
                                  bool charge_io_stages,
-                                 const Packet *packet,
-                                 const SoftLane *lane = nullptr);
+                                 const Packet *packet);
 
-    /** Software-mode classification (EMC + TSS traces on the core).
-     *  @p lane optionally carries burst-prepass results to replay. */
+    /** Software-mode classification (EMC + TSS traces on the core). */
     void softwareClassify(const FiveTuple &tuple, PacketResult &res,
-                          Cycles &now, const SoftLane *lane = nullptr);
-
-    /** One software-mode burst chunk (<= maxBulkLanes lanes): pipelined
-     *  prepass, then in-order replay into out[0..batch.size()). */
-    void burstChunkSoftware(std::span<const FiveTuple> batch,
-                            PacketResult *out, bool charge_io_stages,
-                            const Packet *const *packets);
-
-    /** Did an earlier lane's EMC promotion write one of this lane's
-     *  candidate slots (prepass probe no longer valid)? */
-    bool emcPrepassConflicts(const SoftLane &lane) const;
+                          Cycles &now);
 
     /** Chunked LOOKUP_NB burst engine shared by classifyBurst and
      *  classifyBurstNB. */
@@ -343,20 +295,6 @@ class VirtualSwitch
     OpTrace opScratch;
     OpTrace pollScratch;
     std::array<std::uint8_t, FiveTuple::keyBytes> maskScratch{};
-
-    /// Burst-classification scratch: per-lane prepass state plus the
-    /// chunk-wide conflict log the replay consults (EMC slots written
-    /// so far, and whether an upcall dirtied the tuple space).
-    struct BurstScratch
-    {
-        std::array<SoftLane, maxBulkLanes> lanes;
-        std::vector<std::uint64_t> writtenEmcSlots;
-        bool tssDirty = false;
-    };
-    BurstScratch burst;
-    /// True while a burst replay runs: routes EMC-insert victim slots
-    /// and upcall installs into the conflict log above.
-    bool burstActive = false;
 
     /// Monotonic datapath clock: accelerator and cache reservation
     /// state advances in absolute time, so packets must too.

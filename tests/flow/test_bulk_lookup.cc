@@ -1,8 +1,7 @@
 /**
  * @file
- * Equivalence tests for the bulk EMC probe and the bulk tuple-space
- * walk against their scalar counterparts, including the recorded
- * reference streams the burst classifier replays for pricing.
+ * Equivalence tests for the untraced bulk EMC probe and the bulk
+ * tuple-space walk against their scalar counterparts.
  */
 
 #include <gtest/gtest.h>
@@ -15,33 +14,7 @@
 namespace halo {
 namespace {
 
-void
-expectSameRef(const MemRef &bulk, const MemRef &scalar, std::size_t lane,
-              std::size_t k)
-{
-    EXPECT_EQ(bulk.addr, scalar.addr) << "lane " << lane << " ref " << k;
-    EXPECT_EQ(bulk.size, scalar.size)
-        << "lane " << lane << " ref " << k;
-    EXPECT_EQ(bulk.phase, scalar.phase)
-        << "lane " << lane << " ref " << k;
-    EXPECT_EQ(bulk.write, scalar.write)
-        << "lane " << lane << " ref " << k;
-    EXPECT_EQ(bulk.dependsOnPrevious, scalar.dependsOnPrevious)
-        << "lane " << lane << " ref " << k;
-    EXPECT_EQ(bulk.lowEntropyBranch, scalar.lowEntropyBranch)
-        << "lane " << lane << " ref " << k;
-}
-
-void
-expectSameTrace(const AccessTrace &bulk, const AccessTrace &scalar,
-                std::size_t lane)
-{
-    ASSERT_EQ(bulk.size(), scalar.size()) << "lane " << lane;
-    for (std::size_t k = 0; k < bulk.size(); ++k)
-        expectSameRef(bulk[k], scalar[k], lane, k);
-}
-
-TEST(EmcBulk, MatchesScalarLookupIncludingTraces)
+TEST(EmcBulk, MatchesScalarLookup)
 {
     SimMemory mem(8 << 20);
     ExactMatchCache emc(mem, 1024);
@@ -55,30 +28,23 @@ TEST(EmcBulk, MatchesScalarLookupIncludingTraces)
         keys.push_back(gen.flows()[(i * 11) % 300].toKey());
 
     std::array<const std::uint8_t *, maxBulkLanes> key_ptrs;
-    std::array<AccessTrace, maxBulkLanes> traces;
-    std::array<AccessTrace *, maxBulkLanes> trace_ptrs;
     std::array<std::uint64_t, maxBulkLanes> values{};
     std::array<std::uint64_t[2], maxBulkLanes> slots;
-    for (std::size_t i = 0; i < maxBulkLanes; ++i) {
+    for (std::size_t i = 0; i < maxBulkLanes; ++i)
         key_ptrs[i] = keys[i].data();
-        trace_ptrs[i] = &traces[i];
-    }
 
-    const std::uint32_t mask =
-        emc.lookupBulk(key_ptrs.data(), maxBulkLanes, values.data(),
-                       slots.data(), trace_ptrs.data());
+    const std::uint32_t mask = emc.lookupBulk(
+        key_ptrs.data(), maxBulkLanes, values.data(), slots.data());
 
     for (std::size_t i = 0; i < maxBulkLanes; ++i) {
-        AccessTrace scalar_trace;
-        const auto scalar = emc.lookup(keys[i], &scalar_trace);
+        const auto scalar = emc.lookup(keys[i]);
         EXPECT_EQ((mask >> i) & 1u, scalar.has_value() ? 1u : 0u)
             << "lane " << i;
         if (scalar) {
             EXPECT_EQ(values[i], *scalar) << "lane " << i;
         }
-        expectSameTrace(traces[i], scalar_trace, i);
         // A lane's two candidate slots must be distinct and inside the
-        // table (the burst path uses them for conflict detection).
+        // table.
         EXPECT_NE(slots[i][0], slots[i][1]) << "lane " << i;
         EXPECT_LT(slots[i][0], emc.entryCount()) << "lane " << i;
         EXPECT_LT(slots[i][1], emc.entryCount()) << "lane " << i;
@@ -101,7 +67,7 @@ TEST(EmcBulk, ReportsSlotsInsertWillUse)
     std::uint64_t slots[1][2];
     emc.lookupBulk(&key_ptr, 1, &value, slots);
     // insert() must land in one of the candidate slots the bulk probe
-    // reported — that containment is what the conflict log relies on.
+    // reported.
     const std::uint64_t written = emc.insert(key, 7);
     EXPECT_TRUE(written == slots[0][0] || written == slots[0][1]);
 }
@@ -151,8 +117,7 @@ TEST(TupleSpaceBulk, MatchesScalarFirstMatchWalk)
         key_ptrs.data(), maxBulkLanes, lane_ptrs.data());
 
     for (std::size_t i = 0; i < maxBulkLanes; ++i) {
-        AccessTrace scalar_trace;
-        const auto scalar = rig.ts.lookupFirst(keys[i], &scalar_trace);
+        const auto scalar = rig.ts.lookupFirst(keys[i]);
         EXPECT_EQ((mask >> i) & 1u, scalar.has_value() ? 1u : 0u)
             << "lane " << i;
         EXPECT_EQ(lanes[i].found, scalar.has_value()) << "lane " << i;
@@ -171,19 +136,6 @@ TEST(TupleSpaceBulk, MatchesScalarFirstMatchWalk)
             EXPECT_EQ(lanes[i].searched, rig.ts.numTuples())
                 << "lane " << i;
         }
-        expectSameTrace(lanes[i].trace, scalar_trace, i);
-        // probeEnds segments the concatenated trace: one entry per
-        // probed tuple, last entry the full trace length.
-        ASSERT_EQ(lanes[i].probeEnds.size(), lanes[i].searched)
-            << "lane " << i;
-        if (!lanes[i].probeEnds.empty()) {
-            EXPECT_EQ(lanes[i].probeEnds.back(), lanes[i].trace.size())
-                << "lane " << i;
-            for (std::size_t k = 1; k < lanes[i].probeEnds.size(); ++k)
-                EXPECT_LT(lanes[i].probeEnds[k - 1],
-                          lanes[i].probeEnds[k])
-                    << "lane " << i;
-        }
     }
 }
 
@@ -196,13 +148,16 @@ TEST(TupleSpaceBulk, LaneReuseAfterReset)
     TupleSpace::BulkWalkLane *lane_ptr = &lane;
 
     rig.ts.lookupFirstBulk(&key_ptr, 1, &lane_ptr);
-    const auto first_trace = lane.trace;
     const unsigned first_searched = lane.searched;
+    const TupleMatch first_match = lane.match;
+    ASSERT_TRUE(lane.found);
 
     lane.reset();
     rig.ts.lookupFirstBulk(&key_ptr, 1, &lane_ptr);
     EXPECT_EQ(lane.searched, first_searched);
-    expectSameTrace(lane.trace, first_trace, 0);
+    EXPECT_TRUE(lane.found);
+    EXPECT_EQ(lane.match.value, first_match.value);
+    EXPECT_EQ(lane.match.tupleIndex, first_match.tupleIndex);
 }
 
 } // namespace

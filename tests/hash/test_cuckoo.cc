@@ -351,26 +351,9 @@ INSTANTIATE_TEST_SUITE_P(
                                          HashKind::Jenkins,
                                          HashKind::XxMix)));
 
-void
-expectSameRef(const MemRef &bulk, const MemRef &scalar, std::size_t lane,
-              std::size_t k)
-{
-    EXPECT_EQ(bulk.addr, scalar.addr) << "lane " << lane << " ref " << k;
-    EXPECT_EQ(bulk.size, scalar.size)
-        << "lane " << lane << " ref " << k;
-    EXPECT_EQ(bulk.phase, scalar.phase)
-        << "lane " << lane << " ref " << k;
-    EXPECT_EQ(bulk.write, scalar.write)
-        << "lane " << lane << " ref " << k;
-    EXPECT_EQ(bulk.dependsOnPrevious, scalar.dependsOnPrevious)
-        << "lane " << lane << " ref " << k;
-    EXPECT_EQ(bulk.lowEntropyBranch, scalar.lowEntropyBranch)
-        << "lane " << lane << " ref " << k;
-}
-
 /** The pipelined bulk lookup must agree with the scalar path on
- *  values, hit mask, and the recorded reference stream, ref by ref. */
-TEST(Cuckoo, BulkLookupMatchesScalarIncludingTraces)
+ *  values and hit mask. */
+TEST(Cuckoo, BulkLookupMatchesScalar)
 {
     SimMemory mem(64 << 20);
     // Small table: low-entropy bucket indices and forced alternates.
@@ -387,36 +370,25 @@ TEST(Cuckoo, BulkLookupMatchesScalarIncludingTraces)
             keys.push_back(makeKey(i % 2 ? i : i + 100000));
 
         std::array<const std::uint8_t *, maxBulkLanes> key_ptrs;
-        std::array<AccessTrace, maxBulkLanes> traces;
-        std::array<AccessTrace *, maxBulkLanes> trace_ptrs;
         std::array<std::uint64_t, maxBulkLanes> values{};
-        for (std::size_t i = 0; i < maxBulkLanes; ++i) {
+        for (std::size_t i = 0; i < maxBulkLanes; ++i)
             key_ptrs[i] = keys[i].data();
-            trace_ptrs[i] = &traces[i];
-        }
 
         const std::uint32_t mask = t.lookupUntracedBulk(
-            key_ptrs.data(), maxBulkLanes, values.data(),
-            trace_ptrs.data());
+            key_ptrs.data(), maxBulkLanes, values.data());
 
         for (std::size_t i = 0; i < maxBulkLanes; ++i) {
-            AccessTrace scalar_trace;
-            const auto scalar =
-                t.lookup(KeyView(keys[i]), &scalar_trace);
+            const auto scalar = t.lookup(KeyView(keys[i]));
             EXPECT_EQ((mask >> i) & 1u, scalar.has_value() ? 1u : 0u)
                 << "lane " << i;
             if (scalar) {
                 EXPECT_EQ(values[i], *scalar) << "lane " << i;
             }
-            ASSERT_EQ(traces[i].size(), scalar_trace.size())
-                << "lane " << i;
-            for (std::size_t k = 0; k < traces[i].size(); ++k)
-                expectSameRef(traces[i][k], scalar_trace[k], i, k);
         }
     }
 }
 
-TEST(Cuckoo, BulkLookupPartialBatchAndNoTraces)
+TEST(Cuckoo, BulkLookupPartialBatch)
 {
     SimMemory mem(32 << 20);
     CuckooHashTable t(mem, {16, 1024, HashKind::XxMix, 14, 0.95});

@@ -161,7 +161,7 @@ TEST(ConcurrentTables, FilteredCuckooReadersNeverSeeTornEntries)
                         ptrs[lane] = keys[lane].data();
                     }
                     const std::uint32_t mask = table.lookupUntracedBulk(
-                        ptrs.data(), maxBulkLanes, values, nullptr);
+                        ptrs.data(), maxBulkLanes, values);
                     for (unsigned lane = 0; lane < maxBulkLanes;
                          ++lane) {
                         if (mask >> lane & 1) {

@@ -182,59 +182,6 @@ TEST(Runtime, RingFullBackpressureDropsAreCounted)
 }
 
 /**
- * End-to-end burst path: a runtime whose workers feed ring batches
- * through processBurst must account every packet and produce the same
- * simulated datapath work as the scalar per-packet runtime. Runs under
- * ASan and TSan in CI (worker threads + burst scratch reuse).
- */
-TEST(Runtime, BurstWorkersMatchScalarRuntime)
-{
-    Workload wl(1000);
-    const std::uint64_t packets = 20000;
-
-    RuntimeConfig scalar_cfg = smallConfig(2);
-    RuntimeConfig burst_cfg = smallConfig(2);
-    burst_cfg.classifyBurst = 16;
-
-    Runtime scalar_rt(scalar_cfg, wl.rules);
-    Runtime burst_rt(burst_cfg, wl.rules);
-    const RuntimeReport scalar_rep = scalar_rt.run(wl.traffic, packets);
-    const RuntimeReport burst_rep = burst_rt.run(wl.traffic, packets);
-
-    // Same accounting invariants as the scalar path.
-    EXPECT_EQ(burst_rep.aggregate.offered, packets);
-    EXPECT_EQ(burst_rep.aggregate.processed,
-              burst_rep.aggregate.enqueued);
-
-    // Ring-full drops depend on thread timing, so absolute totals can
-    // differ between the two runs; per-packet simulated costs must not.
-    // Aggregate over workers and compare the average simulated cycles
-    // and instructions per processed packet: byte-identical
-    // classification means these ratios agree exactly when both runs
-    // process the same flows, and very tightly when drop sets differ.
-    const auto perPacket = [](const RuntimeReport &rep) {
-        std::uint64_t cycles = 0, insns = 0, pkts = 0;
-        for (const WorkerReport &w : rep.workers) {
-            cycles += w.totals.total;
-            insns += w.totals.instructions;
-            pkts += w.totals.packets;
-        }
-        EXPECT_GT(pkts, 0u);
-        return std::pair<double, double>(
-            static_cast<double>(cycles) / static_cast<double>(pkts),
-            static_cast<double>(insns) / static_cast<double>(pkts));
-    };
-    const auto [scalar_cyc, scalar_insn] = perPacket(scalar_rep);
-    const auto [burst_cyc, burst_insn] = perPacket(burst_rep);
-    EXPECT_NEAR(burst_cyc, scalar_cyc, scalar_cyc * 0.02);
-    EXPECT_NEAR(burst_insn, scalar_insn, scalar_insn * 0.02);
-
-    // The burst runtime matched packets like the scalar one did.
-    EXPECT_GT(burst_rep.aggregate.matched, 0u);
-    EXPECT_GT(burst_rep.aggregate.emcHits, 0u);
-}
-
-/**
  * Decoupled slow path end to end: workers defer megaflow misses onto
  * the upcall ring, the revalidator resolves them against the OpenFlow
  * layer and installs exact-match entries into the live (seqlocked)

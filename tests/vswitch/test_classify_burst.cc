@@ -1,13 +1,13 @@
 /**
  * @file
- * Equivalence tests for the software-mode burst classification path:
- * classifyBurst / processBurst must produce byte-identical
- * PacketResults — cycles included — to the scalar per-packet path, for
- * every burst size and for hit / miss / upcall / duplicate mixes.
+ * Burst entry points of the virtual switch: processBurst must produce
+ * byte-identical PacketResults — cycles included — to calling
+ * processPacket per packet, in every LookupMode, and classifyBurst in
+ * HaloNonBlocking mode must match the LOOKUP_NB burst engine.
  *
  * Twin-rig structure: the burst switch and the scalar reference each
  * own a complete simulated machine built with identical seeds, so any
- * divergence is the burst pipeline's fault, never shared-state
+ * divergence is the burst entry point's fault, never shared-state
  * interference.
  */
 
@@ -25,32 +25,23 @@ struct BurstRig
 {
     SimMemory mem{1ull << 30};
     MemoryHierarchy hier;
+    HaloSystem halo{mem, hier};
     CoreModel core{hier, 0};
-    TrafficGenerator gen;
+    TrafficGenerator gen{TrafficConfig{600, 0.0, 0.5, 0x5eed}};
     RuleSet rules;
     std::unique_ptr<VirtualSwitch> vs;
 
-    explicit BurstRig(unsigned burst_lanes, bool use_emc = true,
-                      bool openflow_layer = false)
-        : gen(TrafficConfig{600, 0.0, 0.5, 0x5eed}),
-          rules(deriveRules(gen.flows(), canonicalMasks(6), 0, 0x21))
+    explicit BurstRig(LookupMode mode, bool use_emc = true)
+        : rules(deriveRules(gen.flows(), canonicalMasks(6), 0, 0x21))
     {
         VSwitchConfig cfg;
-        cfg.mode = LookupMode::Software;
+        cfg.mode = mode;
         cfg.useEmc = use_emc;
-        cfg.useOpenflowLayer = openflow_layer;
-        cfg.burstLanes = burst_lanes;
         cfg.tupleConfig.tupleCapacity =
             nextPowerOfTwo(maxRulesPerMask(rules) + 64);
-        vs = std::make_unique<VirtualSwitch>(mem, hier, core, nullptr,
+        vs = std::make_unique<VirtualSwitch>(mem, hier, core, &halo,
                                              cfg);
-        if (openflow_layer) {
-            // MegaFlow starts empty: every new flow upcalls and
-            // installs mid-burst.
-            vs->installOpenflowRules(rules);
-        } else {
-            vs->installRules(rules);
-        }
+        vs->installRules(rules);
         vs->warmTables();
     }
 };
@@ -74,112 +65,14 @@ expectIdentical(const PacketResult &burst, const PacketResult &scalar,
     EXPECT_EQ(burst.instructions, scalar.instructions) << "packet " << i;
 }
 
-/** Hit/miss/duplicate traffic: known flows, repeats (EMC hits and
- *  in-burst duplicates — the insert-conflict fallback), and aliens
- *  that miss every layer. */
-std::vector<FiveTuple>
-mixedBatch(const TrafficGenerator &gen, std::size_t count)
+class ProcessBurst : public ::testing::TestWithParam<LookupMode>
 {
-    std::vector<FiveTuple> batch;
-    batch.reserve(count);
-    for (std::size_t i = 0; i < count; ++i) {
-        if (i % 7 == 3) {
-            FiveTuple alien;
-            alien.srcIp = 0xc5000000 + static_cast<std::uint32_t>(i);
-            alien.dstIp = 0xc6000000 + static_cast<std::uint32_t>(i);
-            alien.srcPort = 7;
-            alien.dstPort = 9;
-            batch.push_back(alien);
-        } else if (i % 5 == 0 && i > 0) {
-            batch.push_back(batch[i - 1]); // in-burst duplicate
-        } else {
-            batch.push_back(gen.flows()[(i * 13) % gen.flows().size()]);
-        }
-    }
-    return batch;
-}
+};
 
-TEST(ClassifyBurst, ByteIdenticalAcrossBurstSizes)
+TEST_P(ProcessBurst, ByteIdenticalWithMalformedPackets)
 {
-    for (const unsigned lanes : {1u, 2u, 3u, 5u, 8u, 16u, 31u, 32u}) {
-        BurstRig burst_rig(lanes);
-        BurstRig scalar_rig(lanes);
-        const auto batch = mixedBatch(burst_rig.gen, 100);
-
-        std::vector<PacketResult> burst(batch.size());
-        burst_rig.vs->classifyBurst(batch, burst);
-
-        for (std::size_t i = 0; i < batch.size(); ++i) {
-            const PacketResult scalar =
-                scalar_rig.vs->classifyTuple(batch[i]);
-            expectIdentical(burst[i], scalar, i);
-        }
-        EXPECT_EQ(burst_rig.vs->now(), scalar_rig.vs->now())
-            << "burst " << lanes;
-        EXPECT_EQ(burst_rig.vs->totals().total,
-                  scalar_rig.vs->totals().total)
-            << "burst " << lanes;
-    }
-}
-
-TEST(ClassifyBurst, ByteIdenticalWithoutEmc)
-{
-    BurstRig burst_rig(16, /*use_emc=*/false);
-    BurstRig scalar_rig(16, /*use_emc=*/false);
-    const auto batch = mixedBatch(burst_rig.gen, 64);
-
-    std::vector<PacketResult> burst(batch.size());
-    burst_rig.vs->classifyBurst(batch, burst);
-    for (std::size_t i = 0; i < batch.size(); ++i)
-        expectIdentical(burst[i], scalar_rig.vs->classifyTuple(batch[i]),
-                        i);
-    EXPECT_EQ(burst_rig.vs->now(), scalar_rig.vs->now());
-}
-
-TEST(ClassifyBurst, ByteIdenticalThroughUpcalls)
-{
-    // OpenFlow layer on, MegaFlow empty: the first packet of every
-    // flow upcalls and installs a rule, invalidating the remaining
-    // lanes' prepass (the tssDirty fallback must keep results exact).
-    BurstRig burst_rig(16, true, /*openflow_layer=*/true);
-    BurstRig scalar_rig(16, true, /*openflow_layer=*/true);
-    const auto batch = mixedBatch(burst_rig.gen, 80);
-
-    std::vector<PacketResult> burst(batch.size());
-    burst_rig.vs->classifyBurst(batch, burst);
-    for (std::size_t i = 0; i < batch.size(); ++i)
-        expectIdentical(burst[i], scalar_rig.vs->classifyTuple(batch[i]),
-                        i);
-    EXPECT_EQ(burst_rig.vs->upcalls(), scalar_rig.vs->upcalls());
-    EXPECT_EQ(burst_rig.vs->now(), scalar_rig.vs->now());
-}
-
-TEST(ClassifyBurst, StateCarriesAcrossBursts)
-{
-    // Several consecutive bursts over overlapping flows: EMC contents,
-    // datapath clock and totals must track the scalar switch exactly.
-    BurstRig burst_rig(8);
-    BurstRig scalar_rig(8);
-    for (int round = 0; round < 4; ++round) {
-        std::vector<FiveTuple> batch;
-        for (int i = 0; i < 40; ++i)
-            batch.push_back(
-                burst_rig.gen.flows()[(round * 17 + i * 3) % 600]);
-        std::vector<PacketResult> burst(batch.size());
-        burst_rig.vs->classifyBurst(batch, burst);
-        for (std::size_t i = 0; i < batch.size(); ++i)
-            expectIdentical(burst[i],
-                            scalar_rig.vs->classifyTuple(batch[i]), i);
-    }
-    EXPECT_EQ(burst_rig.vs->now(), scalar_rig.vs->now());
-    EXPECT_EQ(burst_rig.vs->totals().emcHits,
-              scalar_rig.vs->totals().emcHits);
-}
-
-TEST(ProcessBurst, ByteIdenticalWithMalformedPackets)
-{
-    BurstRig burst_rig(16);
-    BurstRig scalar_rig(16);
+    BurstRig burst_rig(GetParam());
+    BurstRig scalar_rig(GetParam());
 
     std::vector<Packet> batch;
     for (int i = 0; i < 70; ++i) {
@@ -202,37 +95,32 @@ TEST(ProcessBurst, ByteIdenticalWithMalformedPackets)
     EXPECT_EQ(burst_rig.vs->now(), scalar_rig.vs->now());
     EXPECT_EQ(burst_rig.vs->totals().packets,
               scalar_rig.vs->totals().packets);
+    EXPECT_EQ(burst_rig.vs->totals().matches,
+              scalar_rig.vs->totals().matches);
 }
+
+INSTANTIATE_TEST_SUITE_P(
+    AllModes, ProcessBurst,
+    ::testing::Values(LookupMode::Software, LookupMode::HaloBlocking,
+                      LookupMode::HaloNonBlocking, LookupMode::Hybrid),
+    [](const ::testing::TestParamInfo<LookupMode> &info) {
+        switch (info.param) {
+          case LookupMode::Software:
+            return "Software";
+          case LookupMode::HaloBlocking:
+            return "HaloBlocking";
+          case LookupMode::HaloNonBlocking:
+            return "HaloNonBlocking";
+          case LookupMode::Hybrid:
+            return "Hybrid";
+        }
+        return "Unknown";
+    });
 
 TEST(ClassifyBurst, NbModeMatchesClassifyBurstNB)
 {
-    struct NbRig
-    {
-        SimMemory mem{1ull << 30};
-        MemoryHierarchy hier;
-        HaloSystem halo{mem, hier};
-        CoreModel core{hier, 0};
-        TrafficGenerator gen{TrafficConfig{600, 0.0, 0.5, 0x5eed}};
-        RuleSet rules;
-        std::unique_ptr<VirtualSwitch> vs;
-
-        NbRig()
-            : rules(deriveRules(gen.flows(), canonicalMasks(6), 0, 0x21))
-        {
-            VSwitchConfig cfg;
-            cfg.mode = LookupMode::HaloNonBlocking;
-            cfg.useEmc = false;
-            cfg.tupleConfig.tupleCapacity =
-                nextPowerOfTwo(maxRulesPerMask(rules) + 64);
-            vs = std::make_unique<VirtualSwitch>(mem, hier, core, &halo,
-                                                 cfg);
-            vs->installRules(rules);
-            vs->warmTables();
-        }
-    };
-
-    NbRig span_rig;
-    NbRig vec_rig;
+    BurstRig span_rig(LookupMode::HaloNonBlocking, /*use_emc=*/false);
+    BurstRig vec_rig(LookupMode::HaloNonBlocking, /*use_emc=*/false);
     std::vector<FiveTuple> batch;
     for (int i = 0; i < 24; ++i)
         batch.push_back(span_rig.gen.flows()[i * 5]);

@@ -98,8 +98,7 @@ def extract_host_throughput(doc):
 def extract_multiworker(doc):
     out = []
     for run in doc.get("runs", []):
-        key = "runs[workers=%s,burst=%s]" % (run.get("workers"),
-                                             run.get("classify_burst"))
+        key = "runs[workers=%s]" % run.get("workers")
         if _num(run.get("aggregate_cpu_pps")):
             out.append(Metric("%s.aggregate_cpu_pps" % key,
                               run["aggregate_cpu_pps"], TIMING, HIGHER))
