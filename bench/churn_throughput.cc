@@ -44,10 +44,14 @@
  * (flags given explicitly win) and exits nonzero unless the decoupled
  * churn run ages flows (> 0 aged) and installs, and decoupled
  * throughput holds >= inline at 10% churn. Every run, smoke or not,
- * must conserve packets.
+ * must conserve packets. The decoupled/inline line prints each side's
+ * matched share and prints the ratio only when those shares agree
+ * within one percentage point; the JSON records the same verdict as
+ * headline_equal_work next to headline_speedup_10pct_churn.
  */
 
 #include <algorithm>
+#include <cmath>
 #include <cstdint>
 #include <cstdio>
 #include <string>
@@ -216,6 +220,21 @@ speedupAt(const std::vector<ChurnResult> &runs, double churn)
     return inlinePps > 0.0 ? decoupledPps / inlinePps : 0.0;
 }
 
+/** Matched packets over processed packets of one side at @p churn. */
+double
+matchedShareAt(const std::vector<ChurnResult> &runs, double churn,
+               bool decoupled)
+{
+    for (const ChurnResult &r : runs) {
+        if (r.churn == churn && r.decoupled == decoupled) {
+            const RuntimeSnapshot &a = r.rep.aggregate;
+            return a.processed ? double(a.matched) / double(a.processed)
+                               : 0.0;
+        }
+    }
+    return 0.0;
+}
+
 void
 writeJson(const BenchFlags &flags, const Options &opt,
           const std::vector<ChurnResult> &runs)
@@ -228,7 +247,15 @@ writeJson(const BenchFlags &flags, const Options &opt,
     j.kv("workers", opt.workers);
     j.kv("negative_filter", opt.negativeFilter);
     j.kv("zipf_skew", 0.9, 2);
+    // The ratio compares equal work only when both sides matched the
+    // same share of their packets; headline_equal_work says whether
+    // they did (the printed line omits the ratio when not).
+    const double decShare = matchedShareAt(runs, 0.1, true);
+    const double inlShare = matchedShareAt(runs, 0.1, false);
     j.kv("headline_speedup_10pct_churn", speedupAt(runs, 0.1), 2);
+    j.kv("headline_equal_work", std::abs(decShare - inlShare) <= 0.01);
+    j.kv("matched_share_10pct_churn_decoupled", decShare, 4);
+    j.kv("matched_share_10pct_churn_inline", inlShare, 4);
     j.kv("methodology",
          "Each churn level runs twice over an identical Zipf(0.9) "
          "stream: inline resolves megaflow misses on the worker "
@@ -306,8 +333,18 @@ main(int argc, char **argv)
     }
     writeJson(flags, opt, runs);
 
+    // A rate ratio only compares equal work: print it only when both
+    // sides matched the same share of their packets.
     const double speedup = speedupAt(runs, 0.1);
-    std::printf("decoupled/inline @ 10%% churn: %.2fx\n", speedup);
+    const double decShare = matchedShareAt(runs, 0.1, true);
+    const double inlShare = matchedShareAt(runs, 0.1, false);
+    if (std::abs(decShare - inlShare) <= 0.01)
+        std::printf("decoupled/inline @ 10%% churn: %.2fx", speedup);
+    else
+        std::printf("decoupled/inline @ 10%% churn: no ratio, unequal "
+                    "work");
+    std::printf(" (matched share: decoupled %.1f%%, inline %.1f%%)\n",
+                100.0 * decShare, 100.0 * inlShare);
 
     bool ok = true;
     for (const ChurnResult &r : runs)

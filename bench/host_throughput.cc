@@ -5,10 +5,12 @@
  * Unlike every other bench (which reports *simulated* cycles), this
  * harness measures how fast the simulator itself executes on the host:
  * operations per second of the hot functional paths — cuckoo lookup,
- * EMC probe, tuple-space search, and the end-to-end packet pipeline in
- * all four LookupModes. It exists to track the zero-copy line-view
- * fast path over SimMemory and the per-packet scratch reuse, and to
- * catch regressions in simulator speed.
+ * EMC probe, tuple-space search, the end-to-end timed packet pipeline
+ * in all four LookupModes (process_packet_*), and the same pipeline on
+ * the functional switch the runtime workers run (classify_packet:
+ * parse -> EMC -> megaflow, no timing model). It exists to track the
+ * zero-copy line-view fast path over SimMemory and the per-packet
+ * scratch reuse, and to catch regressions in simulator speed.
  *
  * The scalar benchmarks are deliberately restricted to APIs that exist
  * in the seed tree (lookup/insert, lookupFirst, processPacket), so
@@ -413,9 +415,11 @@ benchTupleSpace(Results &out)
     }
 }
 
-// --- End-to-end processPacket in each LookupMode. ---
+// --- End-to-end processPacket in each LookupMode on a timed switch,
+//     or (timed = false) on a functional one. ---
 void
-benchProcessPacket(Results &out, LookupMode mode, const char *name)
+benchProcessPacket(Results &out, LookupMode mode, const char *name,
+                   bool timed = true)
 {
     Machine m(6ull << 30);
     TrafficGenerator gen(TrafficGenerator::scenarioConfig(
@@ -427,7 +431,9 @@ benchProcessPacket(Results &out, LookupMode mode, const char *name)
     vcfg.mode = mode;
     vcfg.tupleConfig.tupleCapacity =
         nextPowerOfTwo(maxRulesPerMask(rules) + 64);
-    VirtualSwitch vs(m.mem, m.hier, m.core, &m.halo, vcfg);
+    VirtualSwitch vs = timed ? VirtualSwitch(m.mem, m.hier, m.core,
+                                             &m.halo, vcfg)
+                             : VirtualSwitch(m.mem, vcfg);
     vs.installRules(rules);
     vs.warmTables();
 
@@ -612,6 +618,8 @@ main(int argc, char **argv)
     benchTupleSpace(res);
     benchProcessPacket(res, LookupMode::Software,
                        "process_packet_software");
+    benchProcessPacket(res, LookupMode::Software, "classify_packet",
+                       false);
     benchProcessPacket(res, LookupMode::HaloBlocking,
                        "process_packet_halo_blocking");
     benchProcessPacket(res, LookupMode::HaloNonBlocking,

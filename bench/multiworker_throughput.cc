@@ -77,8 +77,8 @@ runOnce(unsigned workers, std::uint64_t flows, const BenchFlags &flags,
 
     ScaleResult res;
     res.workers = workers;
-    // The --prom file adds each shard's StatGroups and per-worker
-    // gauges, labeled per worker, to the live registry.
+    // The --prom file adds per-worker gauges, labeled per worker, to
+    // the live registry.
     res.rep = instrumentedRun(
         rt, flags, lastRun,
         [&] {
@@ -92,9 +92,6 @@ runOnce(unsigned workers, std::uint64_t flows, const BenchFlags &flags,
                           cpuPps(rep.workers[w]));
                 reg.gauge("halo_worker_batch_p99_us", {{"worker", id}},
                           rep.workers[w].batchP99Nanos / 1e3);
-                reg.addStatGroup(
-                    rt.worker(w).shard().hierarchy().stats(),
-                    {{"worker", id}});
             }
         });
     for (unsigned w = 0; w < rt.numWorkers(); ++w)

@@ -11,6 +11,7 @@
 
 #include <cstdio>
 
+#include "core/halo_system.hh"
 #include "flow/ruleset.hh"
 #include "vswitch/vswitch.hh"
 

@@ -64,7 +64,7 @@ class MetricsRegistry
     void attach(const std::string &name, MetricLabels labels,
                 MetricKind kind, std::function<double()> source);
 
-    /** Attach a PublishedCounter (relaxed-atomic read at render). The
+    /** Attach a PublishedCounter (atomic read at render). The
      *  counter must outlive the registry. */
     void attachCounter(const std::string &name, MetricLabels labels,
                        const PublishedCounter &published);

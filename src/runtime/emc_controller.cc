@@ -112,4 +112,13 @@ decideEmcPolicy(const EmcPolicyConfig &cfg, const EmcControlInputs &in)
     return d;
 }
 
+std::uint64_t
+flowIdleTimeoutEpochs(std::uint64_t occupancy, std::uint64_t capacity,
+                      std::uint64_t configured)
+{
+    if (4 * occupancy >= 3 * capacity)
+        return std::min<std::uint64_t>(configured, 1);
+    return configured;
+}
+
 } // namespace halo

@@ -121,6 +121,18 @@ struct EmcControlDecision
 EmcControlDecision decideEmcPolicy(const EmcPolicyConfig &cfg,
                                    const EmcControlInputs &in);
 
+/**
+ * The revalidator's flow limit (OVS ofproto-dpif-upcall: once
+ * n_flows exceeds flow_limit, max_idle drops to 100 ms). Maps a shard's
+ * exact-match tuple occupancy to the idle timeout its next sweep ages
+ * by: @p configured epochs normally, one epoch — every flow idle for
+ * more than one sweep goes — once @p occupancy reaches 3/4 of
+ * @p capacity. Pure, like decideEmcPolicy().
+ */
+std::uint64_t flowIdleTimeoutEpochs(std::uint64_t occupancy,
+                                    std::uint64_t capacity,
+                                    std::uint64_t configured);
+
 } // namespace halo
 
 #endif // HALO_RUNTIME_EMC_CONTROLLER_HH

@@ -331,9 +331,13 @@ void
 Revalidator::sweep()
 {
     HALO_STAGE("revalidator/sweep");
-    sweeps_.add(1);
-    for (const ShardHooks &s : shards_) {
+    for (std::size_t i = 0; i < shards_.size(); ++i) {
+        const ShardHooks &s = shards_[i];
         s.activity->advanceEpoch();
+        const CuckooHashTable &exact =
+            s.vswitch->tupleSpace().table(s.exactTuple);
+        ctl_[i].idleTimeout = flowIdleTimeoutEpochs(
+            exact.size(), exact.capacity(), cfg.idleTimeoutEpochs);
         // Managed EMC inserts stamp the epoch into the slot's freed
         // signature-word bytes; keep it in step for recency-informed
         // eviction.
@@ -359,7 +363,7 @@ Revalidator::sweep()
         const std::uint64_t cur = s.activity->epoch();
         const std::uint64_t last =
             std::max(s.activity->stamp(flow.hash), flow.installEpoch);
-        if (cur - last <= cfg.idleTimeoutEpochs) {
+        if (cur - last <= ctl_[flow.shard].idleTimeout) {
             ++i;
             continue;
         }
@@ -375,6 +379,9 @@ Revalidator::sweep()
         tracked_[i] = std::move(tracked_.back());
         tracked_.pop_back();
     }
+    // Published last, so a reader that sees the count knows the sweep
+    // (epoch advance, control pass and aging walk) has finished.
+    sweeps_.add(1);
 }
 
 } // namespace halo

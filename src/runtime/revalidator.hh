@@ -14,7 +14,10 @@
  *  - performs Promote requests (EMC inserts) on the workers' behalf;
  *  - sweeps on a fixed cadence, advancing each shard's activity epoch
  *    and evicting every installed flow that has been idle longer than
- *    the configured timeout (OVS flow aging).
+ *    the configured timeout (OVS flow aging). While a shard's
+ *    exact-match tuple is at least 3/4 full, its timeout drops to one
+ *    sweep (OVS's flow limit, flowIdleTimeoutEpochs()), so a table
+ *    that fills faster than it ages keeps room for new installs.
  *
  * The single-writer invariant is what makes the seqlocked tables sound:
  * per shard, this thread is the only mutator of the megaflow tuple
@@ -23,9 +26,8 @@
  * readers validate against (hash/seqlock.hh, the host analog of the
  * paper's SS3.4 lock bit).
  *
- * Nothing here touches a shard's timing state (CoreModel, hierarchy,
- * clock, SwitchTotals): every table operation is FUNCTIONAL-only, so
- * the workers' simulated-cycle accounting is never perturbed.
+ * The shards are the workers' functional switches: every table
+ * operation here is a plain functional read or write.
  */
 
 #ifndef HALO_RUNTIME_REVALIDATOR_HH
@@ -62,7 +64,8 @@ struct RevalidatorConfig
     /// idle timeout in wall time.
     std::uint64_t sweepIntervalMicros = 500;
     /// Idle epochs before an installed flow is aged out of the
-    /// megaflow/EMC layers.
+    /// megaflow/EMC layers (one epoch while the shard is over its flow
+    /// limit, see flowIdleTimeoutEpochs()).
     std::uint64_t idleTimeoutEpochs = 4;
     /// Tracked-install ceiling; at the cap the oldest tracked flow is
     /// evicted (its table entry erased) to admit the new one, keeping
@@ -225,6 +228,8 @@ class Revalidator
     {
         unsigned throttleShift = 0;
         std::uint64_t promoteTick = 0; ///< throttle phase counter
+        /// Idle timeout of the current sweep (flow limit applied).
+        std::uint64_t idleTimeout = 0;
     };
     std::vector<ShardControl> ctl_;
     unsigned sweepsSinceControl_ = 0;

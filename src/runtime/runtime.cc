@@ -44,9 +44,7 @@ Runtime::Runtime(const RuntimeConfig &config, const RuleSet &rules)
         wc.ringCapacity = cfg.ringCapacity;
         wc.batchSize = cfg.batchSize;
         wc.shardMemBytes = cfg.shardMemBytes;
-        wc.shard = cfg.shard;
-        wc.shard.coreId = w;
-        wc.warmTables = cfg.warmTables;
+        wc.vswitch = cfg.shard.vswitch;
         wc.traceCapacity = cfg.traceCapacity;
         wc.perfEnabled = cfg.perfEnabled;
         wc.perfSampleShift = cfg.perfSampleShift;
@@ -54,8 +52,8 @@ Runtime::Runtime(const RuntimeConfig &config, const RuleSet &rules)
         if (!estimators_.empty())
             wc.flowEstimator = estimators_[w].get();
         if (cfg.decoupled) {
-            wc.shard.vswitch.useOpenflowLayer = true;
-            wc.shard.vswitch.deferSlowPath = true;
+            wc.vswitch.useOpenflowLayer = true;
+            wc.vswitch.deferSlowPath = true;
             wc.upcallRing = upcallRing_.get();
             wc.activity = activities_[w].get();
             wc.promoteSampleShift = cfg.promoteSampleShift;
@@ -64,11 +62,8 @@ Runtime::Runtime(const RuntimeConfig &config, const RuleSet &rules)
     }
 
     if (cfg.openflowRules) {
-        for (auto &w : workers_) {
+        for (auto &w : workers_)
             w->vswitch().installOpenflowRules(*cfg.openflowRules);
-            if (cfg.warmTables)
-                w->vswitch().warmTables();
-        }
     }
 
     if (cfg.decoupled) {
@@ -169,10 +164,8 @@ Runtime::offer(Packet &&packet, const FiveTuple &tuple)
     }
     if (elastic_)
         offerSeq_.fetch_add(1, std::memory_order_release);
-    if (pushed) {
-        enqueued_.add(1);
+    if (pushed)
         return true;
-    }
     drops_.add(1);
     return false;
 }
@@ -237,10 +230,9 @@ Runtime::stop()
 RuntimeSnapshot
 Runtime::snapshot() const
 {
+    // Worker counts first: a packet is offered and pushed before any
+    // worker counts it, so processed <= enqueued <= offered holds.
     RuntimeSnapshot s;
-    s.offered = offered_.value();
-    s.enqueued = enqueued_.value();
-    s.ringFullDrops = drops_.value();
     s.perWorker.reserve(workers_.size());
     for (const auto &w : workers_) {
         const WorkerCounters c = w->counters();
@@ -254,6 +246,10 @@ Runtime::snapshot() const
         s.upcallDrops += c.upcallDrops;
         s.perWorker.push_back(c);
     }
+    for (const auto &w : workers_) // each push publishes its count
+        s.enqueued += w->ring().pushedCount();
+    s.offered = offered_.value();
+    s.ringFullDrops = drops_.value();
     if (reval_) {
         s.revalidator = reval_->counters();
         s.upcallRingDepth = upcallRing_->size();
@@ -305,7 +301,8 @@ void
 Runtime::registerMetrics(obs::MetricsRegistry &reg)
 {
     reg.attachCounter("halo_rt_offered", {}, offered_);
-    reg.attachCounter("halo_rt_enqueued", {}, enqueued_);
+    reg.attach("halo_rt_enqueued", {}, obs::MetricKind::Counter,
+               [this] { return static_cast<double>(snapshot().enqueued); });
     reg.attachCounter("halo_rt_ring_full_drops", {}, drops_);
 
     // Megaflow-table sums are attached only while the tuple vector is
@@ -605,7 +602,6 @@ Runtime::report() const
     for (const auto &w : workers_) {
         WorkerReport wr;
         wr.counters = w->counters();
-        wr.totals = w->totals();
         wr.batchLatency = w->batchHistogram();
         wr.batchP50Nanos = wr.batchLatency.percentile(0.50);
         wr.batchP90Nanos = wr.batchLatency.percentile(0.90);

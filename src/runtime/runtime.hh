@@ -40,6 +40,7 @@
 #include "runtime/revalidator.hh"
 #include "runtime/rss.hh"
 #include "runtime/worker.hh"
+#include "vswitch/shard_config.hh"
 
 namespace halo {
 
@@ -50,6 +51,10 @@ struct RuntimeConfig
     std::size_t ringCapacity = 1024;
     unsigned batchSize = 32;
     std::uint64_t shardMemBytes = 1ull << 30;
+    /// Only shard.vswitch is read: every worker runs a functional
+    /// switch with no simulated machine. The timing-side fields stay
+    /// because the perfbench harness builds its timed replay shard from
+    /// this config; drop them with that harness's next revision.
     ShardConfig shard;
     /// rss.numShards is overridden with numWorkers.
     RssConfig rss;
@@ -60,6 +65,10 @@ struct RuntimeConfig
     /// by packet. Kept only because the perfbench harness still assigns
     /// it; drop it with that harness's next revision.
     unsigned classifyBurst = 1;
+    /// Read by nothing: a worker's functional switch has no simulated
+    /// cache to warm. Kept only because the perfbench harness reads it
+    /// to set up its timed replay shard; drop it with that harness's
+    /// next revision.
     bool warmTables = true;
     /// Per-worker trace-event ring slots (0 = tracing off). See
     /// WorkerConfig::traceCapacity.
@@ -153,7 +162,6 @@ struct RuntimeSnapshot
 struct WorkerReport
 {
     WorkerCounters counters;
-    SwitchTotals totals;
     /// Batch wall latency, log-bucketed (bounded memory, mergeable).
     obs::HdrHistogram batchLatency;
     double batchP50Nanos = 0.0;
@@ -279,7 +287,7 @@ class Runtime
     void stopSampler();
     /**@}*/
 
-    /** Full reduction incl. SwitchTotals and latency percentiles
+    /** Full reduction incl. per-worker counters and latency percentiles
      *  (merged per-worker HdrHistograms). Only valid after stop(). */
     RuntimeReport report() const;
 
@@ -311,7 +319,6 @@ class Runtime
     std::unique_ptr<obs::Sampler> sampler_;
 
     PublishedCounter offered_;
-    PublishedCounter enqueued_;
     PublishedCounter drops_;
     /// Producer offer seqlock for the migration grace period (odd
     /// while a dispatch's table-read+push is in flight).

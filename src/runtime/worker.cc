@@ -33,10 +33,10 @@ threadCpuNanos()
 Worker::Worker(const WorkerConfig &config, const RuleSet &rules)
     : cfg(config),
       mem_(cfg.shardMemBytes),
-      shard_(mem_, cfg.shard),
+      vs_(mem_, cfg.vswitch),
       ring_(cfg.ringCapacity)
 {
-    shard_.install(rules, cfg.warmTables);
+    vs_.installRules(rules);
     batchBuf_.resize(cfg.batchSize);
     if (cfg.traceCapacity)
         trace_ = std::make_unique<obs::TraceRecorder>(cfg.traceCapacity);
@@ -47,9 +47,9 @@ Worker::Worker(const WorkerConfig &config, const RuleSet &rules)
         rng_ = 0x9e3779b97f4a7c15ull ^ (cfg.id + 1);
     }
     if (cfg.activity)
-        shard_.vswitch().setActivityTracker(cfg.activity);
+        vs_.setActivityTracker(cfg.activity);
     if (cfg.flowEstimator)
-        shard_.vswitch().setFlowEstimator(cfg.flowEstimator);
+        vs_.setFlowEstimator(cfg.flowEstimator);
 }
 
 Worker::~Worker()
@@ -182,7 +182,6 @@ void
 Worker::threadMain()
 {
     using SteadyClock = std::chrono::steady_clock;
-    VirtualSwitch &vs = shard_.vswitch();
 
     // Route this thread's HALO_STAGE sites (here and down in the
     // vswitch pipeline) into the worker's recorders, if configured. The
@@ -279,7 +278,7 @@ Worker::threadMain()
             // Offload right after each packet: the revalidator can
             // install a missed flow while the rest of the batch runs.
             for (std::size_t i = 0; i < n; ++i) {
-                const PacketResult r = vs.processPacket(batchBuf_[i]);
+                const PacketResult r = vs_.processPacket(batchBuf_[i]);
                 matched += r.matched ? 1 : 0;
                 emc_hits += r.emcHit ? 1 : 0;
                 if (cfg.upcallRing)

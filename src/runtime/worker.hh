@@ -2,9 +2,10 @@
  * @file
  * One shared-nothing dataplane worker.
  *
- * A Worker owns a private SimMemory and a complete SwitchShard
- * (hierarchy, core model, optional HALO complex, VirtualSwitch) — no
- * simulated state is shared between workers, so they scale without any
+ * A Worker owns a private SimMemory and a functional VirtualSwitch over
+ * it: the tables and nothing else — no simulated hierarchy, core model
+ * or HALO complex, so a packet costs only its classification. No table
+ * state is shared between workers, so they scale without any
  * cross-shard synchronization, the NFOS/shared-nothing argument applied
  * to this codebase. Packets arrive through a single-producer ring and
  * are drained in configurable batches, each packet of a batch through
@@ -12,9 +13,8 @@
  *
  * Progress is published after every batch through PublishedCounter
  * (relaxed atomics, see sim/stats.hh): any thread may snapshot a
- * running worker without locks; the exact reduction — SwitchTotals and
- * the batch-latency HdrHistogram — is read after join(), which orders
- * everything.
+ * running worker without locks; the exact reduction — the batch-latency
+ * HdrHistogram — is read after join(), which orders everything.
  *
  * Observability: per-batch wall latency goes into a fixed-memory
  * obs::HdrHistogram (p50..p999 in bounded space, mergeable across
@@ -44,8 +44,9 @@
 #include "runtime/order_validator.hh"
 #include "runtime/spsc_ring.hh"
 #include "runtime/upcall.hh"
+#include "mem/sim_memory.hh"
 #include "sim/stats.hh"
-#include "vswitch/shard.hh"
+#include "vswitch/vswitch.hh"
 
 namespace halo {
 
@@ -58,15 +59,16 @@ struct WorkerConfig
     unsigned batchSize = 32;
     /// Capacity of the worker's private simulated memory.
     std::uint64_t shardMemBytes = 1ull << 30;
-    ShardConfig shard;
-    bool warmTables = true;
+    /// Datapath configuration of the worker's functional switch
+    /// (Software mode).
+    VSwitchConfig vswitch;
     /// Trace-event ring slots for this worker's TraceRecorder
     /// (0 = no recorder). 16 bytes per slot.
     std::size_t traceCapacity = 0;
     /**
      * Decoupled slow path: deferred misses/promotions are enqueued
      * here (null = inline slow path). The ring is shared with the
-     * other workers; the revalidator drains it. Requires the shard
+     * other workers; the revalidator drains it. Requires the worker's
      * vswitch to run with deferSlowPath.
      */
     MpscRing<UpcallRequest> *upcallRing = nullptr;
@@ -115,7 +117,7 @@ struct WorkerCounters
 class Worker
 {
   public:
-    /** Builds the private shard and installs @p rules into it; the
+    /** Builds the private switch and installs @p rules into it; the
      *  thread is not started until start(). */
     Worker(const WorkerConfig &config, const RuleSet &rules);
     ~Worker();
@@ -195,12 +197,7 @@ class Worker
 
     /** @name Post-join accessors (exact, single-threaded again) */
     /**@{*/
-    SwitchShard &shard() { return shard_; }
-    VirtualSwitch &vswitch() { return shard_.vswitch(); }
-    const SwitchTotals &totals() const
-    {
-        return shard_.vswitch().totals();
-    }
+    VirtualSwitch &vswitch() { return vs_; }
     /** Wall-clock nanoseconds per drained batch, log-bucketed. */
     const obs::HdrHistogram &batchHistogram() const
     {
@@ -228,7 +225,7 @@ class Worker
 
     WorkerConfig cfg;
     SimMemory mem_; ///< private, shared-nothing
-    SwitchShard shard_;
+    VirtualSwitch vs_; ///< functional: no timing model attached
     SpscRing<Packet> ring_;
 
     std::thread thread_;

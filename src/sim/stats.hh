@@ -50,12 +50,12 @@ class Counter
  * Single-writer counter whose value may be read from any thread.
  *
  * The owning thread accumulates with add(); because there is exactly
- * one writer, the update is a relaxed load+store pair rather than an
+ * one writer, the update is a plain load+store pair rather than an
  * atomic RMW, so publishing costs no more than a plain increment plus
- * a store on x86. Readers on other threads see an eventually-consistent
- * monotonic snapshot — relaxed ordering is sufficient because snapshots
- * carry no synchronization obligations (the final, exact reduction
- * happens after the owning thread is joined, which orders everything).
+ * a store on x86. Release store / acquire load (still plain MOVs on
+ * x86): a reader that loads this and then another atomic sees the
+ * latter at least as new as what preceded the store, which
+ * Runtime::snapshot() relies on. Exact reductions happen after join().
  */
 class PublishedCounter
 {
@@ -69,11 +69,11 @@ class PublishedCounter
     add(std::uint64_t n)
     {
         v.store(v.load(std::memory_order_relaxed) + n,
-                std::memory_order_relaxed);
+                std::memory_order_release);
     }
 
     /** Any thread. */
-    std::uint64_t value() const { return v.load(std::memory_order_relaxed); }
+    std::uint64_t value() const { return v.load(std::memory_order_acquire); }
 
     /**
      * Owner thread only: publish an absolute value. For mirrored
@@ -82,7 +82,7 @@ class PublishedCounter
      * decrements), set() republishes the current value instead of
      * accumulating deltas.
      */
-    void set(std::uint64_t n) { v.store(n, std::memory_order_relaxed); }
+    void set(std::uint64_t n) { v.store(n, std::memory_order_release); }
 
     /** Owner thread only, and only while no reader expects
      *  monotonicity (e.g. between runs). */

@@ -4,16 +4,16 @@
  *
  * Benches and examples used to assemble a simulated machine by hand
  * (SimMemory + MemoryHierarchy + HaloSystem + CoreModel) and then wire
- * a VirtualSwitch over it. SwitchShard packages that setup behind one
- * configuration struct so a runtime Worker — or any harness — can build
- * a private, shared-nothing datapath shard from an externally owned
- * SimMemory without repeating the wiring.
+ * a timed VirtualSwitch over it. SwitchShard packages that setup behind
+ * one configuration struct so any simulator harness can build a
+ * private datapath shard from an externally owned SimMemory without
+ * repeating the wiring. Runtime workers do not use it: they classify on
+ * a functional VirtualSwitch with no simulated machine at all.
  *
  * The shard owns the timing-side components (hierarchy, optional HALO
- * complex, core model) and the VirtualSwitch itself; the functional
- * memory is passed in so the caller controls its lifetime and capacity
- * (a runtime Worker gives each shard a private SimMemory, which is what
- * makes the sharding shared-nothing).
+ * complex, core model) and the timed VirtualSwitch itself; the
+ * functional memory is passed in so the caller controls its lifetime
+ * and capacity.
  */
 
 #ifndef HALO_VSWITCH_SHARD_HH
@@ -21,23 +21,13 @@
 
 #include <memory>
 
+#include "core/halo_system.hh"
+#include "cpu/core_model.hh"
+#include "mem/hierarchy.hh"
+#include "vswitch/shard_config.hh"
 #include "vswitch/vswitch.hh"
 
 namespace halo {
-
-/** Everything needed to stand up one switch shard. */
-struct ShardConfig
-{
-    HierarchyConfig hierarchy;
-    /// Core the shard's datapath thread is modeled on.
-    CoreId coreId = 0;
-    /// Attach a per-shard HALO accelerator complex (required for the
-    /// HaloBlocking/HaloNonBlocking/Hybrid lookup modes).
-    bool useHalo = false;
-    HaloConfig halo;
-    /// Full datapath configuration.
-    VSwitchConfig vswitch;
-};
 
 /**
  * One virtual switch plus the simulated machine it runs on.

@@ -2,6 +2,9 @@
 
 #include <algorithm>
 
+#include "core/halo_system.hh"
+#include "cpu/core_model.hh"
+#include "cpu/trace_builder.hh"
 #include "obs/stage.hh"
 #include "sim/logging.hh"
 
@@ -14,6 +17,88 @@ constexpr unsigned rxSlotBytes = 128; // two lines per 64-B frame slot
 constexpr unsigned keySlots = 1024;
 
 } // namespace
+
+/**
+ * The timing model a timed switch carries: the simulated core and
+ * hierarchy every stage is priced on, the optional HALO complex, the
+ * trace builders and scratch that lower reference streams to micro-ops,
+ * and the simulated-memory buffers only priced stages touch (RX ring,
+ * key staging, LOOKUP_NB results).
+ */
+struct VirtualSwitch::Timing
+{
+    Timing(SimMemory &mem, MemoryHierarchy &hierarchy, CoreModel &core_model,
+           HaloSystem *halo_system, const VSwitchConfig &cfg)
+        : hier(hierarchy),
+          core(core_model),
+          halo(halo_system),
+          tableBuilder(SoftwareProfile{}),
+          emcBuilder(SoftwareProfile{cfg.emcProfileInstructions, 0.362,
+                                     0.118, 0.210, 0.309, 3})
+    {
+        core.setLookupEngine(halo);
+        rxRing = mem.allocate(rxRingSlots * rxSlotBytes, cacheLineBytes);
+        keyStage = mem.allocate(keySlots * cacheLineBytes, cacheLineBytes);
+        // One result word per key slot, 8 words per line (paper SS4.5).
+        resultBuffer = mem.allocate(ceilDiv(keySlots, 8) * cacheLineBytes,
+                                    cacheLineBytes);
+        // Pre-size the per-packet scratch so the steady state never
+        // grows it.
+        refScratch.reserve(64);
+        opScratch.reserve(4096);
+        pollScratch.reserve(512);
+    }
+
+    /** Cleared reference-stream scratch for the next traced lookup. */
+    AccessTrace *
+    trace()
+    {
+        refScratch.clear();
+        return &refScratch;
+    }
+
+    /** Cleared micro-op scratch for the next stage. */
+    OpTrace &
+    ops()
+    {
+        opScratch.clear();
+        return opScratch;
+    }
+
+    /** Run @p ops on the core from @p now (advanced to the end);
+     *  returns the elapsed cycles, instructions accrue to @p res. */
+    Cycles
+    run(const OpTrace &ops, PacketResult &res, Cycles &now)
+    {
+        const RunResult rr = core.run(ops, now);
+        res.instructions += rr.instructions;
+        now = rr.endCycle;
+        return rr.elapsed();
+    }
+
+    MemoryHierarchy &hier;
+    CoreModel &core;
+    HaloSystem *halo;
+    TraceBuilder tableBuilder; ///< Table-1 profile (cuckoo lookups)
+    TraceBuilder emcBuilder;   ///< lighter profile for EMC probes
+
+    /// Per-packet scratch reused across packets (cleared, never
+    /// reallocated) so steady-state classification does zero heap
+    /// allocation: one AccessTrace for functional reference streams,
+    /// one OpTrace for the lowered micro-ops of the current stage, one
+    /// for SNAPSHOT_READ poll rounds.
+    AccessTrace refScratch;
+    OpTrace opScratch;
+    OpTrace pollScratch;
+
+    /// Monotonic datapath clock: accelerator and cache reservation
+    /// state advances in absolute time, so packets must too.
+    Cycles clock = 0;
+    Addr rxRing = invalidAddr;       ///< DDIO-resident packet buffers
+    Addr keyStage = invalidAddr;     ///< streaming key buffers
+    Addr resultBuffer = invalidAddr; ///< LOOKUP_NB result lines
+    unsigned rxSlot = 0;
+};
 
 void
 SwitchTotals::add(const PacketResult &r)
@@ -38,37 +123,41 @@ SwitchTotals::cyclesPerPacket() const
                    : 0.0;
 }
 
+VirtualSwitch::VirtualSwitch(SimMemory &memory, const VSwitchConfig &config)
+    : mem(memory),
+      cfg(config),
+      emcCache(memory, config.emcEntries),
+      tuples(memory, config.tupleConfig),
+      openflow(memory, config.tupleConfig)
+{
+    if (cfg.mode != LookupMode::Software)
+        fatal("a functional VirtualSwitch runs Software mode only; the "
+              "HALO modes need a timed switch");
+}
+
 VirtualSwitch::VirtualSwitch(SimMemory &memory, MemoryHierarchy &hierarchy,
                              CoreModel &core_model,
                              HaloSystem *halo_system,
                              const VSwitchConfig &config)
     : mem(memory),
-      hier(hierarchy),
-      core(core_model),
-      haloSys(halo_system),
       cfg(config),
       emcCache(memory, config.emcEntries),
       tuples(memory, config.tupleConfig),
-      openflow(memory, config.tupleConfig),
-      tableBuilder(SoftwareProfile{}),
-      emcBuilder(SoftwareProfile{config.emcProfileInstructions, 0.362,
-                                 0.118, 0.210, 0.309, 3})
+      openflow(memory, config.tupleConfig)
 {
     if (cfg.mode != LookupMode::Software)
-        HALO_ASSERT(haloSys, "HALO mode requires a HaloSystem");
-    core.setLookupEngine(haloSys);
+        HALO_ASSERT(halo_system, "HALO mode requires a HaloSystem");
+    timing_ = std::make_unique<Timing>(memory, hierarchy, core_model,
+                                       halo_system, cfg);
+}
 
-    rxRing = mem.allocate(rxRingSlots * rxSlotBytes, cacheLineBytes);
-    keyStage = mem.allocate(keySlots * cacheLineBytes, cacheLineBytes);
-    // One result word per key slot, 8 words per line (paper SS4.5).
-    resultBuffer =
-        mem.allocate(ceilDiv(keySlots, 8) * cacheLineBytes,
-                     cacheLineBytes);
+VirtualSwitch::VirtualSwitch(VirtualSwitch &&) = default;
+VirtualSwitch::~VirtualSwitch() = default;
 
-    // Pre-size the per-packet scratch so the steady state never grows it.
-    refScratch.reserve(64);
-    opScratch.reserve(4096);
-    pollScratch.reserve(512);
+Cycles
+VirtualSwitch::now() const
+{
+    return timing_ ? timing_->clock : 0;
 }
 
 void
@@ -94,9 +183,12 @@ VirtualSwitch::installOpenflowRules(const RuleSet &rules)
 void
 VirtualSwitch::warmTables()
 {
-    tuples.forEachLine([this](Addr a) { hier.warmLine(a); });
-    openflow.forEachLine([this](Addr a) { hier.warmLine(a); });
-    emcCache.forEachLine([this](Addr a) { hier.warmLine(a); });
+    if (!timing_)
+        return;
+    MemoryHierarchy &hier = timing_->hier;
+    tuples.forEachLine([&hier](Addr a) { hier.warmLine(a); });
+    openflow.forEachLine([&hier](Addr a) { hier.warmLine(a); });
+    emcCache.forEachLine([&hier](Addr a) { hier.warmLine(a); });
 }
 
 void
@@ -107,23 +199,23 @@ VirtualSwitch::openflowUpcall(const FiveTuple &tuple, PacketResult &res,
     // The OpenFlow layer searches EVERY tuple and keeps the highest
     // priority match (paper SS2.2) — strictly slower than MegaFlow.
     const auto key = tuple.toKey();
-    OpTrace &ops = opScratch;
-    ops.clear();
-    for (unsigned t = 0; t < openflow.numTuples(); ++t) {
-        openflow.mask(t).applyInto(key, maskScratch.data());
-        refScratch.clear();
-        openflow.table(t).lookup(
-            KeyView(maskScratch.data(), maskScratch.size()), &refScratch);
-        tableBuilder.lowerCompute(4, 2, 0, ops);
-        tableBuilder.lowerTableOp(refScratch, ops);
+    if (timing_) {
+        // Price the search: one traced probe per tuple, then the
+        // priority comparison across matches.
+        Timing &t = *timing_;
+        OpTrace &ops = t.ops();
+        for (unsigned i = 0; i < openflow.numTuples(); ++i) {
+            openflow.mask(i).applyInto(key, maskScratch.data());
+            AccessTrace *trace = t.trace();
+            openflow.table(i).lookup(
+                KeyView(maskScratch.data(), maskScratch.size()), trace);
+            t.tableBuilder.lowerCompute(4, 2, 0, ops);
+            t.tableBuilder.lowerTableOp(*trace, ops);
+        }
+        t.tableBuilder.lowerCompute(2 * openflow.numTuples(),
+                                    openflow.numTuples(), 0, ops);
+        res.megaflowCycles += t.run(ops, res, now);
     }
-    // Priority comparison across matches.
-    tableBuilder.lowerCompute(2 * openflow.numTuples(),
-                              openflow.numTuples(), 0, ops);
-    const RunResult rr = core.run(ops, now);
-    res.megaflowCycles += rr.elapsed();
-    res.instructions += rr.instructions;
-    now = rr.endCycle;
 
     const auto best = openflow.lookupBest(
         std::span<const std::uint8_t>(key.data(), key.size()));
@@ -151,7 +243,7 @@ VirtualSwitch::effectiveMode() const
 {
     if (cfg.mode != LookupMode::Hybrid)
         return cfg.mode;
-    return haloSys->hybrid().mode() == ComputeMode::Software
+    return timing_->halo->hybrid().mode() == ComputeMode::Software
                ? LookupMode::Software
                : LookupMode::HaloNonBlocking;
 }
@@ -159,10 +251,10 @@ VirtualSwitch::effectiveMode() const
 Addr
 VirtualSwitch::stageKey(std::span<const std::uint8_t> key, unsigned slot)
 {
-    const Addr addr = keyStage + (slot % keySlots) * cacheLineBytes;
+    const Addr addr = timing_->keyStage + (slot % keySlots) * cacheLineBytes;
     mem.write(addr, key.data(), key.size());
     // Streaming store: lands in LLC, never dirties the private caches.
-    hier.warmLine(addr);
+    timing_->hier.warmLine(addr);
     return addr;
 }
 
@@ -175,13 +267,13 @@ VirtualSwitch::processPacket(const Packet &packet)
         ++sums.packets;
         return res; // malformed: dropped before classification
     }
-    return classifyTupleAt(parsed->tuple(), true, &packet);
+    return classifyTupleAt(parsed->tuple(), &packet);
 }
 
 PacketResult
 VirtualSwitch::classifyTuple(const FiveTuple &tuple)
 {
-    return classifyTupleAt(tuple, false, nullptr);
+    return classifyTupleAt(tuple, nullptr);
 }
 
 std::vector<PacketResult>
@@ -196,7 +288,8 @@ void
 VirtualSwitch::nbBurst(std::span<const FiveTuple> batch,
                        PacketResult *out)
 {
-    HALO_ASSERT(haloSys, "burst NB classification requires HALO");
+    HALO_ASSERT(timing_ && timing_->halo,
+                "burst NB classification requires HALO");
     const unsigned n = tuples.numTuples();
     for (std::size_t i = 0; i < batch.size(); ++i)
         out[i] = PacketResult{};
@@ -220,17 +313,18 @@ VirtualSwitch::nbBurstChunk(std::span<const FiveTuple> batch,
     HALO_ASSERT(batch.size() * n <= keySlots,
                 "burst too large for the key staging buffer");
 
-    const Cycles start = clock;
+    Timing &tm = *timing_;
+    const Addr results_base = tm.resultBuffer;
+    const Cycles start = tm.clock;
     const unsigned lines =
         static_cast<unsigned>(ceilDiv(batch.size() * n, 8));
     for (unsigned l = 0; l < lines; ++l) {
-        mem.zero(resultBuffer + l * cacheLineBytes, cacheLineBytes);
-        hier.warmLine(resultBuffer + l * cacheLineBytes);
+        mem.zero(results_base + l * cacheLineBytes, cacheLineBytes);
+        tm.hier.warmLine(results_base + l * cacheLineBytes);
     }
 
     // Issue every query of every packet back to back.
-    OpTrace &ops = opScratch;
-    ops.clear();
+    OpTrace &ops = tm.ops();
     unsigned slot = 0;
     for (const FiveTuple &tuple : batch) {
         const auto key = tuple.toKey();
@@ -240,26 +334,26 @@ VirtualSwitch::nbBurstChunk(std::span<const FiveTuple> batch,
                 std::span<const std::uint8_t>(maskScratch.data(),
                                               maskScratch.size()),
                 slot);
-            tableBuilder.lowerCompute(4, 3, 1, ops);
-            const Addr result_addr = resultBuffer +
+            tm.tableBuilder.lowerCompute(4, 3, 1, ops);
+            const Addr result_addr = results_base +
                                      (slot / 8) * cacheLineBytes +
                                      (slot % 8) * 8;
-            tableBuilder.lowerLookupNB(tuples.table(t).metadataAddr(),
-                                       key_addr, result_addr, ops);
+            tm.tableBuilder.lowerLookupNB(tuples.table(t).metadataAddr(),
+                                          key_addr, result_addr, ops);
             ++slot;
         }
     }
-    RunResult rr = core.run(ops, start);
+    RunResult rr = tm.core.run(ops, start);
     Cycles now = rr.endCycle;
 
     // One SNAPSHOT_READ sweep per poll round across all result lines.
     while (now < rr.lastNbReady) {
-        OpTrace &check = pollScratch;
+        OpTrace &check = tm.pollScratch;
         check.clear();
         for (unsigned l = 0; l < lines; ++l)
-            tableBuilder.lowerSnapshotCheck(
-                resultBuffer + l * cacheLineBytes, check);
-        now = core.run(check, now).endCycle;
+            tm.tableBuilder.lowerSnapshotCheck(
+                results_base + l * cacheLineBytes, check);
+        now = tm.core.run(check, now).endCycle;
     }
 
     // Harvest per-packet first-match results.
@@ -271,7 +365,7 @@ VirtualSwitch::nbBurstChunk(std::span<const FiveTuple> batch,
         res.tuplesSearched = n;
         for (unsigned t = 0; t < n; ++t, ++slot) {
             const std::uint64_t word = mem.load<std::uint64_t>(
-                resultBuffer + (slot / 8) * cacheLineBytes +
+                results_base + (slot / 8) * cacheLineBytes +
                 (slot % 8) * 8);
             if (!res.matched && word != nbPendingWord &&
                 word != nbMissWord) {
@@ -284,7 +378,7 @@ VirtualSwitch::nbBurstChunk(std::span<const FiveTuple> batch,
         res.instructions = rr.instructions / batch.size();
         sums.add(res);
     }
-    clock = now;
+    tm.clock = now;
 }
 
 void
@@ -298,7 +392,7 @@ VirtualSwitch::classifyBurst(std::span<const FiveTuple> batch,
         return;
     }
     for (std::size_t i = 0; i < batch.size(); ++i)
-        results[i] = classifyTupleAt(batch[i], false, nullptr);
+        results[i] = classifyTupleAt(batch[i], nullptr);
 }
 
 void
@@ -312,49 +406,38 @@ VirtualSwitch::processBurst(std::span<const Packet> batch,
 }
 
 PacketResult
-VirtualSwitch::classifyTupleAt(const FiveTuple &tuple,
-                               bool charge_io_stages,
-                               const Packet *packet)
+VirtualSwitch::classifyTupleAt(const FiveTuple &tuple, const Packet *packet)
 {
     PacketResult res;
     res.tuple = tuple;
-    const Cycles start = clock;
+    const Cycles start = this->now();
     Cycles now = start;
 
-    if (charge_io_stages) {
+    if (timing_ && packet) {
+        Timing &tm = *timing_;
         // --- Packet IO: RX descriptor + frame copy into the ring.
         //     DDIO places the frame in LLC; the core then reads it. ---
-        const Addr slot_addr = rxRing + (rxSlot++ % rxRingSlots) *
-                                            rxSlotBytes;
-        if (packet) {
-            const std::size_t n =
-                std::min<std::size_t>(packet->bytes().size(),
-                                      rxSlotBytes);
-            mem.write(slot_addr, packet->bytes().data(), n);
-        }
-        hier.warmLine(slot_addr);
-        hier.warmLine(slot_addr + cacheLineBytes);
+        const Addr slot_addr = tm.rxRing + (tm.rxSlot++ % rxRingSlots) *
+                                               rxSlotBytes;
+        const std::size_t n =
+            std::min<std::size_t>(packet->bytes().size(), rxSlotBytes);
+        mem.write(slot_addr, packet->bytes().data(), n);
+        tm.hier.warmLine(slot_addr);
+        tm.hier.warmLine(slot_addr + cacheLineBytes);
 
-        OpTrace &io = opScratch;
-        io.clear();
-        tableBuilder.lowerCompute(cfg.ioArith, cfg.ioOthers,
-                                  cfg.ioScratch, io);
-        tableBuilder.lowerLoad(slot_addr, 16, AccessPhase::Payload, io);
-        RunResult rr = core.run(io, now);
-        res.packetIo = rr.elapsed();
-        res.instructions += rr.instructions;
-        now = rr.endCycle;
+        OpTrace &io = tm.ops();
+        tm.tableBuilder.lowerCompute(cfg.ioArith, cfg.ioOthers,
+                                     cfg.ioScratch, io);
+        tm.tableBuilder.lowerLoad(slot_addr, 16, AccessPhase::Payload, io);
+        res.packetIo = tm.run(io, res, now);
 
         // --- Pre-processing: header extraction over the frame. ---
-        OpTrace &pre = opScratch;
-        pre.clear();
-        tableBuilder.lowerLoad(slot_addr, 48, AccessPhase::Payload, pre);
-        tableBuilder.lowerCompute(cfg.preArith, cfg.preOthers,
-                                  cfg.preScratch, pre);
-        rr = core.run(pre, now);
-        res.preprocess = rr.elapsed();
-        res.instructions += rr.instructions;
-        now = rr.endCycle;
+        OpTrace &pre = tm.ops();
+        tm.tableBuilder.lowerLoad(slot_addr, 48, AccessPhase::Payload,
+                                  pre);
+        tm.tableBuilder.lowerCompute(cfg.preArith, cfg.preOthers,
+                                     cfg.preScratch, pre);
+        res.preprocess = tm.run(pre, res, now);
     }
 
     switch (effectiveMode()) {
@@ -396,18 +479,16 @@ VirtualSwitch::classifyTupleAt(const FiveTuple &tuple,
             estimator_->observe(h);
     }
 
-    // --- Action execution + bookkeeping ("others" in Fig. 3). ---
-    OpTrace &act = opScratch;
-    act.clear();
-    tableBuilder.lowerCompute(cfg.actArith, cfg.actOthers, cfg.actScratch,
-                              act);
-    RunResult rr = core.run(act, now);
-    res.otherCycles = rr.elapsed();
-    res.instructions += rr.instructions;
-    now = rr.endCycle;
-
-    res.total = now - start;
-    clock = now;
+    if (timing_) {
+        // --- Action execution + bookkeeping ("others" in Fig. 3). ---
+        Timing &tm = *timing_;
+        OpTrace &act = tm.ops();
+        tm.tableBuilder.lowerCompute(cfg.actArith, cfg.actOthers,
+                                     cfg.actScratch, act);
+        res.otherCycles = tm.run(act, res, now);
+        res.total = now - start;
+        tm.clock = now;
+    }
     sums.add(res);
     return res;
 }
@@ -417,20 +498,19 @@ VirtualSwitch::softwareClassify(const FiveTuple &tuple, PacketResult &res,
                                 Cycles &now)
 {
     const auto key = tuple.toKey();
+    Timing *tm = timing_.get();
 
     // --- EMC probe (the adaptive controller may have it off: one
     // relaxed flag load is the entire hybrid-mode cost then). ---
     if (cfg.useEmc && emcCache.enabled()) {
         HALO_STAGE("vswitch/emc");
-        refScratch.clear();
-        const auto hit = emcCache.lookup(key, &refScratch);
-        OpTrace &emc_ops = opScratch;
-        emc_ops.clear();
-        emcBuilder.lowerTableOp(refScratch, emc_ops);
-        RunResult rr = core.run(emc_ops, now);
-        res.emcCycles = rr.elapsed();
-        res.instructions += rr.instructions;
-        now = rr.endCycle;
+        AccessTrace *trace = tm ? tm->trace() : nullptr;
+        const auto hit = emcCache.lookup(key, trace);
+        if (tm) {
+            OpTrace &emc_ops = tm->ops();
+            tm->emcBuilder.lowerTableOp(*trace, emc_ops);
+            res.emcCycles = tm->run(emc_ops, res, now);
+        }
         if (hit) {
             res.emcHit = true;
             res.matched = true;
@@ -439,27 +519,29 @@ VirtualSwitch::softwareClassify(const FiveTuple &tuple, PacketResult &res,
         }
     }
 
-    // --- MegaFlow tuple-space search (first match). Each probed tuple
-    //     costs a full Table-1-profile cuckoo lookup. ---
+    // --- MegaFlow tuple-space search (first match). A timed switch
+    //     prices each probed tuple as a full Table-1-profile cuckoo
+    //     lookup. ---
     std::optional<TupleMatch> match;
     {
         HALO_STAGE("vswitch/tuple_space");
-        OpTrace &ops = opScratch;
-        ops.clear();
+        OpTrace *ops = tm ? &tm->ops() : nullptr;
         unsigned searched = 0;
         for (unsigned t = 0; t < tuples.numTuples(); ++t) {
             tuples.mask(t).applyInto(key, maskScratch.data());
-            refScratch.clear();
+            AccessTrace *trace = tm ? tm->trace() : nullptr;
             std::optional<std::uint64_t> value;
             {
                 HALO_STAGE("vswitch/cuckoo");
                 value = tuples.table(t).lookup(
                     KeyView(maskScratch.data(), maskScratch.size()),
-                    &refScratch);
+                    trace);
             }
-            // Mask application: a handful of vector ANDs per tuple.
-            tableBuilder.lowerCompute(4, 2, 0, ops);
-            tableBuilder.lowerTableOp(refScratch, ops);
+            if (ops) {
+                // Mask application: a handful of vector ANDs per tuple.
+                tm->tableBuilder.lowerCompute(4, 2, 0, *ops);
+                tm->tableBuilder.lowerTableOp(*trace, *ops);
+            }
             ++searched;
             if (value) {
                 match = TupleMatch{*value, decodeRulePriority(*value),
@@ -467,10 +549,8 @@ VirtualSwitch::softwareClassify(const FiveTuple &tuple, PacketResult &res,
                 break;
             }
         }
-        RunResult rr = core.run(ops, now);
-        res.megaflowCycles = rr.elapsed();
-        res.instructions += rr.instructions;
-        now = rr.endCycle;
+        if (ops)
+            res.megaflowCycles = tm->run(*ops, res, now);
         res.tuplesSearched = searched;
     }
 
@@ -490,10 +570,10 @@ VirtualSwitch::softwareClassify(const FiveTuple &tuple, PacketResult &res,
             }
         }
     }
-    if (haloSys) {
+    if (tm && tm->halo) {
         // The software path maintains its own linear-counting estimate
         // so Hybrid mode can switch back (paper SS4.6).
-        haloSys->hybrid().observe(hashBytes(
+        tm->halo->hybrid().observe(hashBytes(
             HashKind::XxMix, 0,
             std::span<const std::uint8_t>(key.data(), key.size())));
     }
@@ -503,6 +583,7 @@ void
 VirtualSwitch::haloBlockingClassify(const FiveTuple &tuple,
                                     PacketResult &res, Cycles &now)
 {
+    Timing &tm = *timing_;
     const auto key = tuple.toKey();
 
     // Determine functionally which tuples a sequential first-match walk
@@ -514,8 +595,7 @@ VirtualSwitch::haloBlockingClassify(const FiveTuple &tuple,
                                     : tuples.numTuples();
     res.tuplesSearched = searched;
 
-    OpTrace &ops = opScratch;
-    ops.clear();
+    OpTrace &ops = tm.ops();
     std::int32_t prev_lookup = -1;
     for (unsigned t = 0; t < searched; ++t) {
         tuples.mask(t).applyInto(key, maskScratch.data());
@@ -524,8 +604,8 @@ VirtualSwitch::haloBlockingClassify(const FiveTuple &tuple,
                                           maskScratch.size()),
             t);
         // Masking + staging cost.
-        tableBuilder.lowerCompute(4, 3, 1, ops);
-        tableBuilder.lowerLookupB(tuples.table(t).metadataAddr(),
+        tm.tableBuilder.lowerCompute(4, 3, 1, ops);
+        tm.tableBuilder.lowerLookupB(tuples.table(t).metadataAddr(),
                                   key_addr, ops);
         const auto lookup_idx = static_cast<std::int32_t>(ops.size()) - 1;
         if (prev_lookup >= 0)
@@ -540,7 +620,7 @@ VirtualSwitch::haloBlockingClassify(const FiveTuple &tuple,
         prev_lookup = lookup_idx;
     }
 
-    RunResult rr = core.run(ops, now);
+    RunResult rr = tm.core.run(ops, now);
     res.megaflowCycles = rr.elapsed();
     res.instructions += rr.instructions;
     now = rr.endCycle;
@@ -555,6 +635,7 @@ void
 VirtualSwitch::haloNonBlockingClassify(const FiveTuple &tuple,
                                        PacketResult &res, Cycles &now)
 {
+    Timing &tm = *timing_;
     const auto key = tuple.toKey();
     const unsigned n = tuples.numTuples();
     if (n == 0) {
@@ -568,25 +649,24 @@ VirtualSwitch::haloNonBlockingClassify(const FiveTuple &tuple,
     // non-zero (paper SS4.5 batching: 8 results per line).
     const unsigned lines = static_cast<unsigned>(ceilDiv(n, 8));
     for (unsigned l = 0; l < lines; ++l) {
-        mem.zero(resultBuffer + l * cacheLineBytes, cacheLineBytes);
-        hier.warmLine(resultBuffer + l * cacheLineBytes);
+        mem.zero(tm.resultBuffer + l * cacheLineBytes, cacheLineBytes);
+        tm.hier.warmLine(tm.resultBuffer + l * cacheLineBytes);
     }
 
-    OpTrace &ops = opScratch;
-    ops.clear();
+    OpTrace &ops = tm.ops();
     for (unsigned t = 0; t < n; ++t) {
         tuples.mask(t).applyInto(key, maskScratch.data());
         const Addr key_addr = stageKey(
             std::span<const std::uint8_t>(maskScratch.data(),
                                           maskScratch.size()),
             t);
-        tableBuilder.lowerCompute(4, 3, 1, ops);
-        const Addr result_addr = resultBuffer + (t / 8) * cacheLineBytes +
+        tm.tableBuilder.lowerCompute(4, 3, 1, ops);
+        const Addr result_addr = tm.resultBuffer + (t / 8) * cacheLineBytes +
                                  (t % 8) * 8;
-        tableBuilder.lowerLookupNB(tuples.table(t).metadataAddr(),
+        tm.tableBuilder.lowerLookupNB(tuples.table(t).metadataAddr(),
                                    key_addr, result_addr, ops);
     }
-    RunResult rr = core.run(ops, now);
+    RunResult rr = tm.core.run(ops, now);
     res.instructions += rr.instructions;
     Cycles done = rr.endCycle;
     const Cycles results_ready = rr.lastNbReady;
@@ -594,12 +674,12 @@ VirtualSwitch::haloNonBlockingClassify(const FiveTuple &tuple,
     // Poll with SNAPSHOT_READ until every line reports 8 ready slots.
     Cycles poll = done;
     do {
-        OpTrace &check = pollScratch;
+        OpTrace &check = tm.pollScratch;
         check.clear();
         for (unsigned l = 0; l < lines; ++l)
-            tableBuilder.lowerSnapshotCheck(
-                resultBuffer + l * cacheLineBytes, check);
-        RunResult cr = core.run(check, poll);
+            tm.tableBuilder.lowerSnapshotCheck(
+                tm.resultBuffer + l * cacheLineBytes, check);
+        RunResult cr = tm.core.run(check, poll);
         res.instructions += cr.instructions;
         poll = cr.endCycle;
     } while (poll < results_ready);
@@ -611,7 +691,7 @@ VirtualSwitch::haloNonBlockingClassify(const FiveTuple &tuple,
     // first-match semantics dictate.
     for (unsigned t = 0; t < n; ++t) {
         const std::uint64_t word = mem.load<std::uint64_t>(
-            resultBuffer + (t / 8) * cacheLineBytes + (t % 8) * 8);
+            tm.resultBuffer + (t / 8) * cacheLineBytes + (t % 8) * 8);
         if (word != nbPendingWord && word != nbMissWord) {
             res.matched = true;
             res.action = Action::decode(word);

@@ -2,10 +2,18 @@
  * @file
  * The software virtual switch datapath (paper SS2, Fig. 1/2a).
  *
- * Pipeline per packet: packet IO (RX ring) -> header pre-processing ->
- * EMC lookup -> MegaFlow tuple-space search -> action execution. Every
- * stage is priced on the core model, giving the Fig. 3 breakdown; the
- * classification stages can run in four modes:
+ * Pipeline per packet: header pre-processing -> EMC lookup -> MegaFlow
+ * tuple-space search -> OpenFlow upcall on a miss -> action. Every stage
+ * does its functional work through the tables' lookups; the timing
+ * model is an optional attachment on top of the same stages.
+ *
+ *  - A functional switch (the two-argument constructor) classifies
+ *    only: untraced lookups, no simulated machine, Software mode. The
+ *    runtime workers run this one.
+ *  - A timed switch (the constructor taking a hierarchy and a core)
+ *    additionally records each stage's reference stream, lowers it to
+ *    micro-ops and prices it on the core model, giving the Fig. 3
+ *    breakdown. Only a timed switch runs the HALO modes:
  *
  *   Software        — EMC + cuckoo TSS entirely on the core (baseline);
  *   HaloBlocking    — LOOKUP_B per tuple, result-dependent sequencing;
@@ -13,30 +21,37 @@
  *   Hybrid          — flow-register-driven switch between Software and
  *                     HaloNonBlocking (paper SS4.6).
  *
- * Modeling notes: packet buffers are DDIO-resident (the NIC writes RX
- * descriptors into the LLC), and masked-key staging buffers for HALO
- * queries are written with streaming stores (functional write + LLC
- * warm), so accelerator key fetches do not pay dirty-private-copy
- * snoops — matching how DPDK stages lookup batches in practice.
+ * Modeling notes (timed switch): packet buffers are DDIO-resident (the
+ * NIC writes RX descriptors into the LLC), and masked-key staging
+ * buffers for HALO queries are written with streaming stores
+ * (functional write + LLC warm), so accelerator key fetches do not pay
+ * dirty-private-copy snoops — matching how DPDK stages lookup batches in
+ * practice.
  */
 
 #ifndef HALO_VSWITCH_VSWITCH_HH
 #define HALO_VSWITCH_VSWITCH_HH
 
+#include <array>
 #include <cstdint>
+#include <memory>
 #include <optional>
+#include <span>
+#include <vector>
 
-#include "core/halo_system.hh"
-#include "cpu/core_model.hh"
-#include "cpu/trace_builder.hh"
 #include "flow/emc.hh"
 #include "flow/flow_activity.hh"
 #include "flow/flow_estimator.hh"
 #include "flow/ruleset.hh"
 #include "flow/tuple_space.hh"
 #include "net/packet.hh"
+#include "sim/types.hh"
 
 namespace halo {
+
+class CoreModel;
+class HaloSystem;
+class MemoryHierarchy;
 
 /** Which engine performs flow classification. */
 enum class LookupMode
@@ -84,7 +99,8 @@ struct VSwitchConfig
     bool useEmc = true;
     /// MegaFlow search semantics: first match (OVS MegaFlow layer).
     TupleSpace::Config tupleConfig;
-    /// Instruction-cost knobs (arith/others/stack) per stage.
+    /// Instruction-cost knobs (arith/others/stack) per stage; read by
+    /// a timed switch only.
     unsigned ioArith = 90, ioOthers = 220, ioScratch = 70;
     unsigned preArith = 120, preOthers = 150, preScratch = 50;
     unsigned actArith = 24, actOthers = 48, actScratch = 18;
@@ -96,7 +112,8 @@ struct VSwitchConfig
     unsigned burstLanes = 16;
 };
 
-/** Per-packet result + Fig. 3 stage breakdown. */
+/** Per-packet result + Fig. 3 stage breakdown (the cycle and
+ *  instruction fields stay zero on a functional switch). */
 struct PacketResult
 {
     bool matched = false;
@@ -151,12 +168,24 @@ class VirtualSwitch
 {
   public:
     /**
+     * Functional switch: classification without a timing model.
+     * Software mode only — a HALO or Hybrid mode is a fatal error.
+     */
+    VirtualSwitch(SimMemory &memory, const VSwitchConfig &config);
+
+    /**
+     * Timed switch: every stage is also priced on @p core_model.
      * @param halo_system required for the HALO/Hybrid modes; may be null
      *                    for pure software operation.
      */
     VirtualSwitch(SimMemory &memory, MemoryHierarchy &hierarchy,
                   CoreModel &core_model, HaloSystem *halo_system,
                   const VSwitchConfig &config);
+    VirtualSwitch(VirtualSwitch &&);
+    ~VirtualSwitch();
+
+    /** True when a timing model is attached (the timed constructor). */
+    bool timed() const { return timing_ != nullptr; }
 
     /** Install the rule table (builds the MegaFlow tuple space). */
     void installRules(const RuleSet &rules);
@@ -169,7 +198,8 @@ class VirtualSwitch
     void installOpenflowRules(const RuleSet &rules);
 
     /** Warm the classification tables into the LLC (10K-lookup warmup
-     *  equivalent, paper SS5.2). */
+     *  equivalent, paper SS5.2). A functional switch has no cache to
+     *  warm: no-op. */
     void warmTables();
 
     /** Process one packet through the full pipeline. */
@@ -202,6 +232,7 @@ class VirtualSwitch
      * the in-flight queries of packet k. This is the mode that lets the
      * tuple-space search scale (paper SS6.2, Fig. 11). Returns one
      * result per packet; cycle cost is amortized across the burst.
+     * Timed switches with a HaloSystem only.
      */
     std::vector<PacketResult>
     classifyBurstNB(std::span<const FiveTuple> batch);
@@ -237,18 +268,31 @@ class VirtualSwitch
      *  register). */
     LookupMode effectiveMode() const;
 
-    /** Current datapath time (advances with every packet). */
-    Cycles now() const { return clock; }
+    /** Current datapath time (advances with every packet of a timed
+     *  switch; always 0 on a functional one). */
+    Cycles now() const;
 
   private:
+    /// The attached timing model (defined in vswitch.cc).
+    struct Timing;
+
+    /** The pipeline; @p packet (null for pre-parsed tuples) is what a
+     *  timed switch charges the packet-IO stages on. */
     PacketResult classifyTupleAt(const FiveTuple &tuple,
-                                 bool charge_io_stages,
                                  const Packet *packet);
 
-    /** Software-mode classification (EMC + TSS traces on the core). */
+    /** Software-mode classification: EMC probe, then the MegaFlow
+     *  first-match walk. */
     void softwareClassify(const FiveTuple &tuple, PacketResult &res,
                           Cycles &now);
 
+    /** OpenFlow slow path: search all tuples, best priority wins, and
+     *  promote the result into the MegaFlow layer. */
+    void openflowUpcall(const FiveTuple &tuple, PacketResult &res,
+                        Cycles &now);
+
+    /** @name HALO modes (timed switch only) */
+    /**@{*/
     /** Chunked LOOKUP_NB burst engine shared by classifyBurst and
      *  classifyBurstNB. */
     void nbBurst(std::span<const FiveTuple> batch, PacketResult *out);
@@ -265,16 +309,9 @@ class VirtualSwitch
 
     /** Stage a key into the streaming buffer (see file comment). */
     Addr stageKey(std::span<const std::uint8_t> key, unsigned slot);
-
-    /** OpenFlow slow path: search all tuples, best priority wins, and
-     *  promote the result into the MegaFlow layer. */
-    void openflowUpcall(const FiveTuple &tuple, PacketResult &res,
-                        Cycles &now);
+    /**@}*/
 
     SimMemory &mem;
-    MemoryHierarchy &hier;
-    CoreModel &core;
-    HaloSystem *haloSys;
     VSwitchConfig cfg;
 
     ExactMatchCache emcCache;
@@ -283,26 +320,9 @@ class VirtualSwitch
     std::uint64_t upcallCount = 0;
     FlowActivity *activity_ = nullptr; ///< aging stamps (may be null)
     ShardFlowEstimator *estimator_ = nullptr; ///< flow-count bits
-    TraceBuilder tableBuilder; ///< Table-1 profile (cuckoo lookups)
-    TraceBuilder emcBuilder;   ///< lighter profile for EMC probes
-
-    /// Per-packet scratch reused across packets (cleared, never
-    /// reallocated) so steady-state classification does zero heap
-    /// allocation: one AccessTrace for functional reference streams,
-    /// one OpTrace for the lowered micro-ops of the current stage, one
-    /// for SNAPSHOT_READ poll rounds, and a masked-key buffer.
-    AccessTrace refScratch;
-    OpTrace opScratch;
-    OpTrace pollScratch;
     std::array<std::uint8_t, FiveTuple::keyBytes> maskScratch{};
 
-    /// Monotonic datapath clock: accelerator and cache reservation
-    /// state advances in absolute time, so packets must too.
-    Cycles clock = 0;
-    Addr rxRing = invalidAddr;         ///< DDIO-resident packet buffers
-    Addr keyStage = invalidAddr;       ///< streaming key buffers
-    Addr resultBuffer = invalidAddr;   ///< LOOKUP_NB result lines
-    unsigned rxSlot = 0;
+    std::unique_ptr<Timing> timing_; ///< null on a functional switch
 
     SwitchTotals sums;
 };

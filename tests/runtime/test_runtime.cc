@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <chrono>
+#include <climits>
 #include <thread>
 
 #include "flow/ruleset.hh"
@@ -100,8 +102,9 @@ TEST(Runtime, EndToEndAccountsEveryPacket)
     // Per-worker reductions are consistent with the aggregate.
     ASSERT_EQ(rep.workers.size(), 2u);
     std::uint64_t sum = 0;
-    for (const WorkerReport &w : rep.workers) {
-        EXPECT_EQ(w.counters.packets, w.totals.packets);
+    for (unsigned i = 0; i < rep.workers.size(); ++i) {
+        const WorkerReport &w = rep.workers[i];
+        EXPECT_EQ(w.counters.packets, rt.worker(i).vswitch().totals().packets);
         EXPECT_GE(w.batchP99Nanos, w.batchP50Nanos);
         sum += w.counters.packets;
     }
@@ -294,6 +297,111 @@ TEST(Runtime, DecoupledUpcallOverflowDropsAreCounted)
               offered); // enqueues bounded by traffic, drops excluded
 
     rt.stop();
+}
+
+/** The flow limit's aging decision at the 3/4 edge. */
+TEST(FlowLimit, IdleTimeoutDropsToOneSweepAtThreeQuartersFull)
+{
+    EXPECT_EQ(flowIdleTimeoutEpochs(0, 1024, 20), 20u);
+    EXPECT_EQ(flowIdleTimeoutEpochs(767, 1024, 20), 20u);
+    EXPECT_EQ(flowIdleTimeoutEpochs(768, 1024, 20), 1u);
+    EXPECT_EQ(flowIdleTimeoutEpochs(1024, 1024, 20), 1u);
+    EXPECT_EQ(flowIdleTimeoutEpochs(49151, 65536, 4), 4u);
+    EXPECT_EQ(flowIdleTimeoutEpochs(49152, 65536, 4), 1u);
+    // The limit only ever shortens the configured timeout.
+    EXPECT_EQ(flowIdleTimeoutEpochs(1024, 1024, 0), 0u);
+}
+
+/**
+ * A flow table that fills faster than it ages: batches of
+ * capacity/4 never-repeating flows against an idle timeout far longer
+ * than the test. Only the flow limit can make room, so every install
+ * must still succeed and the exact tuple must never fill. Waits on the
+ * revalidator's counters, never on a wall-clock deadline.
+ */
+TEST(Runtime, DecoupledFlowLimitKeepsExactTupleBelowCapacity)
+{
+    RuleSet of;
+    FlowRule fallback;
+    fallback.mask = FlowMask{};
+    fallback.priority = 1;
+    fallback.action = Action{ActionKind::Forward, 5};
+    of.push_back(fallback);
+
+    constexpr std::uint64_t capacity = 1024;
+    RuntimeConfig cfg = smallConfig(1);
+    cfg.decoupled = true;
+    cfg.openflowRules = &of;
+    cfg.enqueueRetries = UINT_MAX;
+    cfg.shard.vswitch.tupleConfig.tupleCapacity = capacity;
+    cfg.revalidator.sweepIntervalMicros = 1000;
+    cfg.revalidator.idleTimeoutEpochs = 1000000;
+    const RuleSet empty;
+    Runtime rt(cfg, empty);
+    TupleSpace &tuples = rt.worker(0).vswitch().tupleSpace();
+    ASSERT_EQ(tuples.numTuples(), 1u); // the exact tuple installs target
+    const CuckooHashTable &exact = tuples.table(0);
+    ASSERT_EQ(exact.capacity(), capacity);
+    rt.start();
+
+    std::uint32_t next_flow = 0;
+    std::uint64_t peak = 0;
+    for (int batch = 0; batch < 8; ++batch) {
+        for (std::uint64_t i = 0; i < capacity / 4; ++i) {
+            FiveTuple t;
+            t.srcIp = 0x0a000000u + next_flow++;
+            t.dstIp = 0xc0a80001u;
+            t.srcPort = 4000;
+            t.dstPort = 53;
+            ASSERT_TRUE(rt.offer(Packet::fromTuple(t), t));
+        }
+        // Every packet classified, then every upcall it raised handled.
+        while (rt.snapshot().processed < rt.snapshot().enqueued)
+            std::this_thread::yield();
+        for (RuntimeSnapshot s = rt.snapshot();
+             s.revalidator.upcallsProcessed < s.upcallsEnqueued;
+             s = rt.snapshot())
+            std::this_thread::yield();
+        peak = std::max(peak, exact.size());
+        // Three completed sweeps: the first over the limit ages every
+        // flow idle for more than one sweep.
+        const std::uint64_t sweeps = rt.snapshot().revalidator.sweeps;
+        while (rt.snapshot().revalidator.sweeps < sweeps + 3)
+            std::this_thread::yield();
+    }
+    rt.drain();
+    rt.stop();
+
+    const RuntimeSnapshot fin = rt.snapshot();
+    EXPECT_EQ(fin.processed, 8 * capacity / 4);
+    EXPECT_EQ(fin.upcallDrops, 0u);
+    EXPECT_EQ(fin.revalidator.unresolved, 0u);
+    EXPECT_EQ(fin.revalidator.installFailures, 0u);
+    EXPECT_EQ(fin.revalidator.installs, 8 * capacity / 4);
+    EXPECT_GT(fin.revalidator.agedFlows, 0u);
+    EXPECT_LT(peak, capacity);
+}
+
+/** Runtime workers classify on functional switches: no timing model is
+ *  attached to any of them, inline or decoupled. */
+TEST(Runtime, WorkersRunFunctionalSwitches)
+{
+    Workload wl(200);
+    RuleSet of;
+    FlowRule fallback;
+    fallback.mask = FlowMask{};
+    fallback.priority = 1;
+    fallback.action = Action{ActionKind::Forward, 2};
+    of.push_back(fallback);
+    for (bool decoupled : {false, true}) {
+        RuntimeConfig cfg = smallConfig(3);
+        cfg.decoupled = decoupled;
+        cfg.openflowRules = &of;
+        Runtime rt(cfg, wl.rules);
+        for (unsigned w = 0; w < rt.numWorkers(); ++w)
+            EXPECT_FALSE(rt.worker(w).vswitch().timed())
+                << "worker " << w << (decoupled ? " decoupled" : "");
+    }
 }
 
 TEST(Runtime, SymmetricRssKeepsConnectionsOnOneShard)

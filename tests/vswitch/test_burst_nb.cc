@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include "core/halo_system.hh"
 #include "flow/ruleset.hh"
 #include "vswitch/vswitch.hh"
 

@@ -15,6 +15,7 @@
 
 #include <memory>
 
+#include "core/halo_system.hh"
 #include "flow/ruleset.hh"
 #include "vswitch/vswitch.hh"
 
