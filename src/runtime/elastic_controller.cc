@@ -1,7 +1,6 @@
 #include "runtime/elastic_controller.hh"
 
 #include <algorithm>
-#include <chrono>
 #include <limits>
 #include <string>
 
@@ -11,15 +10,6 @@
 namespace halo {
 
 namespace {
-
-std::uint64_t
-steadyNanos()
-{
-    return static_cast<std::uint64_t>(
-        std::chrono::duration_cast<std::chrono::nanoseconds>(
-            std::chrono::steady_clock::now().time_since_epoch())
-            .count());
-}
 
 /** Hot shard's buckets, hottest first, from the epoch heat map. */
 std::vector<unsigned>
@@ -96,7 +86,7 @@ decideRebalance(const ElasticConfig &cfg, const RebalanceInputs &in,
     // Streaks advance even through cooldown so a persistent condition
     // fires the moment the cooldown expires.
     d.imbalanced = active.size() > 1 && maxBusy > cfg.minBusyToAct &&
-                   maxBusy > cfg.imbalanceRatio * meanBusy;
+                   maxBusy > elasticImbalanceRatio * meanBusy;
     state.imbalancedEpochs =
         d.imbalanced ? state.imbalancedEpochs + 1 : 0;
 
@@ -194,8 +184,9 @@ decideRebalance(const ElasticConfig &cfg, const RebalanceInputs &in,
 }
 
 ElasticController::ElasticController(const ElasticConfig &config,
-                                     Hooks hooks)
-    : cfg(config), hooks_(std::move(hooks))
+                                     Hooks hooks, EpochClock &clock)
+    : cfg(config), hooks_(std::move(hooks)), clock_(clock),
+      lastEpochMicros_(clock.nowMicros())
 {
     HALO_ASSERT(hooks_.rss, "elastic controller needs a dispatcher");
     HALO_ASSERT(!hooks_.workers.empty(),
@@ -219,6 +210,8 @@ ElasticController::start()
 {
     HALO_ASSERT(!thread_.joinable(), "controller already started");
     stop_.store(false, std::memory_order_release);
+    // Here, not on the thread: a manual clock may advance right away.
+    lastEpochMicros_ = clock_.nowMicros();
     thread_ = std::thread([this] { threadMain(); });
 }
 
@@ -226,10 +219,7 @@ void
 ElasticController::requestStop()
 {
     stop_.store(true, std::memory_order_release);
-    {
-        std::lock_guard<std::mutex> lk(wakeMtx_);
-    }
-    wakeCv_.notify_all();
+    clock_.notify();
 }
 
 void
@@ -242,29 +232,19 @@ ElasticController::join()
 void
 ElasticController::threadMain()
 {
-    while (true) {
-        {
-            std::unique_lock<std::mutex> lk(wakeMtx_);
-            wakeCv_.wait_for(
-                lk,
-                std::chrono::microseconds(cfg.controlIntervalMicros),
-                [this] {
-                    return stop_.load(std::memory_order_acquire);
-                });
-        }
-        if (stop_.load(std::memory_order_acquire))
-            break;
+    while (!clock_.waitUntil(
+        lastEpochMicros_ + cfg.controlIntervalMicros,
+        [this] { return stop_.load(std::memory_order_acquire); }))
         runEpoch();
-    }
 }
 
 template <typename Pred>
 bool
 ElasticController::boundedWait(std::uint64_t micros, Pred pred) const
 {
-    const std::uint64_t deadline = steadyNanos() + micros * 1000;
+    const std::uint64_t deadline = clock_.nowMicros() + micros;
     while (!pred()) {
-        if (steadyNanos() >= deadline)
+        if (clock_.nowMicros() >= deadline)
             return false;
         std::this_thread::yield();
     }
@@ -285,7 +265,7 @@ ElasticController::producerGrace() const
     const std::uint64_t s =
         hooks_.offerSeq->load(std::memory_order_acquire);
     if (s & 1) {
-        boundedWait(cfg.migrationTimeoutMicros, [this, s] {
+        boundedWait(migrationTimeoutMicros, [this, s] {
             return hooks_.offerSeq->load(
                        std::memory_order_acquire) != s;
         });
@@ -295,11 +275,9 @@ ElasticController::producerGrace() const
 void
 ElasticController::runEpoch()
 {
-    const std::uint64_t now = steadyNanos();
-    const std::uint64_t wall =
-        lastEpochNanos_ ? now - lastEpochNanos_
-                        : cfg.controlIntervalMicros * 1000;
-    lastEpochNanos_ = now;
+    const std::uint64_t now = clock_.nowMicros();
+    const std::uint64_t wall = (now - lastEpochMicros_) * 1000;
+    lastEpochMicros_ = now;
 
     const std::size_t n = hooks_.workers.size();
     std::vector<ShardLoadSnapshot> shards(n);
@@ -322,6 +300,9 @@ ElasticController::runEpoch()
             s.flowEstimate = hooks_.estimators[i]->lastEstimate();
         }
         s.parked = w->parked();
+        // Wake a parked worker for a push that outlived a grace timeout.
+        if (s.parked && !w->ring().empty())
+            clock_.notify();
 
         PublishedLoad &p = *loads_[i];
         p.packets.store(s.packets, std::memory_order_relaxed);
@@ -360,7 +341,7 @@ ElasticController::runEpoch()
         m.from = hooks_.rss->bucketState(m.bucket).shard;
         migrateBuckets(std::span<const RebalanceDecision::Migration>(
                            &m, 1),
-                       cfg.migrationTimeoutMicros);
+                       migrationTimeoutMicros);
     }
 
     RebalanceInputs in;
@@ -400,7 +381,7 @@ ElasticController::actuate(const RebalanceDecision &d)
         migrateBuckets(
             std::span<const RebalanceDecision::Migration>(
                 ms.data() + i, j - i),
-            cfg.migrationTimeoutMicros);
+            migrationTimeoutMicros);
         i = j;
     }
 
@@ -409,7 +390,7 @@ ElasticController::actuate(const RebalanceDecision &d)
         Worker *victim = hooks_.workers[d.park];
         // Buckets are already remapped away and the producer grace has
         // passed, so the ring only shrinks from here.
-        boundedWait(cfg.migrationTimeoutMicros,
+        boundedWait(migrationTimeoutMicros,
                     [victim] { return victim->ring().empty(); });
         victim->requestPark();
         parks_.add(1);
@@ -458,7 +439,7 @@ ElasticController::migrateBuckets(
         Worker *dst = hooks_.workers[d];
         if (dst->parkRequested())
             dst->requestUnpark();
-        if (boundedWait(cfg.migrationTimeoutMicros, [dst, source] {
+        if (boundedWait(migrationTimeoutMicros, [dst, source] {
                 return dst->armMigrationGate(source, kHold);
             }))
             armed.push_back(d);

@@ -57,7 +57,6 @@
 #define HALO_RUNTIME_ELASTIC_CONTROLLER_HH
 
 #include <atomic>
-#include <condition_variable>
 #include <cstdint>
 #include <mutex>
 #include <span>
@@ -65,6 +64,7 @@
 #include <vector>
 
 #include "flow/flow_estimator.hh"
+#include "runtime/epoch_clock.hh"
 #include "runtime/rss.hh"
 #include "runtime/worker.hh"
 #include "sim/stats.hh"
@@ -75,19 +75,27 @@ namespace obs {
 class MetricsRegistry;
 } // namespace obs
 
+/// Imbalance trips when the max busy fraction exceeds this multiple of
+/// the mean over active workers (and ElasticConfig::minBusyToAct).
+inline constexpr double elasticImbalanceRatio = 1.25;
+
+/// Bound on any protocol wait (gate arm, gate clear, pre-park drain)
+/// before it counts a gate timeout. Safety never depends on it: the
+/// gate still self-clears once the source drains to the fence.
+inline constexpr std::uint64_t migrationTimeoutMicros = 200000;
+
 /** Knobs for the elastic controller (RuntimeConfig::elastic). */
 struct ElasticConfig
 {
     /// Master switch: off = static RSS, exactly the PR 2 behaviour.
     bool enabled = false;
 
-    /// Control epoch length (measurement + decision cadence).
+    /// Control epoch length on the runtime's EpochClock (measurement +
+    /// decision cadence, and the busy fractions' denominator).
     std::uint64_t controlIntervalMicros = 2000;
 
-    /// Imbalance trips when max busy fraction exceeds this multiple of
-    /// the mean over active workers...
-    double imbalanceRatio = 1.25;
-    /// ...and the hot worker is at least this busy (idle noise guard).
+    /// The hot worker must be at least this busy to trip imbalance
+    /// (idle noise guard).
     double minBusyToAct = 0.05;
     /// Consecutive imbalanced epochs before migrating (hysteresis).
     unsigned hysteresisEpochs = 2;
@@ -110,13 +118,6 @@ struct ElasticConfig
     double unparkBusyFraction = 0.60;
     /// Never park below this many active workers.
     unsigned minActiveWorkers = 1;
-
-    /// Bound on any protocol wait (gate arm, gate clear, pre-park ring
-    /// drain) before the controller stops blocking and counts a gate
-    /// timeout. Safety never depends on this bound: an expired wait
-    /// only means the controller moves on while the gate self-clears
-    /// on the destination worker once the source drains to the fence.
-    std::uint64_t migrationTimeoutMicros = 200000;
 };
 
 /** One worker's epoch load, aggregated lock-free by the controller. */
@@ -124,7 +125,7 @@ struct ShardLoadSnapshot
 {
     std::uint64_t packets = 0;      ///< processed this epoch
     std::uint64_t busyNanos = 0;    ///< batch CPU nanos this epoch
-    double busyFraction = 0.0;      ///< busyNanos / epoch wall nanos
+    double busyFraction = 0.0;      ///< busyNanos / epoch clock nanos
     std::uint64_t ringDepthHwm = 0; ///< max ring occupancy at pop time
     double flowEstimate = 0.0;      ///< ShardFlowEstimator (0 = off)
     bool parked = false;
@@ -216,7 +217,9 @@ class ElasticController
         bool closeWindows = false;
     };
 
-    ElasticController(const ElasticConfig &config, Hooks hooks);
+    /** Epochs and protocol waits run on @p clock (must outlive this). */
+    ElasticController(const ElasticConfig &config, Hooks hooks,
+                      EpochClock &clock);
     ~ElasticController();
 
     ElasticController(const ElasticController &) = delete;
@@ -256,23 +259,20 @@ class ElasticController
      *  halo_worker_parked gauges. Must outlive @p reg. */
     void registerMetrics(obs::MetricsRegistry &reg);
 
-    const ElasticConfig &config() const { return cfg; }
-
   private:
     void threadMain();
     void producerGrace() const;
     void actuate(const RebalanceDecision &d);
-    /** Yield until @p pred or ~micros elapsed; false on timeout. */
+    /** Yield until @p pred or @p micros on the clock; false on timeout. */
     template <typename Pred>
     bool boundedWait(std::uint64_t micros, Pred pred) const;
 
     ElasticConfig cfg;
     Hooks hooks_;
+    EpochClock &clock_;
 
     std::thread thread_;
     std::atomic<bool> stop_{false};
-    std::mutex wakeMtx_;
-    std::condition_variable wakeCv_;
 
     /// Forced-migration queue (requestMigration producers, epoch
     /// consumer).
@@ -283,7 +283,7 @@ class ElasticController
     ElasticEpochState state_;
     std::vector<std::uint64_t> prevPackets_;
     std::vector<std::uint64_t> prevBusy_;
-    std::uint64_t lastEpochNanos_ = 0; ///< steady_clock of last epoch
+    std::uint64_t lastEpochMicros_ = 0; ///< clock time of last epoch
 
     /// Published per-shard snapshots (controller writes, any thread
     /// reads; busy fraction stored in micro-units).

@@ -31,6 +31,9 @@
 
 namespace halo {
 
+/// Bits per flow-estimator window buffer (a power of two).
+inline constexpr std::uint64_t emcEstimatorBits = 1ull << 18;
+
 /** Knobs for the adaptive EMC controller (RuntimeConfig::emcPolicy). */
 struct EmcPolicyConfig
 {
@@ -42,9 +45,7 @@ struct EmcPolicyConfig
     /// controlIntervalSweeps-th sweep).
     unsigned controlIntervalSweeps = 4;
 
-    /// Estimator sizing: bits per window buffer (power of two) and the
-    /// 1-in-2^shift packet sampling rate on the data path.
-    std::uint64_t estimatorBits = 1ull << 18;
+    /// Estimator's 1-in-2^shift packet sampling rate on the data path.
     unsigned estimatorSampleShift = 1;
 
     /// Windows with fewer samples than this carry no signal (idle

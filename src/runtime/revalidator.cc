@@ -1,7 +1,5 @@
 #include "runtime/revalidator.hh"
 
-#include <chrono>
-
 #include "runtime/rss.hh"
 #include "sim/logging.hh"
 
@@ -9,8 +7,8 @@ namespace halo {
 
 Revalidator::Revalidator(const RevalidatorConfig &config,
                          MpscRing<UpcallRequest> &ring,
-                         std::vector<ShardHooks> shards)
-    : cfg(config), ring_(ring), shards_(std::move(shards))
+                         std::vector<ShardHooks> shards, EpochClock &clock)
+    : cfg(config), ring_(ring), shards_(std::move(shards)), clock_(clock)
 {
     HALO_ASSERT(!shards_.empty(), "revalidator needs at least one shard");
     for (const ShardHooks &s : shards_)
@@ -19,7 +17,7 @@ Revalidator::Revalidator(const RevalidatorConfig &config,
     drainBuf_.resize(std::max(cfg.drainBatch, 1u));
     ctl_.resize(shards_.size());
     tracked_.reserve(
-        std::min<std::size_t>(cfg.maxTrackedFlows, 1u << 16));
+        std::min<std::size_t>(revalidatorMaxTrackedFlows, 1u << 16));
     if (cfg.traceCapacity)
         trace_ = std::make_unique<obs::TraceRecorder>(cfg.traceCapacity);
     if (cfg.perfEnabled)
@@ -29,8 +27,7 @@ Revalidator::Revalidator(const RevalidatorConfig &config,
 Revalidator::~Revalidator()
 {
     requestStop();
-    if (thread_.joinable())
-        thread_.join();
+    join();
 }
 
 void
@@ -38,6 +35,8 @@ Revalidator::start()
 {
     HALO_ASSERT(!thread_.joinable(), "revalidator already started");
     stop_.store(false, std::memory_order_release);
+    // Here, not on the thread: a manual clock may advance right away.
+    nextSweep_ = clock_.nowMicros() + cfg.sweepIntervalMicros;
     thread_ = std::thread([this] { threadMain(); });
 }
 
@@ -45,6 +44,7 @@ void
 Revalidator::requestStop()
 {
     stop_.store(true, std::memory_order_release);
+    clock_.notify();
 }
 
 void
@@ -71,22 +71,18 @@ Revalidator::counters() const
     c.ctrlDisables = ctrlDisables_.value();
     c.ctrlEnables = ctrlEnables_.value();
     c.ctrlResizes = ctrlResizes_.value();
+    c.parks = parks_.value();
     return c;
 }
 
 void
 Revalidator::threadMain()
 {
-    using SteadyClock = std::chrono::steady_clock;
-    const auto sweep_interval =
-        std::chrono::microseconds(cfg.sweepIntervalMicros);
-
     if (perf_)
         perf_->openThisThread();
     const obs::StageRecorders prev_rec =
         obs::installStageRecorders({trace_.get(), perf_.get()});
 
-    auto next_sweep = SteadyClock::now() + sweep_interval;
     while (true) {
         const std::size_t n =
             ring_.popBatch(drainBuf_.data(), drainBuf_.size());
@@ -97,10 +93,10 @@ Revalidator::threadMain()
             upcallsProcessed_.add(n);
         }
 
-        const auto now = SteadyClock::now();
-        if (now >= next_sweep) {
+        const std::uint64_t now = clock_.nowMicros();
+        if (now >= nextSweep_) {
             sweep();
-            next_sweep = now + sweep_interval;
+            nextSweep_ = now + cfg.sweepIntervalMicros;
         }
 
         if (n == 0) {
@@ -108,7 +104,12 @@ Revalidator::threadMain()
             // after a stop request (the workers have quiesced by then).
             if (stop_.load(std::memory_order_acquire))
                 break;
-            std::this_thread::yield();
+            // Park until the next sweep, an upcall or stop.
+            parks_.add(1);
+            clock_.park(parked_, nextSweep_, [this] {
+                return stop_.load(std::memory_order_acquire) ||
+                       !ring_.empty();
+            });
         }
     }
 
@@ -306,7 +307,7 @@ Revalidator::evict(const TrackedFlow &flow)
 void
 Revalidator::track(TrackedFlow &&flow)
 {
-    if (tracked_.size() >= cfg.maxTrackedFlows) {
+    if (tracked_.size() >= revalidatorMaxTrackedFlows) {
         // At the cap: evict one tracked flow round-robin so the new
         // install stays accounted for (untracked entries would never
         // age).

@@ -12,12 +12,13 @@
  *    installs an exact-match (microflow) megaflow entry, so later
  *    packets of the flow take the fast path;
  *  - performs Promote requests (EMC inserts) on the workers' behalf;
- *  - sweeps on a fixed cadence, advancing each shard's activity epoch
- *    and evicting every installed flow that has been idle longer than
- *    the configured timeout (OVS flow aging). While a shard's
- *    exact-match tuple is at least 3/4 full, its timeout drops to one
- *    sweep (OVS's flow limit, flowIdleTimeoutEpochs()), so a table
- *    that fills faster than it ages keeps room for new installs.
+ *  - sweeps every sweepIntervalMicros on the runtime's EpochClock,
+ *    advancing each shard's activity epoch and evicting every installed
+ *    flow that has been idle longer than the configured timeout (OVS
+ *    flow aging). While a shard's exact-match tuple is at least 3/4
+ *    full, its timeout drops to one sweep (OVS's flow limit,
+ *    flowIdleTimeoutEpochs()), so a table that fills faster than it
+ *    ages keeps room for new installs.
  *
  * The single-writer invariant is what makes the seqlocked tables sound:
  * per shard, this thread is the only mutator of the megaflow tuple
@@ -28,6 +29,9 @@
  *
  * The shards are the workers' functional switches: every table
  * operation here is a plain functional read or write.
+ *
+ * With the ring empty the thread parks on the clock until its next
+ * sweep or an upcall; workers wake() it once per batch that pushed.
  */
 
 #ifndef HALO_RUNTIME_REVALIDATOR_HH
@@ -43,6 +47,7 @@
 #include "flow/flow_estimator.hh"
 #include "obs/stage.hh"
 #include "runtime/emc_controller.hh"
+#include "runtime/epoch_clock.hh"
 #include "runtime/mpsc_ring.hh"
 #include "runtime/upcall.hh"
 #include "sim/stats.hh"
@@ -52,6 +57,11 @@ namespace halo {
 
 class RssDispatcher;
 
+/// Tracked-install ceiling; at the cap the oldest tracked flow is
+/// evicted (its table entry erased) to admit the new one, keeping
+/// revalidator memory bounded however long the run.
+inline constexpr std::size_t revalidatorMaxTrackedFlows = 1u << 20;
+
 struct RevalidatorConfig
 {
     /// Upcall-ring slots shared by all workers (rounded up to a power
@@ -59,18 +69,14 @@ struct RevalidatorConfig
     std::size_t ringCapacity = 8192;
     /// Requests drained per ring visit.
     unsigned drainBatch = 128;
-    /// Sweep cadence; every sweep opens a new activity epoch on each
-    /// shard, so idleTimeoutEpochs * sweepIntervalMicros is the flow
-    /// idle timeout in wall time.
+    /// Sweep cadence on the runtime's EpochClock; every sweep opens a
+    /// new activity epoch on each shard, so idleTimeoutEpochs *
+    /// sweepIntervalMicros is the flow idle timeout in clock time.
     std::uint64_t sweepIntervalMicros = 500;
     /// Idle epochs before an installed flow is aged out of the
     /// megaflow/EMC layers (one epoch while the shard is over its flow
     /// limit, see flowIdleTimeoutEpochs()).
     std::uint64_t idleTimeoutEpochs = 4;
-    /// Tracked-install ceiling; at the cap the oldest tracked flow is
-    /// evicted (its table entry erased) to admit the new one, keeping
-    /// revalidator memory bounded however long the run.
-    std::size_t maxTrackedFlows = 1u << 20;
     /// Trace-event ring slots for the revalidator's TraceRecorder
     /// (0 = no recorder).
     std::size_t traceCapacity = 0;
@@ -109,6 +115,8 @@ struct RevalidatorCounters
     std::uint64_t ctrlDisables = 0;
     std::uint64_t ctrlEnables = 0;
     std::uint64_t ctrlResizes = 0;
+    /// Times the thread parked on the clock with its ring empty.
+    std::uint64_t parks = 0;
 };
 
 class Revalidator
@@ -131,10 +139,10 @@ class Revalidator
     };
 
     /** @param ring externally owned (the runtime shares it with every
-     *  worker); must outlive the revalidator. */
+     *  worker); must outlive the revalidator, as must @p clock. */
     Revalidator(const RevalidatorConfig &config,
                 MpscRing<UpcallRequest> &ring,
-                std::vector<ShardHooks> shards);
+                std::vector<ShardHooks> shards, EpochClock &clock);
     ~Revalidator();
 
     Revalidator(const Revalidator &) = delete;
@@ -150,16 +158,16 @@ class Revalidator
     void start();
 
     /** Ask the thread to exit once the upcall ring is empty (producers
-     *  must have quiesced first). A final sweep runs before exit. */
+     *  must have quiesced first). No final sweep runs. */
     void requestStop();
     void join();
-    bool joinable() const { return thread_.joinable(); }
+
+    /** Producer side, after pushing upcalls: wake the thread if it is
+     *  parked (EpochClock::wakeIfParked). */
+    void wake() { clock_.wakeIfParked(parked_); }
 
     /** Lock-free snapshot; callable from any thread while running. */
     RevalidatorCounters counters() const;
-
-    /** Flows currently tracked for aging. Thread only: post-join. */
-    std::size_t trackedFlows() const { return tracked_.size(); }
 
     /** Null unless cfg.traceCapacity was nonzero. */
     const obs::TraceRecorder *traceRecorder() const
@@ -205,9 +213,13 @@ class Revalidator
     MpscRing<UpcallRequest> &ring_;
     std::vector<ShardHooks> shards_;
     RssDispatcher *rss_ = nullptr; ///< live-flow accounting (optional)
+    EpochClock &clock_;
 
     std::thread thread_;
     std::atomic<bool> stop_{false};
+    std::atomic<bool> parked_{false};
+    /// Clock time of the next sweep; set by start(), then thread only.
+    std::uint64_t nextSweep_ = 0;
 
     PublishedCounter upcallsProcessed_;
     PublishedCounter dedupHits_;
@@ -222,6 +234,7 @@ class Revalidator
     PublishedCounter ctrlDisables_;
     PublishedCounter ctrlEnables_;
     PublishedCounter ctrlResizes_;
+    PublishedCounter parks_;
 
     /** Per-shard adaptive-policy state (revalidator thread only). */
     struct ShardControl

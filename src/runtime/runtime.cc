@@ -5,8 +5,10 @@
 
 namespace halo {
 
-Runtime::Runtime(const RuntimeConfig &config, const RuleSet &rules)
+Runtime::Runtime(const RuntimeConfig &config, const RuleSet &rules,
+                 EpochClock *clock)
     : cfg(config),
+      clock_(clock ? *clock : steadyClock_),
       rss_([&] {
           RssConfig rc = config.rss;
           rc.numShards = config.numWorkers;
@@ -34,7 +36,7 @@ Runtime::Runtime(const RuntimeConfig &config, const RuleSet &rules)
         for (unsigned w = 0; w < cfg.numWorkers; ++w)
             estimators_.push_back(
                 std::make_unique<ShardFlowEstimator>(
-                    cfg.emcPolicy.estimatorBits,
+                    emcEstimatorBits,
                     cfg.emcPolicy.estimatorSampleShift));
     }
     workers_.reserve(cfg.numWorkers);
@@ -58,7 +60,7 @@ Runtime::Runtime(const RuntimeConfig &config, const RuleSet &rules)
             wc.activity = activities_[w].get();
             wc.promoteSampleShift = cfg.promoteSampleShift;
         }
-        workers_.push_back(std::make_unique<Worker>(wc, rules));
+        workers_.push_back(std::make_unique<Worker>(wc, rules, clock_));
     }
 
     if (cfg.openflowRules) {
@@ -96,7 +98,9 @@ Runtime::Runtime(const RuntimeConfig &config, const RuleSet &rules)
         rc.perfSampleShift = cfg.perfSampleShift;
         rc.emcPolicy = cfg.emcPolicy;
         reval_ = std::make_unique<Revalidator>(rc, *upcallRing_,
-                                               std::move(hooks));
+                                               std::move(hooks), clock_);
+        for (auto &w : workers_)
+            w->attachRevalidator(reval_.get());
         // Installs/aging maintain the dispatcher's per-bucket live-flow
         // counts — the signal the elastic controller's split decisions
         // and flows-moved accounting read.
@@ -114,8 +118,8 @@ Runtime::Runtime(const RuntimeConfig &config, const RuleSet &rules)
         // Exactly one window closer per estimator: the revalidator's
         // adaptive-EMC loop when it runs, this controller otherwise.
         eh.closeWindows = !(cfg.decoupled && cfg.emcPolicy.adaptive);
-        elastic_ =
-            std::make_unique<ElasticController>(cfg.elastic, eh);
+        elastic_ = std::make_unique<ElasticController>(cfg.elastic, eh,
+                                                       clock_);
     }
 }
 
@@ -194,15 +198,17 @@ Runtime::joinProducer()
 void
 Runtime::drain()
 {
-    for (auto &w : workers_)
-        while (!w->ring().empty())
+    // Published counts, not empty rings: a popped batch or upcall chunk
+    // is still being handled until its consumer publishes the count.
+    std::uint64_t requests = 0;
+    for (auto &w : workers_) {
+        while (w->counters().packets < w->ring().pushedCount())
             std::this_thread::yield();
-    // Every packet is processed; let the revalidator catch up on the
-    // upcalls those packets produced before callers snapshot state.
-    if (upcallRing_) {
-        while (!upcallRing_->empty())
-            std::this_thread::yield();
+        const WorkerCounters c = w->counters();
+        requests += c.upcallsEnqueued + c.promotesEnqueued;
     }
+    while (reval_ && reval_->counters().upcallsProcessed < requests)
+        std::this_thread::yield();
 }
 
 void
@@ -317,46 +323,28 @@ Runtime::registerMetrics(obs::MetricsRegistry &reg)
     for (std::size_t i = 0; i < workers_.size(); ++i) {
         Worker *w = workers_[i].get();
         const obs::MetricLabels l = {{"worker", std::to_string(i)}};
-        reg.attach("halo_worker_packets", l, obs::MetricKind::Counter,
-                   [w] {
-                       return static_cast<double>(
-                           w->counters().packets);
-                   });
-        reg.attach("halo_worker_batches", l, obs::MetricKind::Counter,
-                   [w] {
-                       return static_cast<double>(
-                           w->counters().batches);
-                   });
-        reg.attach("halo_worker_matched", l, obs::MetricKind::Counter,
-                   [w] {
-                       return static_cast<double>(
-                           w->counters().matched);
-                   });
-        reg.attach("halo_worker_emc_hits", l,
-                   obs::MetricKind::Counter, [w] {
-                       return static_cast<double>(
-                           w->counters().emcHits);
-                   });
-        reg.attach("halo_worker_busy_nanos", l,
-                   obs::MetricKind::Counter, [w] {
-                       return static_cast<double>(
-                           w->counters().busyNanos);
-                   });
-        reg.attach("halo_worker_upcalls_enqueued", l,
-                   obs::MetricKind::Counter, [w] {
-                       return static_cast<double>(
-                           w->counters().upcallsEnqueued);
-                   });
-        reg.attach("halo_worker_promotes_enqueued", l,
-                   obs::MetricKind::Counter, [w] {
-                       return static_cast<double>(
-                           w->counters().promotesEnqueued);
-                   });
-        reg.attach("halo_worker_upcall_drops", l,
-                   obs::MetricKind::Counter, [w] {
-                       return static_cast<double>(
-                           w->counters().upcallDrops);
-                   });
+        const struct
+        {
+            const char *name;
+            std::uint64_t WorkerCounters::*field;
+        } worker_series[] = {
+            {"halo_worker_packets", &WorkerCounters::packets},
+            {"halo_worker_batches", &WorkerCounters::batches},
+            {"halo_worker_matched", &WorkerCounters::matched},
+            {"halo_worker_emc_hits", &WorkerCounters::emcHits},
+            {"halo_worker_busy_nanos", &WorkerCounters::busyNanos},
+            {"halo_worker_upcalls_enqueued",
+             &WorkerCounters::upcallsEnqueued},
+            {"halo_worker_promotes_enqueued",
+             &WorkerCounters::promotesEnqueued},
+            {"halo_worker_upcall_drops", &WorkerCounters::upcallDrops},
+        };
+        for (const auto &s : worker_series) {
+            auto field = s.field;
+            reg.attach(s.name, l, obs::MetricKind::Counter, [w, field] {
+                return static_cast<double>(w->counters().*field);
+            });
+        }
         reg.attach("halo_worker_ring_depth", l,
                    obs::MetricKind::Gauge, [w] {
                        return static_cast<double>(w->ring().size());
@@ -451,6 +439,7 @@ Runtime::registerMetrics(obs::MetricsRegistry &reg)
              &RevalidatorCounters::ctrlEnables},
             {"halo_emc_ctrl_resizes",
              &RevalidatorCounters::ctrlResizes},
+            {"halo_reval_parks", &RevalidatorCounters::parks},
         };
         for (const auto &s : reval_series) {
             auto field = s.field;
@@ -582,7 +571,7 @@ Runtime::startSampler()
         });
     sampler_->start(
         std::chrono::microseconds(cfg.samplerIntervalMicros),
-        cfg.samplerMaxSamples);
+        samplerMaxSamples);
 }
 
 void

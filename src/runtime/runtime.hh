@@ -14,6 +14,8 @@
  *
  * Lifecycle: start() → startProducer()/offer() → joinProducer() →
  * drain() → stop() → report(). run() bundles the whole sequence.
+ * One EpochClock (steady, or a test's manual clock) schedules and
+ * hosts every sleep of the workers, revalidator and elastic controller.
  * snapshot() may be called from any thread at any point in between
  * (relaxed-atomic reads of the workers' published counters).
  *
@@ -37,12 +39,17 @@
 #include "obs/perf.hh"
 #include "obs/sampler.hh"
 #include "runtime/elastic_controller.hh"
+#include "runtime/epoch_clock.hh"
 #include "runtime/revalidator.hh"
 #include "runtime/rss.hh"
 #include "runtime/worker.hh"
 #include "vswitch/shard_config.hh"
 
 namespace halo {
+
+/// Retained-sample ceiling for the sampler series: at the cap it is
+/// decimated in place (obs::Sampler::Options::maxSamples).
+inline constexpr std::size_t samplerMaxSamples = 512;
 
 /** Runtime configuration; the shard config is replicated per worker. */
 struct RuntimeConfig
@@ -78,11 +85,6 @@ struct RuntimeConfig
     /// depths into RuntimeReport::samples — relaxed-atomic reads only,
     /// it never touches shard state.
     std::uint64_t samplerIntervalMicros = 0;
-    /// Retained-sample ceiling for the sampler series (0 = unbounded).
-    /// At the cap the series is decimated in place (every other sample
-    /// dropped, interval doubled), keeping memory and report size
-    /// bounded on long runs. See obs::Sampler::Options::maxSamples.
-    std::size_t samplerMaxSamples = 512;
     /**
      * Decoupled slow path (the OVS handler/revalidator split):
      * workers never mutate classification state. MegaFlow misses and
@@ -205,7 +207,9 @@ struct RuntimeReport
 class Runtime
 {
   public:
-    Runtime(const RuntimeConfig &config, const RuleSet &rules);
+    /** @p clock: a test's manual clock, outliving the runtime. */
+    Runtime(const RuntimeConfig &config, const RuleSet &rules,
+            EpochClock *clock = nullptr);
     ~Runtime();
 
     Runtime(const Runtime &) = delete;
@@ -217,6 +221,7 @@ class Runtime
     }
     Worker &worker(unsigned i) { return *workers_.at(i); }
     RssDispatcher &dispatcher() { return rss_; }
+    EpochClock &clock() { return clock_; }
     /** Null unless cfg.decoupled. */
     Revalidator *revalidator() { return reval_.get(); }
     /** Null unless cfg.decoupled. */
@@ -254,8 +259,9 @@ class Runtime
                        std::uint64_t packets);
     void joinProducer();
 
-    /** Wait (yielding) until every worker ring is empty. Call after
-     *  the producer has quiesced. */
+    /** Call after the producer has quiesced. Returns once every worker
+     *  has processed its ring's pushedCount() and the revalidator has
+     *  handled every request the workers enqueued. */
     void drain();
 
     /** Request worker exit (post-drain) and join all threads. */
@@ -306,6 +312,8 @@ class Runtime
 
   private:
     RuntimeConfig cfg;
+    EpochClock steadyClock_;
+    EpochClock &clock_; ///< steadyClock_ unless a test passed its own
     RssDispatcher rss_;
     /// Decoupled slow path (order matters: rings and activities must
     /// outlive the workers holding pointers into them).

@@ -3,6 +3,8 @@
 #include <chrono>
 #include <ctime>
 
+#include "runtime/revalidator.hh"
+
 namespace halo {
 
 namespace {
@@ -16,22 +18,18 @@ namespace {
 std::uint64_t
 threadCpuNanos()
 {
-#if defined(CLOCK_THREAD_CPUTIME_ID)
-    timespec ts;
-    if (clock_gettime(CLOCK_THREAD_CPUTIME_ID, &ts) == 0)
-        return static_cast<std::uint64_t>(ts.tv_sec) * 1000000000ull +
-               static_cast<std::uint64_t>(ts.tv_nsec);
-#endif
-    return static_cast<std::uint64_t>(
-        std::chrono::duration_cast<std::chrono::nanoseconds>(
-            std::chrono::steady_clock::now().time_since_epoch())
-            .count());
+    timespec ts{};
+    clock_gettime(CLOCK_THREAD_CPUTIME_ID, &ts);
+    return static_cast<std::uint64_t>(ts.tv_sec) * 1000000000ull +
+           static_cast<std::uint64_t>(ts.tv_nsec);
 }
 
 } // namespace
 
-Worker::Worker(const WorkerConfig &config, const RuleSet &rules)
+Worker::Worker(const WorkerConfig &config, const RuleSet &rules,
+               EpochClock &clock)
     : cfg(config),
+      clock_(clock),
       mem_(cfg.shardMemBytes),
       vs_(mem_, cfg.vswitch),
       ring_(cfg.ringCapacity)
@@ -55,8 +53,7 @@ Worker::Worker(const WorkerConfig &config, const RuleSet &rules)
 Worker::~Worker()
 {
     requestStop();
-    if (thread_.joinable())
-        thread_.join();
+    join();
 }
 
 void
@@ -71,13 +68,7 @@ void
 Worker::requestStop()
 {
     stop_.store(true, std::memory_order_release);
-    // A parked thread must see the stop: notify under the lock so the
-    // store cannot slip into the window between the condvar's predicate
-    // check and its wait.
-    {
-        std::lock_guard<std::mutex> lk(parkMtx_);
-    }
-    parkCv_.notify_all();
+    clock_.notify(); // a parked thread must see the stop
 }
 
 void
@@ -89,11 +80,8 @@ Worker::requestPark()
 void
 Worker::requestUnpark()
 {
-    {
-        std::lock_guard<std::mutex> lk(parkMtx_);
-        parkRequested_.store(false, std::memory_order_release);
-    }
-    parkCv_.notify_all();
+    parkRequested_.store(false, std::memory_order_release);
+    clock_.notify();
 }
 
 bool
@@ -129,7 +117,7 @@ Worker::counters() const
     return c;
 }
 
-void
+bool
 Worker::offload(const PacketResult &res)
 {
     HALO_STAGE("worker/offload");
@@ -144,18 +132,16 @@ Worker::offload(const PacketResult &res)
             std::span<const std::uint8_t>(key.data(), key.size()));
         MissEntry &e = recentMiss_[h & (recentMiss_.size() - 1)];
         if (e.hash == h && packetSeq_ - e.seenAt < 4096)
-            return;
+            return false;
         e.hash = h;
         e.seenAt = packetSeq_;
         UpcallRequest rq;
         rq.kind = UpcallRequest::Kind::Miss;
         rq.worker = static_cast<std::uint16_t>(cfg.id);
         rq.tuple = res.tuple;
-        if (cfg.upcallRing->tryPush(rq))
-            upcallsEnqueued_.add(1);
-        else
-            upcallDrops_.add(1);
-        return;
+        const bool pushed = cfg.upcallRing->tryPush(rq);
+        (pushed ? upcallsEnqueued_ : upcallDrops_).add(1);
+        return pushed;
     }
     if (res.emcPromote) {
         if (cfg.promoteSampleShift) {
@@ -164,18 +150,30 @@ Worker::offload(const PacketResult &res)
             rng_ ^= rng_ >> 7;
             rng_ ^= rng_ << 17;
             if (rng_ & ((1ull << cfg.promoteSampleShift) - 1))
-                return;
+                return false;
         }
         UpcallRequest rq;
         rq.kind = UpcallRequest::Kind::Promote;
         rq.worker = static_cast<std::uint16_t>(cfg.id);
         rq.tuple = res.tuple;
         rq.value = res.promoteValue;
-        if (cfg.upcallRing->tryPush(rq))
-            promotesEnqueued_.add(1);
-        else
-            upcallDrops_.add(1);
+        const bool pushed = cfg.upcallRing->tryPush(rq);
+        (pushed ? promotesEnqueued_ : upcallDrops_).add(1);
+        return pushed;
     }
+    return false;
+}
+
+bool
+Worker::gateHolds()
+{
+    const Worker *src = gateSource_.load(std::memory_order_acquire);
+    if (!src)
+        return false;
+    if (src->counters().packets < gateFence_.load(std::memory_order_acquire))
+        return true;
+    gateSource_.store(nullptr, std::memory_order_release);
+    return false;
 }
 
 void
@@ -199,32 +197,22 @@ Worker::threadMain()
         // first. The gate always clears: the controller lowers the
         // fence to the source ring's pushedCount, which the source
         // reaches even on stop (drain guarantee).
-        if (const Worker *src =
-                gateSource_.load(std::memory_order_acquire)) {
-            if (src->counters().packets >=
-                gateFence_.load(std::memory_order_acquire)) {
-                gateSource_.store(nullptr, std::memory_order_release);
-            } else {
-                std::this_thread::yield();
-                continue;
-            }
+        if (gateHolds()) {
+            std::this_thread::yield();
+            continue;
         }
 
         // Park: controller remapped our buckets away and asked us to
-        // quiesce. Condvar wait (bounded, so a stray ring push or a
-        // missed edge can never wedge the thread) instead of the
-        // busy-poll yield loop.
+        // quiesce. Sleep on the clock instead of busy-polling; unpark,
+        // stop and the controller (for a stray arrival) notify it.
         if (parkRequested_.load(std::memory_order_acquire) &&
             !stop_.load(std::memory_order_acquire) && ring_.empty()) {
-            std::unique_lock<std::mutex> lk(parkMtx_);
-            parked_.store(true, std::memory_order_release);
             parks_.add(1);
-            while (parkRequested_.load(std::memory_order_acquire) &&
-                   !stop_.load(std::memory_order_acquire) &&
-                   ring_.empty()) {
-                parkCv_.wait_for(lk, std::chrono::milliseconds(1));
-            }
-            parked_.store(false, std::memory_order_release);
+            clock_.park(parked_, EpochClock::never, [this] {
+                return !parkRequested_.load(std::memory_order_acquire) ||
+                       stop_.load(std::memory_order_acquire) ||
+                       !ring_.empty();
+            });
             continue;
         }
 
@@ -245,15 +233,8 @@ Worker::threadMain()
         // popped migrated packet implies this load sees the gate).
         // Holding the batch until the gate clears delays packets but
         // never reorders them.
-        while (const Worker *src =
-                   gateSource_.load(std::memory_order_acquire)) {
-            if (src->counters().packets >=
-                gateFence_.load(std::memory_order_acquire)) {
-                gateSource_.store(nullptr, std::memory_order_release);
-                break;
-            }
+        while (gateHolds())
             std::this_thread::yield();
-        }
 
         // Occupancy at pop time = what we took plus what remains.
         const std::uint64_t depth =
@@ -273,6 +254,7 @@ Worker::threadMain()
         const std::uint64_t cpu0 = threadCpuNanos();
         std::uint64_t matched = 0;
         std::uint64_t emc_hits = 0;
+        bool upcalled = false;
         {
             HALO_STAGE("worker/batch");
             // Offload right after each packet: the revalidator can
@@ -282,7 +264,7 @@ Worker::threadMain()
                 matched += r.matched ? 1 : 0;
                 emc_hits += r.emcHit ? 1 : 0;
                 if (cfg.upcallRing)
-                    offload(r);
+                    upcalled |= offload(r);
             }
         }
         const std::uint64_t cpu1 = threadCpuNanos();
@@ -297,6 +279,9 @@ Worker::threadMain()
         matched_.add(matched);
         emcHits_.add(emc_hits);
         busyNanos_.add(cpu1 - cpu0);
+        // Once per batch, after the counters: no wake on the packet path.
+        if (upcalled && reval_)
+            reval_->wake();
     }
 
     obs::installStageRecorders(prev_rec);

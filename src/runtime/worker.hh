@@ -29,9 +29,7 @@
 #define HALO_RUNTIME_WORKER_HH
 
 #include <atomic>
-#include <condition_variable>
 #include <memory>
-#include <mutex>
 #include <thread>
 #include <vector>
 
@@ -40,6 +38,7 @@
 #include "net/packet.hh"
 #include "obs/histogram.hh"
 #include "obs/stage.hh"
+#include "runtime/epoch_clock.hh"
 #include "runtime/mpsc_ring.hh"
 #include "runtime/order_validator.hh"
 #include "runtime/spsc_ring.hh"
@@ -49,6 +48,8 @@
 #include "vswitch/vswitch.hh"
 
 namespace halo {
+
+class Revalidator;
 
 /** Per-worker configuration. */
 struct WorkerConfig
@@ -110,7 +111,7 @@ struct WorkerCounters
     std::uint64_t promotesEnqueued = 0;
     /// Requests lost to a full upcall ring (drop-not-block).
     std::uint64_t upcallDrops = 0;
-    /// Times the thread entered the parked (condvar-wait) state.
+    /// Times the thread parked on the clock.
     std::uint64_t parks = 0;
 };
 
@@ -118,8 +119,9 @@ class Worker
 {
   public:
     /** Builds the private switch and installs @p rules into it; the
-     *  thread is not started until start(). */
-    Worker(const WorkerConfig &config, const RuleSet &rules);
+     *  thread is not started until start(). @p clock must outlive it. */
+    Worker(const WorkerConfig &config, const RuleSet &rules,
+           EpochClock &clock);
     ~Worker();
 
     Worker(const Worker &) = delete;
@@ -131,6 +133,10 @@ class Worker
      *  to this worker must be one thread at a time. */
     SpscRing<Packet> &ring() { return ring_; }
 
+    /** Decoupled mode: the consumer of cfg.upcallRing, woken after
+     *  every batch that pushed upcalls. Call before start(). */
+    void attachRevalidator(Revalidator *reval) { reval_ = reval; }
+
     void start();
 
     /** Ask the thread to exit once its ring is empty. The producer
@@ -138,20 +144,19 @@ class Worker
     void requestStop();
 
     void join();
-    bool joinable() const { return thread_.joinable(); }
 
     /** Lock-free snapshot; callable from any thread while running. */
     WorkerCounters counters() const;
 
     /** @name Elastic-runtime control surface (controller thread)
-     *  Parking quiesces the busy-poll loop on a condvar once the ring
+     *  Parking quiesces the busy-poll loop on the clock once the ring
      *  is drained; the migration gate stalls this worker's ring pops
      *  until a source worker has processed past a fence, which is the
      *  "drain" half of the drain-then-remap protocol. */
     /**@{*/
     /** Ask the thread to park once its ring is empty. The controller
-     *  must have remapped the indirection away first or stray arrivals
-     *  keep waking it. */
+     *  must have remapped the indirection away first; a stray arrival
+     *  waits for the controller's next epoch to notify the clock. */
     void requestPark();
     /** Wake a parked thread (also safe when not parked). */
     void requestUnpark();
@@ -220,10 +225,14 @@ class Worker
   private:
     void threadMain();
     /** Post-classification hook (decoupled mode): enqueue deferred
-     *  miss/promotion upcalls for one result. Worker thread only. */
-    void offload(const PacketResult &res);
+     *  upcalls for one result; true if pushed. Worker thread only. */
+    bool offload(const PacketResult &res);
+    /** True while the migration gate holds; clears it past the fence. */
+    bool gateHolds();
 
     WorkerConfig cfg;
+    EpochClock &clock_;
+    Revalidator *reval_ = nullptr;
     SimMemory mem_; ///< private, shared-nothing
     VirtualSwitch vs_; ///< functional: no timing model attached
     SpscRing<Packet> ring_;
@@ -232,11 +241,9 @@ class Worker
     std::atomic<bool> stop_{false};
 
     /// Park lifecycle: request flag flipped by the controller, parked
-    /// state published by the worker, condvar for the sleep itself.
+    /// state published by the worker, which sleeps on the clock.
     std::atomic<bool> parkRequested_{false};
     std::atomic<bool> parked_{false};
-    std::mutex parkMtx_;
-    std::condition_variable parkCv_;
 
     /// Migration gate. gateFence_ is written before the release store
     /// to gateSource_ publishes it; the worker thread acquires

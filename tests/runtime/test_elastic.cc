@@ -21,12 +21,15 @@
 #include <vector>
 
 #include "flow/ruleset.hh"
+#include "manual_clock.hh"
 #include "runtime/elastic_controller.hh"
 #include "runtime/order_validator.hh"
 #include "runtime/runtime.hh"
 #include "sim/random.hh"
 
 using namespace halo;
+using halo::test::tick;
+using halo::test::waitFor;
 
 namespace {
 
@@ -62,19 +65,6 @@ bucket(unsigned shard, std::uint64_t packets, std::uint64_t flows = 1)
     b.packets = packets;
     b.flows = flows;
     return b;
-}
-
-bool
-waitFor(const std::function<bool()> &pred, int seconds = 10)
-{
-    const auto deadline = std::chrono::steady_clock::now() +
-                          std::chrono::seconds(seconds);
-    while (!pred()) {
-        if (std::chrono::steady_clock::now() >= deadline)
-            return false;
-        std::this_thread::sleep_for(std::chrono::microseconds(200));
-    }
-    return true;
 }
 
 } // namespace
@@ -386,7 +376,7 @@ TEST(ElasticController, MigrationGateHoldsDestinationUntilSourceDrains)
     hooks.offerSeq = &rt.offerSeq();
     ElasticConfig ecfg;
     ecfg.enabled = true;
-    ElasticController ctrl(ecfg, hooks); // thread not started
+    ElasticController ctrl(ecfg, hooks, rt.clock()); // thread not started
 
     // Flip + grace + fence + gate; waitMicros = 0 leaves the gate
     // armed for this test to reason about.
@@ -466,8 +456,10 @@ TEST(ElasticRuntime, MigrationsPreserveIntraFlowOrderUnderChurn)
     cfg.elastic.hysteresisEpochs = 1;
     cfg.elastic.cooldownEpochs = 0;
     const RuleSet empty;
-    Runtime rt(cfg, empty);
+    EpochClock clock(EpochClock::Kind::Manual);
+    Runtime rt(cfg, empty, &clock);
     rt.start();
+    auto epochs = [&rt] { return rt.elastic()->counters().epochs; };
 
     std::vector<FiveTuple> flows(kFlows);
     for (std::size_t f = 0; f < kFlows; ++f) {
@@ -494,19 +486,19 @@ TEST(ElasticRuntime, MigrationsPreserveIntraFlowOrderUnderChurn)
                         seq[f]++);
         rt.offer(std::move(p), t);
         if (i % 4000 == 3999) {
-            // Bounce the hot bucket between the shards mid-traffic.
+            // Bounce the hot bucket between the shards mid-traffic:
+            // the next epoch actuates it while packets are in flight.
             rt.elastic()->requestMigration(hotBucket,
                                            round++ % cfg.numWorkers);
-            std::this_thread::sleep_for(
-                std::chrono::milliseconds(2));
+            ASSERT_TRUE(
+                tick(clock, cfg.elastic.controlIntervalMicros, epochs));
         }
     }
     rt.drain();
 
     // The forced bounces guarantee real flips happened.
-    ASSERT_TRUE(waitFor(
-        [&] { return rt.elastic()->counters().migrations > 0; }));
-    EXPECT_GT(rt.elastic()->counters().epochs, 0u);
+    EXPECT_GT(rt.elastic()->counters().migrations, 0u);
+    EXPECT_EQ(epochs(), 10u);
 
     rt.stop();
     const RuntimeSnapshot fin = rt.snapshot();
@@ -548,27 +540,33 @@ TEST(ElasticRuntime, ParksIdleWorkerAndWakesItForMigration)
     cfg.elastic.hysteresisEpochs = 100;   // keep imbalance out of play
     cfg.elastic.unparkBusyFraction = 2.0; // policy unpark off
     const RuleSet empty;
-    Runtime rt(cfg, empty);
+    EpochClock clock(EpochClock::Kind::Manual);
+    Runtime rt(cfg, empty, &clock);
     rt.start();
+    auto epoch = [&] {
+        return tick(clock, cfg.elastic.controlIntervalMicros,
+                    [&rt] { return rt.elastic()->counters().epochs; });
+    };
 
-    // Idle runtime: worker 1 parks, fully evacuated first.
+    // Idle runtime: the second low-load epoch parks worker 1, fully
+    // evacuated first.
+    ASSERT_TRUE(epoch());
+    EXPECT_EQ(rt.elastic()->counters().parks, 0u);
+    ASSERT_TRUE(epoch());
+    EXPECT_EQ(rt.elastic()->counters().parks, 1u);
     ASSERT_TRUE(waitFor([&] { return rt.worker(1).parked(); }));
-    EXPECT_GE(rt.elastic()->counters().parks, 1u);
     for (unsigned b = 0; b < rt.dispatcher().tableEntries(); ++b)
         EXPECT_EQ(rt.dispatcher().entry(b), 0u) << "bucket " << b;
-    // The published load snapshot reflects the park within an epoch.
-    EXPECT_TRUE(waitFor([&] {
-        return rt.elastic()->shardLoad(1).parked ||
-               !rt.worker(1).parked();
-    }));
 
-    // A migration whose destination is parked wakes it.
+    // A migration whose destination is parked wakes it. The same epoch
+    // publishes the park in its load snapshot.
+    const std::uint64_t evacuated = rt.elastic()->counters().migrations;
     rt.elastic()->requestMigration(0, 1);
-    ASSERT_TRUE(waitFor([&] {
-        return rt.dispatcher().entry(0) == 1 &&
-               !rt.worker(1).parked();
-    }));
-    EXPECT_GE(rt.elastic()->counters().migrations, 1u);
+    ASSERT_TRUE(epoch());
+    EXPECT_TRUE(rt.elastic()->shardLoad(1).parked);
+    EXPECT_EQ(rt.dispatcher().entry(0), 1u);
+    EXPECT_EQ(rt.elastic()->counters().migrations, evacuated + 1);
+    ASSERT_TRUE(waitFor([&] { return !rt.worker(1).parked(); }));
 
     // Traffic through the moved bucket (and everywhere else) drains
     // without loss, whatever the controller does meanwhile.

@@ -12,17 +12,17 @@
 #include <gtest/gtest.h>
 
 #include <array>
-#include <chrono>
 #include <cstring>
 #include <sstream>
 #include <string>
 #include <string_view>
-#include <thread>
+#include <functional>
 #include <vector>
 
 #include "flow/emc.hh"
 #include "flow/ruleset.hh"
 #include "hash/hash_fn.hh"
+#include "manual_clock.hh"
 #include "mem/sim_memory.hh"
 #include "obs/metrics.hh"
 #include "runtime/emc_controller.hh"
@@ -462,9 +462,12 @@ TEST(Runtime, PerfSeriesExistForEveryStageBeforeItRuns)
  * End to end (modeled on Runtime.DecoupledSlowPathInstallsResolvesAndAges):
  * a scan workload (every packet a new flow) must drive the controller
  * to disable the shard's EMC; switching to a small repeating flow set
- * must re-enable it. Runs under ASan and TSan in CI — the estimator
- * observe/closeWindow handoff and the enabled-flag transitions are
- * exactly the relaxed-atomic paths the design claims are race-free.
+ * must re-enable it. The test owns the clock: each control window is
+ * a drained traffic round followed by controlIntervalSweeps sweeps, so
+ * host speed cannot change what a window sees. Runs under ASan and
+ * TSan in CI — the estimator observe/closeWindow handoff and the
+ * enabled-flag transitions are exactly the relaxed-atomic paths the
+ * design claims are race-free.
  */
 TEST(Runtime, AdaptiveEmcDisablesOnScanAndReenablesOnReuse)
 {
@@ -484,7 +487,6 @@ TEST(Runtime, AdaptiveEmcDisablesOnScanAndReenablesOnReuse)
     cfg.rss.symmetric = true;
     cfg.decoupled = true;
     cfg.openflowRules = &of;
-    cfg.warmTables = false;
     cfg.shard.vswitch.tupleConfig.tupleCapacity = 1u << 16;
     cfg.revalidator.sweepIntervalMicros = 200;
     cfg.revalidator.idleTimeoutEpochs = 2;
@@ -492,7 +494,8 @@ TEST(Runtime, AdaptiveEmcDisablesOnScanAndReenablesOnReuse)
     cfg.emcPolicy.minWindowSamples = 32;
     cfg.emcPolicy.estimatorSampleShift = 0;
     const RuleSet empty;
-    Runtime rt(cfg, empty);
+    EpochClock clock(EpochClock::Kind::Manual);
+    Runtime rt(cfg, empty, &clock);
     ASSERT_NE(rt.flowEstimator(0), nullptr);
     rt.start();
 
@@ -504,36 +507,33 @@ TEST(Runtime, AdaptiveEmcDisablesOnScanAndReenablesOnReuse)
         t.dstPort = 443;
         rt.offer(Packet::fromTuple(t), t);
     };
+    // One control window: a drained round of traffic, then sweeps up
+    // to the policy pass.
+    auto window = [&](const std::function<std::uint64_t(int)> &flow) {
+        for (int i = 0; i < 500; ++i)
+            offerId(flow(i));
+        rt.drain();
+        for (unsigned e = 0; e < cfg.emcPolicy.controlIntervalSweeps; ++e)
+            ASSERT_TRUE(test::tick(
+                clock, cfg.revalidator.sweepIntervalMicros,
+                [&rt] { return rt.snapshot().revalidator.sweeps; }));
+    };
 
     // Phase 1: pure scan — every packet a brand-new flow, repeat
-    // fraction ~0. The controller must disable the EMC.
+    // fraction ~0. The first policy pass must disable the EMC.
     std::uint64_t id = 0;
-    auto deadline = std::chrono::steady_clock::now() +
-                    std::chrono::seconds(20);
-    while (rt.snapshot().revalidator.ctrlDisables == 0 &&
-           std::chrono::steady_clock::now() < deadline) {
-        for (int i = 0; i < 500; ++i)
-            offerId(id++);
-    }
-    EXPECT_GE(rt.snapshot().revalidator.ctrlDisables, 1u);
+    window([&](int) { return id++; });
+    EXPECT_EQ(rt.snapshot().revalidator.ctrlDisables, 1u);
     EXPECT_FALSE(rt.worker(0).vswitch().emc().enabled());
-    EXPECT_GT(rt.flowEstimator(0)->windowsClosed(), 0u);
+    EXPECT_EQ(rt.flowEstimator(0)->windowsClosed(), 1u);
 
     // Phase 2: a small repeating set — repeat fraction ~1 and the
-    // working set fits, so the controller must re-enable the cache.
-    // Eight flows, not more: under TSan on one core a control window
-    // may catch only ~minWindowSamples packets, and the window's
-    // repeat fraction is 1 - distinct/samples — the reuse set must be
-    // small against the worst-case window or slow hosts look like a
-    // scan and the controller (correctly) holds.
-    deadline = std::chrono::steady_clock::now() +
-               std::chrono::seconds(20);
-    while (rt.snapshot().revalidator.ctrlEnables == 0 &&
-           std::chrono::steady_clock::now() < deadline) {
-        for (int i = 0; i < 500; ++i)
-            offerId(i % 8);
-    }
-    EXPECT_GE(rt.snapshot().revalidator.ctrlEnables, 1u);
+    // working set fits, so within a few windows (the re-enable
+    // hysteresis) the controller must turn the cache back on.
+    for (int w = 0; w < 8 && rt.snapshot().revalidator.ctrlEnables == 0;
+         ++w)
+        window([](int i) { return static_cast<std::uint64_t>(i % 8); });
+    EXPECT_EQ(rt.snapshot().revalidator.ctrlEnables, 1u);
     EXPECT_TRUE(rt.worker(0).vswitch().emc().enabled());
 
     rt.drain();

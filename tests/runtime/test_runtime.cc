@@ -1,15 +1,18 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <chrono>
 #include <climits>
+#include <string>
 #include <thread>
 
 #include "flow/ruleset.hh"
+#include "manual_clock.hh"
 #include "runtime/runtime.hh"
 #include "vswitch/shard.hh"
 
 using namespace halo;
+using halo::test::tick;
+using halo::test::waitFor;
 
 namespace {
 
@@ -28,6 +31,29 @@ struct Workload
                               gen.flows(), 0x707);
     }
 };
+
+/** One match-all OpenFlow rule: every flow resolves on the slow path. */
+RuleSet
+fallbackRules(std::uint16_t port)
+{
+    FlowRule fallback;
+    fallback.mask = FlowMask{};
+    fallback.priority = 1;
+    fallback.action = Action{ActionKind::Forward, port};
+    return {fallback};
+}
+
+/** Flow @p id of a never-repeating stream. */
+FiveTuple
+newFlow(std::uint32_t id)
+{
+    FiveTuple t;
+    t.srcIp = 0x0a000000u + id;
+    t.dstIp = 0xc0a80001u;
+    t.srcPort = 4000;
+    t.dstPort = 53;
+    return t;
+}
 
 RuntimeConfig
 smallConfig(unsigned workers)
@@ -188,29 +214,24 @@ TEST(Runtime, RingFullBackpressureDropsAreCounted)
  * Decoupled slow path end to end: workers defer megaflow misses onto
  * the upcall ring, the revalidator resolves them against the OpenFlow
  * layer and installs exact-match entries into the live (seqlocked)
- * tables, and idle flows age out in the background — all while the
- * data path keeps running. Runs under ASan and TSan in CI.
+ * tables, and idle flows age out on exactly the sweep the timeout
+ * names. The test owns the clock, so no sweep runs until it advances
+ * it. Runs under ASan and TSan in CI.
  */
 TEST(Runtime, DecoupledSlowPathInstallsResolvesAndAges)
 {
-    // Slow path: one match-all fallback, so every flow resolves.
-    RuleSet of;
-    FlowRule fallback;
-    fallback.mask = FlowMask{};
-    fallback.priority = 1;
-    fallback.action = Action{ActionKind::Forward, 7};
-    of.push_back(fallback);
-
+    const RuleSet of = fallbackRules(7);
     RuntimeConfig cfg = smallConfig(2);
     cfg.decoupled = true;
     cfg.openflowRules = &of;
-    cfg.warmTables = false; // megaflow starts empty, faults in
     cfg.shard.vswitch.tupleConfig.tupleCapacity = 8192;
     cfg.revalidator.sweepIntervalMicros = 200;
     cfg.revalidator.idleTimeoutEpochs = 2;
     const RuleSet empty;
-    Runtime rt(cfg, empty);
+    EpochClock clock(EpochClock::Kind::Manual);
+    Runtime rt(cfg, empty, &clock);
     rt.start();
+    auto sweeps = [&rt] { return rt.snapshot().revalidator.sweeps; };
 
     // Phase 1: a small flow set, repeated — first packets fault the
     // flows in through the revalidator, later rounds hit the installs.
@@ -225,52 +246,136 @@ TEST(Runtime, DecoupledSlowPathInstallsResolvesAndAges)
         rt.drain();
     }
 
-    EXPECT_GT(rt.snapshot().upcallsEnqueued, 0u);
-    EXPECT_GT(rt.snapshot().revalidator.installs, 0u);
-    EXPECT_EQ(rt.snapshot().revalidator.unresolved, 0u);
-    EXPECT_EQ(rt.snapshot().revalidator.installFailures, 0u);
+    RuntimeSnapshot s = rt.snapshot();
+    EXPECT_GT(s.upcallsEnqueued, 0u);
+    EXPECT_GT(s.revalidator.installs, 0u);
+    EXPECT_EQ(s.revalidator.unresolved, 0u);
+    EXPECT_EQ(s.revalidator.installFailures, 0u);
+    EXPECT_EQ(s.revalidator.sweeps, 0u);
     // Later rounds must have classified against the installed entries.
-    EXPECT_GT(rt.snapshot().matched, 0u);
+    EXPECT_GT(s.matched, 0u);
 
-    // Phase 2: traffic stops; the background sweeper must age the now
-    // idle flows out on its own (bounded wait, sweeps every 200us).
-    const auto deadline = std::chrono::steady_clock::now() +
-                          std::chrono::seconds(10);
-    while (rt.snapshot().revalidator.agedFlows == 0 &&
-           std::chrono::steady_clock::now() < deadline)
-        std::this_thread::sleep_for(std::chrono::milliseconds(1));
-    EXPECT_GT(rt.snapshot().revalidator.agedFlows, 0u);
+    // Phase 2: traffic stops. Every flow was last seen in the first
+    // epoch: it survives idleTimeoutEpochs sweeps and ages on the next.
+    for (std::uint64_t e = 0; e < cfg.revalidator.idleTimeoutEpochs; ++e)
+        ASSERT_TRUE(tick(clock, cfg.revalidator.sweepIntervalMicros,
+                         sweeps));
+    EXPECT_EQ(rt.snapshot().revalidator.agedFlows, 0u);
+    ASSERT_TRUE(tick(clock, cfg.revalidator.sweepIntervalMicros, sweeps));
+    s = rt.snapshot();
+    EXPECT_EQ(s.revalidator.agedFlows, s.revalidator.installs);
 
     rt.drain();
     rt.stop();
     const RuntimeSnapshot fin = rt.snapshot();
     EXPECT_EQ(fin.processed, fin.enqueued);
     EXPECT_EQ(fin.enqueued, offered);
-    EXPECT_GT(fin.revalidator.sweeps, 0u);
+    EXPECT_EQ(fin.revalidator.sweeps,
+              cfg.revalidator.idleTimeoutEpochs + 1);
     EXPECT_EQ(fin.upcallRingDepth, 0u);
-    // Aged flows really left the tables: a fresh lookup of the flow
-    // set misses (post-join, single-threaded again).
-    EXPECT_GT(fin.revalidator.agedFlows, 0u);
+}
+
+/**
+ * drain() returns once the work is done, not merely dequeued: checked
+ * before stop() after every round, with the revalidator still live.
+ */
+TEST(Runtime, DrainWaitsForPublishedWork)
+{
+    const RuleSet of = fallbackRules(4);
+    RuntimeConfig cfg = smallConfig(3);
+    cfg.decoupled = true;
+    cfg.openflowRules = &of;
+    cfg.enqueueRetries = UINT_MAX;
+    cfg.shard.vswitch.tupleConfig.tupleCapacity = 8192;
+    cfg.promoteSampleShift = 0; // every megaflow hit asks for a promote
+    const RuleSet empty;
+    Runtime rt(cfg, empty);
+    rt.start();
+
+    // Each round: new flows (Miss upcalls) plus repeats of the
+    // previous round's flows (megaflow hits, Promote upcalls).
+    std::uint32_t next_flow = 0;
+    for (int round = 0; round < 50; ++round) {
+        for (std::uint32_t i = 0; i < 40; ++i) {
+            const FiveTuple t = newFlow(next_flow++);
+            ASSERT_TRUE(rt.offer(Packet::fromTuple(t), t));
+            const FiveTuple old = newFlow(next_flow > 80 ? next_flow - 80
+                                                         : 0);
+            ASSERT_TRUE(rt.offer(Packet::fromTuple(old), old));
+        }
+        rt.drain();
+        const RuntimeSnapshot s = rt.snapshot();
+        ASSERT_EQ(s.processed, s.enqueued) << "round " << round;
+        const RevalidatorCounters &r = s.revalidator;
+        ASSERT_EQ(r.upcallsProcessed, s.upcallsEnqueued + s.promotesEnqueued)
+            << "round " << round;
+        // Every handled request is accounted for by exactly one
+        // outcome.
+        ASSERT_EQ(r.installs + r.installFailures + r.unresolved +
+                      r.promotes + r.dedupHits + r.promotesThrottled,
+                  r.upcallsProcessed)
+            << "round " << round;
+        ASSERT_EQ(s.upcallRingDepth, 0u);
+    }
+    EXPECT_GT(rt.snapshot().promotesEnqueued, 0u);
+    rt.stop();
+}
+
+/**
+ * An idle revalidator parks on the clock and every upcall wakes it: on
+ * a manual clock that never moves, no sweep ever runs, so each burst's
+ * upcalls are handled only because a worker rang the parked thread.
+ */
+TEST(Runtime, ParkedRevalidatorWakesForEveryUpcall)
+{
+    const RuleSet of = fallbackRules(6);
+    RuntimeConfig cfg = smallConfig(3);
+    cfg.decoupled = true;
+    cfg.openflowRules = &of;
+    cfg.enqueueRetries = UINT_MAX;
+    cfg.shard.vswitch.tupleConfig.tupleCapacity = 8192;
+    const RuleSet empty;
+    EpochClock clock(EpochClock::Kind::Manual);
+    Runtime rt(cfg, empty, &clock);
+    obs::MetricsRegistry reg;
+    rt.registerMetrics(reg);
+    rt.start();
+
+    std::uint32_t next_flow = 0;
+    for (int round = 0; round < 40; ++round) {
+        const std::uint64_t parks = rt.snapshot().revalidator.parks;
+        for (int i = 0; i < 64; ++i) {
+            const FiveTuple t = newFlow(next_flow++);
+            ASSERT_TRUE(rt.offer(Packet::fromTuple(t), t));
+        }
+        rt.drain();
+        const RuntimeSnapshot s = rt.snapshot();
+        EXPECT_EQ(s.revalidator.sweeps, 0u);
+        EXPECT_EQ(s.upcallDrops, 0u);
+        EXPECT_EQ(s.revalidator.upcallsProcessed, s.upcallsEnqueued);
+        EXPECT_EQ(s.revalidator.installs, next_flow);
+        // Idle again: the revalidator goes back to sleep.
+        ASSERT_TRUE(waitFor(
+            [&] { return rt.snapshot().revalidator.parks > parks; }))
+            << "round " << round;
+    }
+    EXPECT_NE(reg.renderPrometheus().find("halo_reval_parks"),
+              std::string::npos);
+    rt.stop();
+    EXPECT_EQ(rt.snapshot().revalidator.sweeps, 0u);
 }
 
 /**
  * The upcall ring never blocks a worker: with a tiny ring and the
- * revalidator wedged behind a huge sweep interval, overflow must show
- * up as counted drops while every packet still completes.
+ * revalidator never started, overflow must show up as counted drops
+ * while every packet still completes.
  */
 TEST(Runtime, DecoupledUpcallOverflowDropsAreCounted)
 {
-    RuleSet of;
-    FlowRule fallback;
-    fallback.mask = FlowMask{};
-    fallback.priority = 1;
-    fallback.action = Action{ActionKind::Forward, 3};
-    of.push_back(fallback);
-
+    const RuleSet of = fallbackRules(3);
     RuntimeConfig cfg = smallConfig(1);
     cfg.decoupled = true;
     cfg.openflowRules = &of;
-    cfg.warmTables = false;
     cfg.shard.vswitch.tupleConfig.tupleCapacity = 8192;
     cfg.revalidator.ringCapacity = 4;
     cfg.revalidator.drainBatch = 1;
@@ -316,18 +421,11 @@ TEST(FlowLimit, IdleTimeoutDropsToOneSweepAtThreeQuartersFull)
  * A flow table that fills faster than it ages: batches of
  * capacity/4 never-repeating flows against an idle timeout far longer
  * than the test. Only the flow limit can make room, so every install
- * must still succeed and the exact tuple must never fill. Waits on the
- * revalidator's counters, never on a wall-clock deadline.
+ * must still succeed and the exact tuple must never fill.
  */
 TEST(Runtime, DecoupledFlowLimitKeepsExactTupleBelowCapacity)
 {
-    RuleSet of;
-    FlowRule fallback;
-    fallback.mask = FlowMask{};
-    fallback.priority = 1;
-    fallback.action = Action{ActionKind::Forward, 5};
-    of.push_back(fallback);
-
+    const RuleSet of = fallbackRules(5);
     constexpr std::uint64_t capacity = 1024;
     RuntimeConfig cfg = smallConfig(1);
     cfg.decoupled = true;
@@ -337,37 +435,30 @@ TEST(Runtime, DecoupledFlowLimitKeepsExactTupleBelowCapacity)
     cfg.revalidator.sweepIntervalMicros = 1000;
     cfg.revalidator.idleTimeoutEpochs = 1000000;
     const RuleSet empty;
-    Runtime rt(cfg, empty);
+    EpochClock clock(EpochClock::Kind::Manual);
+    Runtime rt(cfg, empty, &clock);
     TupleSpace &tuples = rt.worker(0).vswitch().tupleSpace();
     ASSERT_EQ(tuples.numTuples(), 1u); // the exact tuple installs target
     const CuckooHashTable &exact = tuples.table(0);
     ASSERT_EQ(exact.capacity(), capacity);
     rt.start();
+    auto sweeps = [&rt] { return rt.snapshot().revalidator.sweeps; };
 
     std::uint32_t next_flow = 0;
     std::uint64_t peak = 0;
     for (int batch = 0; batch < 8; ++batch) {
         for (std::uint64_t i = 0; i < capacity / 4; ++i) {
-            FiveTuple t;
-            t.srcIp = 0x0a000000u + next_flow++;
-            t.dstIp = 0xc0a80001u;
-            t.srcPort = 4000;
-            t.dstPort = 53;
+            const FiveTuple t = newFlow(next_flow++);
             ASSERT_TRUE(rt.offer(Packet::fromTuple(t), t));
         }
         // Every packet classified, then every upcall it raised handled.
-        while (rt.snapshot().processed < rt.snapshot().enqueued)
-            std::this_thread::yield();
-        for (RuntimeSnapshot s = rt.snapshot();
-             s.revalidator.upcallsProcessed < s.upcallsEnqueued;
-             s = rt.snapshot())
-            std::this_thread::yield();
+        rt.drain();
         peak = std::max(peak, exact.size());
-        // Three completed sweeps: the first over the limit ages every
-        // flow idle for more than one sweep.
-        const std::uint64_t sweeps = rt.snapshot().revalidator.sweeps;
-        while (rt.snapshot().revalidator.sweeps < sweeps + 3)
-            std::this_thread::yield();
+        // Three sweeps: the first over the limit ages every flow idle
+        // for more than one sweep.
+        for (int i = 0; i < 3; ++i)
+            ASSERT_TRUE(tick(clock, cfg.revalidator.sweepIntervalMicros,
+                             sweeps));
     }
     rt.drain();
     rt.stop();
@@ -387,12 +478,7 @@ TEST(Runtime, DecoupledFlowLimitKeepsExactTupleBelowCapacity)
 TEST(Runtime, WorkersRunFunctionalSwitches)
 {
     Workload wl(200);
-    RuleSet of;
-    FlowRule fallback;
-    fallback.mask = FlowMask{};
-    fallback.priority = 1;
-    fallback.action = Action{ActionKind::Forward, 2};
-    of.push_back(fallback);
+    const RuleSet of = fallbackRules(2);
     for (bool decoupled : {false, true}) {
         RuntimeConfig cfg = smallConfig(3);
         cfg.decoupled = decoupled;
