@@ -14,7 +14,7 @@ TupleSpace::TupleSpace(SimMemory &memory, const Config &config)
 }
 
 unsigned
-TupleSpace::ensureTuple(const FlowMask &mask)
+TupleSpace::ensureTuple(const FlowMask &mask, std::uint64_t capacity)
 {
     for (unsigned i = 0; i < tuples.size(); ++i) {
         if (tuples[i]->mask == mask)
@@ -22,7 +22,7 @@ TupleSpace::ensureTuple(const FlowMask &mask)
     }
     CuckooHashTable::Config tcfg;
     tcfg.keyLen = FiveTuple::keyBytes;
-    tcfg.capacity = cfg.tupleCapacity;
+    tcfg.capacity = capacity ? capacity : cfg.tupleCapacity;
     tcfg.hashKind = cfg.hashKind;
     tcfg.seed = cfg.seed + tuples.size() * 0x9e3779b9u;
     tcfg.negativeFilter = cfg.negativeFilter;

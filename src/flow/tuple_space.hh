@@ -76,9 +76,10 @@ class TupleSpace
      * and return its index. The decoupled runtime pre-creates every
      * tuple a revalidator may install into during setup, so the tuple
      * vector — and the SimMemory allocator behind it — is never
-     * mutated while data-path readers walk the space.
+     * mutated while data-path readers walk the space. A new tuple's
+     * table holds @p capacity entries (0: Config::tupleCapacity).
      */
-    unsigned ensureTuple(const FlowMask &mask);
+    unsigned ensureTuple(const FlowMask &mask, std::uint64_t capacity = 0);
 
     /**
      * Remove the rule stored under (@p mask, @p masked_key), if any

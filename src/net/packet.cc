@@ -1,6 +1,24 @@
 #include "net/packet.hh"
 
+#include "sim/logging.hh"
+
 namespace halo {
+
+void
+Packet::resize(std::size_t n)
+{
+    HALO_ASSERT(n <= frameCapacity, "frame exceeds Packet::frameCapacity");
+    if (n > len_)
+        std::memset(frame_ + len_, 0, n - len_);
+    len_ = static_cast<std::uint16_t>(n);
+}
+
+void
+Packet::assign(std::size_t n, std::uint8_t fill)
+{
+    resize(n);
+    std::memset(frame_, fill, n);
+}
 
 Packet
 Packet::fromTuple(const FiveTuple &tuple, std::size_t payload)
@@ -12,12 +30,12 @@ Packet::fromTuple(const FiveTuple &tuple, std::size_t payload)
                                   : UdpHeader::wireBytes;
     const std::size_t total =
         EthernetHeader::wireBytes + Ipv4Header::wireBytes + l4 + payload;
-    pkt.buffer.assign(std::max<std::size_t>(total, 60), 0);
+    pkt.resize(std::max<std::size_t>(total, 60)); // zero-filled
 
     EthernetHeader eth;
     eth.srcMac = {0x02, 0x00, 0x00, 0x00, 0x00, 0x01};
     eth.dstMac = {0x02, 0x00, 0x00, 0x00, 0x00, 0x02};
-    eth.serialize(pkt.buffer.data());
+    eth.serialize(pkt.frame_);
 
     Ipv4Header ip;
     ip.protocol = tuple.proto;
@@ -25,9 +43,9 @@ Packet::fromTuple(const FiveTuple &tuple, std::size_t payload)
     ip.dstIp = tuple.dstIp;
     ip.totalLength =
         static_cast<std::uint16_t>(Ipv4Header::wireBytes + l4 + payload);
-    ip.serialize(pkt.buffer.data() + EthernetHeader::wireBytes);
+    ip.serialize(pkt.frame_ + EthernetHeader::wireBytes);
 
-    std::uint8_t *l4_base = pkt.buffer.data() + EthernetHeader::wireBytes +
+    std::uint8_t *l4_base = pkt.frame_ + EthernetHeader::wireBytes +
                             Ipv4Header::wireBytes;
     if (is_tcp) {
         TcpHeader tcp;
@@ -50,7 +68,7 @@ namespace {
 /** Byte offset of the L4 payload, or 0 when the frame is too short to
  *  carry an 8-byte tag there. */
 std::size_t
-orderTagOffset(const std::vector<std::uint8_t> &buffer)
+orderTagOffset(std::span<const std::uint8_t> buffer)
 {
     constexpr std::size_t ip_base = EthernetHeader::wireBytes;
     if (buffer.size() < ip_base + Ipv4Header::wireBytes)
@@ -68,45 +86,43 @@ orderTagOffset(const std::vector<std::uint8_t> &buffer)
 void
 Packet::stampOrderTag(std::uint64_t tag)
 {
-    const std::size_t off = orderTagOffset(buffer);
+    const std::size_t off = orderTagOffset(bytes());
     if (!off)
         return;
     for (unsigned i = 0; i < 8; ++i)
-        buffer[off + i] = static_cast<std::uint8_t>(tag >> (8 * i));
+        frame_[off + i] = static_cast<std::uint8_t>(tag >> (8 * i));
 }
 
 std::uint64_t
 Packet::orderTag() const
 {
-    const std::size_t off = orderTagOffset(buffer);
+    const std::size_t off = orderTagOffset(bytes());
     if (!off)
         return 0;
     std::uint64_t tag = 0;
     for (unsigned i = 0; i < 8; ++i)
-        tag |= static_cast<std::uint64_t>(buffer[off + i]) << (8 * i);
+        tag |= static_cast<std::uint64_t>(frame_[off + i]) << (8 * i);
     return tag;
 }
 
 std::optional<ParsedHeaders>
 Packet::parseHeaders() const
 {
-    if (buffer.size() <
-        EthernetHeader::wireBytes + Ipv4Header::wireBytes) {
+    if (len_ < EthernetHeader::wireBytes + Ipv4Header::wireBytes) {
         return std::nullopt;
     }
 
     ParsedHeaders parsed;
-    parsed.eth = EthernetHeader::parse(buffer.data());
+    parsed.eth = EthernetHeader::parse(frame_);
     if (parsed.eth.etherType != 0x0800)
         return std::nullopt; // only IPv4 traffic is classified
 
     parsed.ip =
-        Ipv4Header::parse(buffer.data() + EthernetHeader::wireBytes);
-    const std::uint8_t *l4_base = buffer.data() +
-                                  EthernetHeader::wireBytes +
-                                  Ipv4Header::wireBytes;
+        Ipv4Header::parse(frame_ + EthernetHeader::wireBytes);
+    const std::uint8_t *l4_base =
+        frame_ + EthernetHeader::wireBytes + Ipv4Header::wireBytes;
     const std::size_t l4_avail =
-        buffer.size() - EthernetHeader::wireBytes - Ipv4Header::wireBytes;
+        len_ - EthernetHeader::wireBytes - Ipv4Header::wireBytes;
 
     if (parsed.ip.protocol == static_cast<std::uint8_t>(IpProto::Tcp) &&
         l4_avail >= TcpHeader::wireBytes) {

@@ -2,8 +2,8 @@
  * @file
  * Packet representation and header extraction.
  *
- * A Packet owns a real wire-format byte buffer. parseHeaders() is the
- * functional half of the switch's "packet pre-processing" stage; the
+ * A Packet carries its real wire-format frame inline. parseHeaders() is
+ * the functional half of the switch's "packet pre-processing" stage; the
  * vswitch library charges its trace-calibrated instruction cost.
  */
 
@@ -12,9 +12,10 @@
 
 #include <cstdint>
 #include <optional>
-#include <vector>
+#include <span>
 
 #include "net/headers.hh"
+#include "sim/types.hh"
 
 namespace halo {
 
@@ -41,20 +42,45 @@ struct ParsedHeaders
     }
 };
 
-/** A network packet with a wire-format buffer. */
-class Packet
+/**
+ * A network packet with its frame inline: 126 bytes and a 2-byte length
+ * fill one aligned 128-byte ring slot, like a DPDK mbuf, so building,
+ * queueing and classifying a packet never touch the heap. A constant,
+ * not a pool: the largest frame any workload builds is 94 bytes.
+ */
+class alignas(cacheLineBytes) Packet
 {
   public:
+    /** Largest frame a Packet holds; growing past it panics. */
+    static constexpr std::size_t frameCapacity = 126;
+
     Packet() = default;
+    /** A copy takes only the size() frame bytes. */
+    Packet(const Packet &other) { *this = other; }
+    Packet &
+    operator=(const Packet &other)
+    {
+        len_ = other.len_;
+        std::memmove(frame_, other.frame_, len_); // self-assignment safe
+        return *this;
+    }
 
     /** Build a minimal UDP or TCP packet for @p tuple with @p payload
      *  bytes of zeros (64-byte minimum frame, like the IXIA workloads). */
     static Packet fromTuple(const FiveTuple &tuple,
                             std::size_t payload = 18);
 
-    /** Wire bytes. */
-    const std::vector<std::uint8_t> &bytes() const { return buffer; }
-    std::vector<std::uint8_t> &bytes() { return buffer; }
+    /** Wire bytes: the first size() bytes of the frame. */
+    std::span<const std::uint8_t> bytes() const { return {frame_, len_}; }
+    std::span<std::uint8_t> bytes() { return {frame_, len_}; }
+    std::size_t size() const { return len_; }
+
+    /** Reshape the frame to @p n bytes: resize keeps the first
+     *  min(n, size()) and zero-fills the rest, assign fills all. */
+    /**@{*/
+    void resize(std::size_t n);
+    void assign(std::size_t n, std::uint8_t fill);
+    /**@}*/
 
     /** Extract headers; nullopt for runts / non-IPv4. */
     std::optional<ParsedHeaders> parseHeaders() const;
@@ -72,8 +98,11 @@ class Packet
     /**@}*/
 
   private:
-    std::vector<std::uint8_t> buffer;
+    std::uint8_t frame_[frameCapacity]; ///< only [0, len_) is ever read
+    std::uint16_t len_ = 0;
 };
+
+static_assert(sizeof(Packet) == 2 * cacheLineBytes, "one ring slot");
 
 } // namespace halo
 

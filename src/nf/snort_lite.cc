@@ -136,7 +136,7 @@ SnortLite::process(const ParsedHeaders &headers, const Packet &packet,
     HALO_ASSERT(built, "process before build");
     ++packets;
 
-    const auto &bytes = packet.bytes();
+    const auto bytes = packet.bytes();
     const std::size_t payload_off =
         EthernetHeader::wireBytes + Ipv4Header::wireBytes + 8;
     if (bytes.size() <= payload_off)

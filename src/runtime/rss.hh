@@ -147,9 +147,9 @@ class RssDispatcher
     /**@}*/
 
     /** @name Per-bucket packet heat (epoch counters)
-     *  The producer calls notePacket on every dispatch; the elastic
-     *  controller drains the counter once per epoch to rank buckets
-     *  by recent load. */
+     *  With an elastic controller running, the producer calls
+     *  notePacket on every dispatch; the controller drains the
+     *  counter once per epoch to rank buckets by recent load. */
     /**@{*/
     void notePacket(unsigned bucket)
     {

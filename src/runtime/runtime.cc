@@ -154,7 +154,8 @@ Runtime::offer(Packet &&packet, const FiveTuple &tuple)
     if (elastic_)
         offerSeq_.fetch_add(1, std::memory_order_seq_cst);
     const unsigned bucket = rss_.bucketFor(tuple);
-    rss_.notePacket(bucket);
+    if (elastic_)
+        rss_.notePacket(bucket); // packet heat only the controller reads
     Worker &w = *workers_[rss_.entry(bucket)];
     bool pushed = false;
     for (unsigned attempt = 0;; ++attempt) {

@@ -173,10 +173,22 @@ VirtualSwitch::installRules(const RuleSet &rules)
 void
 VirtualSwitch::installOpenflowRules(const RuleSet &rules)
 {
+    // Only upcalls read these tables: size each to its mask's rules,
+    // not to tupleCapacity (65,536 entries per mask).
+    using MaskCount = std::pair<FlowMask, std::uint64_t>;
+    std::vector<MaskCount> counts;
+    for (const FlowRule &rule : rules) {
+        auto it = std::ranges::find(counts, rule.mask, &MaskCount::first);
+        if (it == counts.end())
+            it = counts.insert(it, {rule.mask, 0});
+        ++it->second;
+    }
+    for (const auto &[mask, n] : counts)
+        openflow.ensureTuple(mask, std::max<std::uint64_t>(
+                                       64, nextPowerOfTwo(2 * n)));
     for (const FlowRule &rule : rules) {
         if (!openflow.addRule(rule))
-            fatal("OpenFlow tuple overflow; raise "
-                  "tupleConfig.tupleCapacity");
+            fatal("OpenFlow tuple overflow while installing rules");
     }
 }
 

@@ -193,7 +193,8 @@ class VirtualSwitch
     /**
      * Install the slow-path OpenFlow rules (priority semantics). Only
      * consulted when cfg.useOpenflowLayer is set and the MegaFlow
-     * layer misses.
+     * layer misses. One-shot setup: each mask's tuple is sized to its
+     * rules (2x, >= 64), so a later call that overflows one is fatal.
      */
     void installOpenflowRules(const RuleSet &rules);
 

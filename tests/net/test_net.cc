@@ -5,9 +5,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <set>
+#include <utility>
 
 #include "net/traffic_gen.hh"
+#include "vswitch/vswitch.hh"
 
 namespace halo {
 namespace {
@@ -141,8 +144,87 @@ TEST(Packet, TcpPacketsParseToo)
 TEST(Packet, RuntIsRejected)
 {
     Packet p;
-    p.bytes().assign(10, 0);
+    p.assign(10, 0);
     EXPECT_FALSE(p.parseHeaders().has_value());
+}
+
+FiveTuple
+sampleTuple(IpProto proto)
+{
+    FiveTuple t;
+    t.srcIp = 0x0a000001;
+    t.dstIp = 0x0a000002;
+    t.srcPort = 5555;
+    t.dstPort = 80;
+    t.proto = static_cast<std::uint8_t>(proto);
+    return t;
+}
+
+TEST(Packet, LargestFittingFramesRoundTrip)
+{
+    for (const IpProto proto : {IpProto::Tcp, IpProto::Udp}) {
+        const FiveTuple t = sampleTuple(proto);
+        const std::size_t headers =
+            EthernetHeader::wireBytes + Ipv4Header::wireBytes +
+            (proto == IpProto::Tcp ? TcpHeader::wireBytes
+                                   : UdpHeader::wireBytes);
+        Packet p =
+            Packet::fromTuple(t, Packet::frameCapacity - headers);
+        EXPECT_EQ(p.size(), Packet::frameCapacity);
+        p.stampOrderTag(0x1122334455667788ull);
+        EXPECT_EQ(p.orderTag(), 0x1122334455667788ull);
+        const auto parsed = p.parseHeaders();
+        ASSERT_TRUE(parsed.has_value());
+        EXPECT_TRUE(parsed->l4Valid);
+        EXPECT_EQ(parsed->tuple(), t);
+        // One byte more does not fit: a panic, never a truncated frame.
+        EXPECT_THROW(Packet::fromTuple(t, Packet::frameCapacity -
+                                              headers + 1),
+                     PanicError);
+    }
+}
+
+TEST(Packet, CopyKeepsBytesAndLength)
+{
+    Packet a = Packet::fromTuple(sampleTuple(IpProto::Udp), 40);
+    a.stampOrderTag(42);
+    Packet b = Packet::fromTuple(sampleTuple(IpProto::Tcp), 60);
+    b = a; // a shorter frame over a longer one
+    const Packet c(a);
+    for (const Packet *copy : {&std::as_const(b), &c}) {
+        EXPECT_EQ(copy->size(), a.size());
+        EXPECT_TRUE(std::ranges::equal(copy->bytes(), a.bytes()));
+        EXPECT_EQ(copy->orderTag(), 42u);
+    }
+}
+
+TEST(Packet, RuntsAreDroppedBeforeClassification)
+{
+    SimMemory mem(64ull << 20);
+    VSwitchConfig cfg;
+    cfg.tupleConfig.tupleCapacity = 1024;
+    VirtualSwitch vs(mem, cfg);
+    FlowRule match_all;
+    match_all.mask = FlowMask{};
+    match_all.priority = 1;
+    match_all.action = Action{ActionKind::Forward, 3};
+    vs.installRules({match_all});
+
+    const Packet whole = Packet::fromTuple(sampleTuple(IpProto::Udp));
+    EXPECT_TRUE(vs.processPacket(whole).matched);
+    Packet assigned = whole;
+    assigned.assign(8, 0xee);
+    Packet resized = whole;
+    resized.resize(20);
+    EXPECT_TRUE(std::ranges::equal(resized.bytes(),
+                                   whole.bytes().first(20)));
+    for (const Packet *runt : {&assigned, &resized}) {
+        const PacketResult r = vs.processPacket(*runt);
+        EXPECT_FALSE(r.matched);
+        EXPECT_EQ(r.tuplesSearched, 0u);
+    }
+    EXPECT_EQ(vs.totals().packets, 3u);
+    EXPECT_EQ(vs.totals().matches, 1u);
 }
 
 TEST(TrafficGen, GeneratesDistinctFlows)

@@ -494,6 +494,17 @@ TEST(ElasticRuntime, MigrationsPreserveIntraFlowOrderUnderChurn)
                 tick(clock, cfg.elastic.controlIntervalMicros, epochs));
         }
     }
+    // Between epochs the producer keeps accruing packet heat for the
+    // controller: the hot flow's bucket (re-read, as splits may have
+    // grown the table) counts every packet offered to it.
+    for (int i = 0; i < 100; ++i) {
+        Packet p = Packet::fromTuple(flows[0]);
+        p.stampOrderTag(seq[0]++);
+        rt.offer(std::move(p), flows[0]);
+    }
+    EXPECT_EQ(rt.dispatcher().takeBucketPackets(
+                  rt.dispatcher().bucketFor(flows[0])),
+              100u);
     rt.drain();
 
     // The forced bounces guarantee real flips happened.

@@ -1,10 +1,12 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <memory>
 #include <thread>
 #include <vector>
 
+#include "net/packet.hh"
 #include "runtime/spsc_ring.hh"
 #include "sim/random.hh"
 
@@ -66,6 +68,42 @@ TEST(SpscRing, WrapAroundPreservesOrder)
         for (std::size_t i = 0; i < got; ++i)
             ASSERT_EQ(drained[i], next_out + i);
         next_out += got;
+    }
+}
+
+TEST(SpscRing, PacketFramesWrapAroundByteIdentical)
+{
+    // Ring slots hold the frames themselves: every packet, of varying
+    // length and protocol, must come out exactly as it went in.
+    auto packet = [](std::uint64_t i) {
+        FiveTuple t;
+        t.srcIp = static_cast<std::uint32_t>(i * 2654435761u);
+        t.dstIp = static_cast<std::uint32_t>(i);
+        t.srcPort = static_cast<std::uint16_t>(i);
+        t.dstPort = 443;
+        t.proto = (i & 1) ? 6 : 17;
+        Packet p = Packet::fromTuple(t, 8 + i % 64);
+        p.stampOrderTag(i);
+        return p;
+    };
+    SpscRing<Packet> ring(16);
+    Xoshiro256 rng(0x9acc);
+    std::uint64_t next_in = 0, next_out = 0;
+    Packet drained[8];
+    while (next_out < 20000) {
+        for (std::size_t i = rng.next() % 8 + 1; i > 0; --i) {
+            if (!ring.tryPush(packet(next_in)))
+                break;
+            ++next_in;
+        }
+        const std::size_t got = ring.popBatch(drained, rng.next() % 8 + 1);
+        for (std::size_t i = 0; i < got; ++i, ++next_out) {
+            const Packet want = packet(next_out);
+            ASSERT_EQ(drained[i].size(), want.size());
+            ASSERT_TRUE(std::ranges::equal(drained[i].bytes(),
+                                           want.bytes()))
+                << "packet " << next_out;
+        }
     }
 }
 

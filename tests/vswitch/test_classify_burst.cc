@@ -80,7 +80,7 @@ TEST_P(ProcessBurst, ByteIdenticalWithMalformedPackets)
         if (i % 11 == 5) {
             // Runt frame: fails header parsing, dropped in place.
             Packet runt;
-            runt.bytes().assign(8, 0xee);
+            runt.assign(8, 0xee);
             batch.push_back(std::move(runt));
         } else {
             batch.push_back(

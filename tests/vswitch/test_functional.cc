@@ -67,7 +67,7 @@ mixedStream(TrafficGenerator &gen, std::size_t n)
     for (std::size_t i = 0; i < n; ++i) {
         Packet p = gen.nextPacket();
         if (i % 97 == 13)
-            p.bytes().resize(20); // runt: dropped before classification
+            p.resize(20); // runt: dropped before classification
         packets.push_back(std::move(p));
     }
     return packets;

@@ -114,6 +114,123 @@ TEST(OpenflowLayer, HighestPriorityRuleWinsUpcall)
     EXPECT_EQ(r.action, best);
 }
 
+/** Linear-scan reference: the highest priority among @p rules that
+ *  match @p flow (nullptr when none does), and how many matching rules
+ *  share that priority. */
+std::pair<const FlowRule *, unsigned>
+referenceBest(const RuleSet &rules, const FiveTuple &flow)
+{
+    const auto key = flow.toKey();
+    const FlowRule *best = nullptr;
+    unsigned ties = 0;
+    for (const FlowRule &r : rules) {
+        if (!r.matches(key))
+            continue;
+        if (!best || r.priority > best->priority) {
+            best = &r;
+            ties = 1;
+        } else if (r.priority == best->priority) {
+            ++ties;
+        }
+    }
+    return {best, ties};
+}
+
+TEST(OpenflowLayer, SizedTablesKeepTheReferenceBestMatch)
+{
+    OfRig rig;
+    auto vs = rig.makeSwitch(LookupMode::Software);
+    // Every flow's OpenFlow best match, and the action its upcall
+    // installs, against a linear scan of the rules.
+    unsigned compared = 0;
+    for (const FiveTuple &flow : rig.gen.flows()) {
+        const auto [best, ties] = referenceBest(rig.openflowRules, flow);
+        const auto got = vs.openflowLayer().lookupBest(flow.toKey());
+        ASSERT_EQ(got.has_value(), best != nullptr);
+        if (!best)
+            continue;
+        EXPECT_EQ(got->priority, best->priority);
+        if (ties == 1) {
+            EXPECT_EQ(Action::decode(got->value), best->action);
+            const PacketResult r = vs.classifyTuple(flow);
+            ASSERT_TRUE(r.matched);
+            EXPECT_EQ(r.action, best->action);
+            ++compared;
+        }
+    }
+    EXPECT_GT(compared, 100u);
+}
+
+/** A rule matching @p flow under @p mask. */
+FlowRule
+ruleFor(const FiveTuple &flow, const FlowMask &mask, std::uint16_t priority,
+        std::uint16_t port)
+{
+    FlowRule r;
+    r.mask = mask;
+    r.maskedKey = mask.apply(flow.toKey());
+    r.priority = priority;
+    r.action = Action{ActionKind::Forward, port};
+    return r;
+}
+
+TEST(OpenflowLayer, TablesAreSizedToTheirRules)
+{
+    // One rule per mask over 16 masks plus a match-all fallback: the
+    // runtime's churn workload. At tupleCapacity (65,536 entries per
+    // mask) these 17 tables took ~52 MB of simulated memory.
+    TrafficGenerator gen(TrafficConfig{64, 0.0, 0.5, 0x5eed});
+    RuleSet rules;
+    const std::vector<FlowMask> masks = canonicalMasks(16);
+    for (unsigned i = 0; i < masks.size(); ++i)
+        rules.push_back(ruleFor(gen.flows()[i], masks[i],
+                                static_cast<std::uint16_t>(10 + i),
+                                static_cast<std::uint16_t>(2 + i)));
+    rules.push_back(ruleFor(gen.flows()[0], FlowMask{}, 1, 1));
+
+    SimMemory mem(1ull << 30);
+    VSwitchConfig cfg;
+    cfg.useOpenflowLayer = true;
+    VirtualSwitch vs(mem, cfg);
+    const std::uint64_t before = mem.allocated();
+    vs.installOpenflowRules(rules);
+    EXPECT_LT(mem.allocated() - before, 1ull << 20);
+    ASSERT_EQ(vs.openflowLayer().numTuples(), 17u);
+    for (unsigned i = 0; i < 17; ++i)
+        EXPECT_EQ(vs.openflowLayer().table(i).capacity(), 64u);
+
+    for (const FiveTuple &flow : gen.flows()) {
+        const PacketResult r = vs.classifyTuple(flow);
+        ASSERT_TRUE(r.matched);
+        EXPECT_EQ(r.action, referenceBest(rules, flow).first->action);
+    }
+}
+
+TEST(OpenflowLayer, LargeSingleMaskSetInstallsAndMatches)
+{
+    TrafficGenerator gen(TrafficConfig{5000, 0.0, 0.5, 0xb16});
+    RuleSet rules;
+    for (std::size_t i = 0; i < gen.flows().size(); ++i)
+        rules.push_back(ruleFor(gen.flows()[i], FlowMask::exact(), 5,
+                                static_cast<std::uint16_t>(i)));
+
+    SimMemory mem(1ull << 30);
+    VSwitchConfig cfg;
+    cfg.useEmc = false;
+    cfg.useOpenflowLayer = true;
+    VirtualSwitch vs(mem, cfg);
+    vs.installOpenflowRules(rules);
+    ASSERT_EQ(vs.openflowLayer().numTuples(), 1u);
+    EXPECT_EQ(vs.openflowLayer().ruleCount(), rules.size());
+    EXPECT_EQ(vs.openflowLayer().table(0).capacity(), 16384u);
+    for (std::size_t i = 0; i < rules.size(); ++i) {
+        const PacketResult r = vs.classifyTuple(gen.flows()[i]);
+        ASSERT_TRUE(r.matched) << "rule " << i;
+        EXPECT_EQ(r.action, rules[i].action) << "rule " << i;
+    }
+    EXPECT_EQ(vs.upcalls(), rules.size());
+}
+
 TEST(OpenflowLayer, TrueMissStaysUnmatched)
 {
     OfRig rig;

@@ -179,7 +179,7 @@ TEST(VSwitch, MalformedPacketIsDroppedEarly)
     SwitchRig rig;
     auto vs = rig.makeSwitch(LookupMode::Software);
     Packet runt;
-    runt.bytes().assign(5, 0);
+    runt.assign(5, 0);
     const PacketResult r = vs.processPacket(runt);
     EXPECT_FALSE(r.matched);
 }
