@@ -4,15 +4,15 @@
  *
  * Drives the src/runtime/ layer — RSS producer, SPSC rings, N
  * shared-nothing VirtualSwitch shards — over the ManyFlows scenario and
- * reports aggregate processPacket throughput at 1/2/4/8 workers, plus
+ * reports aggregate classification throughput at 1/2/4/8 workers, plus
  * per-worker batch-latency percentiles (merged HdrHistograms) and
  * ring-full drop counts.
  *
  * Methodology: CI hosts frequently expose a single CPU, so wall-clock
  * throughput of N threads cannot show shared-nothing scaling there. Each
  * worker therefore reports its *CPU-time* rate — packets divided by
- * CLOCK_THREAD_CPUTIME_ID nanoseconds spent inside processPacket
- * batches, which excludes preemption and ring-empty idling — and the
+ * its busy CLOCK_THREAD_CPUTIME_ID nanoseconds, which exclude
+ * preemption and ring-empty idling (WorkerCounters::busyNanos) — and the
  * aggregate is the sum of those rates: the throughput the shared-nothing
  * shards sustain when each owns a core. Wall-clock packets/sec is
  * reported alongside for reference.
@@ -131,9 +131,10 @@ writeJson(const BenchFlags &flags, const std::vector<ScaleResult> &runs,
     j.kv("sampler_interval_us", flags.sampleMicros);
     j.kv("methodology",
          "aggregate_cpu_pps sums per-worker CLOCK_THREAD_CPUTIME_ID "
-         "rates (packets / busy nanoseconds inside processPacket "
-         "batches): the shared-nothing throughput when each worker owns "
-         "a core, immune to preemption on CPU-constrained hosts. "
+         "rates (packets / busy nanoseconds: popping, classifying and "
+         "publishing batches, idle polling excluded): the "
+         "shared-nothing throughput when each worker owns a core, "
+         "immune to preemption on CPU-constrained hosts. "
          "wall_pps is processed / wall seconds on this host for "
          "reference. batch_p* come from merged per-worker "
          "HdrHistograms; samples is the background sampler time "

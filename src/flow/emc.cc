@@ -45,15 +45,13 @@ ExactMatchCache::hashKey(
 }
 
 std::optional<std::uint64_t>
-ExactMatchCache::lookupConcurrent(
-    std::span<const std::uint8_t, FiveTuple::keyBytes> key,
-    AccessTrace *trace) const
+ExactMatchCache::probeConcurrent(const std::uint8_t *key, std::uint64_t h,
+                                 std::uint64_t mask,
+                                 AccessTrace *trace) const
 {
-    const std::uint64_t h = hashKey(key);
     const std::uint32_t sig = shortSignature(h);
     const std::uint32_t gen = generation.load(std::memory_order_relaxed);
     const std::uint32_t sigMask = sigCompareMask(managed_);
-    const std::uint64_t mask = activeMask_.load(std::memory_order_relaxed);
     const std::uint64_t idx[2] = {h & mask, (h >> 32) & mask};
 
     for (int probe = 0; probe < 2; ++probe) {
@@ -85,16 +83,14 @@ ExactMatchCache::lookupConcurrent(
         std::memcpy(&slot_sig, view + sigOffset, sizeof(slot_sig));
         if ((slot_sig ^ sig) & sigMask)
             continue;
-        if (std::memcmp(view + keyOffset, key.data(), key.size()) == 0) {
+        if (std::memcmp(view + keyOffset, key, FiveTuple::keyBytes) == 0) {
             std::uint64_t value;
             std::memcpy(&value, view + valueOffset, sizeof(value));
-            hits_.fetch_add(1, std::memory_order_relaxed);
             return value;
         }
         if (idx[0] == idx[1])
             break;
     }
-    misses_.fetch_add(1, std::memory_order_relaxed);
     return std::nullopt;
 }
 
@@ -103,8 +99,13 @@ ExactMatchCache::lookup(
     std::span<const std::uint8_t, FiveTuple::keyBytes> key,
     AccessTrace *trace) const
 {
-    if (concurrent_) [[unlikely]]
-        return lookupConcurrent(key, trace);
+    if (concurrent_) [[unlikely]] {
+        const auto v = probeConcurrent(
+            key.data(), hashKey(key),
+            activeMask_.load(std::memory_order_relaxed), trace);
+        (v ? hits_ : misses_).fetch_add(1, std::memory_order_relaxed);
+        return v;
+    }
 
     const std::uint64_t h = hashKey(key);
     const std::uint32_t sig = shortSignature(h);
@@ -153,21 +154,38 @@ ExactMatchCache::lookupBulk(const std::uint8_t *const *keys,
     const std::uint64_t mask = activeMask_.load(std::memory_order_relaxed);
 
     if (concurrent_) [[unlikely]] {
-        // Under a concurrent writer every probe must take the
-        // seqlock-validated path, lane at a time. lookupConcurrent
-        // counts the hits/misses.
-        std::uint32_t found = 0;
+        // Under a concurrent writer every lane takes the seqlocked
+        // probe, but the lanes' memory latency still overlaps: hash
+        // all of them and prefetch their slots and seqlock counters
+        // first, then validate lane by lane. The prefetch is not gated
+        // on footprint here: lines the writer just stored to sit in
+        // its cache whatever the table size.
+        std::uint64_t hashes[maxBulkLanes];
         for (std::size_t i = 0; i < n; ++i) {
-            const std::span<const std::uint8_t, FiveTuple::keyBytes> key(
-                keys[i], FiveTuple::keyBytes);
-            const std::uint64_t h = hashKey(key);
+            const std::uint64_t h = hashKey(
+                std::span<const std::uint8_t, FiveTuple::keyBytes>(
+                    keys[i], FiveTuple::keyBytes));
+            hashes[i] = h;
             slots[i][0] = h & mask;
             slots[i][1] = (h >> 32) & mask;
-            if (const auto v = lookupConcurrent(key, nullptr)) {
+            for (const std::uint64_t idx : slots[i]) {
+                seq_.prefetch(idx);
+                if (const std::uint8_t *p =
+                        mem.rangeView(slotAddr(idx), slotBytes))
+                    __builtin_prefetch(p, 0, 3);
+            }
+        }
+        std::uint32_t found = 0;
+        for (std::size_t i = 0; i < n; ++i) {
+            if (const auto v =
+                    probeConcurrent(keys[i], hashes[i], mask, nullptr)) {
                 values[i] = *v;
                 found |= 1u << i;
             }
         }
+        const std::uint64_t nh = std::popcount(found);
+        hits_.fetch_add(nh, std::memory_order_relaxed);
+        misses_.fetch_add(n - nh, std::memory_order_relaxed);
         return found;
     }
 

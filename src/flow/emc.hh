@@ -72,7 +72,9 @@ class ExactMatchCache
      * the probes over warm lines. Bit i of the returned mask is set and
      * values[i] holds the cached value for every hit; values of miss
      * lanes are untouched. slots[i] receives lane i's two candidate
-     * slot indices (insert() writes one of them).
+     * slot indices (insert() writes one of them). In concurrent mode
+     * the first stage also prefetches the slots' seqlock counters and
+     * every lane is then validated as the scalar lookup() does.
      */
     std::uint32_t lookupBulk(const std::uint8_t *const *keys,
                              std::size_t n, std::uint64_t *values,
@@ -217,11 +219,13 @@ class ExactMatchCache
     std::uint64_t hashKey(
         std::span<const std::uint8_t, FiveTuple::keyBytes> key) const;
 
-    /** Seqlock-validated probe used for every lookup in concurrent
-     *  mode; records the same refs as the plain lookup. */
-    std::optional<std::uint64_t> lookupConcurrent(
-        std::span<const std::uint8_t, FiveTuple::keyBytes> key,
-        AccessTrace *trace) const;
+    /** Seqlock-validated probe of @p key (hash @p h, index mask
+     *  @p mask) used for every lookup in concurrent mode; records the
+     *  same refs as the plain lookup and counts no hit or miss. */
+    std::optional<std::uint64_t> probeConcurrent(const std::uint8_t *key,
+                                                 std::uint64_t h,
+                                                 std::uint64_t mask,
+                                                 AccessTrace *trace) const;
 
     SimMemory &mem;
     std::uint64_t numEntries;

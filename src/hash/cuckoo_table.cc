@@ -356,6 +356,13 @@ CuckooHashTable::lookupConcurrent(KeyView key, AccessTrace *trace,
 
     std::uint32_t sig = 0;
     const std::uint64_t b1 = primaryBucket(key, sig);
+    return probeConcurrent(key.data(), sig, b1, trace);
+}
+
+std::optional<std::uint64_t>
+CuckooHashTable::probeConcurrent(const std::uint8_t *key, std::uint32_t sig,
+                                 std::uint64_t b1, AccessTrace *trace) const
+{
     const std::uint64_t b2 = alternativeBucket(b1, sig, md.bucketMask);
     const bool low_entropy = md.numBuckets <= 8;
     // Rewind point: a retry re-records the probe refs so the winning
@@ -412,8 +419,7 @@ CuckooHashTable::lookupConcurrent(KeyView key, AccessTrace *trace,
                 }
                 alignas(8) std::uint8_t slot[8 + 64];
                 mem.readAtomic(slot_addr, slot, md.kvSlotBytes);
-                if (bytesEqual(key.data(), slot + kvKeyOffset,
-                               md.keyLen)) {
+                if (bytesEqual(key, slot + kvKeyOffset, md.keyLen)) {
                     std::memcpy(&value, slot + kvValueOffset,
                                 sizeof(value));
                     hit = true;
@@ -457,12 +463,32 @@ CuckooHashTable::lookupUntracedBulk(const std::uint8_t *const *keys,
 
     if (concurrent_) [[unlikely]] {
         // The pipelined stages below read lines through plain loads;
-        // under a concurrent writer every probe must go through the
-        // seqlock-validated path instead, lane at a time.
+        // under a concurrent writer every lane must take the
+        // seqlock-validated probe instead. Its memory latency still
+        // overlaps across lanes: hash every key and prefetch both
+        // candidate buckets' seqlock counters and lines (the primary
+        // line only with the negative filter, as below) before the
+        // first lane is validated.
+        std::uint32_t sigs[maxBulkLanes];
+        std::uint64_t b1s[maxBulkLanes];
+        for (std::size_t i = 0; i < n; ++i) {
+            const std::uint64_t b1 =
+                primaryBucket(KeyView(keys[i], md.keyLen), sigs[i]);
+            const std::uint64_t b2 =
+                alternativeBucket(b1, sigs[i], md.bucketMask);
+            b1s[i] = b1;
+            seq_.prefetch(b1);
+            __builtin_prefetch(bucketLine(b1), 0, 3);
+            if (b2 != b1) {
+                seq_.prefetch(b2);
+                if (!negFilter_)
+                    __builtin_prefetch(bucketLine(b2), 0, 3);
+            }
+        }
         std::uint32_t found = 0;
         for (std::size_t i = 0; i < n; ++i) {
-            if (const auto v = lookupConcurrent(
-                    KeyView(keys[i], md.keyLen), nullptr, invalidAddr)) {
+            if (const auto v =
+                    probeConcurrent(keys[i], sigs[i], b1s[i], nullptr)) {
                 values[i] = *v;
                 found |= 1u << i;
             }

@@ -127,7 +127,9 @@ class CuckooHashTable
      * DRAM latency of one lane's lines is hidden behind the other
      * lanes' work instead of being eaten serially per lookup. It
      * records no reference stream: the traced scalar lookup() is the
-     * timing reference.
+     * timing reference. In concurrent mode stage 0 also prefetches the
+     * candidate buckets' seqlock counters, and every lane is then
+     * validated through the scalar seqlocked probe.
      *
      * keys[i] points at keyLen() bytes. On return, bit i of the result
      * mask is set and values[i] holds the stored value for every found
@@ -271,6 +273,11 @@ class CuckooHashTable
     std::optional<std::uint64_t>
     lookupConcurrent(KeyView key, AccessTrace *trace,
                      Addr key_addr) const;
+    /** lookupConcurrent's seqlocked probe from a precomputed signature
+     *  and primary bucket (the bulk path hashes every lane first). */
+    std::optional<std::uint64_t>
+    probeConcurrent(const std::uint8_t *key, std::uint32_t sig,
+                    std::uint64_t b1, AccessTrace *trace) const;
 
     /** BFS for a displacement path ending in a free slot. */
     bool makeRoom(std::uint64_t bucket, AccessTrace *trace);

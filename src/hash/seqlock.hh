@@ -139,6 +139,15 @@ class SeqlockArray
                seq_[i].load(std::memory_order_relaxed) != begin;
     }
 
+    /** Bring counter @p i 's line toward the reader ahead of
+     *  readBegin() (bulk probes prefetch every lane's counters before
+     *  validating any lane). */
+    void
+    prefetch(std::size_t i) const
+    {
+        __builtin_prefetch(&seq_[i], 0, 3);
+    }
+
     /** Make counter @p i odd before mutating its bucket. */
     void
     writeBegin(std::size_t i)

@@ -65,6 +65,21 @@ Packet::fromTuple(const FiveTuple &tuple, std::size_t payload)
 
 namespace {
 
+std::uint16_t
+be16At(const std::uint8_t *p)
+{
+    return static_cast<std::uint16_t>((p[0] << 8) | p[1]);
+}
+
+std::uint32_t
+be32At(const std::uint8_t *p)
+{
+    return (static_cast<std::uint32_t>(p[0]) << 24) |
+           (static_cast<std::uint32_t>(p[1]) << 16) |
+           (static_cast<std::uint32_t>(p[2]) << 8) |
+           static_cast<std::uint32_t>(p[3]);
+}
+
 /** Byte offset of the L4 payload, or 0 when the frame is too short to
  *  carry an 8-byte tag there. */
 std::size_t
@@ -139,6 +154,29 @@ Packet::parseHeaders() const
         parsed.l4Valid = true;
     }
     return parsed;
+}
+
+std::optional<FiveTuple>
+Packet::flowTuple() const
+{
+    constexpr std::size_t ip = EthernetHeader::wireBytes;
+    constexpr std::size_t l4 = ip + Ipv4Header::wireBytes;
+    if (len_ < l4 || be16At(frame_ + 12) != 0x0800)
+        return std::nullopt;
+
+    FiveTuple t;
+    t.proto = frame_[ip + 9];
+    t.srcIp = be32At(frame_ + ip + 12);
+    t.dstIp = be32At(frame_ + ip + 16);
+    const std::size_t l4_avail = len_ - l4;
+    if ((t.proto == static_cast<std::uint8_t>(IpProto::Tcp) &&
+         l4_avail >= TcpHeader::wireBytes) ||
+        (t.proto == static_cast<std::uint8_t>(IpProto::Udp) &&
+         l4_avail >= UdpHeader::wireBytes)) {
+        t.srcPort = be16At(frame_ + l4);
+        t.dstPort = be16At(frame_ + l4 + 2);
+    }
+    return t;
 }
 
 } // namespace halo

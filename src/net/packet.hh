@@ -85,6 +85,15 @@ class alignas(cacheLineBytes) Packet
     /** Extract headers; nullopt for runts / non-IPv4. */
     std::optional<ParsedHeaders> parseHeaders() const;
 
+    /**
+     * The classification five-tuple alone, read at fixed offsets:
+     * ethertype, protocol, addresses and ports, nothing else. Same
+     * rules as parseHeaders()->tuple(): nullopt for runts and non-IPv4
+     * frames, ports zero unless a TCP/UDP header fits whole. The
+     * switch classifies from this; parseHeaders() serves the NFs.
+     */
+    std::optional<FiveTuple> flowTuple() const;
+
     /** @name Order tag (test/bench instrumentation)
      *  Stamp an opaque 64-bit tag (conventionally flow-id<<32 | seq)
      *  into the first eight L4 payload bytes, where the elastic

@@ -68,9 +68,10 @@ struct RuntimeConfig
     /// Bounded producer yields before a full ring drops the packet
     /// (0 = drop immediately). Never an unbounded block.
     unsigned enqueueRetries = 0;
-    /// Read by nothing: every worker classifies its popped batch packet
-    /// by packet. Kept only because the perfbench harness still assigns
-    /// it; drop it with that harness's next revision.
+    /// Read by nothing: every worker classifies its popped batch in
+    /// stages of up to maxBulkLanes packets (VirtualSwitch::processBurst).
+    /// Kept only because the perfbench harness still assigns it; drop
+    /// it with that harness's next revision.
     unsigned classifyBurst = 1;
     /// Read by nothing: a worker's functional switch has no simulated
     /// cache to warm. Kept only because the perfbench harness reads it

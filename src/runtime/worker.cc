@@ -24,6 +24,26 @@ threadCpuNanos()
            static_cast<std::uint64_t>(ts.tv_nsec);
 }
 
+/** Monotonic wall time: a vDSO read, no system call (the thread-CPU
+ *  clock above is one). */
+std::uint64_t
+wallNanos()
+{
+    return static_cast<std::uint64_t>(
+        std::chrono::duration_cast<std::chrono::nanoseconds>(
+            std::chrono::steady_clock::now().time_since_epoch())
+            .count());
+}
+
+/// While the ring stays empty, the thread-CPU clock is re-read every
+/// idleRemarkPolls polls and after any poll longer than
+/// descheduledPollNanos: a yield poll takes ~0.45 µs, a switch to
+/// another thread and back longer. Together they bound the busy time
+/// a batch's estimate can lose to off-CPU idle time
+/// (WorkerCounters::busyNanos).
+constexpr unsigned idleRemarkPolls = 64;
+constexpr std::uint64_t descheduledPollNanos = 2000;
+
 } // namespace
 
 Worker::Worker(const WorkerConfig &config, const RuleSet &rules,
@@ -36,6 +56,7 @@ Worker::Worker(const WorkerConfig &config, const RuleSet &rules,
 {
     vs_.installRules(rules);
     batchBuf_.resize(cfg.batchSize);
+    results_.resize(cfg.batchSize);
     if (cfg.traceCapacity)
         trace_ = std::make_unique<obs::TraceRecorder>(cfg.traceCapacity);
     if (cfg.perfEnabled)
@@ -179,8 +200,6 @@ Worker::gateHolds()
 void
 Worker::threadMain()
 {
-    using SteadyClock = std::chrono::steady_clock;
-
     // Route this thread's HALO_STAGE sites (here and down in the
     // vswitch pipeline) into the worker's recorders, if configured. The
     // PMU group must be opened on the measured thread (perf_event_open
@@ -190,6 +209,38 @@ Worker::threadMain()
     const obs::StageRecorders prev_rec =
         obs::installStageRecorders({trace_.get(), perf_.get()});
 
+    // Busy-time accounting (WorkerCounters::busyNanos). A mark reads
+    // the thread-CPU clock: after each batch is published, after a
+    // park, and while the ring stays empty every idleRemarkPolls polls
+    // or after a poll long enough to mean the thread was descheduled.
+    // idleSince is the wall time read just before the latest mark,
+    // lastPoll the wall time just before the latest pop attempt. Wall
+    // clocks are read around CPU clocks, so the wall time subtracted
+    // for idle polling never falls short of its CPU time.
+    std::uint64_t idleSince = 0;
+    std::uint64_t cpuMark = 0;
+    std::uint64_t lastPoll = 0;
+    unsigned polls = 0;
+    bool idle = true; ///< polled the ring empty since the last batch
+    const auto remark = [&] {
+        idleSince = wallNanos();
+        cpuMark = threadCpuNanos();
+        lastPoll = wallNanos();
+        polls = 0;
+    };
+    remark();
+    // One idle iteration: an empty ring or a held migration gate.
+    const auto idlePoll = [&] {
+        idle = true;
+        std::this_thread::yield();
+        const std::uint64_t now = wallNanos();
+        if (now - lastPoll > descheduledPollNanos ||
+            ++polls == idleRemarkPolls)
+            remark();
+        else
+            lastPoll = now;
+    };
+
     while (true) {
         // Migration gate: a bucket is being remapped *to* this shard;
         // hold all processing until the source worker has processed
@@ -198,7 +249,7 @@ Worker::threadMain()
         // fence to the source ring's pushedCount, which the source
         // reaches even on stop (drain guarantee).
         if (gateHolds()) {
-            std::this_thread::yield();
+            idlePoll();
             continue;
         }
 
@@ -213,6 +264,10 @@ Worker::threadMain()
                        stop_.load(std::memory_order_acquire) ||
                        !ring_.empty();
             });
+            // The sleep was off-CPU: start the idle stretch afresh
+            // rather than subtract its wall time from the next batch.
+            remark();
+            idle = true;
             continue;
         }
 
@@ -223,7 +278,7 @@ Worker::threadMain()
             // after a stop request (the producer has quiesced by then).
             if (stop_.load(std::memory_order_acquire))
                 break;
-            std::this_thread::yield();
+            idlePoll();
             continue;
         }
 
@@ -232,9 +287,15 @@ Worker::threadMain()
         // arm happens-before the producer's post-flip push, so a
         // popped migrated packet implies this load sees the gate).
         // Holding the batch until the gate clears delays packets but
-        // never reorders them.
-        while (gateHolds())
-            std::this_thread::yield();
+        // never reorders them. The hold is idle time, timed on the
+        // wall clock: no CPU clock is read before the publish below.
+        std::uint64_t held = 0;
+        if (gateHolds()) [[unlikely]] {
+            const std::uint64_t hold_start = wallNanos();
+            while (gateHolds())
+                std::this_thread::yield();
+            held = wallNanos() - hold_start;
+        }
 
         // Occupancy at pop time = what we took plus what remains.
         const std::uint64_t depth =
@@ -243,45 +304,56 @@ Worker::threadMain()
             ringHwm_.store(depth, std::memory_order_relaxed);
 
         // Report processing order to the reorder oracle before
-        // classification (the loop below consumes the batch in index
+        // classification (the switch consumes the batch in index
         // order).
         if (cfg.orderValidator) [[unlikely]] {
             for (std::size_t i = 0; i < n; ++i)
                 cfg.orderValidator->observe(batchBuf_[i]);
         }
 
-        const auto wall0 = SteadyClock::now();
-        const std::uint64_t cpu0 = threadCpuNanos();
         std::uint64_t matched = 0;
         std::uint64_t emc_hits = 0;
         bool upcalled = false;
         {
             HALO_STAGE("worker/batch");
-            // Offload right after each packet: the revalidator can
-            // install a missed flow while the rest of the batch runs.
+            vs_.processBurst(std::span<const Packet>(batchBuf_.data(), n),
+                             std::span<PacketResult>(results_.data(), n));
             for (std::size_t i = 0; i < n; ++i) {
-                const PacketResult r = vs_.processPacket(batchBuf_[i]);
+                const PacketResult &r = results_[i];
                 matched += r.matched ? 1 : 0;
                 emc_hits += r.emcHit ? 1 : 0;
                 if (cfg.upcallRing)
                     upcalled |= offload(r);
             }
         }
-        const std::uint64_t cpu1 = threadCpuNanos();
-        const auto wall1 = SteadyClock::now();
 
-        batchHist_.record(static_cast<std::uint64_t>(
-            std::chrono::duration_cast<std::chrono::nanoseconds>(wall1 -
-                                                                 wall0)
-                .count()));
+        // Publish before any clock is read: a reader waiting on this
+        // batch (drain(), a sojourn probe) sees it now. The upcall
+        // counters were published by offload() before the count.
         packets_.add(n);
         batches_.add(1);
         matched_.add(matched);
         emcHits_.add(emc_hits);
-        busyNanos_.add(cpu1 - cpu0);
         // Once per batch, after the counters: no wake on the packet path.
         if (upcalled && reval_)
             reval_->wake();
+
+        // Bookkeeping, off the packet path: one wall and one CPU read.
+        // While the worker stays busy the end of one batch is the start
+        // of the next; a batch that follows idle polls subtracts their
+        // wall time, which bounds their CPU time from above.
+        const std::uint64_t wall = wallNanos();
+        const std::uint64_t cpu = threadCpuNanos();
+        const std::uint64_t idle_wall =
+            (idle ? lastPoll - idleSince : 0) + held;
+        const std::uint64_t spent = cpu - cpuMark;
+        busyNanos_.add(spent > idle_wall ? spent - idle_wall : 0);
+        batchHist_.record(wall - (idle ? lastPoll : idleSince));
+        // This read is also the next idle stretch's mark.
+        idleSince = lastPoll = wall;
+        cpuMark = cpu;
+        polls = 0;
+        idle = false;
     }
 
     obs::installStageRecorders(prev_rec);

@@ -8,13 +8,17 @@
  * state is shared between workers, so they scale without any
  * cross-shard synchronization, the NFOS/shared-nothing argument applied
  * to this codebase. Packets arrive through a single-producer ring and
- * are drained in configurable batches, each packet of a batch through
- * VirtualSwitch::processPacket in order.
+ * are drained in configurable batches; each batch is classified in
+ * stages by VirtualSwitch::processBurst (one key per packet, one bulk
+ * EMC probe, one bulk tuple-space walk over the EMC misses, then
+ * actions and stamps in packet order), and its upcalls are offloaded
+ * in packet order.
  *
  * Progress is published after every batch through PublishedCounter
- * (relaxed atomics, see sim/stats.hh): any thread may snapshot a
- * running worker without locks; the exact reduction — the batch-latency
- * HdrHistogram — is read after join(), which orders everything.
+ * (release stores, see sim/stats.hh), before the batch's clock reads:
+ * any thread may snapshot a running worker without locks; the exact
+ * reduction — the batch-latency HdrHistogram — is read after join(),
+ * which orders everything.
  *
  * Observability: per-batch wall latency goes into a fixed-memory
  * obs::HdrHistogram (p50..p999 in bounded space, mergeable across
@@ -102,8 +106,25 @@ struct WorkerCounters
     std::uint64_t batches = 0;
     std::uint64_t matched = 0;
     std::uint64_t emcHits = 0;
-    /// CPU time (CLOCK_THREAD_CPUTIME_ID) spent inside processPacket
-    /// batches — excludes ring-empty idling and preemption.
+    /**
+     * CPU time (CLOCK_THREAD_CPUTIME_ID) the worker spent outside idle
+     * polling: classifying batches and the bookkeeping between them.
+     * Excludes ring-empty polling, gate holds, parking and preemption.
+     * The CPU clock (a system call) is read once per batch, after its
+     * count is published; while the worker stays busy the end of one
+     * batch is the start of the next. A batch popped after idle polls
+     * cannot read the clock at its pop, so it counts the CPU time since
+     * the last read minus the wall time since then up to its pop,
+     * clamped at zero. Wall time bounds CPU time from above, so
+     * busyNanos never over-counts. It under-counts by the off-CPU share
+     * of the subtracted wall time and by the previous batch's
+     * bookkeeping after its read: the idle loop re-reads the CPU clock
+     * every 64 polls and after any poll longer than 2 µs, so a batch
+     * subtracts at most 64 polls of under 2 µs each. A yield poll takes
+     * ~0.45 µs on a 4-vCPU KVM guest, and a switch to another thread
+     * and back takes longer than 2 µs, so their off-CPU share is ~0
+     * even when workers share a CPU.
+     */
     std::uint64_t busyNanos = 0;
     /// Miss upcalls enqueued to the revalidator (decoupled mode).
     std::uint64_t upcallsEnqueued = 0;
@@ -203,7 +224,9 @@ class Worker
     /** @name Post-join accessors (exact, single-threaded again) */
     /**@{*/
     VirtualSwitch &vswitch() { return vs_; }
-    /** Wall-clock nanoseconds per drained batch, log-bucketed. */
+    /** Wall-clock nanoseconds per drained batch, log-bucketed: from
+     *  the pop (or the previous batch's end, while busy) to the end of
+     *  the batch's publish. */
     const obs::HdrHistogram &batchHistogram() const
     {
         return batchHist_;
@@ -271,6 +294,7 @@ class Worker
     std::unique_ptr<obs::TraceRecorder> trace_; ///< worker thread only
     std::unique_ptr<obs::PerfRecorder> perf_; ///< scopes: worker thread
     std::vector<Packet> batchBuf_;          ///< worker thread only
+    std::vector<PacketResult> results_;     ///< worker thread only
 
     /// Direct-mapped recent-miss cache (worker thread only):
     /// suppresses duplicate Miss upcalls for a flow while its install

@@ -273,19 +273,29 @@ VirtualSwitch::stageKey(std::span<const std::uint8_t> key, unsigned slot)
 PacketResult
 VirtualSwitch::processPacket(const Packet &packet)
 {
-    const auto parsed = packet.parseHeaders();
     PacketResult res;
-    if (!parsed) {
+    if (!timing_) {
+        processBurst(std::span<const Packet>(&packet, 1),
+                     std::span<PacketResult>(&res, 1));
+        return res;
+    }
+    const auto tuple = packet.flowTuple();
+    if (!tuple) {
         ++sums.packets;
         return res; // malformed: dropped before classification
     }
-    return classifyTupleAt(parsed->tuple(), &packet);
+    return classifyTupleAt(*tuple, &packet);
 }
 
 PacketResult
 VirtualSwitch::classifyTuple(const FiveTuple &tuple)
 {
-    return classifyTupleAt(tuple, nullptr);
+    if (timing_)
+        return classifyTupleAt(tuple, nullptr);
+    PacketResult res;
+    PacketResult *out = &res;
+    classifyStaged(&tuple, 1, &out);
+    return res;
 }
 
 std::vector<PacketResult>
@@ -403,8 +413,19 @@ VirtualSwitch::classifyBurst(std::span<const FiveTuple> batch,
         nbBurst(batch, results.data());
         return;
     }
-    for (std::size_t i = 0; i < batch.size(); ++i)
-        results[i] = classifyTupleAt(batch[i], nullptr);
+    if (timing_) {
+        for (std::size_t i = 0; i < batch.size(); ++i)
+            results[i] = classifyTupleAt(batch[i], nullptr);
+        return;
+    }
+    for (std::size_t off = 0; off < batch.size(); off += maxBulkLanes) {
+        const std::size_t n =
+            std::min<std::size_t>(maxBulkLanes, batch.size() - off);
+        PacketResult *out[maxBulkLanes];
+        for (std::size_t i = 0; i < n; ++i)
+            out[i] = &results[off + i];
+        classifyStaged(batch.data() + off, n, out);
+    }
 }
 
 void
@@ -413,20 +434,148 @@ VirtualSwitch::processBurst(std::span<const Packet> batch,
 {
     HALO_ASSERT(results.size() >= batch.size(),
                 "result span smaller than the batch");
-    for (std::size_t i = 0; i < batch.size(); ++i)
-        results[i] = processPacket(batch[i]);
+    if (timing_) {
+        for (std::size_t i = 0; i < batch.size(); ++i)
+            results[i] = processPacket(batch[i]);
+        return;
+    }
+    for (std::size_t off = 0; off < batch.size(); off += maxBulkLanes) {
+        const std::size_t end =
+            std::min<std::size_t>(off + maxBulkLanes, batch.size());
+        PacketResult *out[maxBulkLanes];
+        std::size_t n = 0;
+        for (std::size_t i = off; i < end; ++i) {
+            if (const auto tuple = batch[i].flowTuple()) {
+                burstTuples_[n] = *tuple;
+                out[n++] = &results[i];
+            } else {
+                results[i] = PacketResult{}; // malformed: dropped
+                ++sums.packets;
+            }
+        }
+        classifyStaged(burstTuples_.data(), n, out);
+    }
+}
+
+void
+VirtualSwitch::classifyStaged(const FiveTuple *batch, std::size_t n,
+                              PacketResult *const *out)
+{
+    HALO_ASSERT(n <= maxBulkLanes, "staged burst too large");
+
+    // --- Stage 1: each packet's key, once. ---
+    std::array<std::uint8_t, FiveTuple::keyBytes> keys[maxBulkLanes];
+    const std::uint8_t *keyPtr[maxBulkLanes];
+    for (std::size_t i = 0; i < n; ++i) {
+        *out[i] = PacketResult{};
+        out[i]->tuple = batch[i];
+        keys[i] = batch[i].toKey();
+        keyPtr[i] = keys[i].data();
+    }
+
+    // --- Stage 2: one bulk EMC probe (the adaptive controller may
+    //     have the EMC off: one relaxed flag load per batch then). ---
+    const bool emc_on = cfg.useEmc && emcCache.enabled();
+    std::uint32_t emc_hits = 0;
+    std::uint64_t emc_values[maxBulkLanes];
+    if (emc_on && n) {
+        HALO_STAGE("vswitch/emc");
+        std::uint64_t slots[maxBulkLanes][2];
+        emc_hits = emcCache.lookupBulk(keyPtr, n, emc_values, slots);
+    }
+
+    // --- Stage 3: one bulk first-match walk over the EMC misses. ---
+    TupleSpace::BulkWalkLane *walk = burstWalk_.data();
+    TupleSpace::BulkWalkLane *walkPtr[maxBulkLanes];
+    const std::uint8_t *missKeys[maxBulkLanes];
+    std::size_t misses = 0;
+    for (std::size_t i = 0; i < n; ++i) {
+        if (emc_hits >> i & 1u)
+            continue;
+        walk[i].reset();
+        walkPtr[misses] = &walk[i];
+        missKeys[misses++] = keyPtr[i];
+    }
+    if (misses) {
+        HALO_STAGE("vswitch/tuple_space");
+        tuples.lookupFirstBulk(missKeys, misses, walkPtr);
+    }
+
+    // --- Stage 4: actions, slow path and stamps, in packet order. ---
+    // Once an inline upcall of this batch has installed a megaflow,
+    // the later misses' walks above are stale: like OVS, walk again
+    // before resolving another upcall (the flow may be the one just
+    // installed). Every later walk is redone, hits included, because
+    // a masked install can also precede a later packet's first match.
+    bool installed = false;
+    for (std::size_t i = 0; i < n; ++i) {
+        PacketResult &res = *out[i];
+        const std::span<const std::uint8_t, FiveTuple::keyBytes> key(
+            keys[i]);
+        if (emc_hits >> i & 1u) {
+            res.emcHit = true;
+            res.matched = true;
+            res.action = Action::decode(emc_values[i]);
+        } else {
+            std::optional<TupleMatch> match;
+            if (installed) {
+                match = tuples.lookupFirst(key);
+                res.tuplesSearched =
+                    match ? match->tuplesSearched : tuples.numTuples();
+            } else {
+                res.tuplesSearched = walk[i].searched;
+                if (walk[i].found)
+                    match = walk[i].match;
+            }
+            if (match) {
+                res.matched = true;
+                res.action = Action::decode(match->value);
+                if (emc_on) {
+                    if (cfg.deferSlowPath) {
+                        // Single-writer invariant: the revalidator
+                        // performs the insert.
+                        res.emcPromote = true;
+                        res.promoteValue = match->value;
+                    } else {
+                        emcCache.insert(key, match->value);
+                    }
+                }
+            } else if (cfg.useOpenflowLayer) {
+                if (cfg.deferSlowPath) {
+                    res.slowPathPending = true;
+                } else {
+                    Cycles unpriced = 0;
+                    openflowUpcall(batch[i], res, unpriced);
+                    installed |= res.matched;
+                }
+            }
+        }
+
+        // Aging support: stamp the flow's activity slot on every match
+        // (one relaxed store; the revalidator compares against it). The
+        // flow estimator shares the same hash — every packet counts
+        // toward cardinality, matched or not.
+        if ((activity_ && res.matched) || estimator_) [[unlikely]] {
+            const std::uint64_t h = activityHash(key);
+            if (activity_ && res.matched)
+                activity_->touch(h);
+            if (estimator_)
+                estimator_->observe(h);
+        }
+        sums.add(res);
+    }
 }
 
 PacketResult
 VirtualSwitch::classifyTupleAt(const FiveTuple &tuple, const Packet *packet)
 {
+    Timing &tm = *timing_;
     PacketResult res;
     res.tuple = tuple;
-    const Cycles start = this->now();
+    const Cycles start = tm.clock;
     Cycles now = start;
 
-    if (timing_ && packet) {
-        Timing &tm = *timing_;
+    if (packet) {
         // --- Packet IO: RX descriptor + frame copy into the ring.
         //     DDIO places the frame in LLC; the core then reads it. ---
         const Addr slot_addr = tm.rxRing + (tm.rxSlot++ % rxRingSlots) *
@@ -477,30 +626,13 @@ VirtualSwitch::classifyTupleAt(const FiveTuple &tuple, const Packet *packet)
             openflowUpcall(tuple, res, now);
     }
 
-    // Aging support: stamp the flow's activity slot on every match
-    // (one relaxed store; the revalidator compares against it). The
-    // flow estimator shares the same hash — every packet counts toward
-    // cardinality, matched or not.
-    if ((activity_ && res.matched) || estimator_) [[unlikely]] {
-        const auto key = tuple.toKey();
-        const std::uint64_t h = activityHash(
-            std::span<const std::uint8_t>(key.data(), key.size()));
-        if (activity_ && res.matched)
-            activity_->touch(h);
-        if (estimator_)
-            estimator_->observe(h);
-    }
-
-    if (timing_) {
-        // --- Action execution + bookkeeping ("others" in Fig. 3). ---
-        Timing &tm = *timing_;
-        OpTrace &act = tm.ops();
-        tm.tableBuilder.lowerCompute(cfg.actArith, cfg.actOthers,
-                                     cfg.actScratch, act);
-        res.otherCycles = tm.run(act, res, now);
-        res.total = now - start;
-        tm.clock = now;
-    }
+    // --- Action execution + bookkeeping ("others" in Fig. 3). ---
+    OpTrace &act = tm.ops();
+    tm.tableBuilder.lowerCompute(cfg.actArith, cfg.actOthers,
+                                 cfg.actScratch, act);
+    res.otherCycles = tm.run(act, res, now);
+    res.total = now - start;
+    tm.clock = now;
     sums.add(res);
     return res;
 }
@@ -510,19 +642,16 @@ VirtualSwitch::softwareClassify(const FiveTuple &tuple, PacketResult &res,
                                 Cycles &now)
 {
     const auto key = tuple.toKey();
-    Timing *tm = timing_.get();
+    Timing &tm = *timing_;
 
-    // --- EMC probe (the adaptive controller may have it off: one
-    // relaxed flag load is the entire hybrid-mode cost then). ---
+    // --- EMC probe (the adaptive controller may have it off). ---
     if (cfg.useEmc && emcCache.enabled()) {
         HALO_STAGE("vswitch/emc");
-        AccessTrace *trace = tm ? tm->trace() : nullptr;
+        AccessTrace *trace = tm.trace();
         const auto hit = emcCache.lookup(key, trace);
-        if (tm) {
-            OpTrace &emc_ops = tm->ops();
-            tm->emcBuilder.lowerTableOp(*trace, emc_ops);
-            res.emcCycles = tm->run(emc_ops, res, now);
-        }
+        OpTrace &emc_ops = tm.ops();
+        tm.emcBuilder.lowerTableOp(*trace, emc_ops);
+        res.emcCycles = tm.run(emc_ops, res, now);
         if (hit) {
             res.emcHit = true;
             res.matched = true;
@@ -531,17 +660,16 @@ VirtualSwitch::softwareClassify(const FiveTuple &tuple, PacketResult &res,
         }
     }
 
-    // --- MegaFlow tuple-space search (first match). A timed switch
-    //     prices each probed tuple as a full Table-1-profile cuckoo
-    //     lookup. ---
+    // --- MegaFlow tuple-space search (first match), each probed tuple
+    //     priced as a full Table-1-profile cuckoo lookup. ---
     std::optional<TupleMatch> match;
     {
         HALO_STAGE("vswitch/tuple_space");
-        OpTrace *ops = tm ? &tm->ops() : nullptr;
+        OpTrace &ops = tm.ops();
         unsigned searched = 0;
         for (unsigned t = 0; t < tuples.numTuples(); ++t) {
             tuples.mask(t).applyInto(key, maskScratch.data());
-            AccessTrace *trace = tm ? tm->trace() : nullptr;
+            AccessTrace *trace = tm.trace();
             std::optional<std::uint64_t> value;
             {
                 HALO_STAGE("vswitch/cuckoo");
@@ -549,11 +677,9 @@ VirtualSwitch::softwareClassify(const FiveTuple &tuple, PacketResult &res,
                     KeyView(maskScratch.data(), maskScratch.size()),
                     trace);
             }
-            if (ops) {
-                // Mask application: a handful of vector ANDs per tuple.
-                tm->tableBuilder.lowerCompute(4, 2, 0, *ops);
-                tm->tableBuilder.lowerTableOp(*trace, *ops);
-            }
+            // Mask application: a handful of vector ANDs per tuple.
+            tm.tableBuilder.lowerCompute(4, 2, 0, ops);
+            tm.tableBuilder.lowerTableOp(*trace, ops);
             ++searched;
             if (value) {
                 match = TupleMatch{*value, decodeRulePriority(*value),
@@ -561,8 +687,7 @@ VirtualSwitch::softwareClassify(const FiveTuple &tuple, PacketResult &res,
                 break;
             }
         }
-        if (ops)
-            res.megaflowCycles = tm->run(*ops, res, now);
+        res.megaflowCycles = tm.run(ops, res, now);
         res.tuplesSearched = searched;
     }
 
@@ -582,10 +707,10 @@ VirtualSwitch::softwareClassify(const FiveTuple &tuple, PacketResult &res,
             }
         }
     }
-    if (tm && tm->halo) {
+    if (tm.halo) {
         // The software path maintains its own linear-counting estimate
         // so Hybrid mode can switch back (paper SS4.6).
-        tm->halo->hybrid().observe(hashBytes(
+        tm.halo->hybrid().observe(hashBytes(
             HashKind::XxMix, 0,
             std::span<const std::uint8_t>(key.data(), key.size())));
     }

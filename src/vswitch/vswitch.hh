@@ -2,14 +2,18 @@
  * @file
  * The software virtual switch datapath (paper SS2, Fig. 1/2a).
  *
- * Pipeline per packet: header pre-processing -> EMC lookup -> MegaFlow
- * tuple-space search -> OpenFlow upcall on a miss -> action. Every stage
- * does its functional work through the tables' lookups; the timing
- * model is an optional attachment on top of the same stages.
+ * Pipeline: header pre-processing -> EMC lookup -> MegaFlow tuple-space
+ * search -> OpenFlow upcall on a miss -> action. Every stage does its
+ * functional work through the tables' lookups; the timing model is an
+ * optional attachment on top of the same stages.
  *
  *  - A functional switch (the two-argument constructor) classifies
- *    only: untraced lookups, no simulated machine, Software mode. The
- *    runtime workers run this one.
+ *    only, in stages over a burst, OVS dpif-netdev style: every
+ *    packet's tuple and key once, one bulk EMC probe, one bulk
+ *    tuple-space walk over the EMC misses, then slow path, actions and
+ *    stamps in packet order. No traces, no simulated machine, Software
+ *    mode; a single packet is a burst of one. The runtime workers run
+ *    this one.
  *  - A timed switch (the constructor taking a hierarchy and a core)
  *    additionally records each stage's reference stream, lowers it to
  *    micro-ops and prices it on the core model, giving the Fig. 3
@@ -106,9 +110,10 @@ struct VSwitchConfig
     unsigned actArith = 24, actOthers = 48, actScratch = 18;
     /// EMC lookups are cheaper than full cuckoo lookups.
     unsigned emcProfileInstructions = 90;
-    /// Read by nothing: the vswitch classifies Software-mode bursts
-    /// packet by packet. Kept only because the perfbench harness still
-    /// assigns it; drop it with that harness's next revision.
+    /// Read by nothing: a functional switch stages maxBulkLanes
+    /// packets at a time, a timed one classifies packet by packet.
+    /// Kept only because the perfbench harness still assigns it; drop
+    /// it with that harness's next revision.
     unsigned burstLanes = 16;
 };
 
@@ -203,7 +208,8 @@ class VirtualSwitch
      *  warm: no-op. */
     void warmTables();
 
-    /** Process one packet through the full pipeline. */
+    /** Process one packet through the full pipeline (a functional
+     *  switch: a burst of one). */
     PacketResult processPacket(const Packet &packet);
 
     /** Fast path: classification only, from a pre-parsed tuple. */
@@ -213,15 +219,21 @@ class VirtualSwitch
      * Classify a burst of pre-parsed tuples into @p results (one per
      * tuple, results.size() >= batch.size()). HaloNonBlocking mode
      * routes through the LOOKUP_NB burst engine (chunked to the
-     * key-staging capacity); every other mode classifies packet by
-     * packet, exactly as classifyTuple does.
+     * key-staging capacity); a functional switch classifies in stages
+     * (file comment); every other mode classifies packet by packet,
+     * exactly as classifyTuple does.
      */
     void classifyBurst(std::span<const FiveTuple> batch,
                        std::span<PacketResult> results);
 
     /**
-     * Full pipeline over a burst of packets: processPacket on each, in
-     * order (malformed packets are dropped in place).
+     * Full pipeline over a burst of packets (malformed packets are
+     * dropped in place). A functional switch classifies it in stages,
+     * maxBulkLanes packets at a time; a timed one runs processPacket on
+     * each, in order. Within one stage burst a flow that repeats may
+     * miss the EMC where a packet-by-packet walk would hit the entry
+     * an earlier packet just promoted; match, action and slow-path
+     * outcome are the same.
      */
     void processBurst(std::span<const Packet> batch,
                       std::span<PacketResult> results);
@@ -250,7 +262,8 @@ class VirtualSwitch
 
     /** Route per-match activity stamps into @p activity (null = off).
      *  The decoupled runtime wires the revalidator's aging here; one
-     *  relaxed store per matched packet, nothing else changes. */
+     *  relaxed store per matched packet, nothing else changes.
+     *  Functional switch only: a timed switch stamps nothing. */
     void setActivityTracker(FlowActivity *activity)
     {
         activity_ = activity;
@@ -259,7 +272,8 @@ class VirtualSwitch
     /** Feed per-packet flow hashes into @p estimator (null = off).
      *  The adaptive-EMC runtime wires the shard's linear-counting
      *  estimator here; it shares the activity tracker's hash, so the
-     *  data path pays at most one extra sampled bit-set per packet. */
+     *  data path pays at most one extra sampled bit-set per packet.
+     *  Functional switch only, like setActivityTracker(). */
     void setFlowEstimator(ShardFlowEstimator *estimator)
     {
         estimator_ = estimator;
@@ -277,15 +291,21 @@ class VirtualSwitch
     /// The attached timing model (defined in vswitch.cc).
     struct Timing;
 
-    /** The pipeline; @p packet (null for pre-parsed tuples) is what a
-     *  timed switch charges the packet-IO stages on. */
+    /** The timed pipeline, one traced packet at a time; @p packet
+     *  (null for pre-parsed tuples) is what the packet-IO stages are
+     *  charged on. */
     PacketResult classifyTupleAt(const FiveTuple &tuple,
                                  const Packet *packet);
 
-    /** Software-mode classification: EMC probe, then the MegaFlow
-     *  first-match walk. */
+    /** Timed Software-mode classification: traced EMC probe, then the
+     *  traced MegaFlow first-match walk. */
     void softwareClassify(const FiveTuple &tuple, PacketResult &res,
                           Cycles &now);
+
+    /** The functional pipeline: classify @p n <= maxBulkLanes tuples
+     *  in stages (file comment), result i into *out[i]. */
+    void classifyStaged(const FiveTuple *batch, std::size_t n,
+                        PacketResult *const *out);
 
     /** OpenFlow slow path: search all tuples, best priority wins, and
      *  promote the result into the MegaFlow layer. */
@@ -322,6 +342,10 @@ class VirtualSwitch
     FlowActivity *activity_ = nullptr; ///< aging stamps (may be null)
     ShardFlowEstimator *estimator_ = nullptr; ///< flow-count bits
     std::array<std::uint8_t, FiveTuple::keyBytes> maskScratch{};
+    /// Staged-burst scratch, built once so that a burst constructs no
+    /// per-lane state (both types carry member initializers).
+    std::array<FiveTuple, maxBulkLanes> burstTuples_{};
+    std::array<TupleSpace::BulkWalkLane, maxBulkLanes> burstWalk_{};
 
     std::unique_ptr<Timing> timing_; ///< null on a functional switch
 

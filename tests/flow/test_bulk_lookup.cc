@@ -1,10 +1,13 @@
 /**
  * @file
  * Equivalence tests for the untraced bulk EMC probe and the bulk
- * tuple-space walk against their scalar counterparts.
+ * tuple-space walk against their scalar counterparts, in plain and in
+ * concurrent (seqlocked) mode.
  */
 
 #include <gtest/gtest.h>
+
+#include <bit>
 
 #include "flow/emc.hh"
 #include "flow/ruleset.hh"
@@ -14,13 +17,20 @@
 namespace halo {
 namespace {
 
-TEST(EmcBulk, MatchesScalarLookup)
+/** lookupBulk against lookup over a hit/miss mix, in plain or
+ *  concurrent (seqlocked) mode. */
+void
+expectEmcBulkMatchesScalar(bool concurrent)
 {
     SimMemory mem(8 << 20);
     ExactMatchCache emc(mem, 1024);
     TrafficGenerator gen(TrafficConfig{300, 0.0, 0.5, 0xbead});
     for (std::size_t i = 0; i < 150; ++i)
         emc.insert(gen.flows()[i].toKey(), i + 1);
+    if (concurrent)
+        emc.enableConcurrent();
+    const std::uint64_t hits0 = emc.lookupHits();
+    const std::uint64_t misses0 = emc.lookupMisses();
 
     // Hit / miss mix over a full batch.
     std::vector<std::array<std::uint8_t, FiveTuple::keyBytes>> keys;
@@ -35,6 +45,13 @@ TEST(EmcBulk, MatchesScalarLookup)
 
     const std::uint32_t mask = emc.lookupBulk(
         key_ptrs.data(), maxBulkLanes, values.data(), slots.data());
+    // One hit or miss counted per lane.
+    EXPECT_EQ(emc.lookupHits() - hits0,
+              static_cast<std::uint64_t>(std::popcount(mask)));
+    EXPECT_EQ(emc.lookupHits() - hits0 + emc.lookupMisses() - misses0,
+              maxBulkLanes);
+    EXPECT_NE(mask, 0u);
+    EXPECT_NE(mask, ~0u);
 
     for (std::size_t i = 0; i < maxBulkLanes; ++i) {
         const auto scalar = emc.lookup(keys[i]);
@@ -51,25 +68,42 @@ TEST(EmcBulk, MatchesScalarLookup)
     }
 }
 
+TEST(EmcBulk, MatchesScalarLookup)
+{
+    expectEmcBulkMatchesScalar(false);
+}
+
+TEST(EmcBulk, ConcurrentModeMatchesScalarLookup)
+{
+    expectEmcBulkMatchesScalar(true);
+}
+
 TEST(EmcBulk, ReportsSlotsInsertWillUse)
 {
-    SimMemory mem(8 << 20);
-    ExactMatchCache emc(mem, 256);
-    FiveTuple t;
-    t.srcIp = 0x0a000001;
-    t.dstIp = 0x0a000002;
-    t.srcPort = 80;
-    t.dstPort = 8080;
-    const auto key = t.toKey();
+    for (const bool concurrent : {false, true}) {
+        SimMemory mem(8 << 20);
+        ExactMatchCache emc(mem, 256);
+        if (concurrent)
+            emc.enableConcurrent();
+        for (std::uint16_t port = 1; port <= 64; ++port) {
+            FiveTuple t;
+            t.srcIp = 0x0a000001;
+            t.dstIp = 0x0a000002;
+            t.srcPort = port;
+            t.dstPort = 8080;
+            const auto key = t.toKey();
 
-    const std::uint8_t *key_ptr = key.data();
-    std::uint64_t value = 0;
-    std::uint64_t slots[1][2];
-    emc.lookupBulk(&key_ptr, 1, &value, slots);
-    // insert() must land in one of the candidate slots the bulk probe
-    // reported.
-    const std::uint64_t written = emc.insert(key, 7);
-    EXPECT_TRUE(written == slots[0][0] || written == slots[0][1]);
+            const std::uint8_t *key_ptr = key.data();
+            std::uint64_t value = 0;
+            std::uint64_t slots[1][2];
+            emc.lookupBulk(&key_ptr, 1, &value, slots);
+            // insert() must land in one of the candidate slots the bulk
+            // probe reported.
+            const std::uint64_t written = emc.insert(key, port);
+            EXPECT_TRUE(written == slots[0][0] || written == slots[0][1])
+                << "port " << port << (concurrent ? ", concurrent" : "");
+        }
+    }
 }
 
 struct WalkRig
@@ -79,18 +113,23 @@ struct WalkRig
     RuleSet rules;
     TupleSpace ts;
 
-    WalkRig()
+    explicit WalkRig(bool concurrent = false, bool filter = false)
         : rules(deriveRules(gen.flows(), canonicalMasks(6), 0, 0x31)),
-          ts(mem, {4096, HashKind::XxMix, 0x7a57e})
+          ts(mem, {4096, HashKind::XxMix, 0x7a57e, filter})
     {
         for (const FlowRule &r : rules)
             EXPECT_TRUE(ts.addRule(r));
+        for (unsigned t = 0; concurrent && t < ts.numTuples(); ++t)
+            ts.table(t).enableConcurrent();
     }
 };
 
-TEST(TupleSpaceBulk, MatchesScalarFirstMatchWalk)
+/** lookupFirstBulk against lookupFirst; concurrent mode runs every
+ *  tuple's bulk probe through the seqlocked path. */
+void
+expectWalkMatchesScalar(bool concurrent, bool filter)
 {
-    WalkRig rig;
+    WalkRig rig(concurrent, filter);
 
     std::vector<std::array<std::uint8_t, FiveTuple::keyBytes>> keys;
     for (std::size_t i = 0; i < maxBulkLanes; ++i) {
@@ -137,6 +176,18 @@ TEST(TupleSpaceBulk, MatchesScalarFirstMatchWalk)
                 << "lane " << i;
         }
     }
+}
+
+TEST(TupleSpaceBulk, MatchesScalarFirstMatchWalk)
+{
+    expectWalkMatchesScalar(false, false);
+    expectWalkMatchesScalar(false, true);
+}
+
+TEST(TupleSpaceBulk, ConcurrentModeMatchesScalarFirstMatchWalk)
+{
+    expectWalkMatchesScalar(true, false);
+    expectWalkMatchesScalar(true, true);
 }
 
 TEST(TupleSpaceBulk, LaneReuseAfterReset)

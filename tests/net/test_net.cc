@@ -10,6 +10,7 @@
 #include <utility>
 
 #include "net/traffic_gen.hh"
+#include "sim/random.hh"
 #include "vswitch/vswitch.hh"
 
 namespace halo {
@@ -196,6 +197,72 @@ TEST(Packet, CopyKeepsBytesAndLength)
         EXPECT_TRUE(std::ranges::equal(copy->bytes(), a.bytes()));
         EXPECT_EQ(copy->orderTag(), 42u);
     }
+}
+
+/**
+ * Seeded mutation check of the switch's fixed-offset tuple reader
+ * against the full header parser: frames of every length 0..126 built
+ * from TCP, UDP and other-protocol packets, with the ethertype and
+ * protocol bytes flipped and random bytes overwritten, must give the
+ * same tuple from flowTuple() as from parseHeaders()->tuple(), and
+ * nullopt from both on the same frames.
+ */
+TEST(Packet, FlowTupleAgreesWithParseHeadersOnMutatedFrames)
+{
+    constexpr std::size_t ethertypeByte = 12;
+    constexpr std::size_t protoByte = EthernetHeader::wireBytes + 9;
+    Xoshiro256 rng(0xf10e7u);
+    std::size_t parsed = 0, rejected = 0, portless = 0;
+    for (unsigned iter = 0; iter < 40000; ++iter) {
+        FiveTuple t;
+        t.srcIp = static_cast<std::uint32_t>(rng.next());
+        t.dstIp = static_cast<std::uint32_t>(rng.next());
+        t.srcPort = static_cast<std::uint16_t>(rng.next());
+        t.dstPort = static_cast<std::uint16_t>(rng.next());
+        const std::uint8_t protos[] = {6, 17, 1,
+                                       static_cast<std::uint8_t>(rng.next())};
+        t.proto = protos[rng.nextBounded(4)];
+        const std::size_t payload = rng.nextBounded(40);
+        Packet p = Packet::fromTuple(t, payload);
+        p.resize(rng.nextBounded(Packet::frameCapacity + 1));
+        auto bytes = p.bytes();
+        switch (rng.nextBounded(4)) {
+          case 0: // flip one ethertype bit
+            if (bytes.size() > ethertypeByte + 1)
+                bytes[ethertypeByte + rng.nextBounded(2)] ^=
+                    static_cast<std::uint8_t>(1u << rng.nextBounded(8));
+            break;
+          case 1: // switch the protocol after the L4 header was built
+            if (bytes.size() > protoByte)
+                bytes[protoByte] = protos[rng.nextBounded(4)];
+            break;
+          case 2: // overwrite random bytes anywhere in the frame
+            for (unsigned k = 0; k < 4 && !bytes.empty(); ++k)
+                bytes[rng.nextBounded(bytes.size())] =
+                    static_cast<std::uint8_t>(rng.next());
+            break;
+          default: // leave the frame as built
+            break;
+        }
+
+        const std::optional<ParsedHeaders> headers = p.parseHeaders();
+        const std::optional<FiveTuple> tuple = p.flowTuple();
+        ASSERT_EQ(tuple.has_value(), headers.has_value())
+            << "iteration " << iter << ", " << p.size() << " bytes";
+        if (!headers) {
+            ++rejected;
+            continue;
+        }
+        ASSERT_EQ(*tuple, headers->tuple())
+            << "iteration " << iter << ", " << p.size() << " bytes";
+        ++parsed;
+        portless += headers->l4Valid ? 0 : 1;
+    }
+    // Every rule was exercised: accepted frames, rejected ones, and
+    // accepted frames whose L4 header was missing or unknown.
+    EXPECT_GT(parsed, 1000u);
+    EXPECT_GT(rejected, 1000u);
+    EXPECT_GT(portless, 1000u);
 }
 
 TEST(Packet, RuntsAreDroppedBeforeClassification)

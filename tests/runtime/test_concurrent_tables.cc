@@ -1,11 +1,12 @@
 /**
  * Concurrent-mode stress for the seqlocked tables (hash/seqlock.hh):
  * one writer thread mutating a CuckooHashTable / ExactMatchCache while
- * data-path readers run lock-free optimistic lookups. These tests are
- * the TSan CI job's evidence that the single-writer protocol the
- * decoupled runtime relies on (revalidator writes, workers read) is
- * race-free, and that readers never observe torn entries: a hit must
- * return exactly the value that key was inserted with.
+ * data-path readers run lock-free optimistic lookups, scalar and in
+ * full maxBulkLanes-lane bulk bursts. These tests are the TSan CI
+ * job's evidence that the single-writer protocol the decoupled runtime
+ * relies on (revalidator writes, workers read) is race-free, and that
+ * readers never observe torn entries: a hit must return exactly the
+ * value that key was inserted with.
  */
 
 #include <gtest/gtest.h>
@@ -41,6 +42,46 @@ std::uint64_t
 valueForId(std::uint64_t id)
 {
     return (id << 8) | 0xabu;
+}
+
+/**
+ * A reader that probes full maxBulkLanes-lane bursts through @p bulk
+ * (key pointers, values out -> hit mask) while the writer runs, until
+ * @p done and at least once: every hit must carry exactly its own
+ * key's value. Bumps @p running once it is in its loop.
+ */
+template <typename BulkFn>
+std::thread
+bulkReader(std::atomic<unsigned> &running, const std::atomic<bool> &done,
+           std::uint64_t keyRange, std::uint64_t first, BulkFn bulk)
+{
+    return std::thread([&running, &done, keyRange, first, bulk] {
+        running.fetch_add(1, std::memory_order_release);
+        std::array<std::array<std::uint8_t, 16>, maxBulkLanes> keys;
+        std::array<const std::uint8_t *, maxBulkLanes> ptrs;
+        std::array<std::uint64_t, maxBulkLanes> ids;
+        std::uint64_t values[maxBulkLanes];
+        std::uint64_t id = first;
+        std::uint64_t hits = 0;
+        do {
+            for (unsigned lane = 0; lane < maxBulkLanes; ++lane) {
+                id = (id + 41) % keyRange;
+                ids[lane] = id;
+                keys[lane] = keyForId(id);
+                ptrs[lane] = keys[lane].data();
+            }
+            const std::uint32_t mask = bulk(ptrs.data(), values);
+            for (unsigned lane = 0; lane < maxBulkLanes; ++lane) {
+                if (mask >> lane & 1u) {
+                    ASSERT_EQ(values[lane], valueForId(ids[lane]))
+                        << "torn bulk read of key " << ids[lane]
+                        << ", lane " << lane;
+                    ++hits;
+                }
+            }
+        } while (!done.load(std::memory_order_acquire));
+        EXPECT_GT(hits, 0u);
+    });
 }
 
 } // namespace
@@ -87,7 +128,12 @@ TEST(ConcurrentTables, CuckooReadersNeverSeeTornEntries)
             EXPECT_GT(hits, 0u);
         });
     }
-    while (readersRunning.load(std::memory_order_acquire) < 3)
+    readers.push_back(bulkReader(
+        readersRunning, done, keyRange, 5,
+        [&table](const std::uint8_t *const *keys, std::uint64_t *values) {
+            return table.lookupUntracedBulk(keys, maxBulkLanes, values);
+        }));
+    while (readersRunning.load(std::memory_order_acquire) < 4)
         std::this_thread::yield();
 
     // Single writer: fill toward the load-factor ceiling (forcing
@@ -183,7 +229,12 @@ TEST(ConcurrentTables, FilteredCuckooReadersNeverSeeTornEntries)
             EXPECT_GT(hits, 0u);
         });
     }
-    while (readersRunning.load(std::memory_order_acquire) < 3)
+    readers.push_back(bulkReader(
+        readersRunning, done, keyRange, 11,
+        [&table](const std::uint8_t *const *keys, std::uint64_t *values) {
+            return table.lookupUntracedBulk(keys, maxBulkLanes, values);
+        }));
+    while (readersRunning.load(std::memory_order_acquire) < 4)
         std::this_thread::yield();
 
     // Single writer: fill to ~91% occupancy (displacement churn keeps
@@ -233,8 +284,14 @@ TEST(ConcurrentTables, EmcReadersNeverSeeTornEntries)
             }
         });
     }
+    readers.push_back(bulkReader(
+        readersRunning, done, keyRange, 7,
+        [&emc](const std::uint8_t *const *keys, std::uint64_t *values) {
+            std::uint64_t slots[maxBulkLanes][2];
+            return emc.lookupBulk(keys, maxBulkLanes, values, slots);
+        }));
 
-    while (readersRunning.load(std::memory_order_acquire) < 3)
+    while (readersRunning.load(std::memory_order_acquire) < 4)
         std::this_thread::yield();
 
     for (std::uint64_t op = 0; op < writerOps; ++op) {

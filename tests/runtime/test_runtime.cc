@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <chrono>
 #include <climits>
 #include <string>
 #include <thread>
@@ -319,6 +320,63 @@ TEST(Runtime, DrainWaitsForPublishedWork)
     }
     EXPECT_GT(rt.snapshot().promotesEnqueued, 0u);
     rt.stop();
+}
+
+/**
+ * busyNanos counts the worker's batches, never its idle polling: it
+ * holds still while the worker polls an empty ring, grows with every
+ * round of traffic, and never exceeds the run's wall time. A park and
+ * unpark after each drain() makes sure the worker has finished the
+ * last batch's bookkeeping (drain() returns at its publish) before the
+ * idle window is measured; the manual clock never moves, so nothing
+ * else runs.
+ */
+TEST(Runtime, WorkerBusyTimeExcludesIdlePolling)
+{
+    Workload wl;
+    RuntimeConfig cfg = smallConfig(1);
+    cfg.enqueueRetries = UINT_MAX;
+    EpochClock clock(EpochClock::Kind::Manual);
+    Runtime rt(cfg, wl.rules, &clock);
+    Worker &worker = rt.worker(0);
+    TrafficGenerator gen(wl.traffic);
+    const auto started = std::chrono::steady_clock::now();
+    rt.start();
+
+    std::uint64_t busy = 0;
+    for (int round = 0; round < 3; ++round) {
+        for (int i = 0; i < 4000; ++i) {
+            const FiveTuple t = gen.nextTuple();
+            ASSERT_TRUE(rt.offer(Packet::fromTuple(t), t));
+        }
+        rt.drain();
+        worker.requestPark();
+        ASSERT_TRUE(waitFor([&] { return worker.parked(); }));
+        worker.requestUnpark();
+        ASSERT_TRUE(waitFor([&] { return !worker.parked(); }));
+
+        const std::uint64_t before = worker.counters().busyNanos;
+        EXPECT_GT(before, busy) << "round " << round;
+        // >= 20 ms of idle polling on an empty ring.
+        std::this_thread::sleep_for(std::chrono::milliseconds(25));
+        EXPECT_EQ(worker.counters().busyNanos, before)
+            << "idle polling counted as busy, round " << round;
+        busy = before;
+    }
+    // The batch that ends an idle window adds its own CPU time, not
+    // the window's polling (~25 ms of CPU on an unloaded host).
+    const FiveTuple t = gen.nextTuple();
+    ASSERT_TRUE(rt.offer(Packet::fromTuple(t), t));
+    rt.drain();
+    worker.requestPark();
+    ASSERT_TRUE(waitFor([&] { return worker.parked(); }));
+    EXPECT_LT(worker.counters().busyNanos - busy, 5000000u);
+    rt.stop();
+    const auto wall = std::chrono::duration_cast<std::chrono::nanoseconds>(
+        std::chrono::steady_clock::now() - started);
+    EXPECT_EQ(worker.counters().packets, 3u * 4000u + 1u);
+    EXPECT_LE(worker.counters().busyNanos,
+              static_cast<std::uint64_t>(wall.count()));
 }
 
 /**
