@@ -552,6 +552,8 @@ writeRunCommon(obs::JsonWriter &j, const RuntimeReport &rep)
     j.kv("processed", a.processed);
     j.kv("matched", a.matched);
     j.kv("ring_full_drops", a.ringFullDrops);
+    j.kv("batches", a.batches);
+    j.kv("burst_waits", a.burstWaits);
     j.kv("batch_p50_us", rep.batchP50Nanos / 1e3, 1);
     j.kv("batch_p90_us", rep.batchP90Nanos / 1e3, 1);
     j.kv("batch_p99_us", rep.batchP99Nanos / 1e3, 1);

@@ -48,6 +48,10 @@
  * matched share and prints the ratio only when those shares agree
  * within one percentage point; the JSON records the same verdict as
  * headline_equal_work next to headline_speedup_10pct_churn.
+ *
+ * --trace adds one more decoupled run at the last churn level that
+ * carries the trace recorders and the --prom export (marked "traced"
+ * in the JSON), so the runs the ratio compares are both untraced.
  */
 
 #include <algorithm>
@@ -102,6 +106,8 @@ openflowRules(const std::vector<FiveTuple> &slots, unsigned masks)
 struct ChurnResult
 {
     bool decoupled = false;
+    /// Carries the --trace recorders; kept out of the ratio gate.
+    bool traced = false;
     double churn = 0.0;
     std::uint64_t newFlows = 0;
     double upcallRingDepthMax = 0.0;
@@ -110,9 +116,10 @@ struct ChurnResult
     std::string
     label() const
     {
-        char buf[48];
-        std::snprintf(buf, sizeof buf, "%s churn %.2f",
-                      decoupled ? "decoupled" : "inline", churn);
+        char buf[56];
+        std::snprintf(buf, sizeof buf, "%s churn %.2f%s",
+                      decoupled ? "decoupled" : "inline", churn,
+                      traced ? " traced" : "");
         return buf;
     }
 };
@@ -170,6 +177,7 @@ runOnce(bool decoupled, double churn, const BenchFlags &flags,
 
     ChurnResult res;
     res.decoupled = decoupled;
+    res.traced = lastRun && !flags.tracePath.empty();
     res.churn = churn;
     res.rep = instrumentedRun(rt, flags, lastRun, [&] {
         for (std::uint64_t p = 0; p < flags.packets; ++p) {
@@ -198,13 +206,14 @@ runOnce(bool decoupled, double churn, const BenchFlags &flags,
     const RuntimeSnapshot &a = res.rep.aggregate;
     std::printf(
         "%-9s churn %4.0f%%: %10.0f pkt/s cpu, %9.0f pkt/s wall, "
-        "%llu upcalls, %llu drops, %llu aged\n",
+        "%llu upcalls, %llu drops, %llu aged%s\n",
         decoupled ? "decoupled" : "inline", churn * 100.0,
         aggregateCpuPps(res.rep), wallPps(res.rep),
         static_cast<unsigned long long>(a.upcallsEnqueued),
         static_cast<unsigned long long>(a.upcallDrops),
         static_cast<unsigned long long>(a.revalidator.agedFlows +
-                                        a.revalidator.agedEmc));
+                                        a.revalidator.agedEmc),
+        res.traced ? " (traced)" : "");
     return res;
 }
 
@@ -213,7 +222,7 @@ speedupAt(const std::vector<ChurnResult> &runs, double churn)
 {
     double inlinePps = 0.0, decoupledPps = 0.0;
     for (const ChurnResult &r : runs) {
-        if (r.churn != churn)
+        if (r.churn != churn || r.traced)
             continue;
         (r.decoupled ? decoupledPps : inlinePps) = aggregateCpuPps(r.rep);
     }
@@ -226,7 +235,7 @@ matchedShareAt(const std::vector<ChurnResult> &runs, double churn,
                bool decoupled)
 {
     for (const ChurnResult &r : runs) {
-        if (r.churn == churn && r.decoupled == decoupled) {
+        if (r.churn == churn && r.decoupled == decoupled && !r.traced) {
             const RuntimeSnapshot &a = r.rep.aggregate;
             return a.processed ? double(a.matched) / double(a.processed)
                                : 0.0;
@@ -270,6 +279,7 @@ writeJson(const BenchFlags &flags, const Options &opt,
         j.beginObject();
         j.kv("mode", r.decoupled ? "decoupled" : "inline");
         j.kv("churn", r.churn, 2);
+        j.kv("traced", r.traced);
         writeRunCommon(j, r.rep);
         j.kv("new_flows", r.newFlows);
         if (r.decoupled) {
@@ -323,14 +333,21 @@ main(int argc, char **argv)
         flags.smoke ? std::vector<double>{0.0, 0.1}
                     : std::vector<double>{0.0, 0.1, 0.5};
 
+    // Trace recorders slow the run that carries them, so with --trace
+    // an extra decoupled run at the last churn level carries them (and
+    // the --prom export) after the gated pairs: neither side of the
+    // decoupled/inline ratio is traced.
+    const bool tracedRun = !flags.tracePath.empty();
     std::vector<ChurnResult> runs;
     for (std::size_t c = 0; c < churns.size(); ++c) {
         for (const bool decoupled : {false, true}) {
             const bool last =
-                c + 1 == churns.size() && decoupled;
+                !tracedRun && c + 1 == churns.size() && decoupled;
             runs.push_back(runOnce(decoupled, churns[c], flags, opt, last));
         }
     }
+    if (tracedRun)
+        runs.push_back(runOnce(true, churns.back(), flags, opt, true));
     writeJson(flags, opt, runs);
 
     // A rate ratio only compares equal work: print it only when both

@@ -12,7 +12,8 @@
  * throughput of N threads cannot show shared-nothing scaling there. Each
  * worker therefore reports its *CPU-time* rate — packets divided by
  * its busy CLOCK_THREAD_CPUTIME_ID nanoseconds, which exclude
- * preemption and ring-empty idling (WorkerCounters::busyNanos) — and the
+ * preemption, ring-empty idling and burst windows
+ * (WorkerCounters::busyNanos) — and the
  * aggregate is the sum of those rates: the throughput the shared-nothing
  * shards sustain when each owns a core. Wall-clock packets/sec is
  * reported alongside for reference.
@@ -132,7 +133,8 @@ writeJson(const BenchFlags &flags, const std::vector<ScaleResult> &runs,
     j.kv("methodology",
          "aggregate_cpu_pps sums per-worker CLOCK_THREAD_CPUTIME_ID "
          "rates (packets / busy nanoseconds: popping, classifying and "
-         "publishing batches, idle polling excluded): the "
+         "publishing batches; idle polling and burst windows "
+         "excluded): the "
          "shared-nothing throughput when each worker owns a core, "
          "immune to preemption on CPU-constrained hosts. "
          "wall_pps is processed / wall seconds on this host for "

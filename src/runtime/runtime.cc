@@ -248,6 +248,7 @@ Runtime::snapshot() const
         s.matched += c.matched;
         s.emcHits += c.emcHits;
         s.busyNanos += c.busyNanos;
+        s.burstWaits += c.burstWaits;
         s.upcallsEnqueued += c.upcallsEnqueued;
         s.promotesEnqueued += c.promotesEnqueued;
         s.upcallDrops += c.upcallDrops;
@@ -339,6 +340,7 @@ Runtime::registerMetrics(obs::MetricsRegistry &reg)
             {"halo_worker_promotes_enqueued",
              &WorkerCounters::promotesEnqueued},
             {"halo_worker_upcall_drops", &WorkerCounters::upcallDrops},
+            {"halo_rt_worker_burst_waits", &WorkerCounters::burstWaits},
         };
         for (const auto &s : worker_series) {
             auto field = s.field;

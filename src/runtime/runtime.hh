@@ -150,6 +150,8 @@ struct RuntimeSnapshot
     std::uint64_t matched = 0;
     std::uint64_t emcHits = 0;
     std::uint64_t busyNanos = 0;
+    /// Burst windows opened (WorkerCounters::burstWaits), all workers.
+    std::uint64_t burstWaits = 0;
     /// @name Decoupled slow path (all zero when cfg.decoupled is off)
     /**@{*/
     std::uint64_t upcallsEnqueued = 0;

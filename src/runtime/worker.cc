@@ -3,6 +3,7 @@
 #include <chrono>
 #include <ctime>
 
+#include "hash/seqlock.hh"
 #include "runtime/revalidator.hh"
 
 namespace halo {
@@ -43,6 +44,18 @@ wallNanos()
 /// (WorkerCounters::busyNanos).
 constexpr unsigned idleRemarkPolls = 64;
 constexpr std::uint64_t descheduledPollNanos = 2000;
+
+/// Burst window. A batch of at least 2 but fewer than batchSize packets
+/// means packets piled up while the worker was busy: traffic is
+/// streaming in. Popping again at once would take the next packets a
+/// few at a time, moving the ring's slot lines and its tail line
+/// between the producer's core and this one for every few packets.
+/// Instead the worker pause-spins this long without touching the ring,
+/// so the producer fills a burst. 2 µs holds ~10 packets at the
+/// producer's ~200 ns/packet floor, and it bounds the delay the window
+/// adds to a streaming packet. A batch of 1 or an idle poll never opens
+/// it, so a packet that finds the worker idle is popped at once.
+constexpr std::uint64_t burstWindowNanos = 2000;
 
 } // namespace
 
@@ -135,6 +148,7 @@ Worker::counters() const
     c.promotesEnqueued = promotesEnqueued_.value();
     c.upcallDrops = upcallDrops_.value();
     c.parks = parks_.value();
+    c.burstWaits = burstWaits_.value();
     return c;
 }
 
@@ -213,15 +227,18 @@ Worker::threadMain()
     // the thread-CPU clock: after each batch is published, after a
     // park, and while the ring stays empty every idleRemarkPolls polls
     // or after a poll long enough to mean the thread was descheduled.
-    // idleSince is the wall time read just before the latest mark,
-    // lastPoll the wall time just before the latest pop attempt. Wall
+    // idleSince is the wall time read just before the latest mark (or
+    // at the latest burst window's open, after the mark), lastPoll the
+    // wall time just before the latest pop attempt. Wall
     // clocks are read around CPU clocks, so the wall time subtracted
     // for idle polling never falls short of its CPU time.
     std::uint64_t idleSince = 0;
     std::uint64_t cpuMark = 0;
     std::uint64_t lastPoll = 0;
     unsigned polls = 0;
-    bool idle = true; ///< polled the ring empty since the last batch
+    /// Polled the ring empty or spun a burst window since the last
+    /// batch.
+    bool idle = true;
     const auto remark = [&] {
         idleSince = wallNanos();
         cpuMark = threadCpuNanos();
@@ -329,7 +346,11 @@ Worker::threadMain()
 
         // Publish before any clock is read: a reader waiting on this
         // batch (drain(), a sojourn probe) sees it now. The upcall
-        // counters were published by offload() before the count.
+        // counters were published by offload() before the count, and
+        // the window count is published before it too.
+        const bool streaming = n >= 2 && n < cfg.batchSize;
+        if (streaming)
+            burstWaits_.add(1);
         packets_.add(n);
         batches_.add(1);
         matched_.add(matched);
@@ -354,6 +375,22 @@ Worker::threadMain()
         cpuMark = cpu;
         polls = 0;
         idle = false;
+
+        // Burst window (burstWindowNanos): no ring reads, so the
+        // producer's lines stay on its core. It is idle time, kept
+        // like an idle poll: the next batch subtracts [open, lastPoll)
+        // from its CPU time and its latency starts at the window's end.
+        if (streaming) {
+            const std::uint64_t open = wallNanos();
+            std::uint64_t now = open;
+            while (now - open < burstWindowNanos) {
+                cpuRelax();
+                now = wallNanos();
+            }
+            idleSince = open;
+            lastPoll = now;
+            idle = true;
+        }
     }
 
     obs::installStageRecorders(prev_rec);

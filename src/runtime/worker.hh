@@ -12,7 +12,10 @@
  * stages by VirtualSwitch::processBurst (one key per packet, one bulk
  * EMC probe, one bulk tuple-space walk over the EMC misses, then
  * actions and stamps in packet order), and its upcalls are offloaded
- * in packet order.
+ * in packet order. While traffic streams in, a partial batch of
+ * several packets opens a short burst window before the next pop, so
+ * the ring's lines move between cores once per burst, not once per
+ * packet or two.
  *
  * Progress is published after every batch through PublishedCounter
  * (release stores, see sim/stats.hh), before the batch's clock reads:
@@ -109,13 +112,16 @@ struct WorkerCounters
     /**
      * CPU time (CLOCK_THREAD_CPUTIME_ID) the worker spent outside idle
      * polling: classifying batches and the bookkeeping between them.
-     * Excludes ring-empty polling, gate holds, parking and preemption.
+     * Excludes ring-empty polling, burst windows, gate holds, parking
+     * and preemption.
      * The CPU clock (a system call) is read once per batch, after its
      * count is published; while the worker stays busy the end of one
      * batch is the start of the next. A batch popped after idle polls
      * cannot read the clock at its pop, so it counts the CPU time since
      * the last read minus the wall time since then up to its pop,
-     * clamped at zero. Wall time bounds CPU time from above, so
+     * clamped at zero. A burst window is idle time kept the same way:
+     * the batch after it subtracts the window's wall time. Wall time
+     * bounds CPU time from above, so
      * busyNanos never over-counts. It under-counts by the off-CPU share
      * of the subtracted wall time and by the previous batch's
      * bookkeeping after its read: the idle loop re-reads the CPU clock
@@ -134,6 +140,10 @@ struct WorkerCounters
     std::uint64_t upcallDrops = 0;
     /// Times the thread parked on the clock.
     std::uint64_t parks = 0;
+    /// Burst windows opened: after a batch of at least 2 but fewer
+    /// than batchSize packets, the worker waits a bounded ~2 µs for
+    /// the producer to fill a burst before its next pop.
+    std::uint64_t burstWaits = 0;
 };
 
 class Worker
@@ -225,8 +235,8 @@ class Worker
     /**@{*/
     VirtualSwitch &vswitch() { return vs_; }
     /** Wall-clock nanoseconds per drained batch, log-bucketed: from
-     *  the pop (or the previous batch's end, while busy) to the end of
-     *  the batch's publish. */
+     *  the pop (or the previous batch's end, while busy, or the end of
+     *  the burst window before it) to the end of the batch's publish. */
     const obs::HdrHistogram &batchHistogram() const
     {
         return batchHist_;
@@ -289,6 +299,7 @@ class Worker
     PublishedCounter promotesEnqueued_;
     PublishedCounter upcallDrops_;
     PublishedCounter parks_;
+    PublishedCounter burstWaits_;
 
     obs::HdrHistogram batchHist_;           ///< worker thread only
     std::unique_ptr<obs::TraceRecorder> trace_; ///< worker thread only

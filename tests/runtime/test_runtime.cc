@@ -323,13 +323,15 @@ TEST(Runtime, DrainWaitsForPublishedWork)
 }
 
 /**
- * busyNanos counts the worker's batches, never its idle polling: it
- * holds still while the worker polls an empty ring, grows with every
- * round of traffic, and never exceeds the run's wall time. A park and
- * unpark after each drain() makes sure the worker has finished the
- * last batch's bookkeeping (drain() returns at its publish) before the
- * idle window is measured; the manual clock never moves, so nothing
- * else runs.
+ * busyNanos counts the worker's batches, never its idle polling or its
+ * burst windows: it holds still while the worker polls an empty ring,
+ * grows with every round of traffic, and never exceeds the run's wall
+ * time. A park and unpark after each drain() makes sure the worker has
+ * finished the last batch's bookkeeping (drain() returns at its
+ * publish) before the idle window is measured; the manual clock never
+ * moves, so nothing else runs. The last round streams behind a parked
+ * burst of 24 packets, popped as 16 then 8, so at least one burst
+ * window opens in it.
  */
 TEST(Runtime, WorkerBusyTimeExcludesIdlePolling)
 {
@@ -340,15 +342,29 @@ TEST(Runtime, WorkerBusyTimeExcludesIdlePolling)
     Runtime rt(cfg, wl.rules, &clock);
     Worker &worker = rt.worker(0);
     TrafficGenerator gen(wl.traffic);
+    const auto offerNext = [&] {
+        const FiveTuple t = gen.nextTuple();
+        ASSERT_TRUE(rt.offer(Packet::fromTuple(t), t));
+    };
     const auto started = std::chrono::steady_clock::now();
     rt.start();
 
     std::uint64_t busy = 0;
-    for (int round = 0; round < 3; ++round) {
-        for (int i = 0; i < 4000; ++i) {
-            const FiveTuple t = gen.nextTuple();
-            ASSERT_TRUE(rt.offer(Packet::fromTuple(t), t));
+    for (int round = 0; round < 4; ++round) {
+        const bool streaming = round == 3;
+        if (streaming) {
+            worker.requestPark();
+            ASSERT_TRUE(waitFor([&] { return worker.parked(); }));
+            const std::uint64_t base = worker.counters().packets;
+            for (int i = 0; i < 24; ++i)
+                offerNext();
+            worker.requestUnpark();
+            ASSERT_TRUE(waitFor(
+                [&] { return worker.counters().packets == base + 24; }));
+            EXPECT_GE(worker.counters().burstWaits, 1u);
         }
+        for (int i = 0; i < 4000; ++i)
+            offerNext();
         rt.drain();
         worker.requestPark();
         ASSERT_TRUE(waitFor([&] { return worker.parked(); }));
@@ -365,8 +381,7 @@ TEST(Runtime, WorkerBusyTimeExcludesIdlePolling)
     }
     // The batch that ends an idle window adds its own CPU time, not
     // the window's polling (~25 ms of CPU on an unloaded host).
-    const FiveTuple t = gen.nextTuple();
-    ASSERT_TRUE(rt.offer(Packet::fromTuple(t), t));
+    offerNext();
     rt.drain();
     worker.requestPark();
     ASSERT_TRUE(waitFor([&] { return worker.parked(); }));
@@ -374,9 +389,80 @@ TEST(Runtime, WorkerBusyTimeExcludesIdlePolling)
     rt.stop();
     const auto wall = std::chrono::duration_cast<std::chrono::nanoseconds>(
         std::chrono::steady_clock::now() - started);
-    EXPECT_EQ(worker.counters().packets, 3u * 4000u + 1u);
+    EXPECT_EQ(worker.counters().packets, 4u * 4000u + 24u + 1u);
     EXPECT_LE(worker.counters().busyNanos,
               static_cast<std::uint64_t>(wall.count()));
+}
+
+/**
+ * The burst window opens only while traffic streams in: after a batch
+ * of at least 2 but fewer than batchSize packets. A parked worker
+ * that finds 40 packets queued pops 32 then 8 and opens exactly one
+ * window; packets offered one at a time, each drained before the
+ * next, are popped alone and open none. Park, drain() and stop
+ * requested right behind a burst still finish, after its window, and
+ * every packet is counted.
+ */
+TEST(Runtime, BurstWindowOpensOnlyWhileStreaming)
+{
+    Workload wl;
+    RuntimeConfig cfg = smallConfig(1);
+    cfg.batchSize = 32;
+    cfg.enqueueRetries = UINT_MAX;
+    EpochClock clock(EpochClock::Kind::Manual);
+    Runtime rt(cfg, wl.rules, &clock);
+    Worker &worker = rt.worker(0);
+    TrafficGenerator gen(wl.traffic);
+    // Queue @p packets behind a parked worker, then let it run. Each
+    // park and unpark is awaited, so no pop sees a partial burst.
+    const auto offerBurst = [&](int packets) {
+        worker.requestPark();
+        ASSERT_TRUE(waitFor([&] { return worker.parked(); }));
+        for (int i = 0; i < packets; ++i) {
+            const FiveTuple t = gen.nextTuple();
+            ASSERT_TRUE(rt.offer(Packet::fromTuple(t), t));
+        }
+        worker.requestUnpark();
+        ASSERT_TRUE(waitFor([&] { return !worker.parked(); }));
+    };
+    rt.start();
+
+    offerBurst(40);
+    rt.drain();
+    WorkerCounters c = worker.counters();
+    EXPECT_EQ(c.batches, 2u);
+    EXPECT_EQ(c.burstWaits, 1u);
+
+    for (int i = 0; i < 50; ++i) {
+        const FiveTuple t = gen.nextTuple();
+        ASSERT_TRUE(rt.offer(Packet::fromTuple(t), t));
+        rt.drain();
+    }
+    c = worker.counters();
+    EXPECT_EQ(c.batches, 2u + 50u);
+    EXPECT_EQ(c.burstWaits, 1u) << "a lone packet opened a window";
+
+    // Park requested right behind the burst: the worker still pops
+    // both batches, opens its window and then parks.
+    offerBurst(40);
+    worker.requestPark();
+    ASSERT_TRUE(waitFor([&] { return worker.parked(); }));
+    rt.drain();
+    EXPECT_EQ(worker.counters().packets, 40u + 50u + 40u);
+    EXPECT_EQ(worker.counters().burstWaits, 2u);
+    worker.requestUnpark();
+    ASSERT_TRUE(waitFor([&] { return !worker.parked(); }));
+
+    // Stop requested right behind the burst: drain-on-stop still
+    // processes all of it.
+    offerBurst(40);
+    rt.stop();
+    c = worker.counters();
+    EXPECT_EQ(c.packets, 40u + 50u + 40u + 40u);
+    EXPECT_EQ(c.burstWaits, 3u);
+    const RuntimeSnapshot s = rt.snapshot();
+    EXPECT_EQ(s.burstWaits, 3u);
+    EXPECT_EQ(s.processed, s.enqueued);
 }
 
 /**
