@@ -211,5 +211,142 @@ TEST(VSwitch, CyclesPerPacketInPaperRange)
     EXPECT_LT(cpp, 1400.0);
 }
 
+/** What a timed run leaves behind: its totals, upcalls and megaflows. */
+struct TimedRun
+{
+    SwitchTotals totals;
+    std::uint64_t upcalls = 0;
+    std::uint64_t rules = 0;
+};
+
+/**
+ * A fixed seeded stream through a timed switch in @p mode, with the EMC
+ * on. With @p openflow the megaflow layer starts empty and fills by
+ * inline upcalls; without, it holds the scenario's rules. The stream
+ * alternates few-flow and many-flow phases (so Hybrid switches both
+ * ways), mixes in tuples no rule matches, and goes through every entry
+ * point: processPacket (with malformed frames), then classifyTuple,
+ * then classifyBurst in bursts of 1..16.
+ */
+TimedRun
+runPinnedStream(LookupMode mode, bool openflow)
+{
+    SwitchRig rig;
+    VSwitchConfig cfg;
+    cfg.mode = mode;
+    cfg.useOpenflowLayer = openflow;
+    cfg.tupleConfig.tupleCapacity =
+        nextPowerOfTwo(rig.gen.flows().size() + 16);
+    VirtualSwitch vs(rig.mem, rig.hier, rig.core, &rig.halo, cfg);
+    if (openflow)
+        vs.installOpenflowRules(rig.rules);
+    else
+        vs.installRules(rig.rules);
+    vs.warmTables();
+
+    constexpr std::size_t phase = 1500;
+    std::vector<FiveTuple> stream;
+    for (std::size_t i = 0; i < 3 * phase; ++i) {
+        FiveTuple t = (i / phase) % 2 ? rig.gen.nextTuple()
+                                      : rig.gen.flows()[i % 4];
+        if (i % 41 == 7) {
+            t.srcIp = 0xc0a80000 + static_cast<std::uint32_t>(i);
+            t.dstIp = 0xc0a90000 + static_cast<std::uint32_t>(i);
+        }
+        stream.push_back(t);
+    }
+    for (std::size_t i = 0; i < phase; ++i) {
+        Packet p = Packet::fromTuple(stream[i]);
+        if (i % 97 == 13)
+            p.resize(20); // runt: dropped before classification
+        vs.processPacket(p);
+    }
+    for (std::size_t i = phase; i < 2 * phase; ++i)
+        vs.classifyTuple(stream[i]);
+    std::vector<PacketResult> results(16);
+    for (std::size_t off = 2 * phase, len = 1; off < stream.size();
+         off += len, len = len % 16 + 1) {
+        const std::size_t n = std::min(len, stream.size() - off);
+        vs.classifyBurst(std::span<const FiveTuple>(stream).subspan(off, n),
+                         results);
+    }
+    return {vs.totals(), vs.upcalls(), vs.tupleSpace().ruleCount()};
+}
+
+void
+expectPinned(const TimedRun &got, const TimedRun &want)
+{
+    EXPECT_EQ(got.totals.packets, want.totals.packets);
+    EXPECT_EQ(got.totals.emcHits, want.totals.emcHits);
+    EXPECT_EQ(got.totals.matches, want.totals.matches);
+    EXPECT_EQ(got.totals.total, want.totals.total);
+    EXPECT_EQ(got.totals.packetIo, want.totals.packetIo);
+    EXPECT_EQ(got.totals.preprocess, want.totals.preprocess);
+    EXPECT_EQ(got.totals.emcCycles, want.totals.emcCycles);
+    EXPECT_EQ(got.totals.megaflowCycles, want.totals.megaflowCycles);
+    EXPECT_EQ(got.totals.otherCycles, want.totals.otherCycles);
+    EXPECT_EQ(got.totals.instructions, want.totals.instructions);
+    EXPECT_EQ(got.upcalls, want.upcalls);
+    EXPECT_EQ(got.rules, want.rules);
+}
+
+// The timing model's output pinned to recorded numbers: any change to
+// what a timed switch prices, or in which order, shows up here.
+TEST(VSwitch, TimedTotalsMatchRecordedValues)
+{
+    expectPinned(runPinnedStream(LookupMode::Software, true),
+                 {{.packets = 4500,
+                   .emcHits = 3140,
+                   .matches = 4374,
+                   .total = 2872699,
+                   .packetIo = 150772,
+                   .preprocess = 120204,
+                   .emcCycles = 354436,
+                   .megaflowCycles = 2144155,
+                   .otherCycles = 103132,
+                   .instructions = 4279035},
+                  915,
+                  915});
+    expectPinned(runPinnedStream(LookupMode::HaloBlocking, true),
+                 {{.packets = 4500,
+                   .emcHits = 0,
+                   .matches = 4374,
+                   .total = 3082256,
+                   .packetIo = 150772,
+                   .preprocess = 120204,
+                   .emcCycles = 0,
+                   .megaflowCycles = 2708148,
+                   .otherCycles = 103132,
+                   .instructions = 2723769},
+                  915,
+                  915});
+    expectPinned(runPinnedStream(LookupMode::HaloNonBlocking, false),
+                 {{.packets = 4500,
+                   .emcHits = 0,
+                   .matches = 4374,
+                   .total = 765896,
+                   .packetIo = 150772,
+                   .preprocess = 120204,
+                   .emcCycles = 0,
+                   .megaflowCycles = 426288,
+                   .otherCycles = 68632,
+                   .instructions = 1602900},
+                  0,
+                  2000});
+    expectPinned(runPinnedStream(LookupMode::Hybrid, false),
+                 {{.packets = 4500,
+                   .emcHits = 3259,
+                   .matches = 4374,
+                   .total = 1255107,
+                   .packetIo = 150772,
+                   .preprocess = 120204,
+                   .emcCycles = 331669,
+                   .megaflowCycles = 549330,
+                   .otherCycles = 103132,
+                   .instructions = 2550371},
+                  0,
+                  2000});
+}
+
 } // namespace
 } // namespace halo
