@@ -22,14 +22,19 @@ constexpr unsigned keySlots = 1024;
  * The timing model a timed switch carries: the simulated core and
  * hierarchy every stage is priced on, the optional HALO complex, the
  * trace builders and scratch that lower reference streams to micro-ops,
- * and the simulated-memory buffers only priced stages touch (RX ring,
- * key staging, LOOKUP_NB results).
+ * the simulated-memory buffers only priced stages touch (RX ring, key
+ * staging, LOOKUP_NB results), and the datapath clock. Its methods are
+ * a timed switch's side of the pipeline's stages: each does the stage's
+ * lookup through a traced probe, prices it on the core and advances the
+ * clock.
  */
 struct VirtualSwitch::Timing
 {
-    Timing(SimMemory &mem, MemoryHierarchy &hierarchy, CoreModel &core_model,
-           HaloSystem *halo_system, const VSwitchConfig &cfg)
-        : hier(hierarchy),
+    Timing(SimMemory &memory, MemoryHierarchy &hierarchy,
+           CoreModel &core_model, HaloSystem *halo_system,
+           const VSwitchConfig &cfg)
+        : mem(memory),
+          hier(hierarchy),
           core(core_model),
           halo(halo_system),
           tableBuilder(SoftwareProfile{}),
@@ -65,17 +70,53 @@ struct VirtualSwitch::Timing
         return opScratch;
     }
 
-    /** Run @p ops on the core from @p now (advanced to the end);
-     *  returns the elapsed cycles, instructions accrue to @p res. */
+    /** Run @p lowered on the core from the clock (advanced to the
+     *  end); returns the elapsed cycles, instructions accrue to @p res. */
     Cycles
-    run(const OpTrace &ops, PacketResult &res, Cycles &now)
+    run(const OpTrace &lowered, PacketResult &res)
     {
-        const RunResult rr = core.run(ops, now);
+        const RunResult rr = core.run(lowered, clock);
         res.instructions += rr.instructions;
-        now = rr.endCycle;
+        clock = rr.endCycle;
         return rr.elapsed();
     }
 
+    /** @p key masked by @p mask, into the mask scratch. */
+    KeyView
+    masked(const FlowMask &mask, KeySpan key)
+    {
+        mask.applyInto(key, maskScratch.data());
+        return KeyView(maskScratch.data(), maskScratch.size());
+    }
+
+    /** Stage a key into the streaming buffer (see the vswitch.hh file
+     *  comment). */
+    Addr
+    stageKey(KeyView key, unsigned slot)
+    {
+        const Addr addr = keyStage + (slot % keySlots) * cacheLineBytes;
+        mem.write(addr, key.data(), key.size());
+        // Streaming store: lands in LLC, never dirties the private
+        // caches.
+        hier.warmLine(addr);
+        return addr;
+    }
+
+    void priceFrame(const VSwitchConfig &cfg, const Packet &packet,
+                    PacketResult &res);
+    std::optional<std::uint64_t> probeEmc(const ExactMatchCache &emc,
+                                          KeySpan key, PacketResult &res);
+    void walkSoftware(const TupleSpace &tuples, KeySpan key,
+                      TupleSpace::BulkWalkLane &lane, PacketResult &res);
+    void walkBlocking(const TupleSpace &tuples, KeySpan key,
+                      TupleSpace::BulkWalkLane &lane, PacketResult &res);
+    void walkNonBlocking(const TupleSpace &tuples, KeySpan key,
+                         TupleSpace::BulkWalkLane &lane, PacketResult &res);
+    void priceUpcall(const TupleSpace &openflow, KeySpan key,
+                     PacketResult &res);
+    void priceAction(const VSwitchConfig &cfg, PacketResult &res);
+
+    SimMemory &mem;
     MemoryHierarchy &hier;
     CoreModel &core;
     HaloSystem *halo;
@@ -86,10 +127,11 @@ struct VirtualSwitch::Timing
     /// reallocated) so steady-state classification does zero heap
     /// allocation: one AccessTrace for functional reference streams,
     /// one OpTrace for the lowered micro-ops of the current stage, one
-    /// for SNAPSHOT_READ poll rounds.
+    /// for SNAPSHOT_READ poll rounds, one masked key.
     AccessTrace refScratch;
     OpTrace opScratch;
     OpTrace pollScratch;
+    std::array<std::uint8_t, FiveTuple::keyBytes> maskScratch{};
 
     /// Monotonic datapath clock: accelerator and cache reservation
     /// state advances in absolute time, so packets must too.
@@ -99,6 +141,213 @@ struct VirtualSwitch::Timing
     Addr resultBuffer = invalidAddr; ///< LOOKUP_NB result lines
     unsigned rxSlot = 0;
 };
+
+/** Stage 1: packet IO (RX descriptor + frame copy into the ring; DDIO
+ *  places the frame in LLC, the core then reads it) and header
+ *  pre-processing over the frame. */
+void
+VirtualSwitch::Timing::priceFrame(const VSwitchConfig &cfg,
+                                  const Packet &packet, PacketResult &res)
+{
+    const Addr slot_addr =
+        rxRing + (rxSlot++ % rxRingSlots) * rxSlotBytes;
+    const std::size_t n =
+        std::min<std::size_t>(packet.bytes().size(), rxSlotBytes);
+    mem.write(slot_addr, packet.bytes().data(), n);
+    hier.warmLine(slot_addr);
+    hier.warmLine(slot_addr + cacheLineBytes);
+
+    OpTrace &io = ops();
+    tableBuilder.lowerCompute(cfg.ioArith, cfg.ioOthers, cfg.ioScratch, io);
+    tableBuilder.lowerLoad(slot_addr, 16, AccessPhase::Payload, io);
+    res.packetIo = run(io, res);
+
+    OpTrace &pre = ops();
+    tableBuilder.lowerLoad(slot_addr, 48, AccessPhase::Payload, pre);
+    tableBuilder.lowerCompute(cfg.preArith, cfg.preOthers, cfg.preScratch,
+                              pre);
+    res.preprocess = run(pre, res);
+}
+
+/** Stage 2: one traced EMC probe. */
+std::optional<std::uint64_t>
+VirtualSwitch::Timing::probeEmc(const ExactMatchCache &emc, KeySpan key,
+                                PacketResult &res)
+{
+    AccessTrace *refs = trace();
+    const auto hit = emc.lookup(key, refs);
+    OpTrace &probe = ops();
+    emcBuilder.lowerTableOp(*refs, probe);
+    res.emcCycles = run(probe, res);
+    return hit;
+}
+
+/** Stage 3, Software: the traced MegaFlow first-match walk, each probed
+ *  tuple priced as a full Table-1-profile cuckoo lookup. */
+void
+VirtualSwitch::Timing::walkSoftware(const TupleSpace &tuples, KeySpan key,
+                                    TupleSpace::BulkWalkLane &lane,
+                                    PacketResult &res)
+{
+    OpTrace &walk = ops();
+    for (unsigned t = 0; t < tuples.numTuples(); ++t) {
+        const KeyView probe = masked(tuples.mask(t), key);
+        AccessTrace *refs = trace();
+        std::optional<std::uint64_t> value;
+        {
+            HALO_STAGE("vswitch/cuckoo");
+            value = tuples.table(t).lookup(probe, refs);
+        }
+        // Mask application: a handful of vector ANDs per tuple.
+        tableBuilder.lowerCompute(4, 2, 0, walk);
+        tableBuilder.lowerTableOp(*refs, walk);
+        ++lane.searched;
+        if (value) {
+            lane.found = true;
+            lane.match = TupleMatch{*value, decodeRulePriority(*value), t,
+                                    lane.searched};
+            break;
+        }
+    }
+    res.megaflowCycles = run(walk, res);
+    if (halo) {
+        // The software path maintains its own linear-counting estimate
+        // so Hybrid mode can switch back (paper SS4.6).
+        halo->hybrid().observe(hashBytes(HashKind::XxMix, 0, key));
+    }
+}
+
+/** Stage 3, HaloBlocking: LOOKUP_B per probed tuple with
+ *  result-dependent sequencing (each next probe waits on the previous
+ *  result). Which tuples a sequential first-match walk probes is
+ *  determined functionally first. */
+void
+VirtualSwitch::Timing::walkBlocking(const TupleSpace &tuples, KeySpan key,
+                                    TupleSpace::BulkWalkLane &lane,
+                                    PacketResult &res)
+{
+    const auto match = tuples.lookupFirst(key, nullptr);
+    lane.searched = match ? match->tuplesSearched : tuples.numTuples();
+    if (match) {
+        lane.found = true;
+        lane.match = *match;
+    }
+
+    OpTrace &walk = ops();
+    std::int32_t prev_lookup = -1;
+    for (unsigned t = 0; t < lane.searched; ++t) {
+        const Addr key_addr = stageKey(masked(tuples.mask(t), key), t);
+        // Masking + staging cost.
+        tableBuilder.lowerCompute(4, 3, 1, walk);
+        tableBuilder.lowerLookupB(tuples.table(t).metadataAddr(), key_addr,
+                                  walk);
+        const auto lookup_idx = static_cast<std::int32_t>(walk.size()) - 1;
+        if (prev_lookup >= 0)
+            walk[lookup_idx].dep = prev_lookup + 1; // after prior branch
+        // Branch consuming the result: serializes the walk.
+        MicroOp branch;
+        branch.kind = OpKind::Branch;
+        branch.dep = lookup_idx;
+        branch.phase = AccessPhase::Bucket;
+        branch.unpredictable = true;
+        walk.push_back(branch);
+        prev_lookup = lookup_idx;
+    }
+    res.megaflowCycles = run(walk, res);
+}
+
+/** Stage 3, HaloNonBlocking: zero the result lines (they signal
+ *  completion by becoming non-zero), stage all masked keys, fan out
+ *  LOOKUP_NB to every tuple, then SNAPSHOT_READ each result line until
+ *  all slots are non-zero (paper SS4.5 batching: 8 results per line).
+ *  The first tuple's hit wins, as MegaFlow first-match semantics
+ *  dictate. */
+void
+VirtualSwitch::Timing::walkNonBlocking(const TupleSpace &tuples,
+                                       KeySpan key,
+                                       TupleSpace::BulkWalkLane &lane,
+                                       PacketResult &res)
+{
+    const unsigned n = tuples.numTuples();
+    if (n == 0)
+        return;
+    lane.searched = n;
+
+    const unsigned lines = static_cast<unsigned>(ceilDiv(n, 8));
+    for (unsigned l = 0; l < lines; ++l) {
+        mem.zero(resultBuffer + l * cacheLineBytes, cacheLineBytes);
+        hier.warmLine(resultBuffer + l * cacheLineBytes);
+    }
+
+    OpTrace &fanout = ops();
+    for (unsigned t = 0; t < n; ++t) {
+        const Addr key_addr = stageKey(masked(tuples.mask(t), key), t);
+        tableBuilder.lowerCompute(4, 3, 1, fanout);
+        const Addr result_addr =
+            resultBuffer + (t / 8) * cacheLineBytes + (t % 8) * 8;
+        tableBuilder.lowerLookupNB(tuples.table(t).metadataAddr(), key_addr,
+                                   result_addr, fanout);
+    }
+    const RunResult rr = core.run(fanout, clock);
+    res.instructions += rr.instructions;
+    const Cycles results_ready = rr.lastNbReady;
+
+    // Poll with SNAPSHOT_READ until every line reports 8 ready slots.
+    Cycles poll = rr.endCycle;
+    do {
+        OpTrace &check = pollScratch;
+        check.clear();
+        for (unsigned l = 0; l < lines; ++l)
+            tableBuilder.lowerSnapshotCheck(resultBuffer + l * cacheLineBytes,
+                                            check);
+        const RunResult cr = core.run(check, poll);
+        res.instructions += cr.instructions;
+        poll = cr.endCycle;
+    } while (poll < results_ready);
+
+    clock = std::max(poll, results_ready);
+    res.megaflowCycles = clock - rr.startCycle;
+
+    for (unsigned t = 0; t < n; ++t) {
+        const std::uint64_t word = mem.load<std::uint64_t>(
+            resultBuffer + (t / 8) * cacheLineBytes + (t % 8) * 8);
+        if (word != nbPendingWord && word != nbMissWord) {
+            lane.found = true;
+            lane.match = TupleMatch{word, decodeRulePriority(word), t, t + 1};
+            break;
+        }
+    }
+}
+
+/** The upcall's OpenFlow search: one traced probe per tuple, then the
+ *  priority comparison across matches. */
+void
+VirtualSwitch::Timing::priceUpcall(const TupleSpace &openflow, KeySpan key,
+                                   PacketResult &res)
+{
+    OpTrace &search = ops();
+    for (unsigned i = 0; i < openflow.numTuples(); ++i) {
+        const KeyView probe = masked(openflow.mask(i), key);
+        AccessTrace *refs = trace();
+        openflow.table(i).lookup(probe, refs);
+        tableBuilder.lowerCompute(4, 2, 0, search);
+        tableBuilder.lowerTableOp(*refs, search);
+    }
+    tableBuilder.lowerCompute(2 * openflow.numTuples(), openflow.numTuples(),
+                              0, search);
+    res.megaflowCycles += run(search, res);
+}
+
+/** Action execution + bookkeeping ("others" in Fig. 3). */
+void
+VirtualSwitch::Timing::priceAction(const VSwitchConfig &cfg,
+                                   PacketResult &res)
+{
+    OpTrace &act = ops();
+    tableBuilder.lowerCompute(cfg.actArith, cfg.actOthers, cfg.actScratch,
+                              act);
+    res.otherCycles = run(act, res);
+}
 
 void
 SwitchTotals::add(const PacketResult &r)
@@ -204,33 +453,14 @@ VirtualSwitch::warmTables()
 }
 
 void
-VirtualSwitch::openflowUpcall(const FiveTuple &tuple, PacketResult &res,
-                              Cycles &now)
+VirtualSwitch::openflowUpcall(KeySpan key, PacketResult &res)
 {
     HALO_STAGE("vswitch/upcall");
     // The OpenFlow layer searches EVERY tuple and keeps the highest
     // priority match (paper SS2.2) — strictly slower than MegaFlow.
-    const auto key = tuple.toKey();
-    if (timing_) {
-        // Price the search: one traced probe per tuple, then the
-        // priority comparison across matches.
-        Timing &t = *timing_;
-        OpTrace &ops = t.ops();
-        for (unsigned i = 0; i < openflow.numTuples(); ++i) {
-            openflow.mask(i).applyInto(key, maskScratch.data());
-            AccessTrace *trace = t.trace();
-            openflow.table(i).lookup(
-                KeyView(maskScratch.data(), maskScratch.size()), trace);
-            t.tableBuilder.lowerCompute(4, 2, 0, ops);
-            t.tableBuilder.lowerTableOp(*trace, ops);
-        }
-        t.tableBuilder.lowerCompute(2 * openflow.numTuples(),
-                                    openflow.numTuples(), 0, ops);
-        res.megaflowCycles += t.run(ops, res, now);
-    }
-
-    const auto best = openflow.lookupBest(
-        std::span<const std::uint8_t>(key.data(), key.size()));
+    if (timing_)
+        timing_->priceUpcall(openflow, key, res);
+    const auto best = openflow.lookupBest(key);
     if (!best)
         return;
     ++upcallCount;
@@ -260,41 +490,21 @@ VirtualSwitch::effectiveMode() const
                : LookupMode::HaloNonBlocking;
 }
 
-Addr
-VirtualSwitch::stageKey(std::span<const std::uint8_t> key, unsigned slot)
-{
-    const Addr addr = timing_->keyStage + (slot % keySlots) * cacheLineBytes;
-    mem.write(addr, key.data(), key.size());
-    // Streaming store: lands in LLC, never dirties the private caches.
-    timing_->hier.warmLine(addr);
-    return addr;
-}
-
 PacketResult
 VirtualSwitch::processPacket(const Packet &packet)
 {
     PacketResult res;
-    if (!timing_) {
-        processBurst(std::span<const Packet>(&packet, 1),
-                     std::span<PacketResult>(&res, 1));
-        return res;
-    }
-    const auto tuple = packet.flowTuple();
-    if (!tuple) {
-        ++sums.packets;
-        return res; // malformed: dropped before classification
-    }
-    return classifyTupleAt(*tuple, &packet);
+    processBurst(std::span<const Packet>(&packet, 1),
+                 std::span<PacketResult>(&res, 1));
+    return res;
 }
 
 PacketResult
 VirtualSwitch::classifyTuple(const FiveTuple &tuple)
 {
-    if (timing_)
-        return classifyTupleAt(tuple, nullptr);
     PacketResult res;
     PacketResult *out = &res;
-    classifyStaged(&tuple, 1, &out);
+    classifyStaged(&tuple, nullptr, 1, &out);
     return res;
 }
 
@@ -315,11 +525,12 @@ VirtualSwitch::nbBurst(std::span<const FiveTuple> batch,
     const unsigned n = tuples.numTuples();
     for (std::size_t i = 0; i < batch.size(); ++i)
         out[i] = PacketResult{};
-    if (batch.empty() || n == 0)
+    if (batch.empty())
         return;
     // Each packet consumes one key-staging slot per tuple; split the
     // burst so a chunk never outgrows the staging buffer.
-    const std::size_t chunk = std::max<std::size_t>(1, keySlots / n);
+    const std::size_t chunk =
+        n ? std::max<std::size_t>(1, keySlots / n) : batch.size();
     for (std::size_t off = 0; off < batch.size(); off += chunk) {
         const std::size_t c =
             std::min<std::size_t>(chunk, batch.size() - off);
@@ -351,11 +562,8 @@ VirtualSwitch::nbBurstChunk(std::span<const FiveTuple> batch,
     for (const FiveTuple &tuple : batch) {
         const auto key = tuple.toKey();
         for (unsigned t = 0; t < n; ++t) {
-            tuples.mask(t).applyInto(key, maskScratch.data());
-            const Addr key_addr = stageKey(
-                std::span<const std::uint8_t>(maskScratch.data(),
-                                              maskScratch.size()),
-                slot);
+            const Addr key_addr =
+                tm.stageKey(tm.masked(tuples.mask(t), key), slot);
             tm.tableBuilder.lowerCompute(4, 3, 1, ops);
             const Addr result_addr = results_base +
                                      (slot / 8) * cacheLineBytes +
@@ -377,30 +585,37 @@ VirtualSwitch::nbBurstChunk(std::span<const FiveTuple> batch,
                 results_base + l * cacheLineBytes, check);
         now = tm.core.run(check, now).endCycle;
     }
+    tm.clock = now;
 
-    // Harvest per-packet first-match results.
+    // Harvest per-packet first-match results, then resolve each packet
+    // through stage 4 in packet order: a miss's upcall is priced after
+    // the burst.
     slot = 0;
     const Cycles per_packet =
         (now - start) / static_cast<Cycles>(batch.size());
+    bool installed = false;
     for (std::size_t p = 0; p < batch.size(); ++p) {
         PacketResult &res = results[p];
-        res.tuplesSearched = n;
+        res.tuple = batch[p];
+        TupleSpace::BulkWalkLane lane;
+        lane.searched = n;
         for (unsigned t = 0; t < n; ++t, ++slot) {
             const std::uint64_t word = mem.load<std::uint64_t>(
                 results_base + (slot / 8) * cacheLineBytes +
                 (slot % 8) * 8);
-            if (!res.matched && word != nbPendingWord &&
+            if (!lane.found && word != nbPendingWord &&
                 word != nbMissWord) {
-                res.matched = true;
-                res.action = Action::decode(word);
+                lane.found = true;
+                lane.match =
+                    TupleMatch{word, decodeRulePriority(word), t, t + 1};
             }
         }
         res.megaflowCycles = per_packet;
-        res.total = per_packet;
         res.instructions = rr.instructions / batch.size();
+        resolveMiss(batch[p].toKey(), lane, false, installed, res);
+        res.total = res.megaflowCycles;
         sums.add(res);
     }
-    tm.clock = now;
 }
 
 void
@@ -413,18 +628,13 @@ VirtualSwitch::classifyBurst(std::span<const FiveTuple> batch,
         nbBurst(batch, results.data());
         return;
     }
-    if (timing_) {
-        for (std::size_t i = 0; i < batch.size(); ++i)
-            results[i] = classifyTupleAt(batch[i], nullptr);
-        return;
-    }
-    for (std::size_t off = 0; off < batch.size(); off += maxBulkLanes) {
-        const std::size_t n =
-            std::min<std::size_t>(maxBulkLanes, batch.size() - off);
+    const std::size_t width = lanes();
+    for (std::size_t off = 0; off < batch.size(); off += width) {
+        const std::size_t n = std::min(width, batch.size() - off);
         PacketResult *out[maxBulkLanes];
         for (std::size_t i = 0; i < n; ++i)
             out[i] = &results[off + i];
-        classifyStaged(batch.data() + off, n, out);
+        classifyStaged(batch.data() + off, nullptr, n, out);
     }
 }
 
@@ -434,36 +644,38 @@ VirtualSwitch::processBurst(std::span<const Packet> batch,
 {
     HALO_ASSERT(results.size() >= batch.size(),
                 "result span smaller than the batch");
-    if (timing_) {
-        for (std::size_t i = 0; i < batch.size(); ++i)
-            results[i] = processPacket(batch[i]);
-        return;
-    }
-    for (std::size_t off = 0; off < batch.size(); off += maxBulkLanes) {
-        const std::size_t end =
-            std::min<std::size_t>(off + maxBulkLanes, batch.size());
+    const std::size_t width = lanes();
+    for (std::size_t off = 0; off < batch.size(); off += width) {
+        const std::size_t end = std::min(off + width, batch.size());
         PacketResult *out[maxBulkLanes];
+        const Packet *frames[maxBulkLanes];
         std::size_t n = 0;
         for (std::size_t i = off; i < end; ++i) {
             if (const auto tuple = batch[i].flowTuple()) {
                 burstTuples_[n] = *tuple;
+                frames[n] = &batch[i];
                 out[n++] = &results[i];
             } else {
                 results[i] = PacketResult{}; // malformed: dropped
                 ++sums.packets;
             }
         }
-        classifyStaged(burstTuples_.data(), n, out);
+        classifyStaged(burstTuples_.data(), frames, n, out);
     }
 }
 
 void
-VirtualSwitch::classifyStaged(const FiveTuple *batch, std::size_t n,
+VirtualSwitch::classifyStaged(const FiveTuple *batch,
+                              const Packet *const *frames, std::size_t n,
                               PacketResult *const *out)
 {
-    HALO_ASSERT(n <= maxBulkLanes, "staged burst too large");
+    HALO_ASSERT(n <= lanes(), "staged burst too large");
+    if (n == 0)
+        return;
 
-    // --- Stage 1: each packet's key, once. ---
+    // --- Stage 1: each packet's key, once. A timed switch prices the
+    //     frame's IO and pre-processing, before the Hybrid controller
+    //     picks the engine. ---
     std::array<std::uint8_t, FiveTuple::keyBytes> keys[maxBulkLanes];
     const std::uint8_t *keyPtr[maxBulkLanes];
     for (std::size_t i = 0; i < n; ++i) {
@@ -472,19 +684,34 @@ VirtualSwitch::classifyStaged(const FiveTuple *batch, std::size_t n,
         keys[i] = batch[i].toKey();
         keyPtr[i] = keys[i].data();
     }
+    const Cycles start = now();
+    if (timing_ && frames)
+        timing_->priceFrame(cfg, *frames[0], *out[0]);
+    const LookupMode mode = effectiveMode();
 
-    // --- Stage 2: one bulk EMC probe (the adaptive controller may
-    //     have the EMC off: one relaxed flag load per batch then). ---
-    const bool emc_on = cfg.useEmc && emcCache.enabled();
+    // --- Stage 2: the EMC probe, Software engine only (the adaptive
+    //     controller may have the EMC off: one relaxed flag load per
+    //     batch then). ---
+    const bool emc_on = mode == LookupMode::Software && cfg.useEmc &&
+                        emcCache.enabled();
     std::uint32_t emc_hits = 0;
     std::uint64_t emc_values[maxBulkLanes];
-    if (emc_on && n) {
+    if (emc_on) {
         HALO_STAGE("vswitch/emc");
-        std::uint64_t slots[maxBulkLanes][2];
-        emc_hits = emcCache.lookupBulk(keyPtr, n, emc_values, slots);
+        if (timing_) {
+            if (const auto hit = timing_->probeEmc(emcCache, keys[0],
+                                                   *out[0])) {
+                emc_hits = 1;
+                emc_values[0] = *hit;
+            }
+        } else {
+            std::uint64_t slots[maxBulkLanes][2];
+            emc_hits = emcCache.lookupBulk(keyPtr, n, emc_values, slots);
+        }
     }
 
-    // --- Stage 3: one bulk first-match walk over the EMC misses. ---
+    // --- Stage 3: one first-match walk over the EMC misses: bulk and
+    //     untraced, or the timed engine's walk of its one lane. ---
     TupleSpace::BulkWalkLane *walk = burstWalk_.data();
     TupleSpace::BulkWalkLane *walkPtr[maxBulkLanes];
     const std::uint8_t *missKeys[maxBulkLanes];
@@ -498,57 +725,27 @@ VirtualSwitch::classifyStaged(const FiveTuple *batch, std::size_t n,
     }
     if (misses) {
         HALO_STAGE("vswitch/tuple_space");
-        tuples.lookupFirstBulk(missKeys, misses, walkPtr);
+        if (!timing_)
+            tuples.lookupFirstBulk(missKeys, misses, walkPtr);
+        else if (mode == LookupMode::Software)
+            timing_->walkSoftware(tuples, keys[0], walk[0], *out[0]);
+        else if (mode == LookupMode::HaloBlocking)
+            timing_->walkBlocking(tuples, keys[0], walk[0], *out[0]);
+        else
+            timing_->walkNonBlocking(tuples, keys[0], walk[0], *out[0]);
     }
 
     // --- Stage 4: actions, slow path and stamps, in packet order. ---
-    // Once an inline upcall of this batch has installed a megaflow,
-    // the later misses' walks above are stale: like OVS, walk again
-    // before resolving another upcall (the flow may be the one just
-    // installed). Every later walk is redone, hits included, because
-    // a masked install can also precede a later packet's first match.
     bool installed = false;
     for (std::size_t i = 0; i < n; ++i) {
         PacketResult &res = *out[i];
-        const std::span<const std::uint8_t, FiveTuple::keyBytes> key(
-            keys[i]);
+        const KeySpan key(keys[i]);
         if (emc_hits >> i & 1u) {
             res.emcHit = true;
             res.matched = true;
             res.action = Action::decode(emc_values[i]);
         } else {
-            std::optional<TupleMatch> match;
-            if (installed) {
-                match = tuples.lookupFirst(key);
-                res.tuplesSearched =
-                    match ? match->tuplesSearched : tuples.numTuples();
-            } else {
-                res.tuplesSearched = walk[i].searched;
-                if (walk[i].found)
-                    match = walk[i].match;
-            }
-            if (match) {
-                res.matched = true;
-                res.action = Action::decode(match->value);
-                if (emc_on) {
-                    if (cfg.deferSlowPath) {
-                        // Single-writer invariant: the revalidator
-                        // performs the insert.
-                        res.emcPromote = true;
-                        res.promoteValue = match->value;
-                    } else {
-                        emcCache.insert(key, match->value);
-                    }
-                }
-            } else if (cfg.useOpenflowLayer) {
-                if (cfg.deferSlowPath) {
-                    res.slowPathPending = true;
-                } else {
-                    Cycles unpriced = 0;
-                    openflowUpcall(batch[i], res, unpriced);
-                    installed |= res.matched;
-                }
-            }
+            resolveMiss(key, walk[i], emc_on, installed, res);
         }
 
         // Aging support: stamp the flow's activity slot on every match
@@ -562,142 +759,41 @@ VirtualSwitch::classifyStaged(const FiveTuple *batch, std::size_t n,
             if (estimator_)
                 estimator_->observe(h);
         }
-        sums.add(res);
     }
-}
-
-PacketResult
-VirtualSwitch::classifyTupleAt(const FiveTuple &tuple, const Packet *packet)
-{
-    Timing &tm = *timing_;
-    PacketResult res;
-    res.tuple = tuple;
-    const Cycles start = tm.clock;
-    Cycles now = start;
-
-    if (packet) {
-        // --- Packet IO: RX descriptor + frame copy into the ring.
-        //     DDIO places the frame in LLC; the core then reads it. ---
-        const Addr slot_addr = tm.rxRing + (tm.rxSlot++ % rxRingSlots) *
-                                               rxSlotBytes;
-        const std::size_t n =
-            std::min<std::size_t>(packet->bytes().size(), rxSlotBytes);
-        mem.write(slot_addr, packet->bytes().data(), n);
-        tm.hier.warmLine(slot_addr);
-        tm.hier.warmLine(slot_addr + cacheLineBytes);
-
-        OpTrace &io = tm.ops();
-        tm.tableBuilder.lowerCompute(cfg.ioArith, cfg.ioOthers,
-                                     cfg.ioScratch, io);
-        tm.tableBuilder.lowerLoad(slot_addr, 16, AccessPhase::Payload, io);
-        res.packetIo = tm.run(io, res, now);
-
-        // --- Pre-processing: header extraction over the frame. ---
-        OpTrace &pre = tm.ops();
-        tm.tableBuilder.lowerLoad(slot_addr, 48, AccessPhase::Payload,
-                                  pre);
-        tm.tableBuilder.lowerCompute(cfg.preArith, cfg.preOthers,
-                                     cfg.preScratch, pre);
-        res.preprocess = tm.run(pre, res, now);
+    if (timing_) {
+        timing_->priceAction(cfg, *out[0]);
+        out[0]->total = now() - start;
     }
-
-    switch (effectiveMode()) {
-      case LookupMode::Software:
-        softwareClassify(tuple, res, now);
-        break;
-      case LookupMode::HaloBlocking:
-        haloBlockingClassify(tuple, res, now);
-        break;
-      case LookupMode::HaloNonBlocking:
-        haloNonBlockingClassify(tuple, res, now);
-        break;
-      case LookupMode::Hybrid:
-        panic("effectiveMode() must resolve Hybrid");
-    }
-
-    // --- OpenFlow slow path on a MegaFlow miss (any lookup engine:
-    //     upcalls always run in software, as in OVS). Deferred mode
-    //     hands the miss back to the caller instead: the revalidator
-    //     thread owns the upcall and the install. ---
-    if (!res.matched && cfg.useOpenflowLayer) {
-        if (cfg.deferSlowPath)
-            res.slowPathPending = true;
-        else
-            openflowUpcall(tuple, res, now);
-    }
-
-    // --- Action execution + bookkeeping ("others" in Fig. 3). ---
-    OpTrace &act = tm.ops();
-    tm.tableBuilder.lowerCompute(cfg.actArith, cfg.actOthers,
-                                 cfg.actScratch, act);
-    res.otherCycles = tm.run(act, res, now);
-    res.total = now - start;
-    tm.clock = now;
-    sums.add(res);
-    return res;
+    for (std::size_t i = 0; i < n; ++i)
+        sums.add(*out[i]);
 }
 
 void
-VirtualSwitch::softwareClassify(const FiveTuple &tuple, PacketResult &res,
-                                Cycles &now)
+VirtualSwitch::resolveMiss(KeySpan key, const TupleSpace::BulkWalkLane &walk,
+                           bool promote, bool &installed, PacketResult &res)
 {
-    const auto key = tuple.toKey();
-    Timing &tm = *timing_;
-
-    // --- EMC probe (the adaptive controller may have it off). ---
-    if (cfg.useEmc && emcCache.enabled()) {
-        HALO_STAGE("vswitch/emc");
-        AccessTrace *trace = tm.trace();
-        const auto hit = emcCache.lookup(key, trace);
-        OpTrace &emc_ops = tm.ops();
-        tm.emcBuilder.lowerTableOp(*trace, emc_ops);
-        res.emcCycles = tm.run(emc_ops, res, now);
-        if (hit) {
-            res.emcHit = true;
-            res.matched = true;
-            res.action = Action::decode(*hit);
-            return;
-        }
-    }
-
-    // --- MegaFlow tuple-space search (first match), each probed tuple
-    //     priced as a full Table-1-profile cuckoo lookup. ---
+    // Once an inline upcall of this burst has installed a megaflow, the
+    // later misses' walks are stale: like OVS, walk again before
+    // resolving another upcall (the flow may be the one just installed).
+    // Every later walk is redone, hits included, because a masked
+    // install can also precede a later packet's first match.
     std::optional<TupleMatch> match;
-    {
-        HALO_STAGE("vswitch/tuple_space");
-        OpTrace &ops = tm.ops();
-        unsigned searched = 0;
-        for (unsigned t = 0; t < tuples.numTuples(); ++t) {
-            tuples.mask(t).applyInto(key, maskScratch.data());
-            AccessTrace *trace = tm.trace();
-            std::optional<std::uint64_t> value;
-            {
-                HALO_STAGE("vswitch/cuckoo");
-                value = tuples.table(t).lookup(
-                    KeyView(maskScratch.data(), maskScratch.size()),
-                    trace);
-            }
-            // Mask application: a handful of vector ANDs per tuple.
-            tm.tableBuilder.lowerCompute(4, 2, 0, ops);
-            tm.tableBuilder.lowerTableOp(*trace, ops);
-            ++searched;
-            if (value) {
-                match = TupleMatch{*value, decodeRulePriority(*value),
-                                   t, searched};
-                break;
-            }
-        }
-        res.megaflowCycles = tm.run(ops, res, now);
-        res.tuplesSearched = searched;
+    if (installed) {
+        match = tuples.lookupFirst(key);
+        res.tuplesSearched =
+            match ? match->tuplesSearched : tuples.numTuples();
+    } else {
+        res.tuplesSearched = walk.searched;
+        if (walk.found)
+            match = walk.match;
     }
-
     if (match) {
         res.matched = true;
         res.action = Action::decode(match->value);
-        if (cfg.useEmc && emcCache.enabled()) {
+        if (promote) {
             if (cfg.deferSlowPath) {
-                // Single-writer invariant: the revalidator performs
-                // the insert; hand the wish back to the caller.
+                // Single-writer invariant: the revalidator performs the
+                // insert; hand the wish back to the caller.
                 res.emcPromote = true;
                 res.promoteValue = match->value;
             } else {
@@ -706,133 +802,15 @@ VirtualSwitch::softwareClassify(const FiveTuple &tuple, PacketResult &res,
                 emcCache.insert(key, match->value);
             }
         }
-    }
-    if (tm.halo) {
-        // The software path maintains its own linear-counting estimate
-        // so Hybrid mode can switch back (paper SS4.6).
-        tm.halo->hybrid().observe(hashBytes(
-            HashKind::XxMix, 0,
-            std::span<const std::uint8_t>(key.data(), key.size())));
-    }
-}
-
-void
-VirtualSwitch::haloBlockingClassify(const FiveTuple &tuple,
-                                    PacketResult &res, Cycles &now)
-{
-    Timing &tm = *timing_;
-    const auto key = tuple.toKey();
-
-    // Determine functionally which tuples a sequential first-match walk
-    // probes, then price LOOKUP_B per probed tuple with result-dependent
-    // sequencing (each next probe waits on the previous result).
-    const auto match = tuples.lookupFirst(
-        std::span<const std::uint8_t>(key.data(), key.size()), nullptr);
-    const unsigned searched = match ? match->tuplesSearched
-                                    : tuples.numTuples();
-    res.tuplesSearched = searched;
-
-    OpTrace &ops = tm.ops();
-    std::int32_t prev_lookup = -1;
-    for (unsigned t = 0; t < searched; ++t) {
-        tuples.mask(t).applyInto(key, maskScratch.data());
-        const Addr key_addr = stageKey(
-            std::span<const std::uint8_t>(maskScratch.data(),
-                                          maskScratch.size()),
-            t);
-        // Masking + staging cost.
-        tm.tableBuilder.lowerCompute(4, 3, 1, ops);
-        tm.tableBuilder.lowerLookupB(tuples.table(t).metadataAddr(),
-                                  key_addr, ops);
-        const auto lookup_idx = static_cast<std::int32_t>(ops.size()) - 1;
-        if (prev_lookup >= 0)
-            ops[lookup_idx].dep = prev_lookup + 1; // after prior branch
-        // Branch consuming the result: serializes the walk.
-        MicroOp branch;
-        branch.kind = OpKind::Branch;
-        branch.dep = lookup_idx;
-        branch.phase = AccessPhase::Bucket;
-        branch.unpredictable = true;
-        ops.push_back(branch);
-        prev_lookup = lookup_idx;
-    }
-
-    RunResult rr = tm.core.run(ops, now);
-    res.megaflowCycles = rr.elapsed();
-    res.instructions += rr.instructions;
-    now = rr.endCycle;
-
-    if (match) {
-        res.matched = true;
-        res.action = Action::decode(match->value);
-    }
-}
-
-void
-VirtualSwitch::haloNonBlockingClassify(const FiveTuple &tuple,
-                                       PacketResult &res, Cycles &now)
-{
-    Timing &tm = *timing_;
-    const auto key = tuple.toKey();
-    const unsigned n = tuples.numTuples();
-    if (n == 0) {
-        return;
-    }
-    res.tuplesSearched = n;
-
-    // Zero the result lines (they signal completion by becoming
-    // non-zero), stage all masked keys, fan out LOOKUP_NB to every
-    // tuple, then SNAPSHOT_READ each result line until all slots are
-    // non-zero (paper SS4.5 batching: 8 results per line).
-    const unsigned lines = static_cast<unsigned>(ceilDiv(n, 8));
-    for (unsigned l = 0; l < lines; ++l) {
-        mem.zero(tm.resultBuffer + l * cacheLineBytes, cacheLineBytes);
-        tm.hier.warmLine(tm.resultBuffer + l * cacheLineBytes);
-    }
-
-    OpTrace &ops = tm.ops();
-    for (unsigned t = 0; t < n; ++t) {
-        tuples.mask(t).applyInto(key, maskScratch.data());
-        const Addr key_addr = stageKey(
-            std::span<const std::uint8_t>(maskScratch.data(),
-                                          maskScratch.size()),
-            t);
-        tm.tableBuilder.lowerCompute(4, 3, 1, ops);
-        const Addr result_addr = tm.resultBuffer + (t / 8) * cacheLineBytes +
-                                 (t % 8) * 8;
-        tm.tableBuilder.lowerLookupNB(tuples.table(t).metadataAddr(),
-                                   key_addr, result_addr, ops);
-    }
-    RunResult rr = tm.core.run(ops, now);
-    res.instructions += rr.instructions;
-    Cycles done = rr.endCycle;
-    const Cycles results_ready = rr.lastNbReady;
-
-    // Poll with SNAPSHOT_READ until every line reports 8 ready slots.
-    Cycles poll = done;
-    do {
-        OpTrace &check = tm.pollScratch;
-        check.clear();
-        for (unsigned l = 0; l < lines; ++l)
-            tm.tableBuilder.lowerSnapshotCheck(
-                tm.resultBuffer + l * cacheLineBytes, check);
-        RunResult cr = tm.core.run(check, poll);
-        res.instructions += cr.instructions;
-        poll = cr.endCycle;
-    } while (poll < results_ready);
-
-    now = std::max(poll, results_ready);
-    res.megaflowCycles = now - rr.startCycle;
-
-    // Collect the highest-specificity (first-tuple) hit, as MegaFlow
-    // first-match semantics dictate.
-    for (unsigned t = 0; t < n; ++t) {
-        const std::uint64_t word = mem.load<std::uint64_t>(
-            tm.resultBuffer + (t / 8) * cacheLineBytes + (t % 8) * 8);
-        if (word != nbPendingWord && word != nbMissWord) {
-            res.matched = true;
-            res.action = Action::decode(word);
-            break;
+    } else if (cfg.useOpenflowLayer) {
+        // Upcalls run in software whatever the engine, as in OVS.
+        // Deferred mode hands the miss back to the caller instead: the
+        // revalidator thread owns the upcall and the install.
+        if (cfg.deferSlowPath) {
+            res.slowPathPending = true;
+        } else {
+            openflowUpcall(key, res);
+            installed |= res.matched;
         }
     }
 }

@@ -3,21 +3,24 @@
  * The software virtual switch datapath (paper SS2, Fig. 1/2a).
  *
  * Pipeline: header pre-processing -> EMC lookup -> MegaFlow tuple-space
- * search -> OpenFlow upcall on a miss -> action. Every stage does its
- * functional work through the tables' lookups; the timing model is an
- * optional attachment on top of the same stages.
+ * search -> OpenFlow upcall on a miss -> action. The stage sequence is
+ * written once (classifyStaged) and every entry point runs it, OVS
+ * dpif-netdev style, over a burst of lanes: each packet's tuple and key
+ * once, one EMC probe, one first-match walk over the EMC misses, then
+ * promotion, slow path, actions and stamps in packet order. Only the
+ * probes differ by switch kind; the timing model is an optional
+ * attachment that prices the same stages.
  *
- *  - A functional switch (the two-argument constructor) classifies
- *    only, in stages over a burst, OVS dpif-netdev style: every
- *    packet's tuple and key once, one bulk EMC probe, one bulk
- *    tuple-space walk over the EMC misses, then slow path, actions and
- *    stamps in packet order. No traces, no simulated machine, Software
- *    mode; a single packet is a burst of one. The runtime workers run
- *    this one.
- *  - A timed switch (the constructor taking a hierarchy and a core)
- *    additionally records each stage's reference stream, lowers it to
- *    micro-ops and prices it on the core model, giving the Fig. 3
- *    breakdown. Only a timed switch runs the HALO modes:
+ *  - A functional switch (the two-argument constructor) runs
+ *    maxBulkLanes lanes through the untraced bulk probes. No traces, no
+ *    simulated machine, Software mode. The runtime workers run this one.
+ *  - A timed switch (the constructor taking a hierarchy and a core) runs
+ *    one lane, so each packet is priced alone and in order: it records
+ *    each probe's reference stream, lowers it to micro-ops and prices it
+ *    on the core model (IO -> pre -> EMC -> megaflow -> upcall ->
+ *    action), giving the Fig. 3 breakdown. Only a timed switch runs the
+ *    HALO modes, whose engine does the megaflow walk; they never probe
+ *    or fill the EMC:
  *
  *   Software        — EMC + cuckoo TSS entirely on the core (baseline);
  *   HaloBlocking    — LOOKUP_B per tuple, result-dependent sequencing;
@@ -96,9 +99,10 @@ struct VSwitchConfig
      */
     bool exactUpcallInstalls = false;
     LookupMode mode = LookupMode::Software;
-    /// EMC entries (OVS default 8192). The EMC runs in software in every
-    /// mode; HALO modes can disable it entirely (it mostly misses at
-    /// high flow counts and pollutes private caches).
+    /// EMC entries (OVS default 8192). Only the Software engine probes
+    /// and fills the EMC (it runs on the core); the HALO engines skip it,
+    /// as it mostly misses at high flow counts and pollutes private
+    /// caches.
     std::uint64_t emcEntries = 8192;
     bool useEmc = true;
     /// MegaFlow search semantics: first match (OVS MegaFlow layer).
@@ -208,8 +212,8 @@ class VirtualSwitch
      *  warm: no-op. */
     void warmTables();
 
-    /** Process one packet through the full pipeline (a functional
-     *  switch: a burst of one). */
+    /** Process one packet through the full pipeline (a burst of
+     *  one). */
     PacketResult processPacket(const Packet &packet);
 
     /** Fast path: classification only, from a pre-parsed tuple. */
@@ -219,21 +223,19 @@ class VirtualSwitch
      * Classify a burst of pre-parsed tuples into @p results (one per
      * tuple, results.size() >= batch.size()). HaloNonBlocking mode
      * routes through the LOOKUP_NB burst engine (chunked to the
-     * key-staging capacity); a functional switch classifies in stages
-     * (file comment); every other mode classifies packet by packet,
-     * exactly as classifyTuple does.
+     * key-staging capacity; its misses take the pipeline's slow path
+     * after the burst); every other mode runs the pipeline (file
+     * comment).
      */
     void classifyBurst(std::span<const FiveTuple> batch,
                        std::span<PacketResult> results);
 
     /**
      * Full pipeline over a burst of packets (malformed packets are
-     * dropped in place). A functional switch classifies it in stages,
-     * maxBulkLanes packets at a time; a timed one runs processPacket on
-     * each, in order. Within one stage burst a flow that repeats may
-     * miss the EMC where a packet-by-packet walk would hit the entry
-     * an earlier packet just promoted; match, action and slow-path
-     * outcome are the same.
+     * dropped in place), through the pipeline (file comment). Within
+     * one functional burst a flow that repeats may miss the EMC where a
+     * packet-by-packet walk would hit the entry an earlier packet just
+     * promoted; match, action and slow-path outcome are the same.
      */
     void processBurst(std::span<const Packet> batch,
                       std::span<PacketResult> results);
@@ -262,8 +264,8 @@ class VirtualSwitch
 
     /** Route per-match activity stamps into @p activity (null = off).
      *  The decoupled runtime wires the revalidator's aging here; one
-     *  relaxed store per matched packet, nothing else changes.
-     *  Functional switch only: a timed switch stamps nothing. */
+     *  relaxed store per matched packet, nothing else changes. The
+     *  stamps are never priced. */
     void setActivityTracker(FlowActivity *activity)
     {
         activity_ = activity;
@@ -273,7 +275,7 @@ class VirtualSwitch
      *  The adaptive-EMC runtime wires the shard's linear-counting
      *  estimator here; it shares the activity tracker's hash, so the
      *  data path pays at most one extra sampled bit-set per packet.
-     *  Functional switch only, like setActivityTracker(). */
+     *  Never priced, like setActivityTracker(). */
     void setFlowEstimator(ShardFlowEstimator *estimator)
     {
         estimator_ = estimator;
@@ -290,47 +292,34 @@ class VirtualSwitch
   private:
     /// The attached timing model (defined in vswitch.cc).
     struct Timing;
+    using KeySpan = std::span<const std::uint8_t, FiveTuple::keyBytes>;
 
-    /** The timed pipeline, one traced packet at a time; @p packet
-     *  (null for pre-parsed tuples) is what the packet-IO stages are
-     *  charged on. */
-    PacketResult classifyTupleAt(const FiveTuple &tuple,
-                                 const Packet *packet);
+    /** Lanes per staged burst: maxBulkLanes, or one on a timed switch,
+     *  which prices packet by packet in order. */
+    std::size_t lanes() const { return timing_ ? 1 : maxBulkLanes; }
 
-    /** Timed Software-mode classification: traced EMC probe, then the
-     *  traced MegaFlow first-match walk. */
-    void softwareClassify(const FiveTuple &tuple, PacketResult &res,
-                          Cycles &now);
+    /** The pipeline (file comment): classify @p n <= lanes() tuples in
+     *  stages, result i into *out[i]. @p frames holds their packets
+     *  (null for pre-parsed tuples); a timed switch prices their IO. */
+    void classifyStaged(const FiveTuple *batch, const Packet *const *frames,
+                        std::size_t n, PacketResult *const *out);
 
-    /** The functional pipeline: classify @p n <= maxBulkLanes tuples
-     *  in stages (file comment), result i into *out[i]. */
-    void classifyStaged(const FiveTuple *batch, std::size_t n,
-                        PacketResult *const *out);
+    /** Stage 4 for a packet that missed the EMC: take its megaflow
+     *  @p walk (walked again once @p installed is set), promote the
+     *  match into the EMC when @p promote, or defer or run the OpenFlow
+     *  upcall; an inline upcall that installs sets @p installed. */
+    void resolveMiss(KeySpan key, const TupleSpace::BulkWalkLane &walk,
+                     bool promote, bool &installed, PacketResult &res);
 
     /** OpenFlow slow path: search all tuples, best priority wins, and
      *  promote the result into the MegaFlow layer. */
-    void openflowUpcall(const FiveTuple &tuple, PacketResult &res,
-                        Cycles &now);
+    void openflowUpcall(KeySpan key, PacketResult &res);
 
-    /** @name HALO modes (timed switch only) */
-    /**@{*/
     /** Chunked LOOKUP_NB burst engine shared by classifyBurst and
-     *  classifyBurstNB. */
+     *  classifyBurstNB (timed switch with a HaloSystem only). */
     void nbBurst(std::span<const FiveTuple> batch, PacketResult *out);
     void nbBurstChunk(std::span<const FiveTuple> batch,
                       PacketResult *out);
-
-    /** LOOKUP_B sequential tuple search. */
-    void haloBlockingClassify(const FiveTuple &tuple, PacketResult &res,
-                              Cycles &now);
-
-    /** LOOKUP_NB fan-out + SNAPSHOT_READ completion check. */
-    void haloNonBlockingClassify(const FiveTuple &tuple,
-                                 PacketResult &res, Cycles &now);
-
-    /** Stage a key into the streaming buffer (see file comment). */
-    Addr stageKey(std::span<const std::uint8_t> key, unsigned slot);
-    /**@}*/
 
     SimMemory &mem;
     VSwitchConfig cfg;
@@ -341,7 +330,6 @@ class VirtualSwitch
     std::uint64_t upcallCount = 0;
     FlowActivity *activity_ = nullptr; ///< aging stamps (may be null)
     ShardFlowEstimator *estimator_ = nullptr; ///< flow-count bits
-    std::array<std::uint8_t, FiveTuple::keyBytes> maskScratch{};
     /// Staged-burst scratch, built once so that a burst constructs no
     /// per-lane state (both types carry member initializers).
     std::array<FiveTuple, maxBulkLanes> burstTuples_{};

@@ -30,12 +30,13 @@ struct OfRig
     }
 
     VirtualSwitch
-    makeSwitch(LookupMode mode)
+    makeSwitch(LookupMode mode, bool defer = false)
     {
         VSwitchConfig cfg;
         cfg.mode = mode;
         cfg.useEmc = false;
         cfg.useOpenflowLayer = true;
+        cfg.deferSlowPath = defer;
         cfg.tupleConfig.tupleCapacity = 2048;
         VirtualSwitch vs(mem, hier, core, &halo, cfg);
         // MegaFlow starts EMPTY: every first packet of a flow upcalls.
@@ -75,10 +76,14 @@ TEST(OpenflowLayer, FastPathCheaperThanUpcall)
     EXPECT_LT(fast.megaflowCycles, slow.megaflowCycles);
 }
 
-TEST(OpenflowLayer, UpcallsWorkUnderHaloModes)
+class OpenflowHaloModes : public ::testing::TestWithParam<LookupMode>
+{
+};
+
+TEST_P(OpenflowHaloModes, UpcallsWorkUnderHaloModes)
 {
     OfRig rig;
-    auto vs = rig.makeSwitch(LookupMode::HaloNonBlocking);
+    auto vs = rig.makeSwitch(GetParam());
     unsigned matched = 0;
     for (int i = 0; i < 50; ++i)
         matched += vs.classifyTuple(rig.gen.flows()[i]).matched ? 1 : 0;
@@ -89,6 +94,77 @@ TEST(OpenflowLayer, UpcallsWorkUnderHaloModes)
     for (int i = 0; i < 50; ++i)
         vs.classifyTuple(rig.gen.flows()[i]);
     EXPECT_EQ(vs.upcalls(), upcalls_before);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    OpenflowLayer, OpenflowHaloModes,
+    ::testing::Values(LookupMode::HaloBlocking, LookupMode::HaloNonBlocking,
+                      LookupMode::Hybrid),
+    [](const ::testing::TestParamInfo<LookupMode> &info) {
+        switch (info.param) {
+          case LookupMode::HaloBlocking:
+            return "HaloBlocking";
+          case LookupMode::HaloNonBlocking:
+            return "HaloNonBlocking";
+          default:
+            return "Hybrid";
+        }
+    });
+
+/** 16 distinct flows of @p rig, none of them in the empty megaflow
+ *  layer. */
+std::vector<FiveTuple>
+newFlows(const OfRig &rig)
+{
+    std::vector<FiveTuple> flows;
+    for (int i = 0; i < 16; ++i)
+        flows.push_back(rig.gen.flows()[i * 7]);
+    return flows;
+}
+
+TEST(OpenflowLayer, NbBurstMissesTakeTheSlowPath)
+{
+    OfRig rig;
+    auto burst = rig.makeSwitch(LookupMode::HaloNonBlocking);
+    auto single = rig.makeSwitch(LookupMode::HaloNonBlocking);
+    const std::vector<FiveTuple> flows = newFlows(rig);
+    std::vector<PacketResult> res(flows.size());
+    burst.classifyBurst(flows, res);
+    for (std::size_t i = 0; i < flows.size(); ++i) {
+        const PacketResult one = single.classifyTuple(flows[i]);
+        ASSERT_TRUE(one.matched) << "packet " << i;
+        EXPECT_TRUE(res[i].matched) << "packet " << i;
+        EXPECT_EQ(res[i].action, one.action) << "packet " << i;
+        // The upcall is priced after the burst, on the packet's total.
+        EXPECT_GT(res[i].total, 0u) << "packet " << i;
+    }
+    EXPECT_GT(burst.upcalls(), 0u);
+    EXPECT_EQ(burst.upcalls(), single.upcalls());
+    EXPECT_EQ(burst.totals().matches, flows.size());
+    EXPECT_EQ(burst.tupleSpace().ruleCount(),
+              single.tupleSpace().ruleCount());
+
+    // Replays hit the megaflows the burst's upcalls installed.
+    const std::uint64_t upcalls = burst.upcalls();
+    const std::vector<PacketResult> again = burst.classifyBurstNB(flows);
+    for (const PacketResult &r : again)
+        EXPECT_TRUE(r.matched);
+    EXPECT_EQ(burst.upcalls(), upcalls);
+}
+
+TEST(OpenflowLayer, NbBurstDefersItsMisses)
+{
+    OfRig rig;
+    auto vs = rig.makeSwitch(LookupMode::HaloNonBlocking, true);
+    const std::vector<FiveTuple> flows = newFlows(rig);
+    const std::vector<PacketResult> res = vs.classifyBurstNB(flows);
+    for (std::size_t i = 0; i < flows.size(); ++i) {
+        EXPECT_FALSE(res[i].matched) << "packet " << i;
+        EXPECT_TRUE(res[i].slowPathPending) << "packet " << i;
+        EXPECT_EQ(res[i].tuple, flows[i]) << "packet " << i;
+    }
+    EXPECT_EQ(vs.upcalls(), 0u);
+    EXPECT_EQ(vs.tupleSpace().ruleCount(), 0u);
 }
 
 TEST(OpenflowLayer, HighestPriorityRuleWinsUpcall)
