@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include <initializer_list>
 #include <map>
 #include <vector>
 
@@ -241,6 +242,142 @@ TEST(Cuckoo, LookupTraceShape)
     EXPECT_LE(buckets, 2u);
     EXPECT_GE(kvs, 1u);
     EXPECT_EQ(locks, 2u); // optimistic-lock sample + re-validate
+}
+
+/** One recorded reference, as pinned by the reference-stream test. */
+struct PinnedRef
+{
+    Addr addr;
+    std::uint16_t size;
+    bool write;
+    AccessPhase phase;
+    bool depends;
+    bool lowEntropy;
+};
+
+void
+expectStream(const AccessTrace &trace,
+             std::initializer_list<PinnedRef> expected, const char *what)
+{
+    ASSERT_EQ(trace.size(), expected.size()) << what;
+    std::size_t i = 0;
+    for (const PinnedRef &want : expected) {
+        const MemRef &got = trace[i];
+        EXPECT_EQ(got.addr, want.addr) << what << " ref " << i;
+        EXPECT_EQ(got.size, want.size) << what << " ref " << i;
+        EXPECT_EQ(got.write, want.write) << what << " ref " << i;
+        EXPECT_EQ(got.phase, want.phase) << what << " ref " << i;
+        EXPECT_EQ(got.dependsOnPrevious, want.depends)
+            << what << " ref " << i;
+        EXPECT_EQ(got.lowEntropyBranch, want.lowEntropy)
+            << what << " ref " << i;
+        ++i;
+    }
+}
+
+/**
+ * The traced scalar lookup is the reference stream the timing models
+ * price, so its exact refs are pinned here as recorded constants:
+ * metadata, version lock, key fetch, primary bucket (depends), its kv
+ * candidates, the alternate bucket (only when the Bloom admits it),
+ * version lock — with the low-entropy branch flag on tiny tables.
+ */
+TEST(Cuckoo, LookupReferenceStreamMatchesRecorded)
+{
+    using P = AccessPhase;
+    constexpr Addr noKey = invalidAddr;
+    {
+        // 16 buckets at ~78% load: some keys overflow to the alternate.
+        SimMemory mem(32 << 20);
+        CuckooHashTable t(mem, {16, 100, HashKind::XxMix, 0x2b, 0.95});
+        ASSERT_EQ(t.metadata().numBuckets, 16u);
+        for (std::uint64_t i = 0; i < 100; ++i)
+            ASSERT_TRUE(t.insert(KeyView(makeKey(i)), i * 7 + 3));
+
+        AccessTrace trace;
+        EXPECT_EQ(t.lookup(KeyView(makeKey(0)), &trace, 0x9000), 3u);
+        expectStream(trace,
+                     {{0x40, 64, false, P::Metadata, false, false},
+                      {0x80, 8, false, P::Lock, false, false},
+                      {0x9000, 16, false, P::KeyFetch, false, false},
+                      {0x1c0, 64, false, P::Bucket, true, false},
+                      {0x4c0, 24, false, P::KeyValue, true, false},
+                      {0x80, 8, false, P::Lock, false, false}},
+                     "primary-bucket hit");
+
+        trace.clear();
+        EXPECT_EQ(t.lookup(KeyView(makeKey(78)), &trace, 0x9000), 549u);
+        expectStream(trace,
+                     {{0x40, 64, false, P::Metadata, false, false},
+                      {0x80, 8, false, P::Lock, false, false},
+                      {0x9000, 16, false, P::KeyFetch, false, false},
+                      {0x300, 64, false, P::Bucket, true, false},
+                      {0x140, 64, false, P::Bucket, false, false},
+                      {0xc10, 24, false, P::KeyValue, true, false},
+                      {0x80, 8, false, P::Lock, false, false}},
+                     "alternate-bucket hit");
+
+        trace.clear();
+        EXPECT_FALSE(t.lookup(KeyView(makeKey(1000)), &trace).has_value());
+        expectStream(trace,
+                     {{0x40, 64, false, P::Metadata, false, false},
+                      {0x80, 8, false, P::Lock, false, false},
+                      {noKey, 16, false, P::KeyFetch, false, false},
+                      {0x480, 64, false, P::Bucket, true, false},
+                      {0x280, 64, false, P::Bucket, false, false},
+                      {0x80, 8, false, P::Lock, false, false}},
+                     "two-bucket miss");
+    }
+    {
+        // Nothing displaced: every Bloom is empty, so a miss ends after
+        // the primary bucket.
+        SimMemory mem(32 << 20);
+        CuckooHashTable::Config cfg{16, 1024, HashKind::XxMix, 0x2c, 0.95};
+        cfg.negativeFilter = true;
+        CuckooHashTable t(mem, cfg);
+        for (std::uint64_t i = 0; i < 64; ++i)
+            ASSERT_TRUE(t.insert(KeyView(makeKey(i)), i));
+
+        AccessTrace trace;
+        EXPECT_FALSE(t.lookup(KeyView(makeKey(5000)), &trace).has_value());
+        expectStream(trace,
+                     {{0x40, 64, false, P::Metadata, false, false},
+                      {0x80, 8, false, P::Lock, false, false},
+                      {noKey, 16, false, P::KeyFetch, false, false},
+                      {0xd80, 64, false, P::Bucket, true, false},
+                      {0x80, 8, false, P::Lock, false, false}},
+                     "Bloom-stopped miss");
+    }
+    {
+        // Two buckets: probe branches are learnable (low entropy).
+        SimMemory mem(32 << 20);
+        CuckooHashTable t(mem, {16, 12, HashKind::XxMix, 0x2d, 0.95});
+        ASSERT_EQ(t.metadata().numBuckets, 2u);
+        for (std::uint64_t i = 0; i < 12; ++i)
+            ASSERT_TRUE(t.insert(KeyView(makeKey(i)), i + 100));
+
+        AccessTrace trace;
+        EXPECT_EQ(t.lookup(KeyView(makeKey(3)), &trace), 103u);
+        expectStream(trace,
+                     {{0x40, 64, false, P::Metadata, false, false},
+                      {0x80, 8, false, P::Lock, false, false},
+                      {noKey, 16, false, P::KeyFetch, false, false},
+                      {0x100, 64, false, P::Bucket, true, true},
+                      {0x188, 24, false, P::KeyValue, true, true},
+                      {0x80, 8, false, P::Lock, false, false}},
+                     "small-table hit");
+
+        trace.clear();
+        EXPECT_FALSE(t.lookup(KeyView(makeKey(77)), &trace).has_value());
+        expectStream(trace,
+                     {{0x40, 64, false, P::Metadata, false, false},
+                      {0x80, 8, false, P::Lock, false, false},
+                      {noKey, 16, false, P::KeyFetch, false, false},
+                      {0xc0, 64, false, P::Bucket, true, true},
+                      {0x100, 64, false, P::Bucket, false, true},
+                      {0x80, 8, false, P::Lock, false, false}},
+                     "small-table miss");
+    }
 }
 
 TEST(Cuckoo, InsertTraceContainsWrites)
