@@ -18,10 +18,11 @@
  * from a Zipf(skew) popularity distribution. Every (flows, skew) cell
  * runs three times, once per EMC policy:
  *
- *   fixed    — EMC always on (OVS default; blind promotion/overwrite)
- *   adaptive — managed EMC: flow-count-driven disable/enable/resize,
- *              occupancy-aware promotion throttling, recency-informed
- *              eviction (RuntimeConfig::emcPolicy.adaptive)
+ *   fixed    — EMC always on without the controller (OVS default;
+ *              blind promotion, recency-informed eviction)
+ *   adaptive — the same EMC plus the controller: flow-count-driven
+ *              disable/enable/resize and occupancy-aware promotion
+ *              throttling (RuntimeConfig::emcPolicy.adaptive)
  *   off      — EMC compiled out of the pipeline (the paper's static
  *              hybrid decision, as an oracle reference)
  *

@@ -1,6 +1,7 @@
 #include "core/accelerator.hh"
 
 #include <algorithm>
+#include <array>
 #include <cstring>
 
 #include "flow/tuple_space.hh"
@@ -139,7 +140,9 @@ HaloAccelerator::runHashLookup(const TableMetadata &md, Addr key_addr,
     const Cycles key_cmp =
         cfg.keyCompareCyclesPer32B * ceilDiv(md.keyLen, 32);
 
-    std::vector<Addr> locked;
+    // At most a bucket line and its eight kv slots per bucket probed.
+    std::array<Addr, 2 * (1 + entriesPerBucket)> locked;
+    std::size_t numLocked = 0;
     auto probeBucket = [&](std::uint64_t bucket) -> bool {
         // Fetch-and-lock: the CHA brings the line into its slice and
         // sets the lock bit as part of the same transaction, so the
@@ -155,7 +158,7 @@ HaloAccelerator::runHashLookup(const TableMetadata &md, Addr key_addr,
         now += bucket_acc.latency;
         result.breakdown.dataAccess += bucket_acc.latency;
         now += acquireLock(bline, result.breakdown);
-        locked.push_back(bline);
+        locked[numLocked++] = bline;
 
         // All 8 comparators check signatures in parallel.
         now += cfg.sigCompareCycles;
@@ -181,7 +184,7 @@ HaloAccelerator::runHashLookup(const TableMetadata &md, Addr key_addr,
             now += kv_acc.latency;
             result.breakdown.dataAccess += kv_acc.latency;
             now += acquireLock(lineAlign(slot_addr), result.breakdown);
-            locked.push_back(lineAlign(slot_addr));
+            locked[numLocked++] = lineAlign(slot_addr);
 
             now += key_cmp;
             result.breakdown.compute += key_cmp;
@@ -211,9 +214,9 @@ HaloAccelerator::runHashLookup(const TableMetadata &md, Addr key_addr,
 
     // Release every lock taken during the query (SS4.4: "the locked
     // state ... will not be cleared until the end of the query").
-    for (Addr line : locked)
-        hier.unlockLine(line);
-    if (cfg.useHardwareLock && !locked.empty()) {
+    for (std::size_t i = 0; i < numLocked; ++i)
+        hier.unlockLine(locked[i]);
+    if (cfg.useHardwareLock && numLocked > 0) {
         now += cfg.lockCycles;
         result.breakdown.locking += cfg.lockCycles;
     }

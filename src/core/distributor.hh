@@ -30,7 +30,6 @@ class QueryDistributor
     SliceId route(Addr table_addr, Addr key_addr);
 
     DispatchPolicy policy() const { return policy_; }
-    void setPolicy(DispatchPolicy p) { policy_ = p; }
 
     StatGroup &stats() { return statGroup; }
 

@@ -1,7 +1,6 @@
 #include "cpu/core_model.hh"
 
 #include <algorithm>
-#include <vector>
 
 #include "sim/logging.hh"
 
@@ -24,13 +23,13 @@ CoreModel::run(const OpTrace &trace, Cycles start)
         return res;
 
     const std::size_t n = trace.size();
-    std::vector<Cycles> complete(n, 0);
+    complete.assign(n, 0);
 
     // Ring buffers for in-order resource reclamation.
-    std::vector<Cycles> retireRing(cfg.robEntries, 0);
-    std::vector<Cycles> loadRing(cfg.lqEntries, 0);
-    std::vector<Cycles> storeRing(cfg.sqEntries, 0);
-    std::vector<Cycles> mshrRing(cfg.mshrs, 0);
+    retireRing.assign(cfg.robEntries, 0);
+    loadRing.assign(cfg.lqEntries, 0);
+    storeRing.assign(cfg.sqEntries, 0);
+    mshrRing.assign(cfg.mshrs, 0);
     std::size_t loadSeq = 0, storeSeq = 0;
 
     Cycles dispatchCycle = start;

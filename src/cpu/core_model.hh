@@ -15,6 +15,7 @@
 
 #include <array>
 #include <cstdint>
+#include <vector>
 
 #include "cpu/micro_op.hh"
 #include "mem/hierarchy.hh"
@@ -99,8 +100,10 @@ struct RunResult
 };
 
 /**
- * The core model itself. Stateless between run() calls apart from the
- * attached memory hierarchy (cache contents persist, as they should).
+ * The core model itself. No run() sees state from an earlier one apart
+ * from the attached memory hierarchy (cache contents persist, as they
+ * should); the per-run bookkeeping lives in reused member scratch so a
+ * warm run allocates nothing.
  */
 class CoreModel
 {
@@ -128,6 +131,14 @@ class CoreModel
     CoreId core;
     CoreConfig cfg;
     LookupEngine *engine = nullptr;
+
+    /// run() scratch: per-op completion cycles, and ring buffers for
+    /// in-order resource reclamation (ROB, load/store queues, MSHRs).
+    std::vector<Cycles> complete;
+    std::vector<Cycles> retireRing;
+    std::vector<Cycles> loadRing;
+    std::vector<Cycles> storeRing;
+    std::vector<Cycles> mshrRing;
 };
 
 } // namespace halo

@@ -15,13 +15,9 @@ constexpr std::uint64_t genOffset = 4;
 constexpr std::uint64_t keyOffset = 8;
 constexpr std::uint64_t valueOffset = 24;
 
-/** Signature-compare mask: managed mode keeps only the low 16 bits of
- *  the signature word (the high 16 carry the insert epoch). */
-constexpr std::uint32_t
-sigCompareMask(bool managed)
-{
-    return managed ? 0xffffu : ~0u;
-}
+/** A slot's signature word keeps the signature in its low 16 bits and
+ *  the insert epoch in its high 16. */
+constexpr std::uint32_t sigMask = 0xffffu;
 
 } // namespace
 
@@ -46,21 +42,16 @@ ExactMatchCache::hashKey(
 
 std::optional<std::uint64_t>
 ExactMatchCache::probeConcurrent(const std::uint8_t *key, std::uint64_t h,
-                                 std::uint64_t mask,
-                                 AccessTrace *trace) const
+                                 std::uint64_t mask) const
 {
     const std::uint32_t sig = shortSignature(h);
     const std::uint32_t gen = generation.load(std::memory_order_relaxed);
-    const std::uint32_t sigMask = sigCompareMask(managed_);
     const std::uint64_t idx[2] = {h & mask, (h >> 32) & mask};
 
     for (int probe = 0; probe < 2; ++probe) {
         const Addr slot = slotAddr(idx[probe]);
-        recordRef(trace, slot, slotBytes, false, AccessPhase::Bucket,
-                  probe == 0);
         // Per-slot seqlock read section: slots are independent, so a
-        // retry re-copies only this slot (no refs recorded inside the
-        // loop — the probe above is the one the scalar path records).
+        // retry re-copies only this slot.
         alignas(8) std::uint8_t view[slotBytes];
         for (;;) {
             const std::uint32_t v = seq_.readBegin(idx[probe]);
@@ -100,9 +91,10 @@ ExactMatchCache::lookup(
     AccessTrace *trace) const
 {
     if (concurrent_) [[unlikely]] {
+        HALO_ASSERT(!trace, "a concurrent EMC records no trace");
         const auto v = probeConcurrent(
             key.data(), hashKey(key),
-            activeMask_.load(std::memory_order_relaxed), trace);
+            activeMask_.load(std::memory_order_relaxed));
         (v ? hits_ : misses_).fetch_add(1, std::memory_order_relaxed);
         return v;
     }
@@ -110,7 +102,6 @@ ExactMatchCache::lookup(
     const std::uint64_t h = hashKey(key);
     const std::uint32_t sig = shortSignature(h);
     const std::uint32_t gen = generation.load(std::memory_order_relaxed);
-    const std::uint32_t sigMask = sigCompareMask(managed_);
     // Two candidate positions from independent halves of the hash
     // (OVS's EMC_FOR_EACH_POS_WITH_HASH probing).
     const std::uint64_t mask = activeMask_.load(std::memory_order_relaxed);
@@ -177,8 +168,7 @@ ExactMatchCache::lookupBulk(const std::uint8_t *const *keys,
         }
         std::uint32_t found = 0;
         for (std::size_t i = 0; i < n; ++i) {
-            if (const auto v =
-                    probeConcurrent(keys[i], hashes[i], mask, nullptr)) {
+            if (const auto v = probeConcurrent(keys[i], hashes[i], mask)) {
                 values[i] = *v;
                 found |= 1u << i;
             }
@@ -190,7 +180,6 @@ ExactMatchCache::lookupBulk(const std::uint8_t *const *keys,
     }
 
     const std::uint32_t gen = generation.load(std::memory_order_relaxed);
-    const std::uint32_t sigMask = sigCompareMask(managed_);
 
     struct Lane
     {
@@ -266,76 +255,41 @@ ExactMatchCache::insert(
     const std::uint64_t mask = activeMask_.load(std::memory_order_relaxed);
     const std::uint64_t idx[2] = {h & mask, (h >> 32) & mask};
 
+    // Fill an invalid slot, update a matching key, and otherwise evict
+    // the candidate whose insert epoch is furthest behind the current
+    // one (recency-informed replacement). A tie overwrites the first
+    // candidate, so a cache whose epoch never advances always does.
     enum class Victim { Fill, Update, Overwrite };
     Victim kind = Victim::Overwrite;
     Addr victim = slotAddr(idx[0]);
-
-    if (!managed_) {
-        // Prefer an invalid slot; otherwise overwrite the first
-        // candidate (EMC entries are expendable — it is a cache, not a
-        // store).
-        for (int probe = 0; probe < 2; ++probe) {
-            const Addr slot = slotAddr(idx[probe]);
-            if (mem.load<std::uint32_t>(slot + genOffset) != gen) {
-                victim = slot;
-                kind = Victim::Fill;
-                break;
-            }
-            // Same key already present: update in place.
-            if (mem.load<std::uint32_t>(slot + sigOffset) == sig &&
-                mem.equals(slot + keyOffset, key.data(), key.size())) {
-                victim = slot;
-                kind = Victim::Update;
-                break;
-            }
+    std::uint32_t sigs[2] = {};
+    for (int probe = 0; probe < 2; ++probe) {
+        const Addr slot = slotAddr(idx[probe]);
+        sigs[probe] = mem.load<std::uint32_t>(slot + sigOffset);
+        if (mem.load<std::uint32_t>(slot + genOffset) != gen) {
+            victim = slot;
+            kind = Victim::Fill;
+            break;
         }
-    } else {
-        // Managed mode: fill an invalid slot, update a matching key,
-        // and otherwise evict the candidate whose insert epoch is
-        // furthest behind the current one (recency-informed
-        // replacement; ties keep the first candidate, matching the
-        // plain policy).
-        std::uint32_t sigs[2] = {};
-        bool valid[2] = {};
-        for (int probe = 0; probe < 2; ++probe) {
-            const Addr slot = slotAddr(idx[probe]);
-            valid[probe] =
-                mem.load<std::uint32_t>(slot + genOffset) == gen;
-            sigs[probe] = mem.load<std::uint32_t>(slot + sigOffset);
+        if (((sigs[probe] ^ sig) & sigMask) == 0 &&
+            mem.equals(slot + keyOffset, key.data(), key.size())) {
+            victim = slot;
+            kind = Victim::Update;
+            break;
         }
-        bool resolved = false;
-        for (int probe = 0; probe < 2; ++probe) {
-            const Addr slot = slotAddr(idx[probe]);
-            if (!valid[probe]) {
-                victim = slot;
-                kind = Victim::Fill;
-                resolved = true;
-                break;
-            }
-            if (((sigs[probe] ^ sig) & 0xffffu) == 0 &&
-                mem.equals(slot + keyOffset, key.data(), key.size())) {
-                victim = slot;
-                kind = Victim::Update;
-                resolved = true;
-                break;
-            }
-        }
-        if (!resolved && idx[0] != idx[1]) {
-            // Wraparound distance from the current epoch: larger =
-            // staler.
-            const auto age0 = static_cast<std::uint16_t>(
-                epoch_ - static_cast<std::uint16_t>(sigs[0] >> 16));
-            const auto age1 = static_cast<std::uint16_t>(
-                epoch_ - static_cast<std::uint16_t>(sigs[1] >> 16));
-            if (age1 > age0)
-                victim = slotAddr(idx[1]);
-        }
+    }
+    if (kind == Victim::Overwrite && idx[0] != idx[1]) {
+        // Wraparound distance from the current epoch: larger = staler.
+        const auto age0 = static_cast<std::uint16_t>(
+            epoch_ - static_cast<std::uint16_t>(sigs[0] >> 16));
+        const auto age1 = static_cast<std::uint16_t>(
+            epoch_ - static_cast<std::uint16_t>(sigs[1] >> 16));
+        if (age1 > age0)
+            victim = slotAddr(idx[1]);
     }
 
     const std::uint32_t stamp =
-        managed_ ? ((sig & 0xffffu) |
-                    (static_cast<std::uint32_t>(epoch_) << 16))
-                 : sig;
+        (sig & sigMask) | (static_cast<std::uint32_t>(epoch_) << 16);
 
     if (concurrent_) [[unlikely]] {
         // Compose the slot off to the side, then publish it under the
@@ -355,13 +309,11 @@ ExactMatchCache::insert(
         mem.write(victim + keyOffset, key.data(), key.size());
         mem.store<std::uint64_t>(victim + valueOffset, value);
     }
-    if (managed_) {
-        if (kind == Victim::Fill) {
-            ++live_;
-            livePub_.set(live_);
-        } else if (kind == Victim::Overwrite) {
-            evictOverwrites_.add(1);
-        }
+    if (kind == Victim::Fill) {
+        ++live_;
+        livePub_.set(live_);
+    } else if (kind == Victim::Overwrite) {
+        evictOverwrites_.add(1);
     }
     recordRef(trace, victim, slotBytes, true, AccessPhase::Bucket);
     return (victim - base) / slotBytes;
@@ -374,7 +326,6 @@ ExactMatchCache::erase(
     const std::uint64_t h = hashKey(key);
     const std::uint32_t sig = shortSignature(h);
     const std::uint32_t gen = generation.load(std::memory_order_relaxed);
-    const std::uint32_t sigMask = sigCompareMask(managed_);
     const std::uint64_t mask = activeMask_.load(std::memory_order_relaxed);
     const std::uint64_t idx[2] = {h & mask, (h >> 32) & mask};
 
@@ -397,7 +348,7 @@ ExactMatchCache::erase(
         } else {
             mem.zero(slot, slotBytes);
         }
-        if (managed_ && live_ > 0) {
+        if (live_ > 0) {
             --live_;
             livePub_.set(live_);
         }
@@ -415,16 +366,8 @@ ExactMatchCache::enableConcurrent()
 }
 
 void
-ExactMatchCache::enableManaged()
-{
-    HALO_ASSERT(!managed_, "managed mode enabled twice");
-    managed_ = true;
-}
-
-void
 ExactMatchCache::setActiveEntries(std::uint64_t entries)
 {
-    HALO_ASSERT(managed_, "EMC resize needs managed mode");
     HALO_ASSERT(entries >= 2 && isPowerOfTwo(entries) &&
                     entries <= numEntries,
                 "EMC active entries: power of two within the footprint");

@@ -4,7 +4,8 @@
  * (paper Fig. 2a).
  *
  * The EMC is a small fixed-size signature cache keyed on the full packet
- * header: one hash, two candidate entries, replace-on-miss. It lives in
+ * header: one hash, two candidate entries, replace-on-miss (the older
+ * insert epoch of the two goes). It lives in
  * simulated memory so its (small) cache footprint and its limited
  * capacity — the reason MegaFlow dominates at high flow counts — are
  * both real in the model.
@@ -48,7 +49,6 @@ class ExactMatchCache
           concurrent_(other.concurrent_),
           seq_(std::move(other.seq_)),
           seqRetries_(other.seqRetries_.load(std::memory_order_relaxed)),
-          managed_(other.managed_),
           epoch_(other.epoch_),
           live_(other.live_),
           activeMask_(other.activeMask_.load(std::memory_order_relaxed)),
@@ -81,8 +81,9 @@ class ExactMatchCache
                              std::uint64_t (*slots)[2]) const;
 
     /**
-     * Insert (replaces the older of the two candidates on conflict).
-     * @return the slot index that was written.
+     * Insert: fill an empty candidate or update the key's own slot;
+     * otherwise overwrite the candidate with the older insert epoch
+     * (on a tie, the first). @return the slot index that was written.
      */
     std::uint64_t
     insert(std::span<const std::uint8_t, FiveTuple::keyBytes> key,
@@ -115,18 +116,16 @@ class ExactMatchCache
     }
     /**@}*/
 
-    /** @name Managed-cache mode (adaptive EMC, DESIGN.md §16)
+    /** @name Eviction and sizing (adaptive EMC, DESIGN.md §16)
      *
-     * enableManaged() — call before threads start — rededicates the
-     * high 16 bits of each slot's signature word as an insert-epoch
-     * stamp (PR 6 freed the analogous aux bytes in the cuckoo bucket
-     * line; the EMC's 32-bit signature has the same slack: the low 16
-     * bits filter just as well because the full-key compare still
-     * gates every hit). The single writer then gains
+     * The high 16 bits of each slot's signature word hold the insert
+     * epoch (the low 16 bits filter just as well because the full-key
+     * compare still gates every hit). The single writer gets
      *
      *  - recency-informed eviction: on a two-way conflict the insert
-     *    overwrites the candidate with the *older* insert epoch
-     *    instead of blindly clobbering the first one;
+     *    overwrites the candidate with the *older* insert epoch; a cache
+     *    whose epoch never advances (a timed switch) always overwrites
+     *    the first candidate;
      *  - occupancy tracking (liveEntries(), any thread);
      *  - seqlock-safe disable/enable/resize: setEnabled() is one
      *    relaxed flag the data path consults before probing, and
@@ -136,9 +135,6 @@ class ExactMatchCache
      *    alias a live flow). Readers never block on any transition.
      */
     /**@{*/
-    void enableManaged();
-    bool managedEnabled() const { return managed_; }
-
     /** Writer-side: epoch stamped into subsequent inserts (the
      *  revalidator's aging sweep advances it). */
     void setEpoch(std::uint16_t epoch) { epoch_ = epoch; }
@@ -171,8 +167,7 @@ class ExactMatchCache
         return activeMask_.load(std::memory_order_relaxed) + 1;
     }
 
-    /** Valid entries currently cached (published mirror; any thread).
-     *  Exact in managed mode, 0 otherwise. */
+    /** Valid entries currently cached (published mirror; any thread). */
     std::uint64_t liveEntries() const { return livePub_.value(); }
 
     /** @name Lookup/eviction telemetry (relaxed counters, any thread) */
@@ -186,7 +181,7 @@ class ExactMatchCache
     {
         return misses_.load(std::memory_order_relaxed);
     }
-    /** Live entries overwritten by a conflicting insert (managed). */
+    /** Live entries overwritten by a conflicting insert. */
     std::uint64_t evictOverwrites() const
     {
         return evictOverwrites_.value();
@@ -196,7 +191,7 @@ class ExactMatchCache
     /**@}*/
 
     /** Constructed (maximum) entry count; the probed range may be
-     *  smaller in managed mode, see activeEntries(). */
+     *  smaller, see activeEntries(). */
     std::uint64_t entryCount() const { return numEntries; }
     std::uint64_t footprintBytes() const { return numEntries * slotBytes; }
     Addr baseAddr() const { return base; }
@@ -220,20 +215,18 @@ class ExactMatchCache
         std::span<const std::uint8_t, FiveTuple::keyBytes> key) const;
 
     /** Seqlock-validated probe of @p key (hash @p h, index mask
-     *  @p mask) used for every lookup in concurrent mode; records the
-     *  same refs as the plain lookup and counts no hit or miss. */
+     *  @p mask) used for every lookup in concurrent mode; records
+     *  nothing and counts no hit or miss. */
     std::optional<std::uint64_t> probeConcurrent(const std::uint8_t *key,
                                                  std::uint64_t h,
-                                                 std::uint64_t mask,
-                                                 AccessTrace *trace) const;
+                                                 std::uint64_t mask) const;
 
     SimMemory &mem;
     std::uint64_t numEntries;
     std::uint64_t seed_;
     Addr base = invalidAddr;
-    /// Current generation; relaxed atomic so the managed-mode writer
-    /// can bump it (O(1) invalidate-all) under concurrent readers.
-    /// Plain mode never mutates it post-setup.
+    /// Current generation; relaxed atomic so the writer can bump it
+    /// (O(1) invalidate-all) under concurrent readers.
     std::atomic<std::uint32_t> generation{1};
 
     /// Concurrent host-path mode (host-side seqlocks, one per slot).
@@ -241,10 +234,8 @@ class ExactMatchCache
     SeqlockArray seq_;
     mutable std::atomic<std::uint64_t> seqRetries_{0};
 
-    /// Managed-cache mode (adaptive EMC). All writes below are
-    /// single-writer (revalidator); atomics are the reader-visible
-    /// knobs/telemetry.
-    bool managed_ = false;
+    /// Eviction and sizing state. All writes below are single-writer
+    /// (revalidator); atomics are the reader-visible knobs/telemetry.
     std::uint16_t epoch_ = 0;        ///< writer-side insert stamp
     std::uint64_t live_ = 0;         ///< writer-owned occupancy
     PublishedCounter livePub_;       ///< any-thread mirror of live_
@@ -252,7 +243,7 @@ class ExactMatchCache
     std::atomic<bool> enabled_{true};
     mutable std::atomic<std::uint64_t> hits_{0};
     mutable std::atomic<std::uint64_t> misses_{0};
-    PublishedCounter evictOverwrites_; ///< writer-side (managed)
+    PublishedCounter evictOverwrites_; ///< writer-side
     PublishedCounter clears_;          ///< generation bumps
 };
 

@@ -40,21 +40,8 @@ TupleSpace::addRule(const FlowRule &rule)
         KeyView(rule.maskedKey.data(), rule.maskedKey.size()), value);
 }
 
-bool
-TupleSpace::eraseRule(const FlowMask &mask,
-                      std::span<const std::uint8_t> masked_key)
-{
-    for (auto &t : tuples) {
-        if (t->mask == mask)
-            return t->table.erase(
-                KeyView(masked_key.data(), masked_key.size()));
-    }
-    return false;
-}
-
 std::optional<TupleMatch>
-TupleSpace::lookupFirst(std::span<const std::uint8_t> key,
-                        AccessTrace *trace) const
+TupleSpace::lookupFirst(std::span<const std::uint8_t> key) const
 {
     HALO_ASSERT(key.size() == FiveTuple::keyBytes);
     // Stack-local masked-key scratch: lookupFirst/lookupBest may run on
@@ -66,7 +53,7 @@ TupleSpace::lookupFirst(std::span<const std::uint8_t> key,
         tuples[i]->mask.applyInto(key, maskScratch.data());
         ++searched;
         if (auto value = tuples[i]->table.lookup(
-                KeyView(maskScratch.data(), maskScratch.size()), trace)) {
+                KeyView(maskScratch.data(), maskScratch.size()))) {
             TupleMatch match;
             match.value = *value;
             match.priority = decodeRulePriority(*value);
@@ -129,8 +116,7 @@ TupleSpace::lookupFirstBulk(const std::uint8_t *const *keys,
 }
 
 std::optional<TupleMatch>
-TupleSpace::lookupBest(std::span<const std::uint8_t> key,
-                       AccessTrace *trace) const
+TupleSpace::lookupBest(std::span<const std::uint8_t> key) const
 {
     HALO_ASSERT(key.size() == FiveTuple::keyBytes);
     std::array<std::uint8_t, FiveTuple::keyBytes> maskScratch;
@@ -138,7 +124,7 @@ TupleSpace::lookupBest(std::span<const std::uint8_t> key,
     for (unsigned i = 0; i < tuples.size(); ++i) {
         tuples[i]->mask.applyInto(key, maskScratch.data());
         if (auto value = tuples[i]->table.lookup(
-                KeyView(maskScratch.data(), maskScratch.size()), trace)) {
+                KeyView(maskScratch.data(), maskScratch.size()))) {
             const std::uint16_t prio = decodeRulePriority(*value);
             if (!best || prio > best->priority) {
                 best = TupleMatch{*value, prio, i, 0};

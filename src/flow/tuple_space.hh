@@ -81,17 +81,9 @@ class TupleSpace
      */
     unsigned ensureTuple(const FlowMask &mask, std::uint64_t capacity = 0);
 
-    /**
-     * Remove the rule stored under (@p mask, @p masked_key), if any
-     * (flow aging). @return true when a rule was removed.
-     */
-    bool eraseRule(const FlowMask &mask,
-                   std::span<const std::uint8_t> masked_key);
-
     /** First-match search (MegaFlow semantics). */
     std::optional<TupleMatch>
-    lookupFirst(std::span<const std::uint8_t> key,
-                AccessTrace *trace = nullptr) const;
+    lookupFirst(std::span<const std::uint8_t> key) const;
 
     /** Per-lane result of one bulk first-match walk. */
     struct BulkWalkLane
@@ -125,8 +117,7 @@ class TupleSpace
 
     /** Best-match search across all tuples (OpenFlow semantics). */
     std::optional<TupleMatch>
-    lookupBest(std::span<const std::uint8_t> key,
-               AccessTrace *trace = nullptr) const;
+    lookupBest(std::span<const std::uint8_t> key) const;
 
     unsigned numTuples() const { return static_cast<unsigned>(
         tuples.size()); }

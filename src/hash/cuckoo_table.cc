@@ -112,8 +112,8 @@ CuckooHashTable::readEntry(std::uint64_t bucket, unsigned way) const
 }
 
 void
-CuckooHashTable::writeEntryRaw(std::uint64_t bucket, unsigned way,
-                               const BucketEntry &entry)
+CuckooHashTable::writeEntry(std::uint64_t bucket, unsigned way,
+                            const BucketEntry &entry)
 {
     BucketEntry stored = entry;
     if (negFilter_) {
@@ -134,20 +134,6 @@ CuckooHashTable::writeEntryRaw(std::uint64_t bucket, unsigned way,
         return;
     }
     mem.store(bucketEntryAddr(md, bucket, way), stored);
-}
-
-void
-CuckooHashTable::writeEntry(std::uint64_t bucket, unsigned way,
-                            const BucketEntry &entry)
-{
-    if (concurrent_) [[unlikely]] {
-        // Seqlocked publish: readers snapshotting this bucket retry.
-        seq_.writeBegin(bucket);
-        writeEntryRaw(bucket, way, entry);
-        seq_.writeEnd(bucket);
-        return;
-    }
-    writeEntryRaw(bucket, way, entry);
 }
 
 void
@@ -173,8 +159,6 @@ void
 CuckooHashTable::bloomAdd(std::uint64_t bucket, std::uint32_t sig,
                           AccessTrace *trace)
 {
-    if (!negFilter_)
-        return;
     const std::uint32_t bits = bloomBitsForSig(sig & sig24Mask);
     const std::uint8_t *line = bucketLine(bucket);
     const std::uint32_t bloom = auxBloomOf(line);
@@ -203,10 +187,10 @@ CuckooHashTable::txBegin(std::uint64_t a, std::uint64_t b)
 {
     if (!concurrent_) [[likely]]
         return;
-    // One write section spanning every store of a filtered mutation:
-    // the nested-writeBegin a writeEntry() per store would do breaks
-    // the odd-means-writing invariant, so filtered paths lock the
-    // affected buckets once and use the raw store helpers inside.
+    // One write section spanning every store of a mutation: a
+    // writeBegin per store would nest and break the odd-means-writing
+    // invariant, so each mutation locks the affected buckets once and
+    // stores inside.
     seq_.writeBegin(a);
     if (b != a)
         seq_.writeBegin(b);
@@ -301,73 +285,10 @@ CuckooHashTable::find(KeyView key, std::uint32_t sig, std::uint64_t b1,
 }
 
 std::optional<std::uint64_t>
-CuckooHashTable::lookupUntraced(KeyView key) const
-{
-    // The recording path below stays the reference implementation; this
-    // branch-free replica of it runs when no trace is requested — the
-    // steady-state case for warmed tables — and returns byte-identical
-    // results while skipping all recording bookkeeping.
-    std::uint32_t sig = 0;
-    const std::uint64_t b1 = primaryBucket(key, sig);
-    const std::uint64_t b2 = alternativeBucket(b1, sig, md.bucketMask);
-    for (std::uint64_t bucket : {b1, b2}) {
-        const std::uint8_t *line = bucketLine(bucket);
-        for (unsigned mask = sigScan(line, sig); mask;
-             mask &= mask - 1) {
-            const unsigned way =
-                static_cast<unsigned>(std::countr_zero(mask));
-            const BucketEntry entry = entryAt(line, way);
-            // One view over the whole kv slot serves both the key
-            // compare and the value fetch.
-            const Addr slot_addr = kvSlotAddr(md, entry.kvRef - 1);
-            const std::uint8_t *slot =
-                mem.rangeView(slot_addr, md.kvSlotBytes);
-            std::uint8_t bounce[8 + 64];
-            if (!slot) [[unlikely]] { // slot straddles a page
-                mem.read(slot_addr, bounce, md.kvSlotBytes);
-                slot = bounce;
-            }
-            if (bytesEqual(key.data(), slot + kvKeyOffset, md.keyLen)) {
-                std::uint64_t value;
-                std::memcpy(&value, slot + kvValueOffset, sizeof(value));
-                return value;
-            }
-        }
-        if (b1 == b2 || (negFilter_ && !bloomMayContain(line, sig)))
-            break;
-    }
-    return std::nullopt;
-}
-
-std::optional<std::uint64_t>
-CuckooHashTable::lookupConcurrent(KeyView key, AccessTrace *trace,
-                                  Addr key_addr) const
-{
-    // Same reference stream as the traced scalar lookup; the recorded
-    // version-lock samples now correspond to a protocol the host really
-    // runs (per-bucket, instead of the modeled table-wide counter).
-    if (trace) {
-        recordRef(trace, mdAddr, cacheLineBytes, false,
-                  AccessPhase::Metadata);
-        recordRef(trace, versionAddr(), 8, false, AccessPhase::Lock);
-        recordRef(trace, key_addr, static_cast<std::uint16_t>(md.keyLen),
-                  false, AccessPhase::KeyFetch);
-    }
-
-    std::uint32_t sig = 0;
-    const std::uint64_t b1 = primaryBucket(key, sig);
-    return probeConcurrent(key.data(), sig, b1, trace);
-}
-
-std::optional<std::uint64_t>
 CuckooHashTable::probeConcurrent(const std::uint8_t *key, std::uint32_t sig,
-                                 std::uint64_t b1, AccessTrace *trace) const
+                                 std::uint64_t b1) const
 {
     const std::uint64_t b2 = alternativeBucket(b1, sig, md.bucketMask);
-    const bool low_entropy = md.numBuckets <= 8;
-    // Rewind point: a retry re-records the probe refs so the winning
-    // attempt's stream alone survives in the trace.
-    const std::size_t base = trace ? trace->size() : 0;
 
     for (;;) {
         // Both candidate counters are snapshotted up front even when
@@ -387,13 +308,8 @@ CuckooHashTable::probeConcurrent(const std::uint8_t *key, std::uint32_t sig,
         bool stale = false;
         std::uint64_t value = 0;
 
-        const auto probe_bucket = [&](std::uint64_t bucket, bool first,
+        const auto probe_bucket = [&](std::uint64_t bucket,
                                       std::uint8_t *line_out) {
-            if (trace) {
-                recordRef(trace, bucketAddr(md, bucket), cacheLineBytes,
-                          false, AccessPhase::Bucket, /*depends=*/first);
-                trace->back().lowEntropyBranch = low_entropy;
-            }
             alignas(8) std::uint8_t line_buf[cacheLineBytes];
             std::uint8_t *line = line_out ? line_out : line_buf;
             mem.readAtomic(bucketAddr(md, bucket), line, cacheLineBytes);
@@ -410,13 +326,6 @@ CuckooHashTable::probeConcurrent(const std::uint8_t *key, std::uint32_t sig,
                     break;
                 }
                 const Addr slot_addr = kvSlotAddr(md, entry.kvRef - 1);
-                if (trace) {
-                    recordRef(trace, slot_addr,
-                              static_cast<std::uint16_t>(md.kvSlotBytes),
-                              false, AccessPhase::KeyValue,
-                              /*depends=*/true);
-                    trace->back().lowEntropyBranch = low_entropy;
-                }
                 alignas(8) std::uint8_t slot[8 + 64];
                 mem.readAtomic(slot_addr, slot, md.kvSlotBytes);
                 if (bytesEqual(key, slot + kvKeyOffset, md.keyLen)) {
@@ -430,24 +339,20 @@ CuckooHashTable::probeConcurrent(const std::uint8_t *key, std::uint32_t sig,
         // Keep the primary line snapshot around: the Cuckoo++ Bloom
         // that gates the alternate probe lives in it.
         alignas(8) std::uint8_t line1[cacheLineBytes];
-        probe_bucket(b1, true, line1);
+        probe_bucket(b1, line1);
         if (!hit && !stale && b2 != b1 &&
             (!negFilter_ || bloomMayContain(line1, sig)))
-            probe_bucket(b2, false, nullptr);
+            probe_bucket(b2, nullptr);
 
         // Order the data loads above before the counter re-check.
         std::atomic_thread_fence(std::memory_order_acquire);
         if (stale || seq_.readRetry(b1, v1) ||
             (b2 != b1 && seq_.readRetry(b2, v2))) {
             seqRetries_.fetch_add(1, std::memory_order_relaxed);
-            if (trace)
-                trace->resize(base);
             cpuRelax();
             continue;
         }
 
-        if (trace)
-            recordRef(trace, versionAddr(), 8, false, AccessPhase::Lock);
         if (!hit)
             return std::nullopt;
         return value;
@@ -487,8 +392,7 @@ CuckooHashTable::lookupUntracedBulk(const std::uint8_t *const *keys,
         }
         std::uint32_t found = 0;
         for (std::size_t i = 0; i < n; ++i) {
-            if (const auto v =
-                    probeConcurrent(keys[i], sigs[i], b1s[i], nullptr)) {
+            if (const auto v = probeConcurrent(keys[i], sigs[i], b1s[i])) {
                 values[i] = *v;
                 found |= 1u << i;
             }
@@ -654,10 +558,14 @@ CuckooHashTable::lookup(KeyView key, AccessTrace *trace,
 {
     HALO_ASSERT(key.size() == md.keyLen, "key length mismatch");
 
-    if (concurrent_) [[unlikely]]
-        return lookupConcurrent(key, trace, key_addr);
-    if (!trace)
-        return lookupUntraced(key);
+    std::uint32_t sig = 0;
+    const std::uint64_t b1 = primaryBucket(key, sig);
+    if (concurrent_) [[unlikely]] {
+        // Concurrent tables serve the host data path; the timing models
+        // price only single-threaded tables' streams.
+        HALO_ASSERT(!trace, "a concurrent table records no trace");
+        return probeConcurrent(key.data(), sig, b1);
+    }
 
     // Metadata is consulted first (hot in L1 for the software path).
     recordRef(trace, mdAddr, cacheLineBytes, false, AccessPhase::Metadata);
@@ -669,68 +577,61 @@ CuckooHashTable::lookup(KeyView key, AccessTrace *trace,
     recordRef(trace, key_addr, static_cast<std::uint16_t>(md.keyLen),
               false, AccessPhase::KeyFetch);
 
-    std::uint32_t sig = 0;
-    const std::uint64_t b1 = primaryBucket(key, sig);
     const std::uint64_t b2 = alternativeBucket(b1, sig, md.bucketMask);
     // Probe branches on tiny tables are learnable by the predictor.
     const bool low_entropy = md.numBuckets <= 8;
-
-    // DPDK software-prefetches both candidate buckets, so the two bucket
-    // loads are independent of each other; each kv probe depends on its
-    // bucket's contents.
-    recordRef(trace, bucketAddr(md, b1), cacheLineBytes, false,
-              AccessPhase::Bucket, /*depends=*/true);
-    if (trace)
+    const auto record = [&](Addr addr, std::uint16_t size, AccessPhase phase,
+                            bool depends) {
+        if (!trace)
+            return;
+        recordRef(trace, addr, size, false, phase, depends);
         trace->back().lowEntropyBranch = low_entropy;
-    std::optional<Located> loc;
-    const std::uint8_t *line = bucketLine(b1);
-    for (unsigned mask = sigScan(line, sig); mask && !loc;
-         mask &= mask - 1) {
-        const unsigned way =
-            static_cast<unsigned>(std::countr_zero(mask));
-        const BucketEntry entry = entryIn(line, way);
-        recordRef(trace, kvSlotAddr(md, entry.kvRef - 1),
-                  static_cast<std::uint16_t>(md.kvSlotBytes), false,
-                  AccessPhase::KeyValue, /*depends=*/true);
-        if (trace)
-            trace->back().lowEntropyBranch = low_entropy;
-        if (keyMatches(entry.kvRef - 1, key))
-            loc = Located{b1, way, entry.kvRef - 1};
-    }
-    // Cuckoo++ early termination: a primary miss proceeds to the
-    // alternate only when the Bloom of signatures displaced OUT of the
-    // primary admits the probe signature. Displaced keys always leave
-    // their bits behind, so a clear Bloom makes the one-bucket miss
-    // definitive.
-    if (!loc && b2 != b1 &&
-        (!negFilter_ || bloomMayContain(line, sig))) {
-        recordRef(trace, bucketAddr(md, b2), cacheLineBytes, false,
-                  AccessPhase::Bucket, /*depends=*/false);
-        if (trace)
-            trace->back().lowEntropyBranch = low_entropy;
-        line = bucketLine(b2);
-        for (unsigned mask = sigScan(line, sig); mask && !loc;
+    };
+
+    std::optional<std::uint64_t> found;
+    for (const std::uint64_t bucket : {b1, b2}) {
+        // DPDK software-prefetches both candidate buckets, so the two
+        // bucket loads are independent of each other; each kv probe
+        // depends on its bucket's contents.
+        record(bucketAddr(md, bucket), cacheLineBytes, AccessPhase::Bucket,
+               /*depends=*/bucket == b1);
+        const std::uint8_t *line = bucketLine(bucket);
+        for (unsigned mask = sigScan(line, sig); mask && !found;
              mask &= mask - 1) {
             const unsigned way =
                 static_cast<unsigned>(std::countr_zero(mask));
-            const BucketEntry entry = entryIn(line, way);
-            recordRef(trace, kvSlotAddr(md, entry.kvRef - 1),
-                      static_cast<std::uint16_t>(md.kvSlotBytes), false,
-                      AccessPhase::KeyValue, /*depends=*/true);
-            if (trace)
-                trace->back().lowEntropyBranch = low_entropy;
-            if (keyMatches(entry.kvRef - 1, key))
-                loc = Located{b2, way, entry.kvRef - 1};
+            const Addr slot_addr =
+                kvSlotAddr(md, entryIn(line, way).kvRef - 1);
+            record(slot_addr, static_cast<std::uint16_t>(md.kvSlotBytes),
+                   AccessPhase::KeyValue, /*depends=*/true);
+            // One view over the whole kv slot serves both the key
+            // compare and the value fetch.
+            const std::uint8_t *slot =
+                mem.rangeView(slot_addr, md.kvSlotBytes);
+            std::uint8_t bounce[8 + 64];
+            if (!slot) [[unlikely]] { // slot straddles a page
+                mem.read(slot_addr, bounce, md.kvSlotBytes);
+                slot = bounce;
+            }
+            if (bytesEqual(key.data(), slot + kvKeyOffset, md.keyLen)) {
+                std::uint64_t value;
+                std::memcpy(&value, slot + kvValueOffset, sizeof(value));
+                found = value;
+            }
         }
+        // Cuckoo++ early termination: a primary miss proceeds to the
+        // alternate only when the Bloom of signatures displaced OUT of
+        // the primary admits the probe signature. Displaced keys always
+        // leave their bits behind, so a clear Bloom makes the one-bucket
+        // miss definitive.
+        if (found || b1 == b2 ||
+            (negFilter_ && !bloomMayContain(line, sig)))
+            break;
     }
 
     // Optimistic lock: re-validate the version counter.
     recordRef(trace, versionAddr(), 8, false, AccessPhase::Lock);
-
-    if (!loc)
-        return std::nullopt;
-    return mem.load<std::uint64_t>(kvSlotAddr(md, loc->slot) +
-                                   kvValueOffset);
+    return found;
 }
 
 std::uint32_t
@@ -829,6 +730,7 @@ CuckooHashTable::makeRoom(std::uint64_t start_bucket, AccessTrace *trace)
     while (idx >= 0) {
         const Node node = nodes[idx];
         const BucketEntry entry = readEntry(node.bucket, node.way);
+        bool leaves_primary = false;
         if (negFilter_) [[unlikely]] {
             // The Bloom tracks keys displaced out of their PRIMARY
             // bucket, which only the key's full hash reveals: fetch
@@ -845,22 +747,20 @@ CuckooHashTable::makeRoom(std::uint64_t start_bucket, AccessTrace *trace)
             HALO_ASSERT(node.bucket == primary ||
                             free_bucket == primary,
                         "cuckoo move outside the key's bucket pair");
-
-            // Both the vacated and the filled bucket mutate inside one
-            // write section, so an optimistic reader holding either
-            // counter of the pair observes the move atomically.
-            txBegin(free_bucket, node.bucket);
-            writeEntryRaw(free_bucket, free_way, entry);
-            writeEntryRaw(node.bucket, node.way, BucketEntry{});
-            // Displaced OUT of its primary: the primary's Bloom keeps
-            // the crumb.
-            if (free_bucket != primary)
-                bloomAdd(primary, entry.sig, trace);
-            txEnd(free_bucket, node.bucket);
-        } else {
-            writeEntry(free_bucket, free_way, entry);
-            writeEntry(node.bucket, node.way, BucketEntry{});
+            leaves_primary = free_bucket != primary;
         }
+
+        // Both the vacated and the filled bucket mutate inside one
+        // write section, so an optimistic reader holding either
+        // counter of the pair observes the move atomically.
+        txBegin(free_bucket, node.bucket);
+        writeEntry(free_bucket, free_way, entry);
+        writeEntry(node.bucket, node.way, BucketEntry{});
+        // Displaced OUT of its primary (then node.bucket): the primary's
+        // Bloom keeps the crumb.
+        if (leaves_primary)
+            bloomAdd(node.bucket, entry.sig, trace);
+        txEnd(free_bucket, node.bucket);
         recordRef(trace, bucketEntryAddr(md, free_bucket, free_way),
                   bucketEntryBytes, true, AccessPhase::Bucket);
         recordRef(trace, bucketEntryAddr(md, node.bucket, node.way),
@@ -970,21 +870,17 @@ CuckooHashTable::insert(KeyView key, std::uint64_t value,
     recordRef(trace, slot_addr, static_cast<std::uint16_t>(md.kvSlotBytes),
               true, AccessPhase::KeyValue);
 
-    if (negFilter_ && target_bucket != b1) [[unlikely]] {
-        // Landing in the alternate straight away counts as displaced
-        // out of the primary. Publish the entry and the primary's Bloom
-        // bits in one write section over the bucket pair: a reader that
-        // Bloom-skipped the alternate while this key was landing there
-        // fails its counter validation and retries.
-        txBegin(target_bucket, b1);
-        writeEntryRaw(target_bucket, static_cast<unsigned>(target_way),
-                      BucketEntry{sig, slot + 1});
+    // Publish the entry in one write section over the bucket pair.
+    // Landing in the alternate straight away counts as displaced out of
+    // the primary, so the filter's Bloom bits go in the same section: a
+    // reader that Bloom-skipped the alternate while this key was landing
+    // there fails its counter validation and retries.
+    txBegin(target_bucket, b1);
+    writeEntry(target_bucket, static_cast<unsigned>(target_way),
+                  BucketEntry{sig, slot + 1});
+    if (negFilter_ && target_bucket != b1)
         bloomAdd(b1, sig, trace);
-        txEnd(target_bucket, b1);
-    } else {
-        writeEntry(target_bucket, static_cast<unsigned>(target_way),
-                   BucketEntry{sig, slot + 1});
-    }
+    txEnd(target_bucket, b1);
     recordRef(trace,
               bucketEntryAddr(md, target_bucket,
                               static_cast<unsigned>(target_way)),
@@ -1018,7 +914,9 @@ CuckooHashTable::erase(KeyView key, AccessTrace *trace)
     bumpVersion(trace);
     // The primary's Bloom bits stay behind: stale crumbs cost at most an
     // extra probe, never an answer.
+    txBegin(loc->bucket, loc->bucket);
     writeEntry(loc->bucket, loc->way, BucketEntry{});
+    txEnd(loc->bucket, loc->bucket);
     recordRef(trace, bucketEntryAddr(md, loc->bucket, loc->way),
               bucketEntryBytes, true, AccessPhase::Bucket);
     freeSlot(loc->slot);

@@ -96,7 +96,11 @@ class CuckooHashTable
     /** @name Functional operations */
     /**@{*/
     /**
-     * Find @p key; returns its value when present.
+     * Find @p key; returns its value when present. The one scalar probe:
+     * with @p trace it also records the reference stream the timing
+     * models price (metadata, version lock, key fetch, primary bucket,
+     * its kv candidates, the alternate bucket when the negative filter
+     * admits it, version lock). A concurrent table takes no trace.
      * @param trace    optional reference-stream recorder
      * @param key_addr simulated address the key bytes live at, when the
      *                 key is in simulated memory (invalidAddr = the key
@@ -233,51 +237,39 @@ class CuckooHashTable
      *  (masked compare in the negative-filter layout). */
     unsigned sigScan(const std::uint8_t *line, std::uint32_t sig) const;
     BucketEntry readEntry(std::uint64_t bucket, unsigned way) const;
+    /** Entry store (word-atomic in concurrent mode, where the caller
+     *  holds the bucket's seqlock through txBegin()); preserves the aux
+     *  byte in the negative-filter layout. */
     void writeEntry(std::uint64_t bucket, unsigned way,
                     const BucketEntry &entry);
-    /** Entry store without seqlock bookkeeping (callers in concurrent
-     *  mode hold the bucket's seqlock); preserves the aux byte in the
-     *  negative-filter layout. */
-    void writeEntryRaw(std::uint64_t bucket, unsigned way,
-                       const BucketEntry &entry);
     /** Store one aux byte (word-atomic RMW in concurrent mode; the
      *  caller holds the bucket's seqlock). */
     void auxByteStore(std::uint64_t bucket, unsigned aux_index,
                       std::uint8_t v);
     /** Set @p sig's Bloom bits in @p bucket's aux filter (the key was
-     *  displaced out of this, its primary, bucket). */
+     *  displaced out of this, its primary, bucket; negative-filter
+     *  layout only). */
     void bloomAdd(std::uint64_t bucket, std::uint32_t sig,
                   AccessTrace *trace);
     /** True when @p line's negative Bloom admits @p sig. */
     static bool bloomMayContain(const std::uint8_t *line,
                                 std::uint32_t sig);
     /** writeBegin/writeEnd one or two buckets' seqlocks around a
-     *  negative-filter multi-store mutation (no-ops when not
-     *  concurrent). */
+     *  mutation (no-ops when not concurrent). */
     void txBegin(std::uint64_t a, std::uint64_t b);
     void txEnd(std::uint64_t a, std::uint64_t b);
     bool keyMatches(std::uint32_t slot, KeyView key) const;
     std::optional<Located> find(KeyView key, std::uint32_t sig,
                                 std::uint64_t b1, std::uint64_t b2) const;
-    /** Recording-free lookup used when no trace is requested. */
-    std::optional<std::uint64_t> lookupUntraced(KeyView key) const;
-
     /**
-     * Optimistic concurrent lookup (concurrent_ mode): snapshot both
-     * candidate buckets' seqlocks, word-copy the bucket lines and
-     * candidate kv slots atomically, and retry — rewinding @p trace to
-     * its pre-probe length — whenever either counter moved. Records the
-     * same reference stream as the traced scalar lookup (nullable
-     * @p trace skips recording).
+     * Optimistic lookup in concurrent mode from a precomputed signature
+     * and primary bucket: snapshot both candidate buckets' seqlocks,
+     * word-copy the bucket lines and candidate kv slots atomically, and
+     * retry whenever either counter moved. Records nothing.
      */
     std::optional<std::uint64_t>
-    lookupConcurrent(KeyView key, AccessTrace *trace,
-                     Addr key_addr) const;
-    /** lookupConcurrent's seqlocked probe from a precomputed signature
-     *  and primary bucket (the bulk path hashes every lane first). */
-    std::optional<std::uint64_t>
     probeConcurrent(const std::uint8_t *key, std::uint32_t sig,
-                    std::uint64_t b1, AccessTrace *trace) const;
+                    std::uint64_t b1) const;
 
     /** BFS for a displacement path ending in a free slot. */
     bool makeRoom(std::uint64_t bucket, AccessTrace *trace);

@@ -50,17 +50,7 @@ MtcpLite::process(const ParsedHeaders &headers, const Packet &packet,
     const auto key = headers.tuple().toKey();
     const KeyView kv(key.data(), key.size());
 
-    std::optional<std::uint64_t> tcb_idx;
-    if (cfg.engine == NfEngine::Software) {
-        AccessTrace refs;
-        tcb_idx = connTable.lookup(kv, &refs);
-        builder.lowerTableOp(refs, ops);
-    } else {
-        tcb_idx = connTable.lookup(kv);
-        const Addr staged = stageKey(key.data(), key.size());
-        builder.lowerCompute(2, 2, 1, ops);
-        builder.lowerLookupB(connTable.metadataAddr(), staged, ops);
-    }
+    const auto tcb_idx = tableLookup(connTable, kv, cfg.engine, ops);
 
     if (!tcb_idx) {
         if ((flags & tcpSyn) == 0)

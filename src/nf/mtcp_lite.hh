@@ -47,7 +47,6 @@ class MtcpLite : public NetworkFunction
     std::uint64_t connectionsAccepted() const { return accepted; }
     std::uint64_t connectionsClosed() const { return closed; }
     std::uint64_t segmentsProcessed() const { return segments; }
-    void setEngine(NfEngine e) { cfg.engine = e; }
 
   private:
     /// Per-connection control block: 64 B (one line).

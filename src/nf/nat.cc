@@ -29,17 +29,7 @@ NatFunction::process(const ParsedHeaders &headers, const Packet &packet,
     const auto key = headers.tuple().toKey();
     const KeyView kv(key.data(), key.size());
 
-    std::optional<std::uint64_t> binding;
-    if (cfg.engine == NfEngine::Software) {
-        AccessTrace refs;
-        binding = table.lookup(kv, &refs);
-        builder.lowerTableOp(refs, ops);
-    } else {
-        binding = table.lookup(kv); // functional result
-        const Addr staged = stageKey(key.data(), key.size());
-        builder.lowerCompute(2, 2, 1, ops);
-        builder.lowerLookupB(table.metadataAddr(), staged, ops);
-    }
+    const auto binding = tableLookup(table, kv, cfg.engine, ops);
 
     if (binding) {
         ++hits;

@@ -46,7 +46,6 @@ class NatFunction : public NetworkFunction
     std::uint64_t bindingsAllocated() const { return allocations; }
 
     CuckooHashTable &translationTable() { return table; }
-    void setEngine(NfEngine e) { cfg.engine = e; }
 
   private:
     Config cfg;

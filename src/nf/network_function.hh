@@ -14,9 +14,11 @@
 #ifndef HALO_NF_NETWORK_FUNCTION_HH
 #define HALO_NF_NETWORK_FUNCTION_HH
 
+#include <optional>
 #include <string>
 
 #include "cpu/trace_builder.hh"
+#include "hash/cuckoo_table.hh"
 #include "mem/hierarchy.hh"
 #include "mem/sim_memory.hh"
 #include "net/packet.hh"
@@ -89,6 +91,29 @@ class NetworkFunction
         return addr;
     }
 
+    /**
+     * Look @p key up in @p table on @p engine and append the lookup's
+     * micro-ops to @p ops: the traced software probe, or HALO's key
+     * staging and LOOKUP_B (the functional result still comes from the
+     * table).
+     */
+    std::optional<std::uint64_t>
+    tableLookup(const CuckooHashTable &table, KeyView key, NfEngine engine,
+                OpTrace &ops)
+    {
+        if (engine == NfEngine::Software) {
+            lookupRefs.clear();
+            const auto value = table.lookup(key, &lookupRefs);
+            builder.lowerTableOp(lookupRefs, ops);
+            return value;
+        }
+        const auto value = table.lookup(key);
+        const Addr staged = stageKey(key.data(), key.size());
+        builder.lowerCompute(2, 2, 1, ops);
+        builder.lowerLookupB(table.metadataAddr(), staged, ops);
+        return value;
+    }
+
     static constexpr unsigned keyStageSlots = 16;
 
     SimMemory &mem;
@@ -99,6 +124,7 @@ class NetworkFunction
     unsigned keyStageNext = 0;
 
   private:
+    AccessTrace lookupRefs; ///< tableLookup's reused scratch
     std::string name_;
 };
 

@@ -52,17 +52,7 @@ PacketFilter::process(const ParsedHeaders &headers, const Packet &packet,
     const auto key = headers.tuple().toKey();
     const KeyView kv(key.data(), key.size());
 
-    std::optional<std::uint64_t> verdict;
-    if (cfg.engine == NfEngine::Software) {
-        AccessTrace refs;
-        verdict = table.lookup(kv, &refs);
-        builder.lowerTableOp(refs, ops);
-    } else {
-        verdict = table.lookup(kv);
-        const Addr staged = stageKey(key.data(), key.size());
-        builder.lowerCompute(2, 2, 1, ops);
-        builder.lowerLookupB(table.metadataAddr(), staged, ops);
-    }
+    const auto verdict = tableLookup(table, kv, cfg.engine, ops);
 
     if (verdict) {
         ++drops;

@@ -51,7 +51,6 @@ class PacketFilter : public NetworkFunction
     std::uint64_t dropped() const { return drops; }
     std::uint64_t passed() const { return passes; }
     CuckooHashTable &ruleTable() { return table; }
-    void setEngine(NfEngine e) { cfg.engine = e; }
 
   private:
     Config cfg;

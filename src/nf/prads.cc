@@ -40,17 +40,7 @@ PradsLite::process(const ParsedHeaders &headers, const Packet &packet,
     const auto key = assetKey(headers);
     const KeyView kv(key.data(), key.size());
 
-    std::optional<std::uint64_t> record;
-    if (cfg.engine == NfEngine::Software) {
-        AccessTrace refs;
-        record = table.lookup(kv, &refs);
-        builder.lowerTableOp(refs, ops);
-    } else {
-        record = table.lookup(kv);
-        const Addr staged = stageKey(key.data(), key.size());
-        builder.lowerCompute(2, 2, 1, ops);
-        builder.lowerLookupB(table.metadataAddr(), staged, ops);
-    }
+    const auto record = tableLookup(table, kv, cfg.engine, ops);
 
     if (record) {
         // Sighting update: bump the packed sighting counter in place.

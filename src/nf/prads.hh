@@ -41,7 +41,6 @@ class PradsLite : public NetworkFunction
 
     std::uint64_t assetsDiscovered() const { return discoveries; }
     std::uint64_t sightingUpdates() const { return updates; }
-    void setEngine(NfEngine e) { cfg.engine = e; }
 
   private:
     /// Asset key: ip(4) port(2) proto(1) pad(1) = 8 bytes.

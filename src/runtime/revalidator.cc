@@ -339,13 +339,10 @@ Revalidator::sweep()
             s.vswitch->tupleSpace().table(s.exactTuple);
         ctl_[i].idleTimeout = flowIdleTimeoutEpochs(
             exact.size(), exact.capacity(), cfg.idleTimeoutEpochs);
-        // Managed EMC inserts stamp the epoch into the slot's freed
-        // signature-word bytes; keep it in step for recency-informed
-        // eviction.
-        ExactMatchCache &emc = s.vswitch->emc();
-        if (emc.managedEnabled())
-            emc.setEpoch(
-                static_cast<std::uint16_t>(s.activity->epoch()));
+        // EMC inserts stamp the epoch into the slot's signature word;
+        // keep it in step for recency-informed eviction.
+        s.vswitch->emc().setEpoch(
+            static_cast<std::uint16_t>(s.activity->epoch()));
     }
 
     if (cfg.emcPolicy.adaptive &&

@@ -85,10 +85,8 @@ Runtime::Runtime(const RuntimeConfig &config, const RuleSet &rules,
             for (unsigned t = 0; t < vs.tupleSpace().numTuples(); ++t)
                 vs.tupleSpace().table(t).enableConcurrent();
             vs.emc().enableConcurrent();
-            if (cfg.emcPolicy.adaptive) {
-                vs.emc().enableManaged();
+            if (cfg.emcPolicy.adaptive)
                 h.estimator = estimators_[w].get();
-            }
             hooks.push_back(h);
         }
         RevalidatorConfig rc = cfg.revalidator;

@@ -7,7 +7,7 @@
  * header-light and allocation-cheap because stats are bumped on the
  * simulator fast path (every cache access).
  *
- * Threading contract: Counter/Average/Histogram/StatGroup are plain
+ * Threading contract: Counter/Average/StatGroup are plain
  * (non-atomic) and deliberately stay that way — each simulated shard is
  * single-threaded, and making every cache-access bump atomic would tax
  * the simulator fast path for nothing. They must only be touched by the
@@ -26,7 +26,6 @@
 #include <cstdint>
 #include <map>
 #include <string>
-#include <vector>
 
 #include "sim/logging.hh"
 
@@ -127,108 +126,6 @@ class Average
     double minV = 0.0;
     double maxV = 0.0;
     std::uint64_t n = 0;
-};
-
-/**
- * Fixed-bucket histogram over [lo, hi); out-of-range samples land in
- * saturating underflow/overflow buckets.
- *
- * Saturation semantics: a sample below @p lo is counted in the
- * underflow bucket and thereafter *behaves as if its value were
- * exactly lo*; a sample at or above @p hi is counted in the overflow
- * bucket and behaves as if it were hi. In particular percentile()
- * returns lo for any rank that falls into the underflow mass and hi
- * for any rank in the overflow mass — the true magnitude of
- * out-of-range samples is not retained. Size the [lo, hi) range to
- * cover the distribution if the tails matter (or use
- * obs::HdrHistogram, which covers the full uint64 range).
- */
-class Histogram
-{
-  public:
-    Histogram() : Histogram(0.0, 1.0, 1) {}
-
-    Histogram(double lo, double hi, unsigned buckets)
-        : low(lo), high(hi), counts(buckets, 0)
-    {
-        HALO_ASSERT(buckets > 0 && hi > lo);
-    }
-
-    void
-    sample(double v)
-    {
-        ++total_;
-        if (v < low) {
-            ++underflow_;
-            return;
-        }
-        if (v >= high) {
-            ++overflow_;
-            return;
-        }
-        const double frac = (v - low) / (high - low);
-        auto idx = static_cast<std::size_t>(frac * counts.size());
-        if (idx >= counts.size())
-            idx = counts.size() - 1;
-        ++counts[idx];
-    }
-
-    std::uint64_t bucket(std::size_t i) const { return counts.at(i); }
-    std::size_t buckets() const { return counts.size(); }
-    std::uint64_t underflow() const { return underflow_; }
-    std::uint64_t overflow() const { return overflow_; }
-    std::uint64_t total() const { return total_; }
-
-    /**
-     * Value at quantile @p q in [0, 1], linearly interpolated within
-     * the containing bucket. Underflow/overflow ranks saturate to lo
-     * and hi respectively (see the class comment); an empty histogram
-     * returns lo.
-     */
-    double
-    percentile(double q) const
-    {
-        if (total_ == 0)
-            return low;
-        if (q < 0.0)
-            q = 0.0;
-        if (q > 1.0)
-            q = 1.0;
-        // 1-based rank of the q-th sample: ceil(q * total).
-        const double exact = q * static_cast<double>(total_);
-        std::uint64_t rank = static_cast<std::uint64_t>(exact);
-        if (static_cast<double>(rank) < exact)
-            ++rank;
-        if (rank == 0)
-            rank = 1;
-
-        if (rank <= underflow_)
-            return low; // saturated below the range
-        std::uint64_t cum = underflow_;
-        const double width =
-            (high - low) / static_cast<double>(counts.size());
-        for (std::size_t i = 0; i < counts.size(); ++i) {
-            const std::uint64_t c = counts[i];
-            if (c == 0)
-                continue;
-            if (cum + c >= rank) {
-                const double frac =
-                    (static_cast<double>(rank - cum) - 0.5) /
-                    static_cast<double>(c);
-                return low + (static_cast<double>(i) + frac) * width;
-            }
-            cum += c;
-        }
-        return high; // saturated above the range
-    }
-
-  private:
-    double low;
-    double high;
-    std::vector<std::uint64_t> counts;
-    std::uint64_t underflow_ = 0;
-    std::uint64_t overflow_ = 0;
-    std::uint64_t total_ = 0;
 };
 
 /**

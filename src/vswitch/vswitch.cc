@@ -226,7 +226,7 @@ VirtualSwitch::Timing::walkBlocking(const TupleSpace &tuples, KeySpan key,
                                     TupleSpace::BulkWalkLane &lane,
                                     PacketResult &res)
 {
-    const auto match = tuples.lookupFirst(key, nullptr);
+    const auto match = tuples.lookupFirst(key);
     lane.searched = match ? match->tuplesSearched : tuples.numTuples();
     if (match) {
         lane.found = true;

@@ -10,6 +10,8 @@
  * frames inline in the ring slots, so once warm the whole path —
  * build, dispatch, ring, classify, and on the decoupled runtime the
  * megaflow hits behind a revalidator — must touch the heap zero times.
+ * So must a warm packet through a timed switch, whose stages are also
+ * priced on the core model and, in the HALO modes, the accelerators.
  */
 
 #include <gtest/gtest.h>
@@ -21,8 +23,12 @@
 #include <new>
 #include <vector>
 
+#include "core/halo_system.hh"
+#include "cpu/core_model.hh"
 #include "flow/ruleset.hh"
+#include "mem/hierarchy.hh"
 #include "runtime/runtime.hh"
+#include "vswitch/vswitch.hh"
 
 namespace {
 
@@ -264,4 +270,43 @@ TEST(PacketAlloc, DecoupledRuntimeAllocatesNothingPerPacket)
     const RuntimeSnapshot fin = rt.snapshot();
     EXPECT_EQ(fin.processed, fin.offered);
     EXPECT_GT(fin.revalidator.installs, 0u);
+}
+
+TEST(PacketAlloc, TimedSwitchAllocatesNothingPerPacket)
+{
+    const TrafficGenerator gen(TrafficGenerator::scenarioConfig(
+        TrafficScenario::SmallFlowCount, 1000));
+    const RuleSet rules =
+        scenarioRules(TrafficScenario::SmallFlowCount, gen.flows(), 0x707);
+    std::vector<Packet> packets;
+    for (const FiveTuple &t : gen.flows())
+        packets.push_back(Packet::fromTuple(t));
+
+    for (const LookupMode mode :
+         {LookupMode::Software, LookupMode::HaloBlocking,
+          LookupMode::HaloNonBlocking}) {
+        SCOPED_TRACE(static_cast<int>(mode));
+        SimMemory mem(256ull << 20);
+        MemoryHierarchy hier;
+        HaloSystem halo(mem, hier);
+        CoreModel core(hier, 0);
+        VSwitchConfig cfg;
+        cfg.mode = mode;
+        cfg.tupleConfig.tupleCapacity = 4096;
+        VirtualSwitch vs(mem, hier, core, &halo, cfg);
+        vs.installRules(rules);
+        vs.warmTables();
+        for (int pass = 0; pass < 2; ++pass) // warm-up
+            for (const Packet &p : packets)
+                vs.processPacket(p);
+
+        const std::uint64_t news = newCount.load();
+        const std::uint64_t deletes = deleteCount.load();
+        for (int pass = 0; pass < 5; ++pass)
+            for (const Packet &p : packets)
+                vs.processPacket(p);
+        EXPECT_EQ(newCount.load() - news, 0u);
+        EXPECT_EQ(deleteCount.load() - deletes, 0u);
+        EXPECT_EQ(vs.totals().matches, 7 * packets.size());
+    }
 }

@@ -65,46 +65,6 @@ TEST(Average, EmptyIsZero)
     EXPECT_DOUBLE_EQ(a.mean(), 0.0);
 }
 
-TEST(Histogram, BucketsAndOverflow)
-{
-    Histogram h(0.0, 10.0, 10);
-    h.sample(0.5);
-    h.sample(9.5);
-    h.sample(-1.0);
-    h.sample(100.0);
-    EXPECT_EQ(h.bucket(0), 1u);
-    EXPECT_EQ(h.bucket(9), 1u);
-    EXPECT_EQ(h.underflow(), 1u);
-    EXPECT_EQ(h.overflow(), 1u);
-    EXPECT_EQ(h.total(), 4u);
-}
-
-TEST(Histogram, PercentileInterpolatesWithinBuckets)
-{
-    // 100 samples spread uniformly over [0, 10): percentiles track the
-    // empirical quantiles to within half a bucket width.
-    Histogram h(0.0, 10.0, 10);
-    for (int i = 0; i < 100; ++i)
-        h.sample(i * 0.1);
-    EXPECT_NEAR(h.percentile(0.5), 5.0, 0.5);
-    EXPECT_NEAR(h.percentile(0.9), 9.0, 0.5);
-    EXPECT_NEAR(h.percentile(0.1), 1.0, 0.5);
-}
-
-TEST(Histogram, PercentileSaturatesAtRangeEnds)
-{
-    Histogram h(0.0, 10.0, 10);
-    h.sample(-5.0);  // underflow: behaves as lo
-    h.sample(5.0);
-    h.sample(100.0); // overflow: behaves as hi
-    EXPECT_DOUBLE_EQ(h.percentile(0.0), 0.0);
-    EXPECT_DOUBLE_EQ(h.percentile(1.0), 10.0);
-    EXPECT_NEAR(h.percentile(0.5), 5.5, 0.5);
-
-    Histogram empty(2.0, 4.0, 4);
-    EXPECT_DOUBLE_EQ(empty.percentile(0.5), 2.0); // empty returns lo
-}
-
 TEST(StatGroup, ForEachEnumeratesAll)
 {
     StatGroup g("fe");
