@@ -131,7 +131,11 @@ HaloAccelerator::runHashLookup(const TableMetadata &md, Addr key_addr,
         hashBytes(static_cast<HashKind>(md.hashKind), md.seed,
                   std::span<const std::uint8_t>(key, md.keyLen));
     result.primaryHash = h;
-    const std::uint32_t sig = shortSignature(h);
+    // On a negative-filter table the entry's top byte is aux: compare
+    // and derive the alternate bucket from the 24-bit signature.
+    const bool filtered = md.flags & tableFlagNegativeFilter;
+    const std::uint32_t sig = tableSignature(h, filtered);
+    const std::uint32_t sig_mask = filtered ? sig24Mask : ~0u;
     now += cfg.hashCycles;
     result.breakdown.compute += cfg.hashCycles;
 
@@ -169,7 +173,7 @@ HaloAccelerator::runHashLookup(const TableMetadata &md, Addr key_addr,
             BucketEntry entry;
             std::memcpy(&entry, line + way * bucketEntryBytes,
                         sizeof(entry));
-            if (entry.kvRef == 0 || entry.sig != sig)
+            if (entry.kvRef == 0 || (entry.sig & sig_mask) != sig)
                 continue;
 
             const Addr slot_addr = kvSlotAddr(md, entry.kvRef - 1);

@@ -30,6 +30,7 @@
 #include <span>
 
 #include "hash/hash_fn.hh"
+#include "net/headers.hh"
 #include "sim/types.hh"
 
 namespace halo {
@@ -38,11 +39,14 @@ namespace halo {
  *  same activity slot. */
 constexpr std::uint64_t activityHashSeed = 0xf10afedu;
 
-/** The activity-slot hash of a canonical flow key. */
+/** The activity-slot hash of a canonical flow key: flowHash over its
+ *  two 8-byte words. The worker's stamps and upcall dedup and the
+ *  revalidator's tracked flows all use it, so they agree on a slot. */
 inline std::uint64_t
-activityHash(std::span<const std::uint8_t> key)
+activityHash(std::span<const std::uint8_t, FiveTuple::keyBytes> key)
 {
-    return hashBytes(HashKind::XxMix, activityHashSeed, key);
+    return flowHash(loadLe64(key.data()), loadLe64(key.data() + 8),
+                    activityHashSeed);
 }
 
 class FlowActivity

@@ -32,7 +32,8 @@ CuckooHashTable::CuckooHashTable(SimMemory &memory, const Config &config)
     md.bucketMask = buckets - 1;
     md.kvSlots = config.capacity;
     md.kvSlotBytes = kvSlotBytesFor(config.keyLen);
-    md.hashKind = static_cast<std::uint32_t>(config.hashKind);
+    md.hashKind = static_cast<std::uint16_t>(config.hashKind);
+    md.flags = config.negativeFilter ? tableFlagNegativeFilter : 0;
     md.seed = config.seed;
 
     // Metadata (2 lines: metadata + version lock), buckets, kv array.
@@ -58,15 +59,9 @@ CuckooHashTable::primaryBucket(KeyView key, std::uint32_t &sig) const
 {
     const std::uint64_t h =
         hashBytes(static_cast<HashKind>(md.hashKind), md.seed, key);
-    sig = shortSignature(h);
-    if (negFilter_) {
-        // Negative-filter layout: the top sig byte is aux, so the
-        // stored (and compared, and alternate-deriving) signature is
-        // 24 bits, with 0 still reserved for "empty".
-        sig &= sig24Mask;
-        if (sig == 0)
-            sig = 1;
-    }
+    // Negative-filter layout: the top sig byte is aux, so the stored
+    // (and compared, and alternate-deriving) signature is 24 bits.
+    sig = tableSignature(h, negFilter_);
     return h & md.bucketMask;
 }
 

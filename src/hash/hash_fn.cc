@@ -1,8 +1,5 @@
 #include "hash/hash_fn.hh"
 
-#include <algorithm>
-#include <array>
-
 #include "sim/logging.hh"
 
 namespace halo {
@@ -52,31 +49,6 @@ jenkinsOaat(std::span<const std::uint8_t> data, std::uint32_t seed)
     h ^= h >> 11;
     h += h << 15;
     return h;
-}
-
-std::uint64_t
-xxMixSymmetric(std::span<const std::uint8_t> endpoint_a,
-               std::span<const std::uint8_t> endpoint_b,
-               std::span<const std::uint8_t> tail, std::uint64_t seed)
-{
-    HALO_ASSERT(endpoint_a.size() == endpoint_b.size(),
-                "symmetric hash endpoints must have equal length");
-    std::array<std::uint8_t, 64> buf;
-    const std::size_t total =
-        endpoint_a.size() + endpoint_b.size() + tail.size();
-    HALO_ASSERT(total <= buf.size(),
-                "symmetric hash key exceeds the stack buffer");
-    const bool swap = std::lexicographical_compare(
-        endpoint_b.begin(), endpoint_b.end(), endpoint_a.begin(),
-        endpoint_a.end());
-    const auto &first = swap ? endpoint_b : endpoint_a;
-    const auto &second = swap ? endpoint_a : endpoint_b;
-    std::memcpy(buf.data(), first.data(), first.size());
-    std::memcpy(buf.data() + first.size(), second.data(), second.size());
-    if (!tail.empty())
-        std::memcpy(buf.data() + first.size() + second.size(),
-                    tail.data(), tail.size());
-    return xxMix(std::span<const std::uint8_t>(buf.data(), total), seed);
 }
 
 std::uint64_t

@@ -25,7 +25,7 @@ SingleFunctionTable::SingleFunctionTable(SimMemory &memory,
     md.bucketMask = buckets - 1;
     md.kvSlots = config.capacity;
     md.kvSlotBytes = kvSlotBytesFor(config.keyLen);
-    md.hashKind = static_cast<std::uint32_t>(config.hashKind);
+    md.hashKind = static_cast<std::uint16_t>(config.hashKind);
     md.seed = config.seed;
 
     mdAddr = mem.allocate(2 * cacheLineBytes, cacheLineBytes);

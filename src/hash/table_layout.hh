@@ -52,9 +52,14 @@ struct TableMetadata
     std::uint64_t kvArrayAddr = 0;
     std::uint64_t kvSlots = 0;         ///< capacity of the kv array
     std::uint32_t kvSlotBytes = 0;     ///< bytes per kv slot
-    std::uint32_t hashKind = 0;        ///< HashKind
+    std::uint16_t hashKind = 0;        ///< HashKind
+    std::uint16_t flags = 0;           ///< tableFlag* bits
     std::uint64_t seed = 0;
 };
+
+/** TableMetadata::flags bit: the table uses the negative-filter
+ *  bucket layout (24-bit signatures, see below). */
+inline constexpr std::uint16_t tableFlagNegativeFilter = 1;
 
 static_assert(sizeof(TableMetadata) == cacheLineBytes,
               "metadata must occupy exactly one cache line");
@@ -127,6 +132,18 @@ inline constexpr std::uint32_t kvKeyOffset = 8;
 /** Low 24 bits of an entry's sig field hold the filtered-mode
  *  signature; the top byte is aux. */
 inline constexpr std::uint32_t sig24Mask = 0x00ffffffu;
+
+/** The signature a table stores and compares for @p hash: the 24-bit
+ *  cut of shortSignature on a negative-filter table (0 still reserved
+ *  for empty), shortSignature itself otherwise. */
+constexpr std::uint32_t
+tableSignature(std::uint64_t hash, bool negative_filter)
+{
+    const std::uint32_t sig = shortSignature(hash);
+    if (!negative_filter)
+        return sig;
+    return (sig & sig24Mask) ? sig & sig24Mask : 1u;
+}
 
 /** Byte offset of the aux byte within each 8-byte entry. */
 inline constexpr unsigned auxByteInEntry = 3;

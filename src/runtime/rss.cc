@@ -1,10 +1,8 @@
 #include "runtime/rss.hh"
 
 #include <algorithm>
-#include <cstring>
 #include <string>
 
-#include "hash/hash_fn.hh"
 #include "obs/metrics.hh"
 #include "sim/logging.hh"
 #include "sim/types.hh"
@@ -174,28 +172,6 @@ RssDispatcher::registerMetrics(obs::MetricsRegistry &reg) const
                                std::memory_order_relaxed)));
                    });
     }
-}
-
-std::uint64_t
-RssDispatcher::hashTuple(const FiveTuple &tuple) const
-{
-    const auto key = tuple.toKey();
-    if (!cfg.symmetric)
-        return xxMix(std::span<const std::uint8_t>(key.data(), key.size()),
-                     cfg.seed);
-
-    // Endpoint encodings: ip(4, network order) || port(2), pulled from
-    // the canonical key layout; the protocol byte is the shared tail.
-    std::uint8_t src[6], dst[6];
-    std::memcpy(src, key.data(), 4);
-    std::memcpy(src + 4, key.data() + 8, 2);
-    std::memcpy(dst, key.data() + 4, 4);
-    std::memcpy(dst + 4, key.data() + 10, 2);
-    const std::uint8_t tail[1] = {tuple.proto};
-    return xxMixSymmetric(std::span<const std::uint8_t>(src, 6),
-                          std::span<const std::uint8_t>(dst, 6),
-                          std::span<const std::uint8_t>(tail, 1),
-                          cfg.seed);
 }
 
 } // namespace halo

@@ -30,8 +30,8 @@
  * heat, which live-flow counts alone cannot reveal under Zipf skew.
  *
  * With the symmetric option the two directions of a connection hash
- * identically (hash::xxMixSymmetric orders the endpoint encodings
- * before digesting), so request and reply traffic of one flow always
+ * identically (hashTuple orders the two endpoint words before
+ * hashing), so request and reply traffic of one flow always
  * land on the same shard — required for stateful NFs (NAT, connection
  * tracking) sharded shared-nothing.
  */
@@ -42,7 +42,9 @@
 #include <atomic>
 #include <cstdint>
 #include <memory>
+#include <utility>
 
+#include "hash/hash_fn.hh"
 #include "net/headers.hh"
 #include "sim/stats.hh"
 
@@ -86,8 +88,23 @@ class RssDispatcher
         return static_cast<unsigned>(alloc_);
     }
 
-    /** Full-width RSS digest of @p tuple (symmetric if configured). */
-    std::uint64_t hashTuple(const FiveTuple &tuple) const;
+    /** Full-width RSS digest of @p tuple (symmetric if configured):
+     *  flowHash over the two endpoints as 48-bit words, ip << 16 |
+     *  port, with the protocol above the first. Symmetric mode orders
+     *  the endpoints numerically first. */
+    std::uint64_t
+    hashTuple(const FiveTuple &tuple) const
+    {
+        std::uint64_t src =
+            static_cast<std::uint64_t>(tuple.srcIp) << 16 | tuple.srcPort;
+        std::uint64_t dst =
+            static_cast<std::uint64_t>(tuple.dstIp) << 16 | tuple.dstPort;
+        if (cfg.symmetric && dst < src)
+            std::swap(src, dst);
+        return flowHash(
+            src | static_cast<std::uint64_t>(tuple.proto) << 48, dst,
+            cfg.seed);
+    }
 
     /** Indirection-table bucket @p tuple falls into. */
     unsigned

@@ -162,9 +162,7 @@ Worker::offload(const PacketResult &res)
         // of its packets reports slowPathPending; one upcall is
         // enough. Entries expire after ~4096 packets so a dropped
         // upcall gets re-sent instead of wedging the flow.
-        const auto key = res.tuple.toKey();
-        const std::uint64_t h = activityHash(
-            std::span<const std::uint8_t>(key.data(), key.size()));
+        const std::uint64_t h = activityHash(res.tuple.toKey());
         MissEntry &e = recentMiss_[h & (recentMiss_.size() - 1)];
         if (e.hash == h && packetSeq_ - e.seenAt < 4096)
             return false;

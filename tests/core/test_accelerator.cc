@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
 #include <vector>
 
@@ -70,6 +71,54 @@ TEST(Accelerator, FunctionalLookupMatchesSoftware)
         const QueryResult r = rig.halo.rawQuery(
             0, table.metadataAddr(), rig.stageKey(key), 0);
         EXPECT_FALSE(r.found);
+    }
+}
+
+/**
+ * On a negative-filter (Cuckoo++) table a bucket entry's top byte is
+ * aux, not signature. A hit found in the primary bucket must not probe
+ * the alternate: the accelerator probes a second bucket exactly for
+ * the keys the software lookup finds there, in both layouts.
+ */
+TEST(Accelerator, SecondBucketProbesMatchSoftwareInBothLayouts)
+{
+    for (const bool filtered : {false, true}) {
+        Rig rig;
+        CuckooHashTable table(
+            rig.mem, {16, 4096, HashKind::XxMix, 5, 0.95, filtered});
+        const std::uint64_t keys = 4000; // some land in the alternate
+        for (std::uint64_t i = 0; i < keys; ++i)
+            ASSERT_TRUE(table.insert(KeyView(makeKey(i)), i + 1));
+
+        const TableMetadata &md = table.metadata();
+        const Addr buckets_end =
+            md.bucketArrayAddr + md.numBuckets * cacheLineBytes;
+        std::uint64_t software_two_bucket = 0;
+        for (std::uint64_t i = 0; i < keys; ++i) {
+            const auto key = makeKey(i);
+            AccessTrace trace;
+            ASSERT_TRUE(table.lookup(KeyView(key), &trace).has_value());
+            const auto bucket_lines = std::count_if(
+                trace.begin(), trace.end(), [&](const MemRef &r) {
+                    return !r.write && r.addr >= md.bucketArrayAddr &&
+                           r.addr < buckets_end;
+                });
+            software_two_bucket += bucket_lines > 1 ? 1 : 0;
+
+            const QueryResult r = rig.halo.rawQuery(
+                0, table.metadataAddr(), rig.stageKey(key), 0);
+            ASSERT_TRUE(r.found) << "key " << i << " filtered " << filtered;
+            EXPECT_EQ(r.value, i + 1);
+        }
+        std::uint64_t second_bucket_probes = 0;
+        for (unsigned a = 0; a < rig.halo.numAccelerators(); ++a)
+            second_bucket_probes += rig.halo.accelerator(a)
+                                        .stats()
+                                        .counter("second_bucket_probes")
+                                        .value();
+        EXPECT_GT(software_two_bucket, 0u);
+        EXPECT_EQ(second_bucket_probes, software_two_bucket)
+            << "filtered " << filtered;
     }
 }
 

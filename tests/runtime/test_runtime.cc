@@ -277,6 +277,59 @@ TEST(Runtime, DecoupledSlowPathInstallsResolvesAndAges)
 }
 
 /**
+ * The worker stamps a hit flow's activity slot and the revalidator ages
+ * a tracked flow by the slot its install recorded: both must hash the
+ * key alike. Flows that keep hitting across more sweeps than the idle
+ * timeout are never aged (a mismatched hash ages them all), while
+ * flows that stop are aged once the timeout passes.
+ */
+TEST(Runtime, DecoupledAgingSparesHitFlowsAndAgesIdleOnes)
+{
+    const RuleSet of = fallbackRules(7);
+    RuntimeConfig cfg = smallConfig(2);
+    cfg.decoupled = true;
+    cfg.openflowRules = &of;
+    cfg.shard.vswitch.tupleConfig.tupleCapacity = 8192;
+    cfg.revalidator.sweepIntervalMicros = 200;
+    cfg.revalidator.idleTimeoutEpochs = 2;
+    const RuleSet empty;
+    EpochClock clock(EpochClock::Kind::Manual);
+    Runtime rt(cfg, empty, &clock);
+    rt.start();
+    auto sweeps = [&rt] { return rt.snapshot().revalidator.sweeps; };
+
+    constexpr std::uint32_t flows = 20;
+    auto offerRound = [&rt](std::uint32_t first, std::uint32_t count) {
+        for (std::uint32_t id = first; id < first + count; ++id) {
+            const FiveTuple t = newFlow(id);
+            ASSERT_TRUE(rt.offer(Packet::fromTuple(t), t));
+        }
+        rt.drain();
+    };
+    // Fault both sets in: flows [0, 20) will keep hitting, [20, 40)
+    // go idle.
+    ASSERT_TRUE(waitFor([&] {
+        offerRound(0, 2 * flows);
+        return rt.snapshot().revalidator.installs == 2 * flows;
+    }));
+    const std::uint64_t upcalls = rt.snapshot().upcallsEnqueued;
+
+    const std::uint64_t rounds = cfg.revalidator.idleTimeoutEpochs + 3;
+    for (std::uint64_t e = 0; e < rounds; ++e) {
+        offerRound(0, flows);
+        ASSERT_TRUE(tick(clock, cfg.revalidator.sweepIntervalMicros,
+                         sweeps));
+    }
+    const std::uint64_t matched = rt.snapshot().matched;
+    offerRound(0, flows);
+    const RuntimeSnapshot s = rt.snapshot();
+    EXPECT_EQ(s.revalidator.agedFlows, flows);
+    EXPECT_EQ(s.matched - matched, flows);
+    EXPECT_EQ(s.upcallsEnqueued, upcalls);
+    rt.stop();
+}
+
+/**
  * drain() returns once the work is done, not merely dequeued: checked
  * before stop() after every round, with the revalidator still live.
  */
