@@ -8,7 +8,8 @@
  * EMC probe, tuple-space search, the end-to-end timed packet pipeline
  * in all four LookupModes (process_packet_*), and the same pipeline on
  * the functional switch the runtime workers run (classify_packet:
- * parse -> EMC -> megaflow, no timing model). It exists to track the
+ * parse -> EMC -> megaflow, no timing model), and the frame build every
+ * ingested packet pays (packet_from_tuple). It exists to track the
  * zero-copy line-view fast path over SimMemory and the per-packet
  * scratch reuse, and to catch regressions in simulator speed.
  *
@@ -415,6 +416,27 @@ benchTupleSpace(Results &out)
     }
 }
 
+// --- Packet::fromTuple over perfbench emc_hot's flow population
+//     (SmallFlowCount, 4,096 flows, about half TCP 72-byte frames and
+//     half UDP 60-byte ones): the frame build each producer pays per
+//     packet before it offers one. ---
+void
+benchPacketBuild(Results &out)
+{
+    const TrafficGenerator gen(TrafficGenerator::scenarioConfig(
+        TrafficScenario::SmallFlowCount, 4096));
+    const std::vector<FiveTuple> &flows = gen.flows();
+    out.add("packet_from_tuple",
+            measure("packet_from_tuple", flows.size(), [&] {
+                std::uint64_t acc = 0;
+                for (const FiveTuple &t : flows) {
+                    const Packet p = Packet::fromTuple(t);
+                    acc += p.size() + p.bytes()[24]; // checksum's high byte
+                }
+                sink = acc;
+            }));
+}
+
 // --- End-to-end processPacket in each LookupMode on a timed switch,
 //     or (timed = false) on a functional one. ---
 void
@@ -616,6 +638,7 @@ main(int argc, char **argv)
     benchCuckooDram(res);
     benchEmc(res);
     benchTupleSpace(res);
+    benchPacketBuild(res);
     benchProcessPacket(res, LookupMode::Software,
                        "process_packet_software");
     benchProcessPacket(res, LookupMode::Software, "classify_packet",

@@ -13,11 +13,35 @@
 #define HALO_NET_HEADERS_HH
 
 #include <array>
+#include <bit>
 #include <cstdint>
 #include <cstring>
 #include <span>
+#include <type_traits>
 
 namespace halo {
+
+/**
+ * Store @p v at @p out in network byte order: one byte-swapped word
+ * store on little-endian hosts, where a byte loop would leave narrow
+ * stores that a later wide load of the same bytes must wait on.
+ */
+template <typename T>
+inline void
+storeBe(std::uint8_t *out, T v)
+{
+    static_assert(std::is_unsigned_v<T> &&
+                  (sizeof(T) == 2 || sizeof(T) == 4 || sizeof(T) == 8));
+    if constexpr (std::endian::native == std::endian::little) {
+        if constexpr (sizeof(T) == 2)
+            v = __builtin_bswap16(v);
+        else if constexpr (sizeof(T) == 4)
+            v = __builtin_bswap32(v);
+        else
+            v = __builtin_bswap64(v);
+    }
+    std::memcpy(out, &v, sizeof v);
+}
 
 /** IP protocol numbers used by the workloads. */
 enum class IpProto : std::uint8_t
@@ -109,22 +133,13 @@ struct FiveTuple
     std::array<std::uint8_t, keyBytes>
     toKey() const
     {
-        std::array<std::uint8_t, keyBytes> key{};
-        auto put_be32 = [](std::uint8_t *out, std::uint32_t v) {
-            out[0] = static_cast<std::uint8_t>(v >> 24);
-            out[1] = static_cast<std::uint8_t>(v >> 16);
-            out[2] = static_cast<std::uint8_t>(v >> 8);
-            out[3] = static_cast<std::uint8_t>(v);
-        };
-        auto put_be16 = [](std::uint8_t *out, std::uint16_t v) {
-            out[0] = static_cast<std::uint8_t>(v >> 8);
-            out[1] = static_cast<std::uint8_t>(v);
-        };
-        put_be32(key.data() + 0, srcIp);
-        put_be32(key.data() + 4, dstIp);
-        put_be16(key.data() + 8, srcPort);
-        put_be16(key.data() + 10, dstPort);
-        key[12] = proto;
+        // Two big-endian words: the addresses, then the ports, the
+        // protocol and three zero pad bytes.
+        std::array<std::uint8_t, keyBytes> key;
+        storeBe(key.data(), std::uint64_t{srcIp} << 32 | dstIp);
+        storeBe(key.data() + 8, std::uint64_t{srcPort} << 48 |
+                                    std::uint64_t{dstPort} << 32 |
+                                    std::uint64_t{proto} << 24);
         return key;
     }
 

@@ -23,42 +23,53 @@ Packet::assign(std::size_t n, std::uint8_t fill)
 Packet
 Packet::fromTuple(const FiveTuple &tuple, std::size_t payload)
 {
-    Packet pkt;
+    constexpr std::size_t ip = EthernetHeader::wireBytes;
+    constexpr std::size_t l4 = ip + Ipv4Header::wireBytes;
     const bool is_tcp =
         tuple.proto == static_cast<std::uint8_t>(IpProto::Tcp);
-    const std::size_t l4 = is_tcp ? TcpHeader::wireBytes
-                                  : UdpHeader::wireBytes;
-    const std::size_t total =
-        EthernetHeader::wireBytes + Ipv4Header::wireBytes + l4 + payload;
-    pkt.resize(std::max<std::size_t>(total, 60)); // zero-filled
+    const std::size_t l4_bytes =
+        is_tcp ? TcpHeader::wireBytes : UdpHeader::wireBytes;
+    const std::size_t ip_len = Ipv4Header::wireBytes + l4_bytes + payload;
+    const std::size_t n = std::max<std::size_t>(ip + ip_len, 60);
+    HALO_ASSERT(n <= frameCapacity, "frame exceeds Packet::frameCapacity");
 
-    EthernetHeader eth;
-    eth.srcMac = {0x02, 0x00, 0x00, 0x00, 0x00, 0x01};
-    eth.dstMac = {0x02, 0x00, 0x00, 0x00, 0x00, 0x02};
-    eth.serialize(pkt.frame_);
+    // The same bytes the header serializers write with their defaults
+    // (TTL 64, no options, zero ids and checksums below IPv4), stored
+    // at fixed offsets.
+    Packet pkt;
+    pkt.len_ = static_cast<std::uint16_t>(n);
+    if (n <= lineOneFrameBytes)
+        std::memset(pkt.frame_, 0, lineOneFrameBytes);
+    else
+        std::memset(pkt.frame_, 0, n);
+    // dst MAC, src MAC, ethertype IPv4, IPv4 version/IHL and TOS.
+    static constexpr std::uint8_t head[16] = {
+        0x02, 0x00, 0x00, 0x00, 0x00, 0x02, 0x02, 0x00,
+        0x00, 0x00, 0x00, 0x01, 0x08, 0x00, 0x45, 0x00};
+    std::memcpy(pkt.frame_, head, sizeof head);
+    const auto total_len = static_cast<std::uint16_t>(ip_len);
+    const auto ttl_proto = static_cast<std::uint16_t>(64 << 8 | tuple.proto);
+    storeBe(pkt.frame_ + ip + 2, total_len);
+    storeBe(pkt.frame_ + ip + 8, ttl_proto);
+    storeBe(pkt.frame_ + ip + 12,
+            std::uint64_t{tuple.srcIp} << 32 | tuple.dstIp);
+    // RFC 1071 over the header's 16-bit words; the identification,
+    // fragment and checksum words are zero.
+    std::uint32_t sum = 0x4500u + total_len + ttl_proto +
+                        (tuple.srcIp >> 16) + (tuple.srcIp & 0xffff) +
+                        (tuple.dstIp >> 16) + (tuple.dstIp & 0xffff);
+    sum = (sum & 0xffff) + (sum >> 16);
+    sum = (sum & 0xffff) + (sum >> 16);
+    storeBe(pkt.frame_ + ip + 10, static_cast<std::uint16_t>(~sum));
 
-    Ipv4Header ip;
-    ip.protocol = tuple.proto;
-    ip.srcIp = tuple.srcIp;
-    ip.dstIp = tuple.dstIp;
-    ip.totalLength =
-        static_cast<std::uint16_t>(Ipv4Header::wireBytes + l4 + payload);
-    ip.serialize(pkt.frame_ + EthernetHeader::wireBytes);
-
-    std::uint8_t *l4_base = pkt.frame_ + EthernetHeader::wireBytes +
-                            Ipv4Header::wireBytes;
+    storeBe(pkt.frame_ + l4, std::uint32_t{tuple.srcPort} << 16 |
+                                 tuple.dstPort);
     if (is_tcp) {
-        TcpHeader tcp;
-        tcp.srcPort = tuple.srcPort;
-        tcp.dstPort = tuple.dstPort;
-        tcp.serialize(l4_base);
+        // Data offset 5, no flags, window 0xffff.
+        storeBe(pkt.frame_ + l4 + 12, std::uint32_t{0x5000ffff});
     } else {
-        UdpHeader udp;
-        udp.srcPort = tuple.srcPort;
-        udp.dstPort = tuple.dstPort;
-        udp.length = static_cast<std::uint16_t>(UdpHeader::wireBytes +
-                                                payload);
-        udp.serialize(l4_base);
+        storeBe(pkt.frame_ + l4 + 4,
+                static_cast<std::uint16_t>(UdpHeader::wireBytes + payload));
     }
     return pkt;
 }

@@ -82,7 +82,10 @@ class alignas(cacheLineBytes) Packet
     }
 
     /** Build a minimal UDP or TCP packet for @p tuple with @p payload
-     *  bytes of zeros (64-byte minimum frame, like the IXIA workloads). */
+     *  bytes of zeros (64-byte minimum frame, like the IXIA workloads).
+     *  The bytes are the header serializers', written at fixed offsets
+     *  with the IPv4 checksum summed from the words that vary; every
+     *  ingested packet pays this build. */
     static Packet fromTuple(const FiveTuple &tuple,
                             std::size_t payload = 18);
 

@@ -573,8 +573,9 @@ VirtualSwitch::nbBurstChunk(std::span<const FiveTuple> batch,
             ++slot;
         }
     }
-    RunResult rr = tm.core.run(ops, start);
+    const RunResult rr = tm.core.run(ops, start);
     Cycles now = rr.endCycle;
+    std::uint64_t instructions = rr.instructions;
 
     // One SNAPSHOT_READ sweep per poll round across all result lines.
     while (now < rr.lastNbReady) {
@@ -583,7 +584,9 @@ VirtualSwitch::nbBurstChunk(std::span<const FiveTuple> batch,
         for (unsigned l = 0; l < lines; ++l)
             tm.tableBuilder.lowerSnapshotCheck(
                 results_base + l * cacheLineBytes, check);
-        now = tm.core.run(check, now).endCycle;
+        const RunResult cr = tm.core.run(check, now);
+        instructions += cr.instructions;
+        now = cr.endCycle;
     }
     tm.clock = now;
 
@@ -611,7 +614,10 @@ VirtualSwitch::nbBurstChunk(std::span<const FiveTuple> batch,
             }
         }
         res.megaflowCycles = per_packet;
-        res.instructions = rr.instructions / batch.size();
+        // An even share of the burst's issue and poll instructions; the
+        // first (instructions % size) packets carry the remainder.
+        res.instructions = instructions / batch.size() +
+                           (p < instructions % batch.size() ? 1 : 0);
         resolveMiss(batch[p].toKey(), lane, false, installed, res);
         res.total = res.megaflowCycles;
         sums.add(res);

@@ -6,6 +6,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
+#include <iterator>
+#include <optional>
 #include <set>
 #include <utility>
 #include <vector>
@@ -71,16 +74,50 @@ TEST(Headers, TcpUdpRoundTrip)
     EXPECT_EQ(TcpHeader::parse(tw).flags, 0x12);
 }
 
-TEST(FiveTuple, KeyRoundTrip)
+/** The canonical key built one byte at a time, as the encoding's
+ *  definition reads. */
+std::array<std::uint8_t, FiveTuple::keyBytes>
+bytewiseKey(const FiveTuple &t)
 {
-    FiveTuple t;
-    t.srcIp = 0x01020304;
-    t.dstIp = 0x05060708;
-    t.srcPort = 1111;
-    t.dstPort = 2222;
-    t.proto = 6;
-    const auto key = t.toKey();
-    EXPECT_EQ(FiveTuple::fromKey(key), t);
+    std::array<std::uint8_t, FiveTuple::keyBytes> key{};
+    for (unsigned i = 0; i < 4; ++i) {
+        key[i] = static_cast<std::uint8_t>(t.srcIp >> (24 - 8 * i));
+        key[4 + i] = static_cast<std::uint8_t>(t.dstIp >> (24 - 8 * i));
+    }
+    key[8] = static_cast<std::uint8_t>(t.srcPort >> 8);
+    key[9] = static_cast<std::uint8_t>(t.srcPort);
+    key[10] = static_cast<std::uint8_t>(t.dstPort >> 8);
+    key[11] = static_cast<std::uint8_t>(t.dstPort);
+    key[12] = t.proto;
+    return key;
+}
+
+TEST(FiveTuple, ToKeyMatchesBytewiseEncoding)
+{
+    std::vector<FiveTuple> tuples(2); // all-zero, then all-ones
+    tuples[1].srcIp = tuples[1].dstIp = 0xffffffff;
+    tuples[1].srcPort = tuples[1].dstPort = 0xffff;
+    tuples[1].proto = 0xff;
+    tuples[0].proto = 0;
+    Xoshiro256 rng(0x7e11);
+    for (int i = 0; i < 10000; ++i) {
+        FiveTuple t;
+        const std::uint64_t w = rng.next();
+        t.srcIp = static_cast<std::uint32_t>(w);
+        t.dstIp = static_cast<std::uint32_t>(w >> 32);
+        const std::uint64_t v = rng.next();
+        t.srcPort = static_cast<std::uint16_t>(v);
+        t.dstPort = static_cast<std::uint16_t>(v >> 16);
+        t.proto = static_cast<std::uint8_t>(v >> 32);
+        tuples.push_back(t);
+    }
+    for (const FiveTuple &t : tuples) {
+        const auto key = t.toKey();
+        ASSERT_EQ(key, bytewiseKey(t))
+            << std::hex << t.srcIp << " " << t.dstIp << " " << t.srcPort
+            << " " << t.dstPort << " " << unsigned{t.proto};
+        ASSERT_EQ(FiveTuple::fromKey(key), t);
+    }
 }
 
 TEST(FlowMask, ExactMatchesOnlyIdentical)
@@ -142,6 +179,118 @@ TEST(Packet, TcpPacketsParseToo)
     const auto parsed = Packet::fromTuple(t).parseHeaders();
     ASSERT_TRUE(parsed.has_value());
     EXPECT_EQ(parsed->tuple(), t);
+}
+
+/** The frame Packet::fromTuple must build, written by the header
+ *  serializers over a zero-filled frame of at least 60 bytes. */
+std::vector<std::uint8_t>
+referenceFrame(const FiveTuple &t, std::size_t payload)
+{
+    const bool is_tcp = t.proto == static_cast<std::uint8_t>(IpProto::Tcp);
+    const std::size_t l4 =
+        is_tcp ? TcpHeader::wireBytes : UdpHeader::wireBytes;
+    const std::size_t ip_len = Ipv4Header::wireBytes + l4 + payload;
+    std::vector<std::uint8_t> frame(
+        std::max<std::size_t>(EthernetHeader::wireBytes + ip_len, 60), 0);
+    EthernetHeader eth;
+    eth.srcMac = {0x02, 0x00, 0x00, 0x00, 0x00, 0x01};
+    eth.dstMac = {0x02, 0x00, 0x00, 0x00, 0x00, 0x02};
+    eth.serialize(frame.data());
+    Ipv4Header ip;
+    ip.protocol = t.proto;
+    ip.srcIp = t.srcIp;
+    ip.dstIp = t.dstIp;
+    ip.totalLength = static_cast<std::uint16_t>(ip_len);
+    std::uint8_t *at = frame.data() + EthernetHeader::wireBytes;
+    ip.serialize(at);
+    at += Ipv4Header::wireBytes;
+    if (is_tcp) {
+        TcpHeader tcp;
+        tcp.srcPort = t.srcPort;
+        tcp.dstPort = t.dstPort;
+        tcp.serialize(at);
+    } else {
+        UdpHeader udp;
+        udp.srcPort = t.srcPort;
+        udp.dstPort = t.dstPort;
+        udp.length = static_cast<std::uint16_t>(UdpHeader::wireBytes +
+                                                payload);
+        udp.serialize(at);
+    }
+    return frame;
+}
+
+::testing::AssertionResult
+buildsReferenceFrame(const FiveTuple &t, std::size_t payload)
+{
+    const Packet pkt = Packet::fromTuple(t, payload);
+    const std::vector<std::uint8_t> ref = referenceFrame(t, payload);
+    auto fail = [&] {
+        return ::testing::AssertionFailure()
+               << "tuple " << t.srcIp << " " << t.dstIp << " " << t.srcPort
+               << " " << t.dstPort << " proto " << unsigned{t.proto}
+               << " payload " << payload << ": ";
+    };
+    if (pkt.size() != ref.size())
+        return fail() << "size " << pkt.size() << " != " << ref.size();
+    const auto bytes = pkt.bytes();
+    const auto diff = std::mismatch(ref.begin(), ref.end(), bytes.begin());
+    if (diff.first != ref.end())
+        return fail() << "byte " << (diff.first - ref.begin()) << " is "
+                      << unsigned{*diff.second} << ", want "
+                      << unsigned{*diff.first};
+    if (Ipv4Header::checksum(bytes.data() + EthernetHeader::wireBytes,
+                             Ipv4Header::wireBytes) != 0)
+        return fail() << "IPv4 header checksum does not verify";
+    FiveTuple want = t;
+    if (t.proto != static_cast<std::uint8_t>(IpProto::Tcp) &&
+        t.proto != static_cast<std::uint8_t>(IpProto::Udp))
+        want.srcPort = want.dstPort = 0;
+    const std::optional<FiveTuple> got = pkt.flowTuple();
+    if (!got || !(*got == want))
+        return fail() << "flowTuple() differs";
+    return ::testing::AssertionSuccess();
+}
+
+TEST(Packet, FromTupleMatchesHeaderSerializers)
+{
+    constexpr std::uint8_t protos[] = {6, 17, 1, 0, 255};
+    constexpr std::size_t maxPayload = 72; // a TCP frame fills the slot
+    for (const std::uint8_t proto : protos) {
+        for (std::size_t payload = 0; payload <= maxPayload; ++payload) {
+            FiveTuple zeros;
+            zeros.proto = proto;
+            ASSERT_TRUE(buildsReferenceFrame(zeros, payload));
+            FiveTuple ones;
+            ones.srcIp = ones.dstIp = 0xffffffff;
+            ones.srcPort = ones.dstPort = 0xffff;
+            ones.proto = proto;
+            ASSERT_TRUE(buildsReferenceFrame(ones, payload));
+        }
+        // Every low half of one address under all-ones elsewhere: the
+        // header sum's low 16 bits take every value, so some sums carry
+        // again after the first fold.
+        for (std::uint32_t lo = 0; lo <= 0xffff; ++lo) {
+            FiveTuple t;
+            t.srcIp = 0xffffffff;
+            t.dstIp = 0xffff0000 | lo;
+            t.srcPort = t.dstPort = 0xffff;
+            t.proto = proto;
+            ASSERT_TRUE(buildsReferenceFrame(t, 18));
+        }
+    }
+    Xoshiro256 rng(0xf7a3e);
+    for (int i = 0; i < 100000; ++i) {
+        FiveTuple t;
+        const std::uint64_t w = rng.next();
+        t.srcIp = static_cast<std::uint32_t>(w);
+        t.dstIp = static_cast<std::uint32_t>(w >> 32);
+        const std::uint64_t v = rng.next();
+        t.srcPort = static_cast<std::uint16_t>(v);
+        t.dstPort = static_cast<std::uint16_t>(v >> 16);
+        t.proto = protos[(v >> 32) % std::size(protos)];
+        ASSERT_TRUE(buildsReferenceFrame(t, (v >> 40) % (maxPayload + 1)));
+    }
 }
 
 TEST(Packet, RuntIsRejected)

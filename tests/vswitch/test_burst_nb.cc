@@ -5,7 +5,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "core/halo_system.hh"
+#include "cpu/trace_builder.hh"
 #include "flow/ruleset.hh"
 #include "vswitch/vswitch.hh"
 
@@ -85,6 +88,43 @@ TEST(BurstNb, AmortizesCyclesAcrossPackets)
     const double burst_cpp =
         static_cast<double>(vs.now() - begin) / 64.0;
     EXPECT_LT(burst_cpp, single_cpp);
+}
+
+TEST(BurstNb, PerPacketInstructionsSumToTheBurstTotal)
+{
+    BurstRig rig;
+    auto vs = rig.makeSwitch();
+    const unsigned n = vs.tupleSpace().numTuples();
+    // A burst issues one key computation and one LOOKUP_NB per packet
+    // and tuple, then one SNAPSHOT_READ check per result line in each
+    // poll round.
+    const TraceBuilder builder;
+    OpTrace scratch;
+    const std::uint64_t per_query =
+        builder.lowerCompute(4, 3, 1, scratch) +
+        builder.lowerLookupNB(0, 0, 0, scratch);
+    const std::uint64_t per_line = builder.lowerSnapshotCheck(0, scratch);
+    std::size_t next = 0;
+    for (const std::size_t size : {1, 3, 5, 7, 13}) {
+        std::vector<FiveTuple> batch;
+        for (std::size_t i = 0; i < size; ++i)
+            batch.push_back(rig.gen.flows()[next++]);
+        const auto burst = vs.classifyBurstNB(batch);
+        std::uint64_t sum = 0;
+        std::uint64_t lo = ~0ull;
+        std::uint64_t hi = 0;
+        for (const PacketResult &r : burst) {
+            sum += r.instructions;
+            lo = std::min(lo, r.instructions);
+            hi = std::max(hi, r.instructions);
+        }
+        const std::uint64_t issued = size * n * per_query;
+        const std::uint64_t lines = ceilDiv(size * n, 8);
+        ASSERT_GT(sum, issued) << size << " packets: polls are charged";
+        EXPECT_EQ((sum - issued) % (lines * per_line), 0u)
+            << size << " packets: whole poll rounds, no remainder lost";
+        EXPECT_LE(hi - lo, 1u) << size << " packets: an even share";
+    }
 }
 
 TEST(BurstNb, EmptyAndOversizedBatches)

@@ -330,7 +330,7 @@ TEST(VSwitch, TimedTotalsMatchRecordedValues)
                    .emcCycles = 0,
                    .megaflowCycles = 426288,
                    .otherCycles = 68632,
-                   .instructions = 1602900},
+                   .instructions = 1747404},
                   0,
                   2000});
     expectPinned(runPinnedStream(LookupMode::Hybrid, false),
