@@ -168,9 +168,6 @@ runOnce(bool decoupled, double churn, const BenchFlags &flags,
     const RuleSet empty; // megaflow layer faults in via the slow path
     Runtime rt(cfg, empty);
 
-    for (const FiveTuple &t : slots)
-        rt.dispatcher().noteNewFlow(t);
-
     Xoshiro256 rng(0xc402u);
     ZipfDistribution zipf(slots.size(), 0.9);
     std::uint64_t nextFlowId = opt.flows;
@@ -184,9 +181,7 @@ runOnce(bool decoupled, double churn, const BenchFlags &flags,
             if (churn > 0.0 && rng.nextBool(churn)) {
                 const std::size_t victim = static_cast<std::size_t>(
                     rng.nextBounded(slots.size()));
-                rt.dispatcher().noteFlowEnd(slots[victim]);
                 slots[victim] = tupleForId(nextFlowId++);
-                rt.dispatcher().noteNewFlow(slots[victim]);
             }
             const FiveTuple &t =
                 slots[zipf.sample(rng) % slots.size()];

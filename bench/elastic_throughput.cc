@@ -8,20 +8,20 @@
  * a bucket) one shard ends up doing most of the work while the others
  * idle. This bench measures what the elastic controller buys back: it
  * runs the identical packet stream through the decoupled runtime twice
- * per cell — once with static RSS (the PR 2 baseline) and once with
- * the elastic controller live (load-aware bucket migration, hot-bucket
- * splitting, worker parking) — and compares per-cell throughput.
+ * per cell — once with static RSS and once with the elastic controller
+ * live (load-aware migration of indirection-table buckets) — and
+ * compares per-cell throughput.
  *
  * Workload: numFlows five-tuples, pre-installed as exact-match
- * megaflow entries in their initial owning shards. The hottest
- * hotKeys Zipf ranks are given tuples that all hash into RSS bucket 0
- * (initially shard 0) — the colocated-elephants case that static
- * hashing cannot escape and that exercises the full elastic loop:
- * migration moves the hot bucket, splitting separates the elephants
- * into finer buckets, further migrations spread them across shards.
- * Flows that migrate take one megaflow miss at the destination shard,
- * so the measurement includes the real re-install cost through the
- * PR 5 upcall/revalidator slow path.
+ * megaflow entries in their initial owning shards, steered by a fixed
+ * 256-entry indirection table. The hottest hotKeys Zipf ranks are
+ * given tuples whose bucket is a multiple of 16, so they all start on
+ * shard 0 at 2, 4 and 8 workers — the colocated-elephants case that
+ * static hashing cannot escape. The elastic controller spreads those
+ * buckets across shards one migration at a time. Flows that migrate
+ * take one megaflow miss at the destination shard, so the measurement
+ * includes the real re-install cost through the upcall/revalidator
+ * slow path; `installs` counts those re-faults.
  *
  * Metrics: the gate metric is effective_pps = processed * 1e9 /
  * max(per-worker busyNanos) — a makespan rate. Per-worker busyNanos is
@@ -52,7 +52,7 @@
  *               (default sweep: 2, 4, 8)
  *   --skew      restrict the Zipf sweep to one exponent
  *               (default sweep: 0.5, 0.99, 1.3)
- *   --hot-keys  hottest ranks colocated in RSS bucket 0 (default 16)
+ *   --hot-keys  hottest ranks colocated on shard 0 (default 16)
  *   --elastic   run only the elastic mode
  *   --static    run only the static mode
  *
@@ -98,19 +98,20 @@ rssShape()
     RssConfig rc;
     rc.numShards = 1; // probe only; the runtime overrides this
     rc.symmetric = true;
-    // Coarse initial table so colocation hurts, with headroom for the
-    // controller to split hot buckets four doublings finer.
-    rc.tableEntries = 16;
-    rc.maxTableEntries = 256;
+    // A NIC-sized indirection table: fine enough that the controller
+    // can separate the colocated elephants bucket by bucket.
+    rc.tableEntries = 256;
     return rc;
 }
 
 /**
  * The flow population, Zipf rank order. Ranks [0, hotKeys) are
- * remapped to tuples that hash into RSS bucket 0 of the initial
- * table — colocated elephants, the placement static RSS cannot fix.
- * Deterministic: the probe dispatcher uses the same config/seed as
- * every run, so placement is identical across modes and cells.
+ * remapped to tuples whose bucket is a multiple of 16: the round-robin
+ * table steers bucket b to shard b % workers, so at 2, 4 and 8 workers
+ * they all start on shard 0 — colocated elephants, the placement
+ * static RSS cannot fix. Deterministic: the probe dispatcher uses the
+ * same config/seed as every run, so placement is identical across
+ * modes and cells.
  */
 std::vector<FiveTuple>
 buildFlows(const Options &opt)
@@ -129,7 +130,7 @@ buildFlows(const Options &opt)
         for (std::uint64_t k = 0; k < 65536; ++k) {
             const FiveTuple t =
                 tupleForId(opt.flows + i * 65536ull + k);
-            if (probe.bucketFor(t) == 0) {
+            if (probe.bucketFor(t) % 16 == 0) {
                 flows[i] = t;
                 found = true;
                 break;
@@ -137,7 +138,7 @@ buildFlows(const Options &opt)
         }
         if (!found) {
             std::fprintf(stderr,
-                         "error: no bucket-0 tuple for hot key %u\n",
+                         "error: no shard-0 tuple for hot key %u\n",
                          i);
             std::exit(1);
         }
@@ -156,11 +157,8 @@ struct ElasticRun
     std::uint64_t reorderViolations = 0;
     ElasticCounters ctrl; ///< zeros in static mode
     std::uint64_t rssRebalances = 0;
-    std::uint64_t rssFlowsMoved = 0;
-    unsigned tableEntriesEnd = 0;
     std::uint64_t maxBusyNanos = 0;
     double packetImbalance = 0.0; ///< max/mean per-worker packets
-    unsigned parkedEnd = 0;
 
     std::string
     label() const
@@ -203,15 +201,9 @@ runOnce(unsigned workers, double skew, bool elastic,
     cfg.elastic.hysteresisEpochs = 2;
     cfg.elastic.cooldownEpochs = 1;
     cfg.elastic.maxMigrationsPerEpoch = 8;
-    cfg.elastic.splitBucketShare = 0.4;
     // Oversubscribed hosts (8 workers on one core) run every worker at
     // a low absolute busy fraction; act on relative imbalance anyway.
     cfg.elastic.minBusyToAct = 0.03;
-    // Park only near-idle workers: this bench offers continuously, so
-    // parking should stay a no-op except on heavily skewed cells.
-    cfg.elastic.parkBusyFraction = 0.02;
-    cfg.elastic.parkAfterEpochs = 8;
-    cfg.elastic.unparkBusyFraction = 0.5;
 
     applyTelemetry(cfg, flags, lastRun);
 
@@ -222,14 +214,10 @@ runOnce(unsigned workers, double skew, bool elastic,
     Runtime rt(cfg, empty);
 
     // Steady state: every flow pre-installed in its initial owning
-    // shard, with the dispatcher charged for the live flows (the
-    // revalidator keeps the accounting current for flows it
-    // re-installs after migration).
+    // shard, so every install during the run is a migration re-fault.
     preinstallExact(
         rt, flows.size(), [&flows](std::uint64_t i) { return flows[i]; },
         ofRules.front());
-    for (const FiveTuple &t : flows)
-        rt.dispatcher().noteNewFlow(t);
 
     // One stream per (flows, skew): mode-invariant, so static and
     // elastic classify the identical packet sequence.
@@ -273,21 +261,16 @@ runOnce(unsigned workers, double skew, bool elastic,
     if (rt.elastic())
         res.ctrl = rt.elastic()->counters();
     res.rssRebalances = rt.dispatcher().rebalances();
-    res.rssFlowsMoved = rt.dispatcher().flowsMoved();
-    res.tableEntriesEnd = rt.dispatcher().tableEntries();
-    for (unsigned w = 0; w < workers; ++w)
-        res.parkedEnd += rt.worker(w).parked() ? 1 : 0;
 
     std::printf(
         "%-7s w%u zipf %.2f: %9.0f eff pps, %9.0f cpu, %8.0f wall | "
-        "mig %llu split %llu park %llu | imb %.2f tbl %u | "
-        "viol %llu gateto %llu\n",
+        "mig %llu inst %llu | imb %.2f | viol %llu gateto %llu\n",
         elastic ? "elastic" : "static", workers, skew,
         res.effectivePps, aggregateCpuPps(res.rep), wallPps(res.rep),
         static_cast<unsigned long long>(res.ctrl.migrations),
-        static_cast<unsigned long long>(res.ctrl.splits),
-        static_cast<unsigned long long>(res.ctrl.parks),
-        res.packetImbalance, res.tableEntriesEnd,
+        static_cast<unsigned long long>(
+            res.rep.aggregate.revalidator.installs),
+        res.packetImbalance,
         static_cast<unsigned long long>(res.reorderViolations),
         static_cast<unsigned long long>(res.ctrl.gateTimeouts));
     return res;
@@ -337,9 +320,10 @@ writeJson(const BenchFlags &flags, const Options &opt,
     j.kv("methodology",
          "Each (workers, zipf_skew) cell pushes an identical Zipf "
          "packet stream through the decoupled runtime twice: static "
-         "RSS vs the elastic controller (bucket migration + hot-bucket "
-         "splitting + parking). The hottest hot_keys ranks are "
-         "colocated in RSS bucket 0 (adversarial placement). "
+         "RSS vs the elastic controller (migration of buckets of a "
+         "fixed 256-entry indirection table). The hottest hot_keys "
+         "ranks are colocated on shard 0 in buckets that are "
+         "multiples of 16 (adversarial placement). "
          "effective_pps = processed * 1e9 / max per-worker busyNanos "
          "(CLOCK_THREAD_CPUTIME_ID): a makespan rate, "
          "preemption-immune yet imbalance-sensitive. Every packet "
@@ -375,17 +359,10 @@ writeJson(const BenchFlags &flags, const Options &opt,
         j.kv("reorder_violations", r.reorderViolations);
         j.kv("ctrl_epochs", r.ctrl.epochs);
         j.kv("migrations", r.ctrl.migrations);
-        j.kv("splits", r.ctrl.splits);
-        j.kv("parks", r.ctrl.parks);
-        j.kv("unparks", r.ctrl.unparks);
         j.kv("gate_timeouts", r.ctrl.gateTimeouts);
         j.kv("rss_rebalances", r.rssRebalances);
-        j.kv("rss_flows_moved", r.rssFlowsMoved);
-        j.kv("table_entries_end",
-             static_cast<std::uint64_t>(r.tableEntriesEnd));
         j.kv("max_busy_nanos", r.maxBusyNanos);
         j.kv("packet_imbalance", r.packetImbalance, 3);
-        j.kv("parked_end", static_cast<std::uint64_t>(r.parkedEnd));
         j.kv("upcalls_enqueued", r.rep.aggregate.upcallsEnqueued);
         j.kv("installs", r.rep.aggregate.revalidator.installs);
         j.kv("aged_flows", r.rep.aggregate.revalidator.agedFlows);
@@ -419,7 +396,7 @@ main(int argc, char **argv)
     }
 
     banner("Elastic workers",
-           "load-aware migration + splitting vs static RSS under skew");
+           "load-aware bucket migration vs static RSS under skew");
 
     std::vector<unsigned> workerSweep = {2, 4, 8};
     std::vector<double> skews = {0.5, 0.99, 1.3};
@@ -441,8 +418,8 @@ main(int argc, char **argv)
     for (const unsigned w : workerSweep) {
         for (const double s : skews) {
             // The sweep's last run (elastic when both modes run, so the
-            // controller series render from real migration/split/park
-            // activity) carries the --prom/--trace telemetry.
+            // controller series render from real migration activity)
+            // carries the --prom/--trace telemetry.
             const bool lastCell =
                 w == workerSweep.back() && s == skews.back();
             if (!opt.onlyElastic)

@@ -79,9 +79,6 @@ class HaloAccelerator
     HaloAccelerator(SimMemory &memory, MemoryHierarchy &hierarchy,
                     SliceId slice_id, const HaloConfig &config);
 
-    /** The LLC slice / CHA this accelerator is attached to. */
-    SliceId sliceId() const { return slice; }
-
     /**
      * Execute a lookup query arriving at the CHA at @p arrival.
      * Functionally reads the table through SimMemory; charges CHA-side

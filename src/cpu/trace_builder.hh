@@ -47,8 +47,6 @@ class TraceBuilder
     {
     }
 
-    const SoftwareProfile &softwareProfile() const { return profile; }
-
     /**
      * Lower a software table operation (lookup/insert/erase) recorded in
      * @p refs. Appends to @p out and returns the number of ops appended.

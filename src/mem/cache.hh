@@ -75,9 +75,6 @@ class Cache
     /** Hit latency of this array. */
     Cycles latency() const { return hitLatency; }
 
-    /** Number of sets. */
-    std::uint64_t numSets() const { return sets; }
-
     /** Capacity in bytes. */
     std::uint64_t capacity() const { return sizeBytes; }
 

@@ -195,7 +195,6 @@ AclFunction::process(const ParsedHeaders &headers, const Packet &packet,
                      OpTrace &ops)
 {
     (void)packet;
-    ++packets;
     const FiveTuple tuple = headers.tuple();
 
     // Walk the trie, emitting the dependent loads the walk performs.

@@ -35,8 +35,6 @@ void
 MtcpLite::process(const ParsedHeaders &headers, const Packet &packet,
                   OpTrace &ops)
 {
-    ++packets;
-    ++segments;
     if (headers.ip.protocol != static_cast<std::uint8_t>(IpProto::Tcp))
         return; // not ours
 

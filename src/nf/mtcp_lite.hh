@@ -46,7 +46,6 @@ class MtcpLite : public NetworkFunction
     std::uint64_t connectionsOpen() const { return open; }
     std::uint64_t connectionsAccepted() const { return accepted; }
     std::uint64_t connectionsClosed() const { return closed; }
-    std::uint64_t segmentsProcessed() const { return segments; }
 
   private:
     /// Per-connection control block: 64 B (one line).
@@ -65,7 +64,6 @@ class MtcpLite : public NetworkFunction
     std::uint64_t open = 0;
     std::uint64_t accepted = 0;
     std::uint64_t closed = 0;
-    std::uint64_t segments = 0;
 };
 
 } // namespace halo

@@ -25,7 +25,6 @@ NatFunction::process(const ParsedHeaders &headers, const Packet &packet,
                      OpTrace &ops)
 {
     (void)packet;
-    ++packets;
     const auto key = headers.tuple().toKey();
     const KeyView kv(key.data(), key.size());
 

@@ -63,9 +63,6 @@ class NetworkFunction
     /** Pull the NF's working state into the LLC. */
     virtual void warm() = 0;
 
-    /** Packets processed so far. */
-    std::uint64_t packetsProcessed() const { return packets; }
-
   protected:
     /** Allocate the rotating key-staging ring used by HALO lookups. */
     void
@@ -119,7 +116,6 @@ class NetworkFunction
     SimMemory &mem;
     MemoryHierarchy &hier;
     TraceBuilder builder;
-    std::uint64_t packets = 0;
     Addr keyStageBase = invalidAddr;
     unsigned keyStageNext = 0;
 

@@ -48,7 +48,6 @@ PacketFilter::process(const ParsedHeaders &headers, const Packet &packet,
                       OpTrace &ops)
 {
     (void)packet;
-    ++packets;
     const auto key = headers.tuple().toKey();
     const KeyView kv(key.data(), key.size());
 

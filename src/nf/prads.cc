@@ -36,7 +36,6 @@ PradsLite::process(const ParsedHeaders &headers, const Packet &packet,
                    OpTrace &ops)
 {
     (void)packet;
-    ++packets;
     const auto key = assetKey(headers);
     const KeyView kv(key.data(), key.size());
 

@@ -134,7 +134,6 @@ SnortLite::process(const ParsedHeaders &headers, const Packet &packet,
 {
     (void)headers;
     HALO_ASSERT(built, "process before build");
-    ++packets;
 
     const auto bytes = packet.bytes();
     const std::size_t payload_off =

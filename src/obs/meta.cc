@@ -6,6 +6,11 @@
 #include <unistd.h>
 #endif
 
+// The CMake build generates this header at build time; a build that
+// compiles meta.cc without it (perfbench's) reads "unknown".
+#if __has_include("halo_git_sha.hh")
+#include "halo_git_sha.hh"
+#endif
 #ifndef HALO_GIT_SHA
 #define HALO_GIT_SHA "unknown"
 #endif

@@ -6,8 +6,8 @@
  * build produced it — git revision, compiler, build type, flags and
  * hostname — so a result file found on disk months later can be traced
  * back to its code and machine instead of being guessed at. The git
- * SHA is captured at CMake configure time (re-run cmake after a commit
- * to refresh it); a dirty tree is flagged with a "-dirty" suffix.
+ * SHA is taken at build time, so a rebuild after a commit refreshes it;
+ * a dirty tree is flagged with a "-dirty" suffix.
  */
 
 #ifndef HALO_OBS_META_HH

@@ -33,15 +33,12 @@ decideRebalance(const ElasticConfig &cfg, const RebalanceInputs &in,
 {
     RebalanceDecision d;
     const unsigned n = static_cast<unsigned>(in.shards.size());
-    std::vector<unsigned> active, parked;
-    for (unsigned i = 0; i < n; ++i)
-        (in.shards[i].parked ? parked : active).push_back(i);
-    if (active.empty())
+    if (n == 0)
         return d;
 
     double sum = 0.0, maxBusy = 0.0;
-    unsigned hot = active.front();
-    for (unsigned i : active) {
+    unsigned hot = 0;
+    for (unsigned i = 0; i < n; ++i) {
         const double b = in.shards[i].busyFraction;
         sum += b;
         if (b > maxBusy) {
@@ -49,7 +46,7 @@ decideRebalance(const ElasticConfig &cfg, const RebalanceInputs &in,
             hot = i;
         }
     }
-    const double meanBusy = sum / static_cast<double>(active.size());
+    const double meanBusy = sum / static_cast<double>(n);
     d.maxBusy = maxBusy;
     d.meanBusy = meanBusy;
 
@@ -60,124 +57,52 @@ decideRebalance(const ElasticConfig &cfg, const RebalanceInputs &in,
         if (b.shard < n)
             shardPk[b.shard] += b.packets;
 
-    // --- Unpark: pressure overrides every other concern. The woken
-    // worker gets roughly half the hottest shard's heat so it starts
-    // useful immediately instead of waiting out another hysteresis
-    // round. ---
-    if (!parked.empty() && meanBusy > cfg.unparkBusyFraction) {
-        d.unpark = static_cast<int>(parked.front());
-        const auto order = bucketsByHeat(in, hot);
-        std::uint64_t moved = 0;
-        for (unsigned b : order) {
-            if (d.migrations.size() >= cfg.maxMigrationsPerEpoch)
-                break;
-            if (moved * 2 >= shardPk[hot] || !in.buckets[b].packets)
-                break;
-            d.migrations.push_back(
-                {b, hot, static_cast<unsigned>(d.unpark)});
-            moved += in.buckets[b].packets;
-        }
-        state.imbalancedEpochs = 0;
-        state.lowLoadEpochs = 0;
-        state.cooldown = cfg.cooldownEpochs;
-        return d;
-    }
-
-    // Streaks advance even through cooldown so a persistent condition
-    // fires the moment the cooldown expires.
-    d.imbalanced = active.size() > 1 && maxBusy > cfg.minBusyToAct &&
+    // The streak advances even through cooldown so a persistent
+    // imbalance fires the moment the cooldown expires.
+    d.imbalanced = n > 1 && maxBusy > cfg.minBusyToAct &&
                    maxBusy > elasticImbalanceRatio * meanBusy;
     state.imbalancedEpochs =
         d.imbalanced ? state.imbalancedEpochs + 1 : 0;
-
-    d.lowLoad = true;
-    for (unsigned i : active)
-        if (in.shards[i].busyFraction >= cfg.parkBusyFraction)
-            d.lowLoad = false;
-    state.lowLoadEpochs = d.lowLoad ? state.lowLoadEpochs + 1 : 0;
 
     if (state.cooldown) {
         --state.cooldown;
         return d;
     }
-
-    // --- Migrate away from the hot shard after the hysteresis streak.
-    // Damped: move about half the excess per epoch, coldest targets
-    // first, so the loop converges instead of sloshing. ---
-    if (d.imbalanced && state.imbalancedEpochs >= cfg.hysteresisEpochs) {
-        std::uint64_t activePk = 0;
-        for (unsigned i : active)
-            activePk += shardPk[i];
-        const std::uint64_t meanPk =
-            activePk / static_cast<std::uint64_t>(active.size());
-        if (shardPk[hot] > meanPk) {
-            const std::uint64_t excess = shardPk[hot] - meanPk;
-            const auto order = bucketsByHeat(in, hot);
-
-            // One bucket dominating the hot shard is a granularity
-            // problem, not a placement problem: ask for a split (new
-            // finer buckets inherit the shard, next epoch can move
-            // half the heat) as long as the bucket could actually
-            // split (more than one flow) and the table has headroom.
-            if (!order.empty()) {
-                const BucketLoad &top = in.buckets[order.front()];
-                if (static_cast<double>(top.packets) >
-                        cfg.splitBucketShare *
-                            static_cast<double>(shardPk[hot]) &&
-                    top.flows > 1 &&
-                    in.buckets.size() * 2 <= in.maxTableEntries)
-                    d.splitTable = true;
-            }
-
-            std::vector<std::pair<std::uint64_t, unsigned>> targets;
-            for (unsigned i : active)
-                if (i != hot)
-                    targets.emplace_back(shardPk[i], i);
-            std::uint64_t moved = 0;
-            for (unsigned b : order) {
-                if (targets.empty() ||
-                    d.migrations.size() >= cfg.maxMigrationsPerEpoch)
-                    break;
-                const std::uint64_t pk = in.buckets[b].packets;
-                if (!pk || moved * 2 >= excess)
-                    break;
-                // A bucket hotter than the whole excess would just
-                // flip the imbalance to its destination; leave it for
-                // splitting.
-                if (pk > excess)
-                    continue;
-                auto dest = std::min_element(targets.begin(),
-                                             targets.end());
-                d.migrations.push_back({b, hot, dest->second});
-                dest->first += pk;
-                moved += pk;
-            }
-        }
-        if (!d.migrations.empty() || d.splitTable) {
-            state.imbalancedEpochs = 0;
-            state.cooldown = cfg.cooldownEpochs;
-        }
+    if (!d.imbalanced || state.imbalancedEpochs < cfg.hysteresisEpochs)
         return d;
-    }
 
-    // --- Park: sustained low load across every active worker. The
-    // victim (highest id, so worker 0 is always last to go) is fully
-    // evacuated round-robin; the park itself happens after the
-    // migrations complete. ---
-    if (d.lowLoad && state.lowLoadEpochs >= cfg.parkAfterEpochs &&
-        active.size() > std::max(cfg.minActiveWorkers, 1u)) {
-        const unsigned victim = active.back();
-        std::vector<unsigned> rest;
-        for (unsigned i : active)
-            if (i != victim)
-                rest.push_back(i);
-        unsigned rr = 0;
-        for (unsigned b = 0; b < in.buckets.size(); ++b)
-            if (in.buckets[b].shard == victim)
-                d.migrations.push_back(
-                    {b, victim, rest[rr++ % rest.size()]});
-        d.park = static_cast<int>(victim);
-        state.lowLoadEpochs = 0;
+    // Migrate away from the hot shard after the hysteresis streak.
+    // Damped: move about half the excess per epoch, coldest targets
+    // first, so the loop converges instead of sloshing.
+    std::uint64_t totalPk = 0;
+    for (unsigned i = 0; i < n; ++i)
+        totalPk += shardPk[i];
+    const std::uint64_t meanPk = totalPk / n;
+    if (shardPk[hot] > meanPk) {
+        const std::uint64_t excess = shardPk[hot] - meanPk;
+        std::vector<std::pair<std::uint64_t, unsigned>> targets;
+        for (unsigned i = 0; i < n; ++i)
+            if (i != hot)
+                targets.emplace_back(shardPk[i], i);
+        std::uint64_t moved = 0;
+        for (unsigned b : bucketsByHeat(in, hot)) {
+            if (d.migrations.size() >= cfg.maxMigrationsPerEpoch)
+                break;
+            const std::uint64_t pk = in.buckets[b].packets;
+            if (!pk || moved * 2 >= excess)
+                break;
+            // A bucket hotter than the whole excess stays: moving it
+            // would only flip the imbalance to its destination.
+            if (pk > excess)
+                continue;
+            auto dest = std::min_element(targets.begin(), targets.end());
+            d.migrations.push_back({b, hot, dest->second});
+            dest->first += pk;
+            moved += pk;
+        }
+    }
+    if (!d.migrations.empty()) {
+        state.imbalancedEpochs = 0;
         state.cooldown = cfg.cooldownEpochs;
     }
     return d;
@@ -294,15 +219,6 @@ ElasticController::runEpoch()
                                      static_cast<double>(wall))
                  : 0.0;
         s.ringDepthHwm = w->takeRingDepthHwm();
-        if (i < hooks_.estimators.size() && hooks_.estimators[i]) {
-            if (hooks_.closeWindows)
-                hooks_.estimators[i]->closeWindow();
-            s.flowEstimate = hooks_.estimators[i]->lastEstimate();
-        }
-        s.parked = w->parked();
-        // Wake a parked worker for a push that outlived a grace timeout.
-        if (s.parked && !w->ring().empty())
-            clock_.notify();
 
         PublishedLoad &p = *loads_[i];
         p.packets.store(s.packets, std::memory_order_relaxed);
@@ -312,19 +228,12 @@ ElasticController::runEpoch()
             std::memory_order_relaxed);
         p.ringDepthHwm.store(s.ringDepthHwm,
                              std::memory_order_relaxed);
-        p.flowEstimate.store(
-            static_cast<std::uint64_t>(s.flowEstimate),
-            std::memory_order_relaxed);
-        p.parked.store(s.parked, std::memory_order_relaxed);
     }
 
     const unsigned tb = hooks_.rss->tableEntries();
     std::vector<BucketLoad> buckets(tb);
     for (unsigned b = 0; b < tb; ++b) {
-        const RssDispatcher::BucketState st =
-            hooks_.rss->bucketState(b);
-        buckets[b].shard = st.shard;
-        buckets[b].flows = st.flows;
+        buckets[b].shard = hooks_.rss->entry(b);
         buckets[b].packets = hooks_.rss->takeBucketPackets(b);
     }
 
@@ -338,7 +247,7 @@ ElasticController::runEpoch()
     for (auto &m : forced) {
         if (m.bucket >= tb)
             continue;
-        m.from = hooks_.rss->bucketState(m.bucket).shard;
+        m.from = hooks_.rss->entry(m.bucket);
         migrateBuckets(std::span<const RebalanceDecision::Migration>(
                            &m, 1),
                        migrationTimeoutMicros);
@@ -347,7 +256,6 @@ ElasticController::runEpoch()
     RebalanceInputs in;
     in.shards = shards;
     in.buckets = buckets;
-    in.maxTableEntries = hooks_.rss->maxTableEntries();
     const RebalanceDecision d = decideRebalance(cfg, in, state_);
     actuate(d);
     epochs_.add(1);
@@ -356,14 +264,6 @@ ElasticController::runEpoch()
 void
 ElasticController::actuate(const RebalanceDecision &d)
 {
-    if (d.unpark >= 0 &&
-        d.unpark < static_cast<int>(hooks_.workers.size())) {
-        hooks_.workers[d.unpark]->requestUnpark();
-        unparks_.add(1);
-    }
-    if (d.splitTable && hooks_.rss->growTable())
-        splits_.add(1);
-
     // Migrations grouped by source worker, one group's gates cleared
     // before the next group flips: only one source is ever "drained
     // against" at a time, so a gated destination never has to make
@@ -383,17 +283,6 @@ ElasticController::actuate(const RebalanceDecision &d)
                 ms.data() + i, j - i),
             migrationTimeoutMicros);
         i = j;
-    }
-
-    if (d.park >= 0 &&
-        d.park < static_cast<int>(hooks_.workers.size())) {
-        Worker *victim = hooks_.workers[d.park];
-        // Buckets are already remapped away and the producer grace has
-        // passed, so the ring only shrinks from here.
-        boundedWait(migrationTimeoutMicros,
-                    [victim] { return victim->ring().empty(); });
-        victim->requestPark();
-        parks_.add(1);
     }
 }
 
@@ -416,7 +305,7 @@ ElasticController::migrateBuckets(
         if (m.from != src || m.to >= hooks_.workers.size() ||
             m.bucket >= hooks_.rss->tableEntries())
             continue;
-        if (hooks_.rss->bucketState(m.bucket).shard != m.from ||
+        if (hooks_.rss->entry(m.bucket) != m.from ||
             m.to == m.from)
             continue;
         live.push_back(m);
@@ -437,8 +326,6 @@ ElasticController::migrateBuckets(
     std::vector<unsigned> armed;
     for (unsigned d : dests) {
         Worker *dst = hooks_.workers[d];
-        if (dst->parkRequested())
-            dst->requestUnpark();
         if (boundedWait(migrationTimeoutMicros, [dst, source] {
                 return dst->armMigrationGate(source, kHold);
             }))
@@ -504,9 +391,6 @@ ElasticController::counters() const
     ElasticCounters c;
     c.epochs = epochs_.value();
     c.migrations = migrations_.value();
-    c.splits = splits_.value();
-    c.parks = parks_.value();
-    c.unparks = unparks_.value();
     c.gateTimeouts = gateTimeouts_.value();
     return c;
 }
@@ -526,9 +410,6 @@ ElasticController::shardLoad(unsigned shard) const
         1e6;
     s.ringDepthHwm =
         p.ringDepthHwm.load(std::memory_order_relaxed);
-    s.flowEstimate = static_cast<double>(
-        p.flowEstimate.load(std::memory_order_relaxed));
-    s.parked = p.parked.load(std::memory_order_relaxed);
     return s;
 }
 
@@ -537,9 +418,6 @@ ElasticController::registerMetrics(obs::MetricsRegistry &reg)
 {
     reg.attachCounter("halo_ctrl_epochs", {}, epochs_);
     reg.attachCounter("halo_ctrl_migrations", {}, migrations_);
-    reg.attachCounter("halo_ctrl_splits", {}, splits_);
-    reg.attachCounter("halo_ctrl_parks", {}, parks_);
-    reg.attachCounter("halo_ctrl_unparks", {}, unparks_);
     reg.attachCounter("halo_ctrl_gate_timeouts", {}, gateTimeouts_);
     for (std::size_t i = 0; i < loads_.size(); ++i) {
         const PublishedLoad *p = loads_[i].get();
@@ -556,19 +434,6 @@ ElasticController::registerMetrics(obs::MetricsRegistry &reg)
                        return static_cast<double>(
                            p->ringDepthHwm.load(
                                std::memory_order_relaxed));
-                   });
-        reg.attach("halo_shard_flow_estimate", l,
-                   obs::MetricKind::Gauge, [p] {
-                       return static_cast<double>(
-                           p->flowEstimate.load(
-                               std::memory_order_relaxed));
-                   });
-        reg.attach("halo_worker_parked", l, obs::MetricKind::Gauge,
-                   [p] {
-                       return p->parked.load(
-                                  std::memory_order_relaxed)
-                                  ? 1.0
-                                  : 0.0;
                    });
     }
 }

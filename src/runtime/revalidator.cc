@@ -1,6 +1,5 @@
 #include "runtime/revalidator.hh"
 
-#include "runtime/rss.hh"
 #include "sim/logging.hh"
 
 namespace halo {
@@ -160,16 +159,9 @@ Revalidator::handleMiss(const UpcallRequest &rq)
         return;
     }
     installs_.add(1);
-    // A new megaflow entry is a live flow in its indirection bucket;
-    // the charge is reversed when aging evicts the entry. EMC
-    // promotions are not counted — the flow's megaflow entry already
-    // is.
-    if (rss_)
-        rss_->noteNewFlow(rq.tuple);
 
     TrackedFlow flow;
     flow.key = key;
-    flow.tuple = rq.tuple;
     flow.hash = activityHash(key);
     flow.installEpoch = s.activity->epoch();
     flow.shard = rq.worker;
@@ -215,7 +207,6 @@ Revalidator::handlePromote(const UpcallRequest &rq)
 
     TrackedFlow flow;
     flow.key = key;
-    flow.tuple = rq.tuple;
     flow.hash = activityHash(key);
     flow.installEpoch = s.activity->epoch();
     flow.shard = rq.worker;
@@ -313,13 +304,10 @@ Revalidator::track(TrackedFlow &&flow)
         // age).
         evictCursor_ %= tracked_.size();
         if (evict(tracked_[evictCursor_])) {
-            if (tracked_[evictCursor_].emc) {
+            if (tracked_[evictCursor_].emc)
                 agedEmc_.add(1);
-            } else {
+            else
                 agedFlows_.add(1);
-                if (rss_)
-                    rss_->noteFlowEnd(tracked_[evictCursor_].tuple);
-            }
         }
         tracked_[evictCursor_] = std::move(flow);
         ++evictCursor_;
@@ -366,13 +354,10 @@ Revalidator::sweep()
             continue;
         }
         if (evict(flow)) {
-            if (flow.emc) {
+            if (flow.emc)
                 agedEmc_.add(1);
-            } else {
+            else
                 agedFlows_.add(1);
-                if (rss_)
-                    rss_->noteFlowEnd(flow.tuple);
-            }
         }
         tracked_[i] = std::move(tracked_.back());
         tracked_.pop_back();

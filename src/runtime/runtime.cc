@@ -26,12 +26,9 @@ Runtime::Runtime(const RuntimeConfig &config, const RuleSet &rules,
         for (unsigned w = 0; w < cfg.numWorkers; ++w)
             activities_.push_back(std::make_unique<FlowActivity>());
     }
-    // Per-shard estimators serve two controllers: the adaptive EMC
-    // policy (decoupled mode, revalidator closes the windows) and the
-    // elastic load snapshots (any mode, elastic controller closes the
-    // windows when the revalidator doesn't).
-    if ((cfg.decoupled && cfg.emcPolicy.adaptive) ||
-        cfg.elastic.enabled) {
+    // Per-shard estimators feed the adaptive EMC policy, whose
+    // revalidator loop closes their windows.
+    if (cfg.decoupled && cfg.emcPolicy.adaptive) {
         estimators_.reserve(cfg.numWorkers);
         for (unsigned w = 0; w < cfg.numWorkers; ++w)
             estimators_.push_back(
@@ -99,10 +96,6 @@ Runtime::Runtime(const RuntimeConfig &config, const RuleSet &rules,
                                                std::move(hooks), clock_);
         for (auto &w : workers_)
             w->attachRevalidator(reval_.get());
-        // Installs/aging maintain the dispatcher's per-bucket live-flow
-        // counts — the signal the elastic controller's split decisions
-        // and flows-moved accounting read.
-        reval_->attachRss(&rss_);
     }
 
     if (cfg.elastic.enabled) {
@@ -111,11 +104,6 @@ Runtime::Runtime(const RuntimeConfig &config, const RuleSet &rules,
         for (auto &w : workers_)
             eh.workers.push_back(w.get());
         eh.offerSeq = &offerSeq_;
-        for (auto &e : estimators_)
-            eh.estimators.push_back(e.get());
-        // Exactly one window closer per estimator: the revalidator's
-        // adaptive-EMC loop when it runs, this controller otherwise.
-        eh.closeWindows = !(cfg.decoupled && cfg.emcPolicy.adaptive);
         elastic_ = std::make_unique<ElasticController>(cfg.elastic, eh,
                                                        clock_);
     }
@@ -213,8 +201,8 @@ Runtime::drain()
 void
 Runtime::stop()
 {
-    // The elastic controller goes first so no migration or park is in
-    // flight while workers wind down (any armed gate still clears:
+    // The elastic controller goes first so no migration is in flight
+    // while workers wind down (any armed gate still clears:
     // the source drains on stop).
     if (elastic_) {
         elastic_->requestStop();
@@ -492,7 +480,7 @@ Runtime::startSampler()
         columns.push_back("reval_installs");
         columns.push_back("reval_aged_flows");
     }
-    if (cfg.emcPolicy.adaptive) {
+    if (!estimators_.empty()) {
         // Adaptive-EMC series: summed flow estimate and active entry
         // count across shards, plus how many shards still probe their
         // EMC — the sampler view of hybrid-mode decisions over time.
@@ -502,9 +490,9 @@ Runtime::startSampler()
     }
     if (elastic_) {
         // Elastic series: the controller's last per-shard load
-        // snapshot plus the actuation counters, so a run shows the
+        // snapshot plus the migration count, so a run shows the
         // balance converging (busy fractions) and what it cost
-        // (migrations/splits/parked workers) over time.
+        // (migrations) over time.
         for (std::size_t w = 0; w < workers_.size(); ++w) {
             columns.push_back("worker" + std::to_string(w) +
                               "_busy_fraction");
@@ -512,8 +500,6 @@ Runtime::startSampler()
                               "_ring_hwm");
         }
         columns.push_back("ctrl_migrations");
-        columns.push_back("ctrl_splits");
-        columns.push_back("parked_workers");
     }
     // The sample function runs on the sampler thread and restricts
     // itself to relaxed-atomic reads (published counters, ring
@@ -539,7 +525,7 @@ Runtime::startSampler()
                 row.push_back(static_cast<double>(rc.agedFlows +
                                                   rc.agedEmc));
             }
-            if (cfg.emcPolicy.adaptive) {
+            if (!estimators_.empty()) {
                 double est = 0.0, active = 0.0, on = 0.0;
                 for (std::size_t w = 0; w < workers_.size(); ++w) {
                     est += estimators_[w]->lastEstimate();
@@ -553,7 +539,6 @@ Runtime::startSampler()
                 row.push_back(on);
             }
             if (elastic_) {
-                double parked = 0.0;
                 for (std::size_t w = 0; w < workers_.size(); ++w) {
                     const ShardLoadSnapshot s =
                         elastic_->shardLoad(
@@ -561,12 +546,9 @@ Runtime::startSampler()
                     row.push_back(s.busyFraction);
                     row.push_back(
                         static_cast<double>(s.ringDepthHwm));
-                    parked += s.parked ? 1.0 : 0.0;
                 }
-                const ElasticCounters ec = elastic_->counters();
-                row.push_back(static_cast<double>(ec.migrations));
-                row.push_back(static_cast<double>(ec.splits));
-                row.push_back(parked);
+                row.push_back(static_cast<double>(
+                    elastic_->counters().migrations));
             }
             return row;
         });

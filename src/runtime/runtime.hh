@@ -125,13 +125,11 @@ struct RuntimeConfig
     const RuleSet *openflowRules = nullptr;
     /**
      * Elastic workers (DESIGN.md §17): a controller thread that
-     * aggregates per-shard load each epoch, migrates hot indirection
-     * buckets with the drain-then-remap protocol, splits dominant
-     * buckets (rss.maxTableEntries caps growth), and parks workers
-     * under sustained low load. Per-shard flow estimators are created
-     * even outside decoupled mode to feed the load snapshots. offer()
-     * additionally maintains the producer seqlock the migration grace
-     * period reads.
+     * aggregates per-shard load each epoch and migrates hot buckets of
+     * the fixed-size indirection table with the drain-then-remap
+     * protocol. offer() additionally counts per-bucket packet heat and
+     * maintains the producer seqlock the migration grace period
+     * reads.
      */
     ElasticConfig elastic;
     /// Intra-flow order oracle handed to every worker (null = off);
@@ -229,7 +227,7 @@ class Runtime
     Revalidator *revalidator() { return reval_.get(); }
     /** Null unless cfg.decoupled. */
     MpscRing<UpcallRequest> *upcallRing() { return upcallRing_.get(); }
-    /** Null unless cfg.emcPolicy.adaptive or cfg.elastic.enabled. */
+    /** Null unless cfg.decoupled and cfg.emcPolicy.adaptive. */
     ShardFlowEstimator *flowEstimator(unsigned i)
     {
         return i < estimators_.size() ? estimators_[i].get() : nullptr;

@@ -268,9 +268,8 @@ Worker::threadMain()
             continue;
         }
 
-        // Park: controller remapped our buckets away and asked us to
-        // quiesce. Sleep on the clock instead of busy-polling; unpark,
-        // stop and the controller (for a stray arrival) notify it.
+        // Park: asked to quiesce. Sleep on the clock instead of
+        // busy-polling; unpark and stop notify it.
         if (parkRequested_.load(std::memory_order_acquire) &&
             !stop_.load(std::memory_order_acquire) && ring_.empty()) {
             parks_.add(1);

@@ -179,25 +179,22 @@ class Worker
     /** Lock-free snapshot; callable from any thread while running. */
     WorkerCounters counters() const;
 
-    /** @name Elastic-runtime control surface (controller thread)
+    /** @name Control surface
      *  Parking quiesces the busy-poll loop on the clock once the ring
      *  is drained; the migration gate stalls this worker's ring pops
      *  until a source worker has processed past a fence, which is the
-     *  "drain" half of the drain-then-remap protocol. */
+     *  "drain" half of the elastic controller's drain-then-remap
+     *  protocol. */
     /**@{*/
-    /** Ask the thread to park once its ring is empty. The controller
-     *  must have remapped the indirection away first; a stray arrival
-     *  waits for the controller's next epoch to notify the clock. */
+    /** Ask the thread to park once its ring is empty. It sleeps until
+     *  requestUnpark() or requestStop(); a packet pushed meanwhile
+     *  waits for one of them (or any other notify of the clock). */
     void requestPark();
     /** Wake a parked thread (also safe when not parked). */
     void requestUnpark();
     bool parked() const
     {
         return parked_.load(std::memory_order_acquire);
-    }
-    bool parkRequested() const
-    {
-        return parkRequested_.load(std::memory_order_acquire);
     }
 
     /** Stall this worker's packet processing until @p source 's
@@ -273,8 +270,8 @@ class Worker
     std::thread thread_;
     std::atomic<bool> stop_{false};
 
-    /// Park lifecycle: request flag flipped by the controller, parked
-    /// state published by the worker, which sleeps on the clock.
+    /// Park lifecycle: request flag flipped by requestPark/Unpark,
+    /// parked state published by the worker, which sleeps on the clock.
     std::atomic<bool> parkRequested_{false};
     std::atomic<bool> parked_{false};
 

@@ -4,13 +4,12 @@
  * Layers, bottom up:
  *   - FlowOrderValidator: the order oracle itself.
  *   - decideRebalance(): the pure policy matrix — imbalance detection,
- *     hysteresis, cooldown, split requests, park victim selection and
- *     evacuation, unpark-on-pressure — no threads involved.
+ *     hysteresis, cooldown, target and bucket selection — no threads
+ *     involved.
  *   - Migration fence: the drain-then-remap protocol driven by hand on
  *     stopped workers, so the gate's effect is deterministic.
  *   - End to end: forced migrations under churn with the decoupled
- *     slow path live must never reorder packets within a flow; parking
- *     and waking must lose nothing.
+ *     slow path live must never reorder packets within a flow.
  */
 
 #include <gtest/gtest.h>
@@ -58,12 +57,11 @@ shardsWithBusy(std::initializer_list<double> busy)
 }
 
 BucketLoad
-bucket(unsigned shard, std::uint64_t packets, std::uint64_t flows = 1)
+bucket(unsigned shard, std::uint64_t packets)
 {
     BucketLoad b;
     b.shard = shard;
     b.packets = packets;
-    b.flows = flows;
     return b;
 }
 
@@ -128,11 +126,7 @@ TEST(DecideRebalance, BalancedLoadIsANoOp)
 
     const RebalanceDecision d = decideRebalance(cfg, in, st);
     EXPECT_FALSE(d.imbalanced);
-    EXPECT_FALSE(d.lowLoad);
     EXPECT_TRUE(d.migrations.empty());
-    EXPECT_FALSE(d.splitTable);
-    EXPECT_EQ(d.park, -1);
-    EXPECT_EQ(d.unpark, -1);
     EXPECT_DOUBLE_EQ(d.maxBusy, 0.5);
     EXPECT_DOUBLE_EQ(d.meanBusy, 0.5);
 }
@@ -153,7 +147,7 @@ TEST(DecideRebalance, IdleSkewBelowMinBusyDoesNotTrip)
     EXPECT_TRUE(d.migrations.empty());
 }
 
-TEST(DecideRebalance, SingleActiveWorkerNeverImbalanced)
+TEST(DecideRebalance, SingleWorkerNeverImbalanced)
 {
     ElasticConfig cfg;
     ElasticEpochState st;
@@ -165,7 +159,6 @@ TEST(DecideRebalance, SingleActiveWorkerNeverImbalanced)
     const RebalanceDecision d = decideRebalance(cfg, in, st);
     EXPECT_FALSE(d.imbalanced);
     EXPECT_TRUE(d.migrations.empty());
-    EXPECT_EQ(d.park, -1);
 }
 
 TEST(DecideRebalance, HysteresisThenMigrationThenCooldown)
@@ -175,12 +168,11 @@ TEST(DecideRebalance, HysteresisThenMigrationThenCooldown)
     cfg.cooldownEpochs = 2;
     ElasticEpochState st;
     RebalanceInputs in;
-    // Worker 0 hot; bucket 0 is hotter than the whole excess (left for
-    // splitting), bucket 1 is the movable one.
+    // Worker 0 hot; bucket 0 is hotter than the whole excess, bucket 1
+    // is the movable one.
     const auto shards = shardsWithBusy({0.8, 0.1});
     const std::vector<BucketLoad> buckets = {
-        bucket(0, 300, 4), bucket(0, 100, 2), bucket(1, 50),
-        bucket(1, 50)};
+        bucket(0, 300), bucket(0, 100), bucket(1, 50), bucket(1, 50)};
     in.shards = shards;
     in.buckets = buckets;
 
@@ -231,109 +223,33 @@ TEST(DecideRebalance, MigrationsTargetColdestAndRespectCap)
     EXPECT_EQ(d.migrations[0].to, 2u); // coldest by packet count
 }
 
-TEST(DecideRebalance, DominantBucketRequestsSplitWithHeadroom)
+/**
+ * A bucket hotter than the hot shard's whole excess stays where it is:
+ * moving it would only flip the imbalance to its destination. The
+ * cooler buckets behind it still move, each to the coldest shard.
+ */
+TEST(DecideRebalance, BucketHotterThanExcessStaysWhileCoolerOnesMove)
 {
     ElasticConfig cfg;
     cfg.hysteresisEpochs = 1;
     ElasticEpochState st;
     RebalanceInputs in;
-    const auto shards = shardsWithBusy({0.8, 0.1});
-    // Bucket 0 carries 75% of the hot shard and holds several flows.
-    std::vector<BucketLoad> buckets = {
-        bucket(0, 600, 2), bucket(0, 200, 1), bucket(1, 50),
-        bucket(1, 50)};
-    in.shards = shards;
-    in.buckets = buckets;
-    in.maxTableEntries = 16;
-
-    RebalanceDecision d = decideRebalance(cfg, in, st);
-    EXPECT_TRUE(d.splitTable);
-
-    // A single flow cannot be split.
-    st = ElasticEpochState{};
-    buckets[0].flows = 1;
-    in.buckets = buckets;
-    d = decideRebalance(cfg, in, st);
-    EXPECT_FALSE(d.splitTable);
-
-    // No table headroom, no split.
-    st = ElasticEpochState{};
-    buckets[0].flows = 2;
-    in.buckets = buckets;
-    in.maxTableEntries = 4; // already at size
-    d = decideRebalance(cfg, in, st);
-    EXPECT_FALSE(d.splitTable);
-}
-
-TEST(DecideRebalance, SustainedLowLoadParksAndEvacuatesVictim)
-{
-    ElasticConfig cfg;
-    cfg.parkAfterEpochs = 2;
-    ElasticEpochState st;
-    RebalanceInputs in;
-    const auto shards = shardsWithBusy({0.02, 0.03, 0.01});
+    const auto shards = shardsWithBusy({0.9, 0.2, 0.2});
+    // 800 packets, mean 266: shard 0's excess is 334, below bucket 0.
     const std::vector<BucketLoad> buckets = {
-        bucket(0, 5), bucket(1, 5), bucket(2, 5),
-        bucket(0, 5), bucket(1, 5), bucket(2, 5)};
-    in.shards = shards;
-    in.buckets = buckets;
-
-    RebalanceDecision d = decideRebalance(cfg, in, st);
-    EXPECT_TRUE(d.lowLoad);
-    EXPECT_EQ(d.park, -1); // streak not reached
-
-    d = decideRebalance(cfg, in, st);
-    EXPECT_EQ(d.park, 2); // highest-id active worker goes first
-    // Full evacuation: every victim bucket is remapped to a survivor.
-    ASSERT_EQ(d.migrations.size(), 2u);
-    for (const auto &m : d.migrations) {
-        EXPECT_EQ(m.from, 2u);
-        EXPECT_LT(m.to, 2u);
-    }
-    EXPECT_NE(d.migrations[0].bucket, d.migrations[1].bucket);
-}
-
-TEST(DecideRebalance, ParkRespectsMinActiveWorkers)
-{
-    ElasticConfig cfg;
-    cfg.parkAfterEpochs = 1;
-    cfg.minActiveWorkers = 2;
-    ElasticEpochState st;
-    RebalanceInputs in;
-    const auto shards = shardsWithBusy({0.01, 0.01});
-    const std::vector<BucketLoad> buckets = {bucket(0, 1),
-                                             bucket(1, 1)};
-    in.shards = shards;
-    in.buckets = buckets;
-
-    for (int e = 0; e < 4; ++e) {
-        const RebalanceDecision d = decideRebalance(cfg, in, st);
-        EXPECT_EQ(d.park, -1);
-    }
-}
-
-TEST(DecideRebalance, PressureUnparksAndFeedsTheWokenWorker)
-{
-    ElasticConfig cfg; // unparkBusyFraction = 0.60
-    ElasticEpochState st;
-    RebalanceInputs in;
-    auto shards = shardsWithBusy({0.9, 0.8, 0.0});
-    shards[2].parked = true;
-    // Hot shard 0: three buckets; roughly half the heat should follow
-    // the woken worker.
-    const std::vector<BucketLoad> buckets = {
-        bucket(0, 100), bucket(0, 80), bucket(0, 60), bucket(1, 90)};
+        bucket(0, 500), bucket(0, 60), bucket(0, 40), bucket(1, 100),
+        bucket(2, 100)};
     in.shards = shards;
     in.buckets = buckets;
 
     const RebalanceDecision d = decideRebalance(cfg, in, st);
-    EXPECT_EQ(d.unpark, 2);
-    ASSERT_EQ(d.migrations.size(), 2u); // 100+80, then half reached
-    for (const auto &m : d.migrations) {
+    ASSERT_EQ(d.migrations.size(), 2u);
+    EXPECT_EQ(d.migrations[0].bucket, 1u);
+    EXPECT_EQ(d.migrations[0].to, 1u);
+    EXPECT_EQ(d.migrations[1].bucket, 2u);
+    EXPECT_EQ(d.migrations[1].to, 2u);
+    for (const auto &m : d.migrations)
         EXPECT_EQ(m.from, 0u);
-        EXPECT_EQ(m.to, 2u);
-    }
-    EXPECT_EQ(st.cooldown, cfg.cooldownEpochs);
 }
 
 // ---------------------------------------------------------------------
@@ -445,7 +361,6 @@ TEST(ElasticRuntime, MigrationsPreserveIntraFlowOrderUnderChurn)
     cfg.enqueueRetries = 1024;
     cfg.rss.symmetric = true;
     cfg.rss.tableEntries = 32;
-    cfg.rss.maxTableEntries = 128;
     cfg.decoupled = true;
     cfg.openflowRules = &of;
     cfg.warmTables = false;
@@ -495,16 +410,14 @@ TEST(ElasticRuntime, MigrationsPreserveIntraFlowOrderUnderChurn)
         }
     }
     // Between epochs the producer keeps accruing packet heat for the
-    // controller: the hot flow's bucket (re-read, as splits may have
-    // grown the table) counts every packet offered to it.
+    // controller: the hot flow's bucket counts every packet offered to
+    // it.
     for (int i = 0; i < 100; ++i) {
         Packet p = Packet::fromTuple(flows[0]);
         p.stampOrderTag(seq[0]++);
         rt.offer(std::move(p), flows[0]);
     }
-    EXPECT_EQ(rt.dispatcher().takeBucketPackets(
-                  rt.dispatcher().bucketFor(flows[0])),
-              100u);
+    EXPECT_EQ(rt.dispatcher().takeBucketPackets(hotBucket), 100u);
     rt.drain();
 
     // The forced bounces guarantee real flips happened.
@@ -517,80 +430,6 @@ TEST(ElasticRuntime, MigrationsPreserveIntraFlowOrderUnderChurn)
     EXPECT_GT(oracle.observed(), 0u);
     EXPECT_EQ(oracle.violations(), 0u);
     EXPECT_EQ(rt.elastic()->counters().gateTimeouts, 0u);
-}
-
-/**
- * Park/wake lifecycle: sustained idle parks the highest worker with
- * its buckets evacuated first; a migration targeting the parked worker
- * wakes it; nothing offered is ever lost.
- */
-TEST(ElasticRuntime, ParksIdleWorkerAndWakesItForMigration)
-{
-    RuleSet of;
-    FlowRule fallback;
-    fallback.mask = FlowMask{};
-    fallback.priority = 1;
-    fallback.action = Action{ActionKind::Forward, 1};
-    of.push_back(fallback);
-
-    RuntimeConfig cfg;
-    cfg.numWorkers = 2;
-    cfg.ringCapacity = 256;
-    cfg.batchSize = 16;
-    cfg.shardMemBytes = 256ull << 20;
-    cfg.enqueueRetries = 1024;
-    cfg.decoupled = true;
-    cfg.openflowRules = &of;
-    cfg.warmTables = false;
-    cfg.shard.vswitch.tupleConfig.tupleCapacity = 4096;
-    cfg.elastic.enabled = true;
-    cfg.elastic.controlIntervalMicros = 500;
-    cfg.elastic.parkBusyFraction = 0.9; // idle counts as low load
-    cfg.elastic.parkAfterEpochs = 2;
-    cfg.elastic.cooldownEpochs = 0;
-    cfg.elastic.hysteresisEpochs = 100;   // keep imbalance out of play
-    cfg.elastic.unparkBusyFraction = 2.0; // policy unpark off
-    const RuleSet empty;
-    EpochClock clock(EpochClock::Kind::Manual);
-    Runtime rt(cfg, empty, &clock);
-    rt.start();
-    auto epoch = [&] {
-        return tick(clock, cfg.elastic.controlIntervalMicros,
-                    [&rt] { return rt.elastic()->counters().epochs; });
-    };
-
-    // Idle runtime: the second low-load epoch parks worker 1, fully
-    // evacuated first.
-    ASSERT_TRUE(epoch());
-    EXPECT_EQ(rt.elastic()->counters().parks, 0u);
-    ASSERT_TRUE(epoch());
-    EXPECT_EQ(rt.elastic()->counters().parks, 1u);
-    ASSERT_TRUE(waitFor([&] { return rt.worker(1).parked(); }));
-    for (unsigned b = 0; b < rt.dispatcher().tableEntries(); ++b)
-        EXPECT_EQ(rt.dispatcher().entry(b), 0u) << "bucket " << b;
-
-    // A migration whose destination is parked wakes it. The same epoch
-    // publishes the park in its load snapshot.
-    const std::uint64_t evacuated = rt.elastic()->counters().migrations;
-    rt.elastic()->requestMigration(0, 1);
-    ASSERT_TRUE(epoch());
-    EXPECT_TRUE(rt.elastic()->shardLoad(1).parked);
-    EXPECT_EQ(rt.dispatcher().entry(0), 1u);
-    EXPECT_EQ(rt.elastic()->counters().migrations, evacuated + 1);
-    ASSERT_TRUE(waitFor([&] { return !rt.worker(1).parked(); }));
-
-    // Traffic through the moved bucket (and everywhere else) drains
-    // without loss, whatever the controller does meanwhile.
-    Xoshiro256 rng(0x7272);
-    for (int i = 0; i < 2000; ++i) {
-        const FiveTuple t = randomTuple(rng);
-        rt.offer(Packet::fromTuple(t), t);
-    }
-    rt.drain();
-    rt.stop();
-    const RuntimeSnapshot fin = rt.snapshot();
-    EXPECT_EQ(fin.processed, fin.enqueued);
-    EXPECT_EQ(fin.enqueued + fin.ringFullDrops, fin.offered);
 }
 
 TEST(ElasticRuntime, RegistersControllerAndShardMetrics)
@@ -606,10 +445,23 @@ TEST(ElasticRuntime, RegistersControllerAndShardMetrics)
     rt.registerMetrics(reg);
     const std::string text = reg.renderPrometheus();
     for (const char *name :
-         {"halo_ctrl_epochs", "halo_ctrl_migrations", "halo_ctrl_splits",
-          "halo_ctrl_parks", "halo_shard_busy_fraction",
-          "halo_shard_ring_depth_hwm", "halo_shard_flow_estimate",
-          "halo_worker_parked", "halo_rss_bucket_flows",
-          "halo_rss_table_grows"})
+         {"halo_ctrl_epochs", "halo_ctrl_migrations",
+          "halo_ctrl_gate_timeouts", "halo_shard_busy_fraction",
+          "halo_shard_ring_depth_hwm", "halo_rss_rebalances"})
         EXPECT_NE(text.find(name), std::string::npos) << name;
+}
+
+/** The controller reads no flow estimate: an elastic runtime without
+ *  adaptive EMC puts no estimator on its workers' packet path. */
+TEST(ElasticRuntime, CreatesNoFlowEstimatorWithoutAdaptiveEmc)
+{
+    RuntimeConfig cfg;
+    cfg.numWorkers = 2;
+    cfg.shardMemBytes = 256ull << 20;
+    cfg.elastic.enabled = true;
+    const RuleSet empty;
+    Runtime rt(cfg, empty);
+    ASSERT_NE(rt.elastic(), nullptr);
+    for (unsigned i = 0; i < rt.numWorkers(); ++i)
+        EXPECT_EQ(rt.flowEstimator(i), nullptr) << "worker " << i;
 }

@@ -234,7 +234,7 @@ TEST(RssDispatcher, RebalanceMapSteersOneBucket)
             ASSERT_EQ(rss.entry(b), b % cfg.numShards);
         }
 
-    rss.resetTable();
+    rss.setEntry(bucket, before);
     EXPECT_EQ(rss.shardFor(hot), before);
 }
 
@@ -252,48 +252,30 @@ TEST(RssDispatcher, DeterministicAcrossInstances)
 }
 
 /**
- * Rebalance accounting: every remap of a live indirection-table bucket
- * bumps the rebalance counter and charges the bucket's current flow
- * population to flows-moved, so operators can see how much connection
- * state a steering change disturbed.
+ * Rebalance accounting: every remap that changes an indirection-table
+ * bucket's shard bumps the rebalance counter, and nothing else does.
  */
-TEST(RssDispatcher, RebalanceCountersChargeMovedFlows)
+TEST(RssDispatcher, RebalanceCounterCountsChangedBuckets)
 {
     RssConfig cfg;
     cfg.numShards = 4;
     cfg.tableEntries = 64;
     RssDispatcher rss(cfg);
     EXPECT_EQ(rss.rebalances(), 0u); // initial spread is not a rebalance
-    EXPECT_EQ(rss.flowsMoved(), 0u);
 
     Xoshiro256 rng(0xbeef);
     const FiveTuple hot = randomTuple(rng);
     const unsigned bucket = rss.bucketFor(hot);
-    EXPECT_EQ(rss.bucketFlowCount(bucket), 0u);
-    rss.noteNewFlow(hot);
-    rss.noteNewFlow(hot); // two connections sharing the bucket
-    EXPECT_EQ(rss.bucketFlowCount(bucket), 2u);
-
     const unsigned target = (rss.entry(bucket) + 1) % cfg.numShards;
     rss.setEntry(bucket, target);
     EXPECT_EQ(rss.rebalances(), 1u);
-    EXPECT_EQ(rss.flowsMoved(), 2u);
 
-    // Remapping to the shard it already lives on moves nothing.
+    // Remapping to the shard it already lives on is not a rebalance.
     rss.setEntry(bucket, target);
     EXPECT_EQ(rss.rebalances(), 1u);
-    EXPECT_EQ(rss.flowsMoved(), 2u);
 
-    // Flow teardown decrements, saturating at zero.
-    rss.noteFlowEnd(hot);
-    rss.noteFlowEnd(hot);
-    rss.noteFlowEnd(hot); // spurious end must not wrap
-    EXPECT_EQ(rss.bucketFlowCount(bucket), 0u);
-
-    // A later remap of the now-empty bucket counts, but moves nothing.
     rss.setEntry(bucket, (target + 1) % cfg.numShards);
     EXPECT_EQ(rss.rebalances(), 2u);
-    EXPECT_EQ(rss.flowsMoved(), 2u);
 }
 
 TEST(RssDispatcher, RegisterMetricsExposesRebalanceCounters)
@@ -304,7 +286,7 @@ TEST(RssDispatcher, RegisterMetricsExposesRebalanceCounters)
     RssDispatcher rss(cfg);
     Xoshiro256 rng(0x77);
     const FiveTuple t = randomTuple(rng);
-    rss.noteNewFlow(t);
+    rss.notePacket(rss.bucketFor(t));
     rss.setEntry(rss.bucketFor(t),
                  (rss.entry(rss.bucketFor(t)) + 1) % cfg.numShards);
 
@@ -313,114 +295,8 @@ TEST(RssDispatcher, RegisterMetricsExposesRebalanceCounters)
     const std::string text = reg.renderPrometheus();
     EXPECT_NE(text.find("halo_rss_rebalances 1"), std::string::npos)
         << text;
-    EXPECT_NE(text.find("halo_rss_flows_moved 1"), std::string::npos)
-        << text;
-}
-
-/**
- * The packed bucket word makes the indirection flip and the live-flow
- * charge one transaction: with flow accounting oscillating a bucket
- * between 0 and 1 flows while another thread remaps it, every remap
- * can charge at most the single concurrent flow, and a consistent
- * (shard, flows) pair is visible at every instant. The pre-fix racy
- * shape (separate entry array and counter array) could pair a new
- * mapping with a stale count. Runs under TSan in CI.
- */
-TEST(RssDispatcher, SetEntryChargesFlowsTransactionallyUnderRace)
-{
-    RssConfig cfg;
-    cfg.numShards = 4;
-    cfg.tableEntries = 16;
-    RssDispatcher rss(cfg);
-
-    Xoshiro256 rng(0xabba);
-    const FiveTuple hot = randomTuple(rng);
-    const unsigned bucket = rss.bucketFor(hot);
-
-    std::atomic<bool> done{false};
-    std::thread churn([&] {
-        while (!done.load(std::memory_order_acquire)) {
-            rss.noteNewFlow(hot);
-            rss.noteFlowEnd(hot);
-        }
-    });
-
-    const std::uint64_t kFlips = 20000;
-    for (std::uint64_t i = 0; i < kFlips; ++i) {
-        const RssDispatcher::BucketState st = rss.bucketState(bucket);
-        ASSERT_LT(st.shard, cfg.numShards);
-        ASSERT_LE(st.flows, 1u); // never torn, never wrapped
-        rss.setEntry(bucket,
-                     static_cast<unsigned>(i % cfg.numShards));
-    }
-    done.store(true, std::memory_order_release);
-    churn.join();
-
-    // Each flip that changed the shard charged the flows packed in the
-    // replaced word — at most the one concurrently live flow.
-    EXPECT_LE(rss.flowsMoved(), rss.rebalances());
-    EXPECT_EQ(rss.bucketFlowCount(bucket), 0u);
-}
-
-/**
- * Hot-bucket splitting: growTable() doubles the active table in place.
- * Every new upper-half bucket inherits its parent's shard (so a split
- * never moves a flow between shards and needs no migration protocol),
- * parent live-flow counts are split evenly, and steering for every
- * tuple is unchanged.
- */
-TEST(RssDispatcher, GrowTableSplitsBucketsInPlace)
-{
-    RssConfig cfg;
-    cfg.numShards = 4;
-    cfg.tableEntries = 8;
-    cfg.maxTableEntries = 32;
-    RssDispatcher rss(cfg);
-    ASSERT_EQ(rss.tableEntries(), 8u);
-    ASSERT_EQ(rss.maxTableEntries(), 32u);
-
-    Xoshiro256 rng(0x9191);
-    const FiveTuple t = randomTuple(rng);
-    const unsigned parent = rss.bucketFor(t);
-    for (int i = 0; i < 5; ++i)
-        rss.noteNewFlow(t);
-    ASSERT_EQ(rss.bucketFlowCount(parent), 5u);
-
-    // Record the steering of a tuple population before the split.
-    std::vector<FiveTuple> tuples;
-    std::vector<unsigned> shardBefore;
-    for (int i = 0; i < 500; ++i) {
-        tuples.push_back(randomTuple(rng));
-        shardBefore.push_back(rss.shardFor(tuples.back()));
-    }
-
-    ASSERT_TRUE(rss.growTable());
-    EXPECT_EQ(rss.tableEntries(), 16u);
-    EXPECT_EQ(rss.tableGrows(), 1u);
-
-    // Children inherit the parent shard; flows split between the pair.
-    for (unsigned b = 0; b < 8; ++b)
-        EXPECT_EQ(rss.entry(b + 8), rss.entry(b)) << "bucket " << b;
-    EXPECT_EQ(rss.bucketFlowCount(parent) +
-                  rss.bucketFlowCount(parent + 8),
-              5u);
-
-    // No tuple changed shards (it may have changed buckets).
-    for (std::size_t i = 0; i < tuples.size(); ++i)
-        ASSERT_EQ(rss.shardFor(tuples[i]), shardBefore[i]);
-
-    // Growth stops at the pre-allocated ceiling.
-    EXPECT_TRUE(rss.growTable()); // 32
-    EXPECT_EQ(rss.tableEntries(), 32u);
-    EXPECT_FALSE(rss.growTable());
-    EXPECT_EQ(rss.tableEntries(), 32u);
-    EXPECT_EQ(rss.tableGrows(), 2u);
-
-    // maxTableEntries = 0 means no growth at all.
-    RssConfig fixed;
-    fixed.tableEntries = 8;
-    RssDispatcher rssFixed(fixed);
-    EXPECT_FALSE(rssFixed.growTable());
+    // Heat stays the controller's: no per-bucket series.
+    EXPECT_EQ(text.find("bucket"), std::string::npos) << text;
 }
 
 /** Per-bucket heat: notePacket accumulates, takeBucketPackets drains. */
@@ -440,76 +316,14 @@ TEST(RssDispatcher, BucketPacketHeatCountersDrainOnTake)
     EXPECT_EQ(rss.takeBucketPackets(0), 0u);
 }
 
-TEST(RssDispatcher, RegisterMetricsExposesGrowthAndBucketGauges)
-{
-    RssConfig cfg;
-    cfg.numShards = 2;
-    cfg.tableEntries = 4;
-    cfg.maxTableEntries = 8;
-    RssDispatcher rss(cfg);
-    Xoshiro256 rng(0x88);
-    const FiveTuple t = randomTuple(rng);
-    rss.noteNewFlow(t);
-    ASSERT_TRUE(rss.growTable());
-
-    obs::MetricsRegistry reg;
-    rss.registerMetrics(reg);
-    const std::string text = reg.renderPrometheus();
-    EXPECT_NE(text.find("halo_rss_table_grows 1"), std::string::npos)
-        << text;
-    EXPECT_NE(text.find("halo_rss_bucket_flows"), std::string::npos)
-        << text;
-}
-
 /**
- * Table growth racing live dispatch: a dispatcher thread steers and
- * churns flows while the controller doubles the table twice. The
- * widened mask must never expose an uninitialized bucket (dispatch
- * keeps returning valid shard ids). Runs under TSan in CI.
- */
-TEST(RssDispatcher, GrowTableDuringDispatchIsSafe)
-{
-    RssConfig cfg;
-    cfg.numShards = 4;
-    cfg.tableEntries = 16;
-    cfg.maxTableEntries = 128;
-    RssDispatcher rss(cfg);
-
-    std::atomic<bool> done{false};
-    std::atomic<std::uint64_t> dispatched{0};
-    std::thread dispatcher([&] {
-        Xoshiro256 rng(0x6666);
-        while (!done.load(std::memory_order_acquire)) {
-            const FiveTuple t = randomTuple(rng);
-            ASSERT_LT(rss.shardFor(t), cfg.numShards);
-            rss.notePacket(rss.bucketFor(t));
-            rss.noteNewFlow(t);
-            rss.noteFlowEnd(t);
-            dispatched.fetch_add(1, std::memory_order_release);
-        }
-    });
-    while (dispatched.load(std::memory_order_acquire) < 100)
-        std::this_thread::yield();
-    while (rss.growTable()) {
-        // Heat drain interleaves with growth in the real controller.
-        for (unsigned b = 0; b < rss.tableEntries(); ++b)
-            rss.takeBucketPackets(b);
-    }
-    done.store(true, std::memory_order_release);
-    dispatcher.join();
-
-    EXPECT_EQ(rss.tableEntries(), 128u);
-    EXPECT_EQ(rss.tableGrows(), 3u);
-}
-
-/**
- * Live rebalance under churn: a dispatcher thread steers random
- * tuples and tracks flow setup/teardown while another thread remaps
+ * Live rebalance under dispatch: a dispatcher thread steers random
+ * tuples and counts their packet heat while another thread remaps
  * indirection-table buckets — the production shape of a rebalance
  * (dispatch is never paused). Exercised under TSan in CI; dispatch
  * must keep returning valid shard ids throughout.
  */
-TEST(RssDispatcher, RebalanceDuringChurnIsSafeAndCounted)
+TEST(RssDispatcher, RebalanceDuringDispatchIsSafeAndCounted)
 {
     RssConfig cfg;
     cfg.numShards = 4;
@@ -517,38 +331,31 @@ TEST(RssDispatcher, RebalanceDuringChurnIsSafeAndCounted)
     RssDispatcher rss(cfg);
 
     std::atomic<bool> done{false};
-    std::atomic<std::uint64_t> flowsNoted{0};
+    std::atomic<std::uint64_t> dispatched{0};
     std::thread dispatcher([&] {
         Xoshiro256 rng(0x1234);
-        std::vector<FiveTuple> live;
         while (!done.load(std::memory_order_acquire)) {
             const FiveTuple t = randomTuple(rng);
-            ASSERT_LT(rss.shardFor(t), cfg.numShards);
-            rss.noteNewFlow(t);
-            flowsNoted.fetch_add(1, std::memory_order_release);
-            live.push_back(t);
-            if (live.size() > 64) {
-                rss.noteFlowEnd(live.front());
-                live.erase(live.begin());
-            }
+            const unsigned b = rss.bucketFor(t);
+            ASSERT_LT(rss.entry(b), cfg.numShards);
+            rss.notePacket(b);
+            dispatched.fetch_add(1, std::memory_order_release);
         }
     });
-    // Let the dispatcher populate buckets before the first remap, so
-    // the full-table rounds below are guaranteed to move live flows.
-    while (flowsNoted.load(std::memory_order_acquire) < 64)
+    while (dispatched.load(std::memory_order_acquire) < 64)
         std::this_thread::yield();
 
-    // Rebalancer: walk the table remapping every bucket, repeatedly.
+    // Rebalancer: walk the table remapping every bucket and draining
+    // its heat, repeatedly.
     Xoshiro256 rng(0x4321);
     for (int round = 0; round < 50; ++round)
-        for (unsigned b = 0; b < rss.tableEntries(); ++b)
+        for (unsigned b = 0; b < rss.tableEntries(); ++b) {
             rss.setEntry(b, static_cast<unsigned>(
                                 rng.nextBounded(cfg.numShards)));
+            rss.takeBucketPackets(b);
+        }
     done.store(true, std::memory_order_release);
     dispatcher.join();
 
     EXPECT_GT(rss.rebalances(), 0u);
-    // 50 full-table random remap rounds over live flows must have
-    // caught at least one populated bucket.
-    EXPECT_GT(rss.flowsMoved(), 0u);
 }
