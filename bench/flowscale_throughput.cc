@@ -21,8 +21,8 @@
  *   fixed    — EMC always on without the controller (OVS default;
  *              blind promotion, recency-informed eviction)
  *   adaptive — the same EMC plus the controller: flow-count-driven
- *              disable/enable/resize and occupancy-aware promotion
- *              throttling (RuntimeConfig::emcPolicy.adaptive)
+ *              disable and re-enable with hysteresis
+ *              (RuntimeConfig::emcPolicy.adaptive)
  *   off      — EMC compiled out of the pipeline (the paper's static
  *              hybrid decision, as an oracle reference)
  *
@@ -48,7 +48,7 @@
  * --smoke runs 2 workers, 80000 packets and 4096 EMC entries (flags
  * given explicitly win) over a small and a scan-heavy cell, and exits
  * nonzero unless the adaptive controller acted at the high-flow cell
- * (>= 1 disable/enable/resize), adaptive cpu-pps >= fixed there, the
+ * (>= 1 disable/enable), adaptive cpu-pps >= fixed there, the
  * small-case cell keeps adaptive >= 0.85x fixed, and the reference
  * estimator lands within 30% of the true distinct count. Every run,
  * smoke or not, must conserve packets.
@@ -125,7 +125,6 @@ struct ScaleResult
     std::uint64_t emcLookupHits = 0;
     std::uint64_t emcLookupMisses = 0;
     std::uint64_t emcEvictOverwrites = 0;
-    std::uint64_t emcActiveEntries = 0;
     unsigned emcEnabledShards = 0;
     double estimatedFlows = 0.0; ///< adaptive only: sum of lastEstimate
     /// Deterministic reference replay of the identical packet stream.
@@ -167,15 +166,6 @@ runOnce(const Cell &cell, EmcPolicy policy, const BenchFlags &flags,
     cfg.revalidator.ringCapacity = 8192;
     if (policy == EmcPolicy::Adaptive) {
         cfg.emcPolicy.adaptive = true;
-        // A short window's repeat fraction underestimates the long-run
-        // EMC hit rate (every window pays the working set's first
-        // touches), so the stock 0.25/0.40 band flaps on EMC-friendly
-        // Zipf cells whose windowed repeat hovers near 0.3. The bench
-        // lowers the band: hostile cells still measure near-zero
-        // repeat and disable decisively; friendly cells stay clear of
-        // the disable edge.
-        cfg.emcPolicy.disableRepeatFraction = 0.15;
-        cfg.emcPolicy.enableRepeatFraction = 0.30;
         if (flags.smoke) {
             // Smoke runs are short and may execute under TSan at a
             // fraction of native throughput: shorten the control epoch
@@ -240,7 +230,6 @@ runOnce(const Cell &cell, EmcPolicy policy, const BenchFlags &flags,
         res.emcLookupHits += emc.lookupHits();
         res.emcLookupMisses += emc.lookupMisses();
         res.emcEvictOverwrites += emc.evictOverwrites();
-        res.emcActiveEntries += emc.activeEntries();
         if (policy != EmcPolicy::Off && emc.enabled())
             ++res.emcEnabledShards;
         if (const ShardFlowEstimator *est = rt.flowEstimator(w))
@@ -260,7 +249,7 @@ runOnce(const Cell &cell, EmcPolicy policy, const BenchFlags &flags,
     const RevalidatorCounters &rv = res.rep.aggregate.revalidator;
     std::printf(
         "%-8s %8llu flows zipf %.2f: %10.0f pkt/s cpu, %9.0f wall, "
-        "emc %llu/%llu h/m, ctrl d%llu/e%llu/r%llu, thr %llu\n",
+        "emc %llu/%llu h/m, ctrl d%llu/e%llu, thr %llu\n",
         policyName(policy),
         static_cast<unsigned long long>(cell.flows), cell.skew,
         res.pps(), wallPps(res.rep),
@@ -268,7 +257,6 @@ runOnce(const Cell &cell, EmcPolicy policy, const BenchFlags &flags,
         static_cast<unsigned long long>(res.emcLookupMisses),
         static_cast<unsigned long long>(rv.ctrlDisables),
         static_cast<unsigned long long>(rv.ctrlEnables),
-        static_cast<unsigned long long>(rv.ctrlResizes),
         static_cast<unsigned long long>(rv.promotesThrottled));
     return res;
 }
@@ -366,11 +354,9 @@ writeJson(const BenchFlags &flags, const Options &opt,
         j.kv("promotes_throttled", a.revalidator.promotesThrottled);
         j.kv("ctrl_disables", a.revalidator.ctrlDisables);
         j.kv("ctrl_enables", a.revalidator.ctrlEnables);
-        j.kv("ctrl_resizes", a.revalidator.ctrlResizes);
         j.kv("emc_lookup_hits", r.emcLookupHits);
         j.kv("emc_lookup_misses", r.emcLookupMisses);
         j.kv("emc_evict_overwrites", r.emcEvictOverwrites);
-        j.kv("emc_active_entries_end", r.emcActiveEntries);
         j.kv("emc_enabled_shards_end", r.emcEnabledShards);
         j.kv("estimated_flows_end", r.estimatedFlows, 1);
         j.kv("stream_distinct_flows", r.streamDistinctFlows);
@@ -472,7 +458,7 @@ main(int argc, char **argv)
         const RevalidatorCounters *rv =
             adaptBig ? &adaptBig->rep.aggregate.revalidator : nullptr;
         if (!rv ||
-            rv->ctrlDisables + rv->ctrlEnables + rv->ctrlResizes == 0) {
+            rv->ctrlDisables + rv->ctrlEnables == 0) {
             std::fprintf(stderr,
                          "smoke FAILED: adaptive controller never "
                          "acted at the high-flow cell\n");

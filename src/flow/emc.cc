@@ -28,7 +28,6 @@ ExactMatchCache::ExactMatchCache(SimMemory &memory, std::uint64_t entries,
     HALO_ASSERT(isPowerOfTwo(entries), "EMC entry count: power of two");
     base = mem.allocate(entries * slotBytes, cacheLineBytes, "EMC slots");
     mem.zero(base, entries * slotBytes);
-    activeMask_.store(entries - 1, std::memory_order_relaxed);
 }
 
 std::uint64_t
@@ -41,9 +40,10 @@ ExactMatchCache::hashKey(
 }
 
 std::optional<std::uint64_t>
-ExactMatchCache::probeConcurrent(const std::uint8_t *key, std::uint64_t h,
-                                 std::uint64_t mask) const
+ExactMatchCache::probeConcurrent(const std::uint8_t *key,
+                                 std::uint64_t h) const
 {
+    const std::uint64_t mask = indexMask();
     const std::uint32_t sig = shortSignature(h);
     const std::uint32_t gen = generation.load(std::memory_order_relaxed);
     const std::uint64_t idx[2] = {h & mask, (h >> 32) & mask};
@@ -92,9 +92,7 @@ ExactMatchCache::lookup(
 {
     if (concurrent_) [[unlikely]] {
         HALO_ASSERT(!trace, "a concurrent EMC records no trace");
-        const auto v = probeConcurrent(
-            key.data(), hashKey(key),
-            activeMask_.load(std::memory_order_relaxed));
+        const auto v = probeConcurrent(key.data(), hashKey(key));
         (v ? hits_ : misses_).fetch_add(1, std::memory_order_relaxed);
         return v;
     }
@@ -104,7 +102,7 @@ ExactMatchCache::lookup(
     const std::uint32_t gen = generation.load(std::memory_order_relaxed);
     // Two candidate positions from independent halves of the hash
     // (OVS's EMC_FOR_EACH_POS_WITH_HASH probing).
-    const std::uint64_t mask = activeMask_.load(std::memory_order_relaxed);
+    const std::uint64_t mask = indexMask();
     const std::uint64_t idx[2] = {h & mask, (h >> 32) & mask};
 
     for (int probe = 0; probe < 2; ++probe) {
@@ -142,7 +140,7 @@ ExactMatchCache::lookupBulk(const std::uint8_t *const *keys,
 {
     HALO_ASSERT(n <= maxBulkLanes, "bulk EMC probe burst too large");
 
-    const std::uint64_t mask = activeMask_.load(std::memory_order_relaxed);
+    const std::uint64_t mask = indexMask();
 
     if (concurrent_) [[unlikely]] {
         // Under a concurrent writer every lane takes the seqlocked
@@ -168,7 +166,7 @@ ExactMatchCache::lookupBulk(const std::uint8_t *const *keys,
         }
         std::uint32_t found = 0;
         for (std::size_t i = 0; i < n; ++i) {
-            if (const auto v = probeConcurrent(keys[i], hashes[i], mask)) {
+            if (const auto v = probeConcurrent(keys[i], hashes[i])) {
                 values[i] = *v;
                 found |= 1u << i;
             }
@@ -252,7 +250,7 @@ ExactMatchCache::insert(
     const std::uint64_t h = hashKey(key);
     const std::uint32_t sig = shortSignature(h);
     const std::uint32_t gen = generation.load(std::memory_order_relaxed);
-    const std::uint64_t mask = activeMask_.load(std::memory_order_relaxed);
+    const std::uint64_t mask = indexMask();
     const std::uint64_t idx[2] = {h & mask, (h >> 32) & mask};
 
     // Fill an invalid slot, update a matching key, and otherwise evict
@@ -309,12 +307,8 @@ ExactMatchCache::insert(
         mem.write(victim + keyOffset, key.data(), key.size());
         mem.store<std::uint64_t>(victim + valueOffset, value);
     }
-    if (kind == Victim::Fill) {
-        ++live_;
-        livePub_.set(live_);
-    } else if (kind == Victim::Overwrite) {
+    if (kind == Victim::Overwrite)
         evictOverwrites_.add(1);
-    }
     recordRef(trace, victim, slotBytes, true, AccessPhase::Bucket);
     return (victim - base) / slotBytes;
 }
@@ -326,7 +320,7 @@ ExactMatchCache::erase(
     const std::uint64_t h = hashKey(key);
     const std::uint32_t sig = shortSignature(h);
     const std::uint32_t gen = generation.load(std::memory_order_relaxed);
-    const std::uint64_t mask = activeMask_.load(std::memory_order_relaxed);
+    const std::uint64_t mask = indexMask();
     const std::uint64_t idx[2] = {h & mask, (h >> 32) & mask};
 
     for (int probe = 0; probe < 2; ++probe) {
@@ -348,10 +342,6 @@ ExactMatchCache::erase(
         } else {
             mem.zero(slot, slotBytes);
         }
-        if (live_ > 0) {
-            --live_;
-            livePub_.set(live_);
-        }
         return true;
     }
     return false;
@@ -366,25 +356,10 @@ ExactMatchCache::enableConcurrent()
 }
 
 void
-ExactMatchCache::setActiveEntries(std::uint64_t entries)
-{
-    HALO_ASSERT(entries >= 2 && isPowerOfTwo(entries) &&
-                    entries <= numEntries,
-                "EMC active entries: power of two within the footprint");
-    activeMask_.store(entries - 1, std::memory_order_relaxed);
-    // The new index range must start empty: entries stranded outside a
-    // shrunk range — or hashed differently under the new mask — may
-    // never resurrect.
-    clear();
-}
-
-void
 ExactMatchCache::clear()
 {
     // Bumping the generation invalidates every entry in O(1).
     generation.fetch_add(1, std::memory_order_relaxed);
-    live_ = 0;
-    livePub_.set(0);
     clears_.add(1);
 }
 

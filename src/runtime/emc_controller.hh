@@ -19,9 +19,8 @@
  * Low repeat fraction or a working set far beyond capacity means every
  * EMC probe is a wasted miss plus an insert that evicts something
  * useful — the regime where the paper disables the EMC outright. The
- * controller also right-sizes the probed range (smaller active range =
- * smaller cache footprint) and throttles promotions when the cache is
- * full and oversubscribed.
+ * controller makes exactly that one decision: the cache is either off
+ * or on over its whole footprint.
  */
 
 #ifndef HALO_RUNTIME_EMC_CONTROLLER_HH
@@ -33,6 +32,26 @@ namespace halo {
 
 /// Bits per flow-estimator window buffer (a power of two).
 inline constexpr std::uint64_t emcEstimatorBits = 1ull << 18;
+
+/// Disable when the repeat fraction drops below this; re-enable once it
+/// recovers to the (higher) enable threshold. The gap is the hysteresis
+/// that stops border traffic from flapping. A short window's repeat
+/// fraction underestimates the long-run EMC hit rate (every window pays
+/// the working set's first touches), so a higher 0.25/0.40 band flaps
+/// on EMC-friendly Zipf traffic whose windowed repeat hovers near 0.3.
+/// Hostile traffic (scans, uniform draws over millions of flows) still
+/// measures near-zero repeat and disables decisively.
+inline constexpr double emcDisableRepeatFraction = 0.15;
+inline constexpr double emcEnableRepeatFraction = 0.30;
+
+/// Disable when the windowed estimate exceeds this multiple of the
+/// EMC's entry count — the working set is so far beyond capacity that
+/// even perfect replacement thrashes.
+inline constexpr double emcDisableFlowRatio = 4.0;
+
+/// Re-enable only once the working set, times this headroom, fits in
+/// the EMC's entry count.
+inline constexpr double emcEnableHeadroom = 2.0;
 
 /** Knobs for the adaptive EMC controller (RuntimeConfig::emcPolicy). */
 struct EmcPolicyConfig
@@ -51,35 +70,6 @@ struct EmcPolicyConfig
     /// Windows with fewer samples than this carry no signal (idle
     /// shard, warm-up): keep the current policy.
     std::uint64_t minWindowSamples = 512;
-
-    /// Disable when the repeat fraction drops below this, or re-enable
-    /// once it recovers above the (higher) enable threshold. The gap is
-    /// the hysteresis that stops border traffic from flapping.
-    double disableRepeatFraction = 0.25;
-    double enableRepeatFraction = 0.40;
-
-    /// Disable when the windowed estimate exceeds this multiple of the
-    /// EMC's maximum entry count — the working set is so far beyond
-    /// capacity that even perfect replacement thrashes.
-    double disableFlowRatio = 4.0;
-
-    /// Sizing: the active range targets estimate * sizeHeadroom entries
-    /// (next power of two); re-enabling requires the working set to fit
-    /// under the same headroom.
-    double sizeHeadroom = 2.0;
-
-    /// Shrink only when the target (with this extra margin) still sits
-    /// a full power-of-two step below the active range: shrinking
-    /// clears the cache, so it must not oscillate on jitter.
-    double shrinkMargin = 1.25;
-
-    /// Never resize below this many entries.
-    std::uint64_t minEntries = 1024;
-
-    /// Promotion throttling engages above this live/active occupancy.
-    double throttleOccupancy = 0.5;
-    /// Throttle admits 1-in-2^shift promotions, at most this shift.
-    unsigned maxThrottleShift = 6;
 };
 
 /** Per-epoch policy inputs: the closed estimator window + cache state. */
@@ -89,10 +79,7 @@ struct EmcControlInputs
     std::uint64_t samples = 0;    ///< window sample count
     bool saturated = false;       ///< estimator bit array filled up
     bool enabled = true;          ///< cache currently probed
-    std::uint64_t activeEntries = 0;
-    std::uint64_t maxEntries = 0;
-    std::uint64_t liveEntries = 0;
-    unsigned currentThrottleShift = 0;
+    std::uint64_t maxEntries = 0; ///< the EMC's entry count
 };
 
 /** What the revalidator should do this epoch. */
@@ -102,15 +89,10 @@ struct EmcControlDecision
     {
         None,     ///< keep the current state
         Disable,  ///< stop probing; clear so re-enable starts cold
-        Enable,   ///< resume probing at targetEntries
-        Resize,   ///< stay enabled, re-range to targetEntries
+        Enable,   ///< resume probing over the whole footprint
     };
 
     Action action = Action::None;
-    /// Active-entry target for Enable/Resize (power of two).
-    std::uint64_t targetEntries = 0;
-    /// Promotion throttle to apply from now on (1-in-2^shift).
-    unsigned throttleShift = 0;
     /// Repeat fraction the decision was based on (telemetry/tests).
     double repeatFraction = 0.0;
 };

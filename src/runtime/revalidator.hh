@@ -106,13 +106,12 @@ struct RevalidatorCounters
     std::uint64_t agedFlows = 0;
     /// EMC entries aged out on idle timeout.
     std::uint64_t agedEmc = 0;
-    /// Promote requests refused by the occupancy throttle (or arriving
-    /// while the controller has the EMC disabled).
+    /// Promote requests dropped because they arrived while the adaptive
+    /// controller had the shard's EMC disabled.
     std::uint64_t promotesThrottled = 0;
     /// Adaptive-controller transitions.
     std::uint64_t ctrlDisables = 0;
     std::uint64_t ctrlEnables = 0;
-    std::uint64_t ctrlResizes = 0;
     /// Times the thread parked on the clock with its ring empty.
     std::uint64_t parks = 0;
 };
@@ -220,18 +219,11 @@ class Revalidator
     PublishedCounter promotesThrottled_;
     PublishedCounter ctrlDisables_;
     PublishedCounter ctrlEnables_;
-    PublishedCounter ctrlResizes_;
     PublishedCounter parks_;
 
-    /** Per-shard adaptive-policy state (revalidator thread only). */
-    struct ShardControl
-    {
-        unsigned throttleShift = 0;
-        std::uint64_t promoteTick = 0; ///< throttle phase counter
-        /// Idle timeout of the current sweep (flow limit applied).
-        std::uint64_t idleTimeout = 0;
-    };
-    std::vector<ShardControl> ctl_;
+    /// Per-shard idle timeout of the current sweep (flow limit
+    /// applied); revalidator thread only.
+    std::vector<std::uint64_t> idleTimeout_;
     unsigned sweepsSinceControl_ = 0;
 
     std::vector<TrackedFlow> tracked_;  ///< revalidator thread only

@@ -344,8 +344,8 @@ Runtime::registerMetrics(obs::MetricsRegistry &reg)
         const ExactMatchCache *emc = &w->vswitch().emc();
 
         // EMC cache-management telemetry (relaxed counter/gauge reads;
-        // the adaptive controller drives enabled/active/live, and the
-        // probe counters tick in every mode).
+        // the adaptive controller drives enabled, and the probe
+        // counters tick in every mode).
         reg.attach("halo_emc_lookup_hits", l, obs::MetricKind::Counter,
                    [emc] {
                        return static_cast<double>(emc->lookupHits());
@@ -354,15 +354,6 @@ Runtime::registerMetrics(obs::MetricsRegistry &reg)
                    obs::MetricKind::Counter, [emc] {
                        return static_cast<double>(
                            emc->lookupMisses());
-                   });
-        reg.attach("halo_emc_live_entries", l, obs::MetricKind::Gauge,
-                   [emc] {
-                       return static_cast<double>(emc->liveEntries());
-                   });
-        reg.attach("halo_emc_active_entries", l,
-                   obs::MetricKind::Gauge, [emc] {
-                       return static_cast<double>(
-                           emc->activeEntries());
                    });
         reg.attach("halo_emc_enabled", l, obs::MetricKind::Gauge,
                    [emc] { return emc->enabled() ? 1.0 : 0.0; });
@@ -420,14 +411,13 @@ Runtime::registerMetrics(obs::MetricsRegistry &reg)
             {"halo_reval_sweeps", &RevalidatorCounters::sweeps},
             {"halo_reval_aged_flows", &RevalidatorCounters::agedFlows},
             {"halo_reval_aged_emc", &RevalidatorCounters::agedEmc},
+            // Promotes dropped while the controller has the EMC off.
             {"halo_emc_promotes_throttled",
              &RevalidatorCounters::promotesThrottled},
             {"halo_emc_ctrl_disables",
              &RevalidatorCounters::ctrlDisables},
             {"halo_emc_ctrl_enables",
              &RevalidatorCounters::ctrlEnables},
-            {"halo_emc_ctrl_resizes",
-             &RevalidatorCounters::ctrlResizes},
             {"halo_reval_parks", &RevalidatorCounters::parks},
         };
         for (const auto &s : reval_series) {
@@ -481,11 +471,10 @@ Runtime::startSampler()
         columns.push_back("reval_aged_flows");
     }
     if (!estimators_.empty()) {
-        // Adaptive-EMC series: summed flow estimate and active entry
-        // count across shards, plus how many shards still probe their
-        // EMC — the sampler view of hybrid-mode decisions over time.
+        // Adaptive-EMC series: summed flow estimate across shards,
+        // plus how many shards still probe their EMC — the sampler
+        // view of hybrid-mode decisions over time.
         columns.push_back("emc_estimated_flows");
-        columns.push_back("emc_active_entries");
         columns.push_back("emc_enabled_shards");
     }
     if (elastic_) {
@@ -526,16 +515,13 @@ Runtime::startSampler()
                                                   rc.agedEmc));
             }
             if (!estimators_.empty()) {
-                double est = 0.0, active = 0.0, on = 0.0;
+                double est = 0.0, on = 0.0;
                 for (std::size_t w = 0; w < workers_.size(); ++w) {
                     est += estimators_[w]->lastEstimate();
-                    const ExactMatchCache &emc =
-                        workers_[w]->vswitch().emc();
-                    active += static_cast<double>(emc.activeEntries());
-                    on += emc.enabled() ? 1.0 : 0.0;
+                    on += workers_[w]->vswitch().emc().enabled() ? 1.0
+                                                                 : 0.0;
                 }
                 row.push_back(est);
-                row.push_back(active);
                 row.push_back(on);
             }
             if (elastic_) {

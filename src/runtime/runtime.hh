@@ -99,10 +99,10 @@ struct RuntimeConfig
     RevalidatorConfig revalidator;
     /**
      * Adaptive EMC management (decoupled mode only): per-shard
-     * linear-counting flow estimators on the data path, occupancy-aware
-     * promotion throttling, and a controller that disables/re-enables/
-     * resizes each shard's EMC from the flow-count estimate each
-     * control epoch (paper §3.5 hybrid mode as a runtime policy).
+     * linear-counting flow estimators on the data path, and a
+     * controller that disables and re-enables each shard's EMC from
+     * the flow-count estimate each control epoch (paper §3.5 hybrid
+     * mode as a runtime policy).
      * Copied into revalidator.emcPolicy.
      */
     EmcPolicyConfig emcPolicy;

@@ -53,9 +53,14 @@ TEST(Emc, ClearInvalidatesEverything)
 {
     SimMemory mem(8 << 20);
     ExactMatchCache emc(mem, 256);
-    emc.insert(keyOf(5, 6, 7, 8), 1);
+    for (std::uint32_t i = 0; i < 200; ++i)
+        emc.insert(keyOf(i, 6, 7, 8), i);
+    const std::uint64_t clearsBefore = emc.clearCount();
     emc.clear();
-    EXPECT_FALSE(emc.lookup(keyOf(5, 6, 7, 8)).has_value());
+    EXPECT_EQ(emc.clearCount(), clearsBefore + 1);
+    // One generation bump starts the whole cache cold.
+    for (std::uint32_t i = 0; i < 200; ++i)
+        EXPECT_FALSE(emc.lookup(keyOf(i, 6, 7, 8)).has_value()) << i;
     // Reinsertable after clear.
     emc.insert(keyOf(5, 6, 7, 8), 2);
     EXPECT_EQ(*emc.lookup(keyOf(5, 6, 7, 8)), 2u);

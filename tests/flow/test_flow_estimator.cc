@@ -30,7 +30,7 @@ flowHash(std::uint64_t id)
 /**
  * Linear counting with a 2^18-bit window must land within a few percent
  * of the true cardinality from 1k through 1M distinct flows — the range
- * the EMC controller's disable/resize decisions depend on. 1M flows
+ * the EMC controller's disable/enable decisions depend on. 1M flows
  * load the array at n/m ≈ 4, the deep end of the estimator's accurate
  * regime.
  */

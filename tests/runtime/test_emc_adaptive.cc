@@ -1,21 +1,18 @@
 /**
  * @file
  * Adaptive EMC management (DESIGN.md §16): the pure policy function
- * that turns flow-count estimates into disable/enable/resize/throttle
- * decisions, the EMC's recency-informed eviction (traced and
- * untraced streams must leave byte-identical slabs), and the decoupled
- * runtime wiring that closes estimator windows and actually flips the
- * cache off under uncacheable traffic — the paper's §3.5 hybrid mode
- * as a runtime policy.
+ * that turns flow-count estimates into disable/enable decisions, the
+ * EMC's recency-informed eviction (traced and untraced streams must
+ * leave byte-identical slabs), and the decoupled runtime wiring that
+ * closes estimator windows and actually flips the cache off under
+ * uncacheable traffic and back on under reuse — the paper's §3.5
+ * hybrid mode as a runtime policy.
  */
 
 #include <gtest/gtest.h>
 
 #include <array>
 #include <cstring>
-#include <sstream>
-#include <string>
-#include <string_view>
 #include <functional>
 #include <vector>
 
@@ -24,7 +21,6 @@
 #include "hash/hash_fn.hh"
 #include "manual_clock.hh"
 #include "mem/sim_memory.hh"
-#include "obs/metrics.hh"
 #include "runtime/emc_controller.hh"
 #include "runtime/runtime.hh"
 
@@ -42,9 +38,7 @@ healthyInputs()
     in.estimate = 400.0;
     in.samples = 10000;
     in.enabled = true;
-    in.activeEntries = 1024;
     in.maxEntries = 65536;
-    in.liveEntries = 300;
     return in;
 }
 
@@ -69,11 +63,8 @@ TEST(EmcPolicy, ThinWindowCarriesNoSignal)
     EmcPolicyConfig cfg;
     EmcControlInputs in = healthyInputs();
     in.samples = cfg.minWindowSamples - 1;
-    in.currentThrottleShift = 3;
-    const EmcControlDecision d = decideEmcPolicy(cfg, in);
-    EXPECT_EQ(d.action, Act::None);
-    // The throttle is held, not reset: no evidence either way.
-    EXPECT_EQ(d.throttleShift, 3u);
+    in.estimate = static_cast<double>(in.samples); // looks like a scan
+    EXPECT_EQ(decideEmcPolicy(cfg, in).action, Act::None);
 }
 
 TEST(EmcPolicy, DisablesWhenTrafficDoesNotRepeat)
@@ -81,12 +72,19 @@ TEST(EmcPolicy, DisablesWhenTrafficDoesNotRepeat)
     EmcPolicyConfig cfg;
     EmcControlInputs in = healthyInputs();
     in.samples = 10000;
-    in.estimate = 9800.0; // repeat fraction 0.02 < 0.25
-    in.currentThrottleShift = 2;
+    in.estimate = 9800.0; // repeat fraction 0.02
     const EmcControlDecision d = decideEmcPolicy(cfg, in);
     EXPECT_EQ(d.action, Act::Disable);
-    EXPECT_EQ(d.throttleShift, 0u);
     EXPECT_NEAR(d.repeatFraction, 0.02, 1e-9);
+
+    // The disable edge is emcDisableRepeatFraction (0.15): just under
+    // it disables, just over it an enabled cache stays on.
+    in.estimate = 8600.0; // repeat 0.14
+    EXPECT_LT(1.0 - in.estimate / 10000.0, emcDisableRepeatFraction);
+    EXPECT_EQ(decideEmcPolicy(cfg, in).action, Act::Disable);
+    in.estimate = 8400.0; // repeat 0.16
+    EXPECT_GT(1.0 - in.estimate / 10000.0, emcDisableRepeatFraction);
+    EXPECT_EQ(decideEmcPolicy(cfg, in).action, Act::None);
 }
 
 TEST(EmcPolicy, DisablesOnSaturatedEstimator)
@@ -106,8 +104,7 @@ TEST(EmcPolicy, DisablesWhenWorkingSetDwarfsCapacity)
     EmcPolicyConfig cfg;
     EmcControlInputs in = healthyInputs();
     in.maxEntries = 1024;
-    in.activeEntries = 1024;
-    in.estimate = 8192.0; // 8x the footprint > disableFlowRatio 4
+    in.estimate = 8192.0; // 8x the footprint > emcDisableFlowRatio 4
     in.samples = 1000000; // repeat fraction 0.992: repeats alone fine
     EXPECT_EQ(decideEmcPolicy(cfg, in).action, Act::Disable);
 }
@@ -117,90 +114,7 @@ TEST(EmcPolicy, HoldsSteadyOnCacheableTraffic)
     EmcPolicyConfig cfg;
     const EmcControlDecision d = decideEmcPolicy(cfg, healthyInputs());
     EXPECT_EQ(d.action, Act::None);
-    EXPECT_EQ(d.throttleShift, 0u); // occupancy 300/1024 < 0.5
     EXPECT_GT(d.repeatFraction, 0.9);
-}
-
-TEST(EmcPolicy, GrowsTheActiveRangeWithTheWorkingSet)
-{
-    EmcPolicyConfig cfg;
-    EmcControlInputs in = healthyInputs();
-    in.estimate = 3000.0; // wanted 6000 with 2x headroom
-    in.samples = 100000;
-    const EmcControlDecision d = decideEmcPolicy(cfg, in);
-    EXPECT_EQ(d.action, Act::Resize);
-    EXPECT_EQ(d.targetEntries, 8192u);
-}
-
-TEST(EmcPolicy, ShrinksOnlyPastTheMargin)
-{
-    EmcPolicyConfig cfg;
-    EmcControlInputs in = healthyInputs();
-    in.activeEntries = 8192;
-    in.liveEntries = 1000;
-    in.samples = 100000;
-
-    // Shrinking clears the cache, so a borderline fit must hold:
-    // wanted 4000 -> target 4096, but 4000 * 1.25 > 4096.
-    in.estimate = 2000.0;
-    EXPECT_EQ(decideEmcPolicy(cfg, in).action, Act::None);
-
-    // A clear step down (wanted 3000 * 1.25 <= 4096) shrinks.
-    in.estimate = 1500.0;
-    const EmcControlDecision d = decideEmcPolicy(cfg, in);
-    EXPECT_EQ(d.action, Act::Resize);
-    EXPECT_EQ(d.targetEntries, 4096u);
-}
-
-TEST(EmcPolicy, NeverResizesBelowMinEntries)
-{
-    EmcPolicyConfig cfg;
-    EmcControlInputs in = healthyInputs();
-    in.activeEntries = 4096;
-    in.estimate = 10.0; // tiny working set
-    in.samples = 100000;
-    const EmcControlDecision d = decideEmcPolicy(cfg, in);
-    EXPECT_EQ(d.action, Act::Resize);
-    EXPECT_EQ(d.targetEntries, cfg.minEntries);
-}
-
-TEST(EmcPolicy, ThrottlesPromotionsUnderOccupancyPressure)
-{
-    EmcPolicyConfig cfg;
-    EmcControlInputs in = healthyInputs();
-    in.maxEntries = 4096;
-    in.activeEntries = 4096;
-    in.liveEntries = 4000; // occupancy 0.98 > 0.5
-    in.samples = 1000000;
-
-    // Oversubscribed 2x: admit 1-in-4 (shift = 1 + ceil(log2 2)).
-    in.estimate = 8192.0;
-    EXPECT_EQ(decideEmcPolicy(cfg, in).action, Act::None);
-    EXPECT_EQ(decideEmcPolicy(cfg, in).throttleShift, 2u);
-
-    // Steady state (working set fits, cache full): still 1-in-2 so
-    // churn cannot wholesale-evict the resident set.
-    in.estimate = 1000.0;
-    EXPECT_EQ(decideEmcPolicy(cfg, in).throttleShift, 1u);
-
-    // Under the occupancy threshold the throttle releases entirely.
-    in.liveEntries = 1000;
-    in.currentThrottleShift = 4;
-    EXPECT_EQ(decideEmcPolicy(cfg, in).throttleShift, 0u);
-}
-
-TEST(EmcPolicy, ThrottleShiftIsClamped)
-{
-    EmcPolicyConfig cfg;
-    cfg.disableFlowRatio = 1000.0; // isolate the throttle math
-    EmcControlInputs in = healthyInputs();
-    in.maxEntries = 4096;
-    in.activeEntries = 4096;
-    in.liveEntries = 4096;
-    in.estimate = 1000000.0; // pressure 244 -> raw shift 9
-    in.samples = 10000000;
-    EXPECT_EQ(decideEmcPolicy(cfg, in).throttleShift,
-              cfg.maxThrottleShift);
 }
 
 TEST(EmcPolicy, ReenableNeedsHysteresisAndFit)
@@ -210,20 +124,23 @@ TEST(EmcPolicy, ReenableNeedsHysteresisAndFit)
     in.enabled = false;
     in.samples = 10000;
 
-    // Inside the hysteresis band (0.25 < repeat 0.30 < 0.40): an
-    // enabled cache would stay on, but a disabled one stays off.
-    in.estimate = 7000.0;
+    // Inside the hysteresis band (emcDisableRepeatFraction 0.15 <
+    // repeat 0.25 < emcEnableRepeatFraction 0.30): an enabled cache
+    // would stay on, but a disabled one stays off.
+    in.estimate = 7500.0;
     EXPECT_EQ(decideEmcPolicy(cfg, in).action, Act::None);
+    in.enabled = true;
+    EXPECT_EQ(decideEmcPolicy(cfg, in).action, Act::None);
+    in.enabled = false;
 
-    // Clearly cacheable and fits: re-enable, sized to the working set.
-    in.estimate = 1000.0; // repeat 0.9; wanted 2000
-    const EmcControlDecision d = decideEmcPolicy(cfg, in);
-    EXPECT_EQ(d.action, Act::Enable);
-    EXPECT_EQ(d.targetEntries, 2048u);
-    EXPECT_EQ(d.throttleShift, 0u);
+    // Just past the enable edge (repeat 0.31), and the working set fits
+    // twice over: re-enable over the whole footprint.
+    in.estimate = 6900.0;
+    EXPECT_GT(1.0 - in.estimate / 10000.0, emcEnableRepeatFraction);
+    EXPECT_EQ(decideEmcPolicy(cfg, in).action, Act::Enable);
 
-    // Cacheable but the working set (with headroom) exceeds the
-    // footprint: probing it would thrash, stay off.
+    // Cacheable but the working set, times emcEnableHeadroom, exceeds
+    // the footprint: probing it would thrash, stay off.
     in.estimate = 40000.0;
     in.samples = 10000000; // repeat 0.996
     EXPECT_EQ(decideEmcPolicy(cfg, in).action, Act::None);
@@ -310,14 +227,12 @@ TEST(EmcManaged, EvictionPrefersTheOlderEpoch)
         ASSERT_EQ(emc.insert(keyA, 0xa), cand[0]);
         emc.setEpoch(r.epochB);
         ASSERT_EQ(emc.insert(keyB, 0xb), cand[1]);
-        ASSERT_EQ(emc.liveEntries(), 2u);
         ASSERT_EQ(emc.evictOverwrites(), 0u);
 
         emc.setEpoch(r.epochCurrent);
         const std::uint64_t victim = emc.insert(keyC, 0xc);
         EXPECT_EQ(victim, r.expectAEvicted ? cand[0] : cand[1]);
         EXPECT_EQ(emc.evictOverwrites(), 1u);
-        EXPECT_EQ(emc.liveEntries(), 2u);
         EXPECT_TRUE(emc.lookup(keyC).has_value());
         EXPECT_EQ(emc.lookup(keyA).has_value(), !r.expectAEvicted);
         EXPECT_EQ(emc.lookup(keyB).has_value(), r.expectAEvicted);
@@ -367,7 +282,6 @@ TEST(EmcManaged, SameStreamSameSlabTracedOrNot)
 
     EXPECT_GT(a.evictOverwrites(), 0u) << "stream never conflicted";
     EXPECT_EQ(a.evictOverwrites(), b.evictOverwrites());
-    EXPECT_EQ(a.liveEntries(), b.liveEntries());
     EXPECT_EQ(a.lookupHits(), 0u); // inserts/erases never count lookups
 
     std::vector<std::uint8_t> slab(a.footprintBytes());
@@ -375,87 +289,9 @@ TEST(EmcManaged, SameStreamSameSlabTracedOrNot)
     EXPECT_TRUE(memB.equals(b.baseAddr(), slab.data(), slab.size()));
 }
 
-/**
- * EMC transitions under lookups: setEnabled is advisory (the data
- * path checks it), setActiveEntries re-ranges in O(1) and starts the
- * new range cold so no stale entry can alias, and liveEntries tracks
- * fills/overwrites/erases exactly.
- */
-TEST(EmcManaged, ResizeStartsColdAndTracksOccupancy)
-{
-    SimMemory mem(4ull << 20);
-    ExactMatchCache emc(mem, 1024, 0x77);
-    EXPECT_TRUE(emc.enabled());
-    EXPECT_EQ(emc.activeEntries(), 1024u);
-
-    for (std::uint64_t id = 0; id < 200; ++id)
-        emc.insert(keyForId(id), id);
-    const std::uint64_t live = emc.liveEntries();
-    EXPECT_GT(live, 0u);
-    EXPECT_EQ(live + emc.evictOverwrites(), 200u);
-
-    const std::uint64_t clearsBefore = emc.clearCount();
-    emc.setActiveEntries(256);
-    EXPECT_EQ(emc.activeEntries(), 256u);
-    EXPECT_EQ(emc.liveEntries(), 0u);
-    EXPECT_EQ(emc.clearCount(), clearsBefore + 1);
-    // Every pre-resize entry is gone (generation bump), even those
-    // whose slot still lies inside the shrunk range.
-    for (std::uint64_t id = 0; id < 200; ++id)
-        EXPECT_FALSE(emc.lookup(keyForId(id)).has_value());
-
-    emc.setEnabled(false);
-    EXPECT_FALSE(emc.enabled());
-    emc.setEnabled(true);
-    EXPECT_TRUE(emc.enabled());
-}
-
 // ---------------------------------------------------------------------
 // Decoupled-runtime integration: the controller acts on live traffic.
 // ---------------------------------------------------------------------
-
-/**
- * Metrics registered before start() must already carry a per-stage
- * series for every stage a thread can enter, including the
- * revalidator's control stage, which only the adaptive EMC policy
- * runs (and which had therefore never executed at registration time).
- */
-TEST(Runtime, PerfSeriesExistForEveryStageBeforeItRuns)
-{
-    RuleSet of;
-    FlowRule fallback;
-    fallback.mask = FlowMask{};
-    fallback.priority = 1;
-    fallback.action = Action{ActionKind::Forward, 7};
-    of.push_back(fallback);
-
-    RuntimeConfig cfg;
-    cfg.numWorkers = 1;
-    cfg.shardMemBytes = 64ull << 20;
-    cfg.decoupled = true;
-    cfg.openflowRules = &of;
-    cfg.warmTables = false;
-    cfg.shard.vswitch.tupleConfig.tupleCapacity = 1u << 10;
-    cfg.emcPolicy.adaptive = true;
-    cfg.perfEnabled = true;
-    const RuleSet empty;
-    Runtime rt(cfg, empty);
-
-    obs::MetricsRegistry reg;
-    rt.registerMetrics(reg);
-    rt.start();
-    rt.drain();
-    rt.stop();
-    std::ostringstream prom;
-    reg.writePrometheus(prom);
-    const std::string text = prom.str();
-    for (const std::string_view stage : obs::kStageNames) {
-        const std::string series =
-            "halo_perf_stage_tsc_cycles{thread=\"revalidator\",stage=\"" +
-            std::string(stage) + "\"}";
-        EXPECT_NE(text.find(series), std::string::npos) << series;
-    }
-}
 
 /**
  * End to end (modeled on Runtime.DecoupledSlowPathInstallsResolvesAndAges):
@@ -506,12 +342,15 @@ TEST(Runtime, AdaptiveEmcDisablesOnScanAndReenablesOnReuse)
         t.dstPort = 443;
         rt.offer(Packet::fromTuple(t), t);
     };
-    // One control window: a drained round of traffic, then sweeps up
-    // to the policy pass.
-    auto window = [&](const std::function<std::uint64_t(int)> &flow) {
+    // A drained round of traffic: every upcall it raised is handled.
+    auto round = [&](const std::function<std::uint64_t(int)> &flow) {
         for (int i = 0; i < 500; ++i)
             offerId(flow(i));
         rt.drain();
+    };
+    // One control window: a round, then sweeps up to the policy pass.
+    auto window = [&](const std::function<std::uint64_t(int)> &flow) {
+        round(flow);
         for (unsigned e = 0; e < cfg.emcPolicy.controlIntervalSweeps; ++e)
             ASSERT_TRUE(test::tick(
                 clock, cfg.revalidator.sweepIntervalMicros,
@@ -534,6 +373,16 @@ TEST(Runtime, AdaptiveEmcDisablesOnScanAndReenablesOnReuse)
         window([](int i) { return static_cast<std::uint64_t>(i % 8); });
     EXPECT_EQ(rt.snapshot().revalidator.ctrlEnables, 1u);
     EXPECT_TRUE(rt.worker(0).vswitch().emc().enabled());
+
+    // Phase 3: the re-enabled cache serves hits again. Fresh flows,
+    // and no sweep in between, so nothing ages: the first round
+    // installs their megaflows, the second promotes them into the EMC
+    // on megaflow hits, and the third hits the EMC.
+    const ExactMatchCache &emc = rt.worker(0).vswitch().emc();
+    const std::uint64_t hitsBefore = emc.lookupHits();
+    for (int r = 0; r < 3; ++r)
+        round([](int i) { return 100 + static_cast<std::uint64_t>(i % 8); });
+    EXPECT_GT(emc.lookupHits(), hitsBefore);
 
     rt.drain();
     rt.stop();

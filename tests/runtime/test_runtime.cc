@@ -3,11 +3,14 @@
 #include <algorithm>
 #include <chrono>
 #include <climits>
+#include <sstream>
 #include <string>
+#include <string_view>
 #include <thread>
 
 #include "flow/ruleset.hh"
 #include "manual_clock.hh"
+#include "obs/metrics.hh"
 #include "runtime/runtime.hh"
 #include "vswitch/shard.hh"
 
@@ -701,5 +704,48 @@ TEST(Runtime, SymmetricRssKeepsConnectionsOnOneShard)
         std::swap(r.srcPort, r.dstPort);
         ASSERT_EQ(rt.dispatcher().shardFor(t),
                   rt.dispatcher().shardFor(r));
+    }
+}
+
+/**
+ * Metrics registered before start() must already carry a per-stage
+ * series for every stage a thread can enter, including the
+ * revalidator's control stage, which only the adaptive EMC policy
+ * runs (and which had therefore never executed at registration time).
+ */
+TEST(Runtime, PerfSeriesExistForEveryStageBeforeItRuns)
+{
+    RuleSet of;
+    FlowRule fallback;
+    fallback.mask = FlowMask{};
+    fallback.priority = 1;
+    fallback.action = Action{ActionKind::Forward, 7};
+    of.push_back(fallback);
+
+    RuntimeConfig cfg;
+    cfg.numWorkers = 1;
+    cfg.shardMemBytes = 64ull << 20;
+    cfg.decoupled = true;
+    cfg.openflowRules = &of;
+    cfg.warmTables = false;
+    cfg.shard.vswitch.tupleConfig.tupleCapacity = 1u << 10;
+    cfg.emcPolicy.adaptive = true;
+    cfg.perfEnabled = true;
+    const RuleSet empty;
+    Runtime rt(cfg, empty);
+
+    obs::MetricsRegistry reg;
+    rt.registerMetrics(reg);
+    rt.start();
+    rt.drain();
+    rt.stop();
+    std::ostringstream prom;
+    reg.writePrometheus(prom);
+    const std::string text = prom.str();
+    for (const std::string_view stage : obs::kStageNames) {
+        const std::string series =
+            "halo_perf_stage_tsc_cycles{thread=\"revalidator\",stage=\"" +
+            std::string(stage) + "\"}";
+        EXPECT_NE(text.find(series), std::string::npos) << series;
     }
 }
