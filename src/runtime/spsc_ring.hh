@@ -30,10 +30,11 @@
 
 #include <algorithm>
 #include <atomic>
+#include <cstddef>
 #include <cstdint>
+#include <memory>
 #include <span>
 #include <utility>
-#include <vector>
 
 #include "sim/logging.hh"
 #include "sim/types.hh"
@@ -48,9 +49,23 @@ class SpscRing
      *                  two (minimum 2). */
     explicit SpscRing(std::size_t capacity)
         : mask_(nextPowerOfTwo(std::max<std::size_t>(capacity, 2)) - 1),
-          slots_(mask_ + 1)
+          storage_(new std::byte[storageBytes()])
     {
+        // The slots are aligned by hand inside a plain allocation. An
+        // over-aligned operator new goes through glibc's memalign, which
+        // asks for more than the block it hands out, so a freed ring's
+        // own hole cannot take the next ring: a runtime rebuilt in a
+        // loop then grew the heap by one ring per build, on fresh pages
+        // each time. A plain request of the same size reuses its hole.
+        void *p = storage_.get();
+        std::size_t space = storageBytes();
+        slots_ = static_cast<T *>(
+            std::align(alignof(T), (mask_ + 1) * sizeof(T), p, space));
+        HALO_ASSERT(slots_, "ring storage too small to align");
+        std::uninitialized_value_construct_n(slots_, mask_ + 1);
     }
+
+    ~SpscRing() { std::destroy_n(slots_, capacity()); }
 
     SpscRing(const SpscRing &) = delete;
     SpscRing &operator=(const SpscRing &) = delete;
@@ -141,6 +156,12 @@ class SpscRing
     }
 
   private:
+    std::size_t
+    storageBytes() const
+    {
+        return capacity() * sizeof(T) + alignof(T);
+    }
+
     /** Producer-side free-slot count; refreshes the cached head only
      *  when the cache cannot satisfy @p want slots. */
     std::size_t
@@ -152,7 +173,8 @@ class SpscRing
     }
 
     const std::size_t mask_;
-    std::vector<T> slots_;
+    std::unique_ptr<std::byte[]> storage_;
+    T *slots_ = nullptr;
 
     /// Producer-owned line: write index + cached view of head.
     alignas(cacheLineBytes) std::atomic<std::uint64_t> tail_{0};
