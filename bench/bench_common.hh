@@ -143,7 +143,7 @@ warmupLookups(Machine &m, const CuckooHashTable &table,
  * Sampler time series as {columns, t_nanos, rows, rows_recorded}.
  *
  * Committed BENCH files embed one series per sweep cell, so an
- * uncapped series dominates the file (flowscale once weighed in at
+ * uncapped series dominates the file (a sweep bench once weighed in at
  * ~99k lines). @p maxRows stride-decimates at write time — first and
  * last samples always kept, the rest evenly spaced — while
  * rows_recorded preserves the pre-decimation count. 0 writes every

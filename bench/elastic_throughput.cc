@@ -184,9 +184,6 @@ runOnce(unsigned workers, double skew, bool elastic,
     RuntimeConfig cfg = benchRuntimeConfig(workers);
     cfg.shard.vswitch.tupleConfig.tupleCapacity = perShardCap;
     cfg.shard.vswitch.useOpenflowLayer = true;
-    // EMC off in both modes: uniform per-packet cost isolates the
-    // balancing effect (flowscale_throughput owns the EMC trade).
-    cfg.shard.vswitch.useEmc = false;
     cfg.rss = rssShape();
     cfg.warmTables = false;
     cfg.openflowRules = &ofRules;

@@ -99,7 +99,7 @@ std::uint64_t hashBytesSlow(HashKind kind, std::uint64_t seed,
  * in, so no value of one word blinds the product to the other (a bare
  * fold(a ^ k, b) is one constant for every b when a == k). No byte
  * loop and no ISA intrinsic, so every build runs the same code. RSS
- * dispatch, the activity/estimator stamps and the upcall dedup use it;
+ * dispatch, the activity stamps and the upcall dedup use it;
  * the tables keep xxMix, which the timed switch and the accelerator's
  * hash unit share.
  */

@@ -49,8 +49,8 @@ cpuRelax()
  * atomically on both sides (a plain memcpy under a seqlock is a data
  * race in the C++ memory model, and a real one under TSan). Every table
  * region in this repository is 8-byte aligned — bucket lines are
- * cache-line aligned, kv slots are 8 + pad8(keyLen) bytes, EMC slots
- * are 32 bytes — so whole structures copy as relaxed 64-bit words.
+ * cache-line aligned, kv slots are 8 + pad8(keyLen) bytes — so whole
+ * structures copy as relaxed 64-bit words.
  * Ordering comes from the seqlock's fences, not from these accesses.
  */
 /**@{*/

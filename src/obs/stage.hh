@@ -47,7 +47,6 @@ inline constexpr std::string_view kStageNames[] = {
     "vswitch/upcall",      "vswitch/emc",
     "vswitch/tuple_space", "vswitch/cuckoo",
     "revalidator/drain",   "revalidator/upcall",
-    "revalidator/promote", "revalidator/control",
     "revalidator/sweep",
 };
 

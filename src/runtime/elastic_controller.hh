@@ -12,9 +12,8 @@
  * a shard hot.
  *
  * Decision. decideRebalance() is a pure function of the snapshots, the
- * bucket heat map and a small carried streak state (the same shape as
- * decideEmcPolicy, so the whole policy matrix is unit-testable
- * without threads). It detects imbalance as max/mean busy fraction
+ * bucket heat map and a small carried streak state, so the whole
+ * policy matrix is unit-testable without threads. It detects imbalance as max/mean busy fraction
  * over a threshold sustained for hysteresisEpochs and plans bucket
  * migrations that move roughly half the hot shard's excess to the
  * coldest shards. The indirection table has a fixed size

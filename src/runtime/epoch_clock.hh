@@ -3,15 +3,15 @@
  * The runtime's one clock: it schedules every periodic job and is the
  * only place a runtime thread sleeps.
  *
- * The revalidator's sweeps (and through them flow aging and the
- * adaptive-EMC policy), the elastic controller's epochs and its
+ * The revalidator's sweeps (and through them flow aging), the
+ * elastic controller's epochs and its
  * migration waits, and a parked worker all read time from here and
  * block in waitUntil(). A thread that changes what a sleeper waits for
  * (an upcall pushed, a stop or unpark request) calls notify().
  *
  * Production clocks follow std::chrono::steady_clock. A manual clock
  * (tests) starts at 0 µs and moves only when advance() is called,
- * which wakes every waiter, so sweep, policy and epoch boundaries fall
+ * which wakes every waiter, so sweep and epoch boundaries fall
  * exactly where the test puts them, independent of host speed.
  *
  * One mutex and condvar serve all sleepers; notify() wakes them all

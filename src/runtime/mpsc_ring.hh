@@ -3,7 +3,7 @@
  * Fixed-capacity lock-free multi-producer/single-consumer ring.
  *
  * The upcall fabric of the decoupled slow path: every worker thread is
- * a producer enqueueing classify-miss/promotion requests, the single
+ * a producer enqueueing classify-miss requests, the single
  * revalidator thread is the consumer. Contrast with SpscRing (one
  * producer per ring): here all workers share one ring so the
  * revalidator drains a single queue in arrival order.

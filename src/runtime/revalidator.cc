@@ -1,8 +1,19 @@
 #include "runtime/revalidator.hh"
 
+#include <algorithm>
+
 #include "sim/logging.hh"
 
 namespace halo {
+
+std::uint64_t
+flowIdleTimeoutEpochs(std::uint64_t occupancy, std::uint64_t capacity,
+                      std::uint64_t configured)
+{
+    if (4 * occupancy >= 3 * capacity)
+        return std::min<std::uint64_t>(configured, 1);
+    return configured;
+}
 
 Revalidator::Revalidator(const RevalidatorConfig &config,
                          MpscRing<UpcallRequest> &ring,
@@ -62,13 +73,8 @@ Revalidator::counters() const
     c.installs = installs_.value();
     c.installFailures = installFailures_.value();
     c.unresolved = unresolved_.value();
-    c.promotes = promotes_.value();
     c.sweeps = sweeps_.value();
     c.agedFlows = agedFlows_.value();
-    c.agedEmc = agedEmc_.value();
-    c.promotesThrottled = promotesThrottled_.value();
-    c.ctrlDisables = ctrlDisables_.value();
-    c.ctrlEnables = ctrlEnables_.value();
     c.parks = parks_.value();
     return c;
 }
@@ -117,23 +123,14 @@ Revalidator::threadMain()
 void
 Revalidator::handle(const UpcallRequest &rq)
 {
-    HALO_ASSERT(rq.worker < shards_.size(), "upcall from unknown shard");
-    if (rq.kind == UpcallRequest::Kind::Miss)
-        handleMiss(rq);
-    else
-        handlePromote(rq);
-}
-
-void
-Revalidator::handleMiss(const UpcallRequest &rq)
-{
     HALO_STAGE("revalidator/upcall");
+    HALO_ASSERT(rq.worker < shards_.size(), "upcall from unknown shard");
     const ShardHooks &s = shards_[rq.worker];
     const auto key = rq.tuple.toKey();
     TupleSpace &tuples = s.vswitch->tupleSpace();
     CuckooHashTable &exact = tuples.table(s.exactTuple);
 
-    // Dedup: duplicate Miss upcalls race the install (worker-side
+    // Dedup: duplicate upcalls race the install (worker-side
     // suppression is best effort); an already-installed flow is done.
     if (exact.lookup(KeyView(key.data(), key.size()))) {
         dedupHits_.add(1);
@@ -164,94 +161,7 @@ Revalidator::handleMiss(const UpcallRequest &rq)
     flow.hash = activityHash(key);
     flow.installEpoch = s.activity->epoch();
     flow.shard = rq.worker;
-    flow.emc = false;
     track(std::move(flow));
-}
-
-void
-Revalidator::handlePromote(const UpcallRequest &rq)
-{
-    HALO_STAGE("revalidator/promote");
-    const ShardHooks &s = shards_[rq.worker];
-    const auto key = rq.tuple.toKey();
-    const std::span<const std::uint8_t, FiveTuple::keyBytes> key_span(
-        key);
-
-    ExactMatchCache &emc = s.vswitch->emc();
-    // Requests racing a controller disable still drain here; drop them
-    // (the workers stop producing once they see the flag).
-    if (!emc.enabled()) {
-        promotesThrottled_.add(1);
-        return;
-    }
-    if (emc.lookup(key_span)) {
-        dedupHits_.add(1);
-        return;
-    }
-    emc.insert(key_span, rq.value);
-    promotes_.add(1);
-
-    TrackedFlow flow;
-    flow.key = key;
-    flow.hash = activityHash(key);
-    flow.installEpoch = s.activity->epoch();
-    flow.shard = rq.worker;
-    flow.emc = true;
-    track(std::move(flow));
-}
-
-void
-Revalidator::controlEpoch()
-{
-    HALO_STAGE("revalidator/control");
-    for (std::size_t i = 0; i < shards_.size(); ++i) {
-        const ShardHooks &s = shards_[i];
-        if (!s.estimator)
-            continue;
-        ExactMatchCache &emc = s.vswitch->emc();
-
-        const ShardFlowEstimator::Window win =
-            s.estimator->closeWindow();
-        EmcControlInputs in;
-        in.estimate = win.estimate;
-        in.samples = win.samples;
-        in.saturated = win.saturated;
-        in.enabled = emc.enabled();
-        in.maxEntries = emc.entryCount();
-
-        switch (decideEmcPolicy(cfg.emcPolicy, in).action) {
-          case EmcControlDecision::Action::Disable:
-            // Flag first (workers stop probing), then invalidate so a
-            // later re-enable starts cold instead of serving stale
-            // entries.
-            emc.setEnabled(false);
-            emc.clear();
-            dropTrackedEmc(static_cast<std::uint16_t>(i));
-            ctrlDisables_.add(1);
-            break;
-          case EmcControlDecision::Action::Enable:
-            emc.setEnabled(true);
-            ctrlEnables_.add(1);
-            break;
-          case EmcControlDecision::Action::None:
-            break;
-        }
-    }
-}
-
-void
-Revalidator::dropTrackedEmc(std::uint16_t shard)
-{
-    // The shard's EMC generation was just bumped: its tracked entries
-    // no longer exist, so aging them later would only waste erases.
-    for (std::size_t i = 0; i < tracked_.size();) {
-        if (tracked_[i].emc && tracked_[i].shard == shard) {
-            tracked_[i] = std::move(tracked_.back());
-            tracked_.pop_back();
-        } else {
-            ++i;
-        }
-    }
 }
 
 bool
@@ -259,11 +169,6 @@ Revalidator::evict(const TrackedFlow &flow)
 {
     const ShardHooks &s = shards_[flow.shard];
     const KeyView key(flow.key.data(), flow.key.size());
-    if (flow.emc) {
-        return s.vswitch->emc().erase(
-            std::span<const std::uint8_t, FiveTuple::keyBytes>(
-                flow.key));
-    }
     return s.vswitch->tupleSpace().table(s.exactTuple).erase(key);
 }
 
@@ -275,12 +180,8 @@ Revalidator::track(TrackedFlow &&flow)
         // install stays accounted for (untracked entries would never
         // age).
         evictCursor_ %= tracked_.size();
-        if (evict(tracked_[evictCursor_])) {
-            if (tracked_[evictCursor_].emc)
-                agedEmc_.add(1);
-            else
-                agedFlows_.add(1);
-        }
+        if (evict(tracked_[evictCursor_]))
+            agedFlows_.add(1);
         tracked_[evictCursor_] = std::move(flow);
         ++evictCursor_;
         return;
@@ -299,16 +200,6 @@ Revalidator::sweep()
             s.vswitch->tupleSpace().table(s.exactTuple);
         idleTimeout_[i] = flowIdleTimeoutEpochs(
             exact.size(), exact.capacity(), cfg.idleTimeoutEpochs);
-        // EMC inserts stamp the epoch into the slot's signature word;
-        // keep it in step for recency-informed eviction.
-        s.vswitch->emc().setEpoch(
-            static_cast<std::uint16_t>(s.activity->epoch()));
-    }
-
-    if (cfg.emcPolicy.adaptive &&
-        ++sweepsSinceControl_ >= cfg.emcPolicy.controlIntervalSweeps) {
-        sweepsSinceControl_ = 0;
-        controlEpoch();
     }
 
     // Swap-pop walk: a flow idle past the timeout is erased from its
@@ -325,17 +216,13 @@ Revalidator::sweep()
             ++i;
             continue;
         }
-        if (evict(flow)) {
-            if (flow.emc)
-                agedEmc_.add(1);
-            else
-                agedFlows_.add(1);
-        }
+        if (evict(flow))
+            agedFlows_.add(1);
         tracked_[i] = std::move(tracked_.back());
         tracked_.pop_back();
     }
     // Published last, so a reader that sees the count knows the sweep
-    // (epoch advance, control pass and aging walk) has finished.
+    // (epoch advance and aging walk) has finished.
     sweeps_.add(1);
 }
 

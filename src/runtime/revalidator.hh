@@ -5,13 +5,12 @@
  * OVS splits its userspace datapath into PMD threads (pure fast path)
  * and handler/revalidator threads (upcalls, flow installs, aging).
  * This runtime applies the same split: workers classify and forward
- * only, offloading every megaflow miss and EMC promotion over one
- * bounded MPSC ring to this thread, which
+ * only, offloading every megaflow miss over one bounded MPSC ring to
+ * this thread, which
  *
- *  - resolves Miss upcalls against the shard's OpenFlow layer and
+ *  - resolves the upcalls against the shard's OpenFlow layer and
  *    installs an exact-match (microflow) megaflow entry, so later
  *    packets of the flow take the fast path;
- *  - performs Promote requests (EMC inserts) on the workers' behalf;
  *  - sweeps every sweepIntervalMicros on the runtime's EpochClock,
  *    advancing each shard's activity epoch and evicting every installed
  *    flow that has been idle longer than the configured timeout (OVS
@@ -22,7 +21,7 @@
  *
  * The single-writer invariant is what makes the seqlocked tables sound:
  * per shard, this thread is the only mutator of the megaflow tuple
- * tables and the EMC once the runtime is running, so table writes need
+ * tables once the runtime is running, so table writes need
  * no writer-side locking at all — just the per-bucket seqlock bumps
  * readers validate against (hash/seqlock.hh, the host analog of the
  * paper's SS3.4 lock bit).
@@ -44,9 +43,7 @@
 #include <vector>
 
 #include "flow/flow_activity.hh"
-#include "flow/flow_estimator.hh"
 #include "obs/stage.hh"
-#include "runtime/emc_controller.hh"
 #include "runtime/epoch_clock.hh"
 #include "runtime/mpsc_ring.hh"
 #include "runtime/upcall.hh"
@@ -60,6 +57,18 @@ namespace halo {
 /// revalidator memory bounded however long the run.
 inline constexpr std::size_t revalidatorMaxTrackedFlows = 1u << 20;
 
+/**
+ * The revalidator's flow limit (OVS ofproto-dpif-upcall: once
+ * n_flows exceeds flow_limit, max_idle drops to 100 ms). Maps a shard's
+ * exact-match tuple occupancy to the idle timeout its next sweep ages
+ * by: @p configured epochs normally, one epoch — every flow idle for
+ * more than one sweep goes — once @p occupancy reaches 3/4 of
+ * @p capacity.
+ */
+std::uint64_t flowIdleTimeoutEpochs(std::uint64_t occupancy,
+                                    std::uint64_t capacity,
+                                    std::uint64_t configured);
+
 struct RevalidatorConfig
 {
     /// Upcall-ring slots shared by all workers (rounded up to a power
@@ -72,7 +81,7 @@ struct RevalidatorConfig
     /// sweepIntervalMicros is the flow idle timeout in clock time.
     std::uint64_t sweepIntervalMicros = 500;
     /// Idle epochs before an installed flow is aged out of the
-    /// megaflow/EMC layers (one epoch while the shard is over its flow
+    /// megaflow layer (one epoch while the shard is over its flow
     /// limit, see flowIdleTimeoutEpochs()).
     std::uint64_t idleTimeoutEpochs = 4;
     /// Trace-event ring slots for the revalidator's TraceRecorder
@@ -82,10 +91,6 @@ struct RevalidatorConfig
     /// WorkerConfig::perfEnabled).
     bool perfEnabled = false;
     unsigned perfSampleShift = 6;
-    /// Adaptive EMC management (emc_controller.hh). When
-    /// emcPolicy.adaptive is set the revalidator runs the policy every
-    /// controlIntervalSweeps sweeps against each shard's estimator.
-    EmcPolicyConfig emcPolicy;
 };
 
 /** Plain snapshot of the revalidator's published counters. */
@@ -100,18 +105,9 @@ struct RevalidatorCounters
     std::uint64_t installFailures = 0;
     /// Miss upcalls with no OpenFlow match (unroutable tuples).
     std::uint64_t unresolved = 0;
-    std::uint64_t promotes = 0;
     std::uint64_t sweeps = 0;
     /// Megaflow entries aged out on idle timeout.
     std::uint64_t agedFlows = 0;
-    /// EMC entries aged out on idle timeout.
-    std::uint64_t agedEmc = 0;
-    /// Promote requests dropped because they arrived while the adaptive
-    /// controller had the shard's EMC disabled.
-    std::uint64_t promotesThrottled = 0;
-    /// Adaptive-controller transitions.
-    std::uint64_t ctrlDisables = 0;
-    std::uint64_t ctrlEnables = 0;
     /// Times the thread parked on the clock with its ring empty.
     std::uint64_t parks = 0;
 };
@@ -120,8 +116,8 @@ class Revalidator
 {
   public:
     /** Per-shard mutation targets. The revalidator becomes the only
-     *  thread allowed to mutate vswitch->tupleSpace() tables and
-     *  vswitch->emc() once start()ed. */
+     *  thread allowed to mutate vswitch->tupleSpace() tables once
+     *  start()ed. */
     struct ShardHooks
     {
         VirtualSwitch *vswitch = nullptr;
@@ -129,10 +125,6 @@ class Revalidator
         /// Pre-created exact-mask tuple index installs go into
         /// (TupleSpace::ensureTuple(FlowMask::exact()) at setup).
         unsigned exactTuple = 0;
-        /// The shard worker's flow estimator (null unless the adaptive
-        /// EMC policy is on). The revalidator is the sole closer of its
-        /// windows.
-        ShardFlowEstimator *estimator = nullptr;
     };
 
     /** @param ring externally owned (the runtime shares it with every
@@ -178,20 +170,11 @@ class Revalidator
         std::uint64_t hash = 0;
         std::uint64_t installEpoch = 0;
         std::uint16_t shard = 0;
-        bool emc = false; ///< EMC entry vs megaflow entry
     };
 
     void threadMain();
     void handle(const UpcallRequest &rq);
-    void handleMiss(const UpcallRequest &rq);
-    void handlePromote(const UpcallRequest &rq);
     void sweep();
-    /** Adaptive EMC policy pass: close each shard's estimator window
-     *  and apply decideEmcPolicy()'s verdict. */
-    void controlEpoch();
-    /** Forget tracked EMC entries of @p shard (their cache generation
-     *  was just invalidated wholesale). */
-    void dropTrackedEmc(std::uint16_t shard);
     /** Erase @p flow's table entry; true when it was still present. */
     bool evict(const TrackedFlow &flow);
     void track(TrackedFlow &&flow);
@@ -212,19 +195,13 @@ class Revalidator
     PublishedCounter installs_;
     PublishedCounter installFailures_;
     PublishedCounter unresolved_;
-    PublishedCounter promotes_;
     PublishedCounter sweeps_;
     PublishedCounter agedFlows_;
-    PublishedCounter agedEmc_;
-    PublishedCounter promotesThrottled_;
-    PublishedCounter ctrlDisables_;
-    PublishedCounter ctrlEnables_;
     PublishedCounter parks_;
 
     /// Per-shard idle timeout of the current sweep (flow limit
     /// applied); revalidator thread only.
     std::vector<std::uint64_t> idleTimeout_;
-    unsigned sweepsSinceControl_ = 0;
 
     std::vector<TrackedFlow> tracked_;  ///< revalidator thread only
     std::size_t evictCursor_ = 0;       ///< round-robin cap eviction

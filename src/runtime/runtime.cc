@@ -26,16 +26,6 @@ Runtime::Runtime(const RuntimeConfig &config, const RuleSet &rules,
         for (unsigned w = 0; w < cfg.numWorkers; ++w)
             activities_.push_back(std::make_unique<FlowActivity>());
     }
-    // Per-shard estimators feed the adaptive EMC policy, whose
-    // revalidator loop closes their windows.
-    if (cfg.decoupled && cfg.emcPolicy.adaptive) {
-        estimators_.reserve(cfg.numWorkers);
-        for (unsigned w = 0; w < cfg.numWorkers; ++w)
-            estimators_.push_back(
-                std::make_unique<ShardFlowEstimator>(
-                    emcEstimatorBits,
-                    cfg.emcPolicy.estimatorSampleShift));
-    }
     workers_.reserve(cfg.numWorkers);
     for (unsigned w = 0; w < cfg.numWorkers; ++w) {
         WorkerConfig wc;
@@ -48,14 +38,12 @@ Runtime::Runtime(const RuntimeConfig &config, const RuleSet &rules,
         wc.perfEnabled = cfg.perfEnabled;
         wc.perfSampleShift = cfg.perfSampleShift;
         wc.orderValidator = cfg.orderValidator;
-        if (!estimators_.empty())
-            wc.flowEstimator = estimators_[w].get();
         if (cfg.decoupled) {
             wc.vswitch.useOpenflowLayer = true;
             wc.vswitch.deferSlowPath = true;
+            wc.vswitch.useEmc = false;
             wc.upcallRing = upcallRing_.get();
             wc.activity = activities_[w].get();
-            wc.promoteSampleShift = cfg.promoteSampleShift;
         }
         workers_.push_back(std::make_unique<Worker>(wc, rules, clock_));
     }
@@ -70,7 +58,7 @@ Runtime::Runtime(const RuntimeConfig &config, const RuleSet &rules,
         // pre-create the exact-mask tuple every install targets (so
         // the tuple vector and the SimMemory allocator never mutate
         // at runtime), then turn on seqlocked concurrent mode for the
-        // megaflow tables and the EMC of every shard.
+        // megaflow tables of every shard.
         std::vector<Revalidator::ShardHooks> hooks;
         hooks.reserve(workers_.size());
         for (unsigned w = 0; w < workers_.size(); ++w) {
@@ -81,9 +69,6 @@ Runtime::Runtime(const RuntimeConfig &config, const RuleSet &rules,
             h.exactTuple = vs.tupleSpace().ensureTuple(FlowMask::exact());
             for (unsigned t = 0; t < vs.tupleSpace().numTuples(); ++t)
                 vs.tupleSpace().table(t).enableConcurrent();
-            vs.emc().enableConcurrent();
-            if (cfg.emcPolicy.adaptive)
-                h.estimator = estimators_[w].get();
             hooks.push_back(h);
         }
         RevalidatorConfig rc = cfg.revalidator;
@@ -91,7 +76,6 @@ Runtime::Runtime(const RuntimeConfig &config, const RuleSet &rules,
             rc.traceCapacity = cfg.traceCapacity;
         rc.perfEnabled = cfg.perfEnabled;
         rc.perfSampleShift = cfg.perfSampleShift;
-        rc.emcPolicy = cfg.emcPolicy;
         reval_ = std::make_unique<Revalidator>(rc, *upcallRing_,
                                                std::move(hooks), clock_);
         for (auto &w : workers_)
@@ -192,7 +176,7 @@ Runtime::drain()
         while (w->counters().packets < w->ring().pushedCount())
             std::this_thread::yield();
         const WorkerCounters c = w->counters();
-        requests += c.upcallsEnqueued + c.promotesEnqueued;
+        requests += c.upcallsEnqueued;
     }
     while (reval_ && reval_->counters().upcallsProcessed < requests)
         std::this_thread::yield();
@@ -236,7 +220,6 @@ Runtime::snapshot() const
         s.busyNanos += c.busyNanos;
         s.burstWaits += c.burstWaits;
         s.upcallsEnqueued += c.upcallsEnqueued;
-        s.promotesEnqueued += c.promotesEnqueued;
         s.upcallDrops += c.upcallDrops;
         s.perWorker.push_back(c);
     }
@@ -323,8 +306,6 @@ Runtime::registerMetrics(obs::MetricsRegistry &reg)
             {"halo_worker_busy_nanos", &WorkerCounters::busyNanos},
             {"halo_worker_upcalls_enqueued",
              &WorkerCounters::upcallsEnqueued},
-            {"halo_worker_promotes_enqueued",
-             &WorkerCounters::promotesEnqueued},
             {"halo_worker_upcall_drops", &WorkerCounters::upcallDrops},
             {"halo_rt_worker_burst_waits", &WorkerCounters::burstWaits},
         };
@@ -339,13 +320,9 @@ Runtime::registerMetrics(obs::MetricsRegistry &reg)
                        return static_cast<double>(w->ring().size());
                    });
 
-        // Seqlock retries live on the tables; sum them per worker
-        // (relaxed counter reads on stable objects).
+        // EMC telemetry (relaxed counter reads; a decoupled worker's
+        // switch has no EMC, so its series stay at zero).
         const ExactMatchCache *emc = &w->vswitch().emc();
-
-        // EMC cache-management telemetry (relaxed counter/gauge reads;
-        // the adaptive controller drives enabled, and the probe
-        // counters tick in every mode).
         reg.attach("halo_emc_lookup_hits", l, obs::MetricKind::Counter,
                    [emc] {
                        return static_cast<double>(emc->lookupHits());
@@ -355,23 +332,13 @@ Runtime::registerMetrics(obs::MetricsRegistry &reg)
                        return static_cast<double>(
                            emc->lookupMisses());
                    });
-        reg.attach("halo_emc_enabled", l, obs::MetricKind::Gauge,
-                   [emc] { return emc->enabled() ? 1.0 : 0.0; });
         reg.attach("halo_emc_evict_overwrites", l,
                    obs::MetricKind::Counter, [emc] {
                        return static_cast<double>(
                            emc->evictOverwrites());
                    });
-        reg.attach("halo_emc_clears", l, obs::MetricKind::Counter,
-                   [emc] {
-                       return static_cast<double>(emc->clearCount());
-                   });
-        if (const ShardFlowEstimator *est = flowEstimator(
-                static_cast<unsigned>(i))) {
-            reg.attach("halo_emc_estimated_flows", l,
-                       obs::MetricKind::Gauge,
-                       [est] { return est->lastEstimate(); });
-        }
+        // Seqlock retries live on the megaflow tables; sum them per
+        // worker (relaxed counter reads on stable objects).
         std::vector<const CuckooHashTable *> tables;
         if (tables_stable) {
             TupleSpace &ts = w->vswitch().tupleSpace();
@@ -379,8 +346,8 @@ Runtime::registerMetrics(obs::MetricsRegistry &reg)
                 tables.push_back(&ts.table(t));
         }
         reg.attach("halo_worker_seqlock_retries", l,
-                   obs::MetricKind::Counter, [emc, tables] {
-                       std::uint64_t sum = emc->seqlockRetries();
+                   obs::MetricKind::Counter, [tables] {
+                       std::uint64_t sum = 0;
                        for (const CuckooHashTable *t : tables)
                            sum += t->seqlockRetries();
                        return static_cast<double>(sum);
@@ -407,17 +374,8 @@ Runtime::registerMetrics(obs::MetricsRegistry &reg)
              &RevalidatorCounters::installFailures},
             {"halo_reval_unresolved",
              &RevalidatorCounters::unresolved},
-            {"halo_reval_promotes", &RevalidatorCounters::promotes},
             {"halo_reval_sweeps", &RevalidatorCounters::sweeps},
             {"halo_reval_aged_flows", &RevalidatorCounters::agedFlows},
-            {"halo_reval_aged_emc", &RevalidatorCounters::agedEmc},
-            // Promotes dropped while the controller has the EMC off.
-            {"halo_emc_promotes_throttled",
-             &RevalidatorCounters::promotesThrottled},
-            {"halo_emc_ctrl_disables",
-             &RevalidatorCounters::ctrlDisables},
-            {"halo_emc_ctrl_enables",
-             &RevalidatorCounters::ctrlEnables},
             {"halo_reval_parks", &RevalidatorCounters::parks},
         };
         for (const auto &s : reval_series) {
@@ -465,17 +423,10 @@ Runtime::startSampler()
         columns.push_back("upcall_ring_depth");
     if (reval_) {
         // Revalidator-side series: cumulative microflow installs and
-        // aged-out entries (megaflow + EMC) per sample row, so a churn
+        // aged-out megaflow entries per sample row, so a churn
         // run shows install/aging progress, not just worker progress.
         columns.push_back("reval_installs");
         columns.push_back("reval_aged_flows");
-    }
-    if (!estimators_.empty()) {
-        // Adaptive-EMC series: summed flow estimate across shards,
-        // plus how many shards still probe their EMC — the sampler
-        // view of hybrid-mode decisions over time.
-        columns.push_back("emc_estimated_flows");
-        columns.push_back("emc_enabled_shards");
     }
     if (elastic_) {
         // Elastic series: the controller's last per-shard load
@@ -511,18 +462,7 @@ Runtime::startSampler()
             if (reval_) {
                 const RevalidatorCounters rc = reval_->counters();
                 row.push_back(static_cast<double>(rc.installs));
-                row.push_back(static_cast<double>(rc.agedFlows +
-                                                  rc.agedEmc));
-            }
-            if (!estimators_.empty()) {
-                double est = 0.0, on = 0.0;
-                for (std::size_t w = 0; w < workers_.size(); ++w) {
-                    est += estimators_[w]->lastEstimate();
-                    on += workers_[w]->vswitch().emc().enabled() ? 1.0
-                                                                 : 0.0;
-                }
-                row.push_back(est);
-                row.push_back(on);
+                row.push_back(static_cast<double>(rc.agedFlows));
             }
             if (elastic_) {
                 for (std::size_t w = 0; w < workers_.size(); ++w) {

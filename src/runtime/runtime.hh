@@ -88,24 +88,16 @@ struct RuntimeConfig
     std::uint64_t samplerIntervalMicros = 0;
     /**
      * Decoupled slow path (the OVS handler/revalidator split):
-     * workers never mutate classification state. MegaFlow misses and
-     * EMC promotions are offloaded over one bounded MPSC ring to a
-     * revalidator thread — the single writer — which resolves them
-     * against the OpenFlow layer, installs exact-match megaflow
-     * entries, and ages idle flows in the background. The megaflow
-     * tuple tables and EMCs run in seqlocked concurrent mode.
+     * workers never mutate classification state. MegaFlow misses are
+     * offloaded over one bounded MPSC ring to a revalidator thread —
+     * the single writer — which resolves them against the OpenFlow
+     * layer, installs exact-match megaflow entries, and ages idle
+     * flows in the background. The megaflow tuple tables run in
+     * seqlocked concurrent mode, and the workers' switches run
+     * without an EMC (shard.vswitch.useEmc is overridden).
      */
     bool decoupled = false;
     RevalidatorConfig revalidator;
-    /**
-     * Adaptive EMC management (decoupled mode only): per-shard
-     * linear-counting flow estimators on the data path, and a
-     * controller that disables and re-enables each shard's EMC from
-     * the flow-count estimate each control epoch (paper §3.5 hybrid
-     * mode as a runtime policy).
-     * Copied into revalidator.emcPolicy.
-     */
-    EmcPolicyConfig emcPolicy;
     /**
      * Per-thread PMU attribution (HALO_STAGE): every worker and the
      * revalidator get a PerfRecorder whose perf_event_open group is
@@ -117,8 +109,6 @@ struct RuntimeConfig
     /// One full PMU group read (a syscall) per 2^shift scope entries
     /// per stage; reports scale sampled events back up.
     unsigned perfSampleShift = 6;
-    /// See WorkerConfig::promoteSampleShift.
-    unsigned promoteSampleShift = 3;
     /// Slow-path rules installed into every shard's OpenFlow layer
     /// (required for decoupled mode; also used by inline-upcall
     /// baselines). Read during construction only; may be null.
@@ -153,7 +143,6 @@ struct RuntimeSnapshot
     /// @name Decoupled slow path (all zero when cfg.decoupled is off)
     /**@{*/
     std::uint64_t upcallsEnqueued = 0;
-    std::uint64_t promotesEnqueued = 0;
     std::uint64_t upcallDrops = 0;
     std::uint64_t upcallRingDepth = 0;
     RevalidatorCounters revalidator;
@@ -227,11 +216,6 @@ class Runtime
     Revalidator *revalidator() { return reval_.get(); }
     /** Null unless cfg.decoupled. */
     MpscRing<UpcallRequest> *upcallRing() { return upcallRing_.get(); }
-    /** Null unless cfg.decoupled and cfg.emcPolicy.adaptive. */
-    ShardFlowEstimator *flowEstimator(unsigned i)
-    {
-        return i < estimators_.size() ? estimators_[i].get() : nullptr;
-    }
     /** Null unless cfg.elastic.enabled. */
     ElasticController *elastic() { return elastic_.get(); }
     /** Producer offer seqlock (odd = dispatch in flight); only bumped
@@ -274,8 +258,8 @@ class Runtime
     /**
      * Attach this runtime's live telemetry to @p registry: runtime
      * offered/enqueued/drop counters, per-worker packet/upcall/ring
-     * series, per-worker seqlock-retry sums over the shard's EMC and
-     * megaflow tables, revalidator counters, RSS
+     * series, per-worker EMC probe counters, per-worker seqlock-retry
+     * sums over the shard's megaflow tables, revalidator counters, RSS
      * rebalance stats, and — when cfg.perfEnabled — per-worker
      * per-stage PMU series (cycles, LLC misses, ...).
      *
@@ -320,7 +304,6 @@ class Runtime
     /// outlive the workers holding pointers into them).
     std::unique_ptr<MpscRing<UpcallRequest>> upcallRing_;
     std::vector<std::unique_ptr<FlowActivity>> activities_;
-    std::vector<std::unique_ptr<ShardFlowEstimator>> estimators_;
     std::vector<std::unique_ptr<Worker>> workers_;
     std::unique_ptr<Revalidator> reval_;
     std::unique_ptr<ElasticController> elastic_;

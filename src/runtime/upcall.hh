@@ -4,12 +4,9 @@
  *
  * In the decoupled slow path (OVS's handler/revalidator split applied
  * to this runtime) a data-path worker never mutates classification
- * state. On a megaflow miss it enqueues a Miss request — "resolve this
+ * state. On a megaflow miss it enqueues a request — "resolve this
  * tuple against the OpenFlow layer and install a megaflow entry" — and
- * keeps forwarding on the provisional slow-path-pending result. On a
- * megaflow hit it (sampled) enqueues a Promote request so the
- * revalidator, the single writer, performs the EMC insert the inline
- * path would have done itself.
+ * keeps forwarding on the provisional slow-path-pending result.
  */
 
 #ifndef HALO_RUNTIME_UPCALL_HH
@@ -23,21 +20,9 @@ namespace halo {
 
 struct UpcallRequest
 {
-    enum class Kind : std::uint8_t
-    {
-        /// Megaflow miss: run the OpenFlow slow path, install a
-        /// megaflow entry for this tuple.
-        Miss,
-        /// Megaflow hit: promote the flow into the shard's EMC.
-        Promote,
-    };
-
-    Kind kind = Kind::Miss;
     /// Shard/worker the request came from (selects the target tables).
     std::uint16_t worker = 0;
     FiveTuple tuple{};
-    /// Promote only: the encoded rule value the megaflow hit returned.
-    std::uint64_t value = 0;
 };
 
 } // namespace halo

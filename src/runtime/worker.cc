@@ -75,13 +75,12 @@ Worker::Worker(const WorkerConfig &config, const RuleSet &rules,
     if (cfg.perfEnabled)
         perf_ = std::make_unique<obs::PerfRecorder>(cfg.perfSampleShift);
     if (cfg.upcallRing) {
+        HALO_ASSERT(cfg.activity,
+                    "a decoupled worker needs its shard's activity");
         recentMiss_.resize(1024);
-        rng_ = 0x9e3779b97f4a7c15ull ^ (cfg.id + 1);
     }
     if (cfg.activity)
         vs_.setActivityTracker(cfg.activity);
-    if (cfg.flowEstimator)
-        vs_.setFlowEstimator(cfg.flowEstimator);
 }
 
 Worker::~Worker()
@@ -145,7 +144,6 @@ Worker::counters() const
     c.emcHits = emcHits_.value();
     c.busyNanos = busyNanos_.value();
     c.upcallsEnqueued = upcallsEnqueued_.value();
-    c.promotesEnqueued = promotesEnqueued_.value();
     c.upcallDrops = upcallDrops_.value();
     c.parks = parks_.value();
     c.burstWaits = burstWaits_.value();
@@ -157,44 +155,29 @@ Worker::offload(const PacketResult &res)
 {
     HALO_STAGE("worker/offload");
     ++packetSeq_;
-    if (res.slowPathPending) {
-        // Dedup window: while a flow's install is in flight every one
-        // of its packets reports slowPathPending; one upcall is
-        // enough. Entries expire after ~4096 packets so a dropped
-        // upcall gets re-sent instead of wedging the flow.
-        const std::uint64_t h = activityHash(res.tuple.toKey());
-        MissEntry &e = recentMiss_[h & (recentMiss_.size() - 1)];
-        if (e.hash == h && packetSeq_ - e.seenAt < 4096)
-            return false;
-        e.hash = h;
-        e.seenAt = packetSeq_;
-        UpcallRequest rq;
-        rq.kind = UpcallRequest::Kind::Miss;
-        rq.worker = static_cast<std::uint16_t>(cfg.id);
-        rq.tuple = res.tuple;
-        const bool pushed = cfg.upcallRing->tryPush(rq);
-        (pushed ? upcallsEnqueued_ : upcallDrops_).add(1);
-        return pushed;
-    }
-    if (res.emcPromote) {
-        if (cfg.promoteSampleShift) {
-            // xorshift64: sample 1-in-2^shift promotions.
-            rng_ ^= rng_ << 13;
-            rng_ ^= rng_ >> 7;
-            rng_ ^= rng_ << 17;
-            if (rng_ & ((1ull << cfg.promoteSampleShift) - 1))
-                return false;
-        }
-        UpcallRequest rq;
-        rq.kind = UpcallRequest::Kind::Promote;
-        rq.worker = static_cast<std::uint16_t>(cfg.id);
-        rq.tuple = res.tuple;
-        rq.value = res.promoteValue;
-        const bool pushed = cfg.upcallRing->tryPush(rq);
-        (pushed ? promotesEnqueued_ : upcallDrops_).add(1);
-        return pushed;
-    }
-    return false;
+    if (!res.slowPathPending)
+        return false;
+    // Dedup window: while a flow's install is in flight every one of
+    // its packets reports slowPathPending; one upcall is enough. An
+    // entry expires after ~4096 packets, so a dropped upcall gets
+    // re-sent instead of wedging the flow, and once the shard's
+    // activity epoch moves on: a sweep advances the epoch before it
+    // ages anything, so a flow aged out since its upcall is upcalled
+    // again rather than left unmatched.
+    const std::uint64_t h = activityHash(res.tuple.toKey());
+    const std::uint64_t epoch = cfg.activity->epoch();
+    MissEntry &e = recentMiss_[h & (recentMiss_.size() - 1)];
+    if (e.hash == h && e.epoch == epoch && packetSeq_ - e.seenAt < 4096)
+        return false;
+    e.hash = h;
+    e.seenAt = packetSeq_;
+    e.epoch = epoch;
+    UpcallRequest rq;
+    rq.worker = static_cast<std::uint16_t>(cfg.id);
+    rq.tuple = res.tuple;
+    const bool pushed = cfg.upcallRing->tryPush(rq);
+    (pushed ? upcallsEnqueued_ : upcallDrops_).add(1);
+    return pushed;
 }
 
 bool

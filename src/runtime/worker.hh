@@ -11,7 +11,8 @@
  * are drained in configurable batches; each batch is classified in
  * stages by VirtualSwitch::processBurst (one key per packet, one bulk
  * EMC probe, one bulk tuple-space walk over the EMC misses, then
- * actions and stamps in packet order), and its upcalls are offloaded
+ * actions and stamps in packet order; a decoupled worker's switch has
+ * no EMC, so it walks every packet), and its upcalls are offloaded
  * in packet order. While traffic streams in, a partial batch of
  * several packets opens a short burst window before the next pop, so
  * the ring's lines move between cores once per burst, not once per
@@ -41,7 +42,6 @@
 #include <vector>
 
 #include "flow/flow_activity.hh"
-#include "flow/flow_estimator.hh"
 #include "net/packet.hh"
 #include "obs/histogram.hh"
 #include "obs/stage.hh"
@@ -74,21 +74,14 @@ struct WorkerConfig
     /// (0 = no recorder). 16 bytes per slot.
     std::size_t traceCapacity = 0;
     /**
-     * Decoupled slow path: deferred misses/promotions are enqueued
-     * here (null = inline slow path). The ring is shared with the
-     * other workers; the revalidator drains it. Requires the worker's
-     * vswitch to run with deferSlowPath.
+     * Decoupled slow path: deferred megaflow misses are enqueued here
+     * (null = inline slow path). The ring is shared with the other
+     * workers; the revalidator drains it. Requires the worker's
+     * vswitch to run with deferSlowPath, and an activity tracker.
      */
     MpscRing<UpcallRequest> *upcallRing = nullptr;
     /// Flow-activity stamps for revalidator aging (null = off).
     FlowActivity *activity = nullptr;
-    /// Per-shard cardinality estimator feeding the adaptive EMC
-    /// controller (null = off). The worker marks bits; the revalidator
-    /// closes windows.
-    ShardFlowEstimator *flowEstimator = nullptr;
-    /// Sample 1-in-2^shift megaflow hits for EMC promotion upcalls
-    /// (OVS's probabilistic EMC insertion; 0 = promote every hit).
-    unsigned promoteSampleShift = 3;
     /// Install a PerfRecorder on the worker thread so HALO_STAGE sites
     /// attribute PMU counts to pipeline stages. The PMU group is
     /// opened on the worker thread itself; open failure degrades to
@@ -132,10 +125,8 @@ struct WorkerCounters
      * even when workers share a CPU.
      */
     std::uint64_t busyNanos = 0;
-    /// Miss upcalls enqueued to the revalidator (decoupled mode).
+    /// Upcalls enqueued to the revalidator (decoupled mode).
     std::uint64_t upcallsEnqueued = 0;
-    /// Promote upcalls enqueued (post-sampling).
-    std::uint64_t promotesEnqueued = 0;
     /// Requests lost to a full upcall ring (drop-not-block).
     std::uint64_t upcallDrops = 0;
     /// Times the thread parked on the clock.
@@ -293,7 +284,6 @@ class Worker
     PublishedCounter emcHits_;
     PublishedCounter busyNanos_;
     PublishedCounter upcallsEnqueued_;
-    PublishedCounter promotesEnqueued_;
     PublishedCounter upcallDrops_;
     PublishedCounter parks_;
     PublishedCounter burstWaits_;
@@ -305,17 +295,18 @@ class Worker
     std::vector<PacketResult> results_;     ///< worker thread only
 
     /// Direct-mapped recent-miss cache (worker thread only):
-    /// suppresses duplicate Miss upcalls for a flow while its install
-    /// is in flight at the revalidator. Entries expire by packet
-    /// count, so a dropped upcall is re-sent shortly after.
+    /// suppresses duplicate upcalls for a flow while its install is in
+    /// flight at the revalidator. An entry expires by packet count, so
+    /// a dropped upcall is re-sent shortly after, and with the shard's
+    /// activity epoch, so a flow aged out by a sweep upcalls again.
     struct MissEntry
     {
         std::uint64_t hash = 0;
         std::uint64_t seenAt = 0;
+        std::uint64_t epoch = 0;
     };
     std::vector<MissEntry> recentMiss_;
     std::uint64_t packetSeq_ = 0; ///< worker thread only
-    std::uint64_t rng_ = 0;       ///< promote-sampling xorshift state
 };
 
 } // namespace halo

@@ -382,6 +382,9 @@ VirtualSwitch::VirtualSwitch(SimMemory &memory, const VSwitchConfig &config)
     if (cfg.mode != LookupMode::Software)
         fatal("a functional VirtualSwitch runs Software mode only; the "
               "HALO modes need a timed switch");
+    if (cfg.deferSlowPath && cfg.useEmc)
+        fatal("a VirtualSwitch with deferSlowPath runs without an EMC; "
+              "set useEmc = false");
 }
 
 VirtualSwitch::VirtualSwitch(SimMemory &memory, MemoryHierarchy &hierarchy,
@@ -396,6 +399,9 @@ VirtualSwitch::VirtualSwitch(SimMemory &memory, MemoryHierarchy &hierarchy,
 {
     if (cfg.mode != LookupMode::Software)
         HALO_ASSERT(halo_system, "HALO mode requires a HaloSystem");
+    if (cfg.deferSlowPath && cfg.useEmc)
+        fatal("a VirtualSwitch with deferSlowPath runs without an EMC; "
+              "set useEmc = false");
     timing_ = std::make_unique<Timing>(memory, hierarchy, core_model,
                                        halo_system, cfg);
 }
@@ -695,11 +701,8 @@ VirtualSwitch::classifyStaged(const FiveTuple *batch,
         timing_->priceFrame(cfg, *frames[0], *out[0]);
     const LookupMode mode = effectiveMode();
 
-    // --- Stage 2: the EMC probe, Software engine only (the adaptive
-    //     controller may have the EMC off: one relaxed flag load per
-    //     batch then). ---
-    const bool emc_on = mode == LookupMode::Software && cfg.useEmc &&
-                        emcCache.enabled();
+    // --- Stage 2: the EMC probe, Software engine only. ---
+    const bool emc_on = mode == LookupMode::Software && cfg.useEmc;
     std::uint32_t emc_hits = 0;
     std::uint64_t emc_values[maxBulkLanes];
     if (emc_on) {
@@ -755,16 +758,9 @@ VirtualSwitch::classifyStaged(const FiveTuple *batch,
         }
 
         // Aging support: stamp the flow's activity slot on every match
-        // (one relaxed store; the revalidator compares against it). The
-        // flow estimator shares the same hash — every packet counts
-        // toward cardinality, matched or not.
-        if ((activity_ && res.matched) || estimator_) [[unlikely]] {
-            const std::uint64_t h = activityHash(key);
-            if (activity_ && res.matched)
-                activity_->touch(h);
-            if (estimator_)
-                estimator_->observe(h);
-        }
+        // (one relaxed store; the revalidator compares against it).
+        if (activity_ && res.matched) [[unlikely]]
+            activity_->touch(activityHash(key));
     }
     if (timing_) {
         timing_->priceAction(cfg, *out[0]);
@@ -796,18 +792,10 @@ VirtualSwitch::resolveMiss(KeySpan key, const TupleSpace::BulkWalkLane &walk,
     if (match) {
         res.matched = true;
         res.action = Action::decode(match->value);
-        if (promote) {
-            if (cfg.deferSlowPath) {
-                // Single-writer invariant: the revalidator performs the
-                // insert; hand the wish back to the caller.
-                res.emcPromote = true;
-                res.promoteValue = match->value;
-            } else {
-                // Promote the flow into the EMC (write charged as part
-                // of "others"; OVS batches these inserts).
-                emcCache.insert(key, match->value);
-            }
-        }
+        // Promote the flow into the EMC (write charged as part of
+        // "others"; OVS batches these inserts).
+        if (promote)
+            emcCache.insert(key, match->value);
     } else if (cfg.useOpenflowLayer) {
         // Upcalls run in software whatever the engine, as in OVS.
         // Deferred mode hands the miss back to the caller instead: the

@@ -48,7 +48,6 @@
 
 #include "flow/emc.hh"
 #include "flow/flow_activity.hh"
-#include "flow/flow_estimator.hh"
 #include "flow/ruleset.hh"
 #include "flow/tuple_space.hh"
 #include "net/packet.hh"
@@ -84,9 +83,10 @@ struct VSwitchConfig
      * upcall inline. The packet is returned with slowPathPending set
      * (a provisional unmatched result) and the caller — the runtime
      * worker — enqueues an upcall for the revalidator thread, the
-     * single writer of this shard's megaflow tables and EMC.
-     * Megaflow-hit EMC promotions are deferred the same way
-     * (emcPromote/promoteValue). Requires useOpenflowLayer.
+     * single writer of this shard's megaflow tables. With no writer on
+     * its data path, the switch neither probes nor fills its EMC:
+     * combining deferSlowPath with useEmc is a fatal error at
+     * construction. Requires useOpenflowLayer.
      */
     bool deferSlowPath = false;
     /**
@@ -136,10 +136,6 @@ struct PacketResult
     /// MegaFlow miss whose upcall was deferred (cfg.deferSlowPath):
     /// the caller owns enqueueing it to the revalidator.
     bool slowPathPending = false;
-    /// MegaFlow hit whose EMC promotion was deferred: the caller may
-    /// forward {tuple, promoteValue} as a Promote upcall.
-    bool emcPromote = false;
-    std::uint64_t promoteValue = 0;
 
     Cycles total = 0;
     Cycles packetIo = 0;
@@ -271,16 +267,6 @@ class VirtualSwitch
         activity_ = activity;
     }
 
-    /** Feed per-packet flow hashes into @p estimator (null = off).
-     *  The adaptive-EMC runtime wires the shard's linear-counting
-     *  estimator here; it shares the activity tracker's hash, so the
-     *  data path pays at most one extra sampled bit-set per packet.
-     *  Never priced, like setActivityTracker(). */
-    void setFlowEstimator(ShardFlowEstimator *estimator)
-    {
-        estimator_ = estimator;
-    }
-
     /** Mode selected for the *next* packet (Hybrid consults the flow
      *  register). */
     LookupMode effectiveMode() const;
@@ -305,7 +291,7 @@ class VirtualSwitch
                         std::size_t n, PacketResult *const *out);
 
     /** Stage 4 for a packet that missed the EMC: take its megaflow
-     *  @p walk (walked again once @p installed is set), promote the
+     *  @p walk (walked again once @p installed is set), insert the
      *  match into the EMC when @p promote, or defer or run the OpenFlow
      *  upcall; an inline upcall that installs sets @p installed. */
     void resolveMiss(KeySpan key, const TupleSpace::BulkWalkLane &walk,
@@ -329,7 +315,6 @@ class VirtualSwitch
     TupleSpace openflow; ///< OpenFlow layer (slow path)
     std::uint64_t upcallCount = 0;
     FlowActivity *activity_ = nullptr; ///< aging stamps (may be null)
-    ShardFlowEstimator *estimator_ = nullptr; ///< flow-count bits
     /// Staged-burst scratch, built once so that a burst constructs no
     /// per-lane state (both types carry member initializers).
     std::array<FiveTuple, maxBulkLanes> burstTuples_{};

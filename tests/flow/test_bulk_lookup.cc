@@ -1,7 +1,7 @@
 /**
  * @file
  * Equivalence tests for the untraced bulk EMC probe and the bulk
- * tuple-space walk against their scalar counterparts, in plain and in
+ * tuple-space walk against their scalar counterparts; the walk also in
  * concurrent (seqlocked) mode.
  */
 
@@ -17,18 +17,14 @@
 namespace halo {
 namespace {
 
-/** lookupBulk against lookup over a hit/miss mix, in plain or
- *  concurrent (seqlocked) mode. */
-void
-expectEmcBulkMatchesScalar(bool concurrent)
+/** lookupBulk against lookup over a hit/miss mix. */
+TEST(EmcBulk, MatchesScalarLookup)
 {
     SimMemory mem(8 << 20);
     ExactMatchCache emc(mem, 1024);
     TrafficGenerator gen(TrafficConfig{300, 0.0, 0.5, 0xbead});
     for (std::size_t i = 0; i < 150; ++i)
         emc.insert(gen.flows()[i].toKey(), i + 1);
-    if (concurrent)
-        emc.enableConcurrent();
     const std::uint64_t hits0 = emc.lookupHits();
     const std::uint64_t misses0 = emc.lookupMisses();
 
@@ -68,41 +64,27 @@ expectEmcBulkMatchesScalar(bool concurrent)
     }
 }
 
-TEST(EmcBulk, MatchesScalarLookup)
-{
-    expectEmcBulkMatchesScalar(false);
-}
-
-TEST(EmcBulk, ConcurrentModeMatchesScalarLookup)
-{
-    expectEmcBulkMatchesScalar(true);
-}
-
 TEST(EmcBulk, ReportsSlotsInsertWillUse)
 {
-    for (const bool concurrent : {false, true}) {
-        SimMemory mem(8 << 20);
-        ExactMatchCache emc(mem, 256);
-        if (concurrent)
-            emc.enableConcurrent();
-        for (std::uint16_t port = 1; port <= 64; ++port) {
-            FiveTuple t;
-            t.srcIp = 0x0a000001;
-            t.dstIp = 0x0a000002;
-            t.srcPort = port;
-            t.dstPort = 8080;
-            const auto key = t.toKey();
+    SimMemory mem(8 << 20);
+    ExactMatchCache emc(mem, 256);
+    for (std::uint16_t port = 1; port <= 64; ++port) {
+        FiveTuple t;
+        t.srcIp = 0x0a000001;
+        t.dstIp = 0x0a000002;
+        t.srcPort = port;
+        t.dstPort = 8080;
+        const auto key = t.toKey();
 
-            const std::uint8_t *key_ptr = key.data();
-            std::uint64_t value = 0;
-            std::uint64_t slots[1][2];
-            emc.lookupBulk(&key_ptr, 1, &value, slots);
-            // insert() must land in one of the candidate slots the bulk
-            // probe reported.
-            const std::uint64_t written = emc.insert(key, port);
-            EXPECT_TRUE(written == slots[0][0] || written == slots[0][1])
-                << "port " << port << (concurrent ? ", concurrent" : "");
-        }
+        const std::uint8_t *key_ptr = key.data();
+        std::uint64_t value = 0;
+        std::uint64_t slots[1][2];
+        emc.lookupBulk(&key_ptr, 1, &value, slots);
+        // insert() must land in one of the candidate slots the bulk
+        // probe reported.
+        const std::uint64_t written = emc.insert(key, port);
+        EXPECT_TRUE(written == slots[0][0] || written == slots[0][1])
+            << "port " << port;
     }
 }
 

@@ -5,7 +5,12 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
+#include <cstring>
+#include <vector>
+
 #include "flow/emc.hh"
+#include "hash/hash_fn.hh"
 #include "flow/ruleset.hh"
 #include "flow/tuple_space.hh"
 #include "net/traffic_gen.hh"
@@ -49,23 +54,6 @@ TEST(Emc, ReplacementKeepsWorking)
     EXPECT_GE(hits, 3u);
 }
 
-TEST(Emc, ClearInvalidatesEverything)
-{
-    SimMemory mem(8 << 20);
-    ExactMatchCache emc(mem, 256);
-    for (std::uint32_t i = 0; i < 200; ++i)
-        emc.insert(keyOf(i, 6, 7, 8), i);
-    const std::uint64_t clearsBefore = emc.clearCount();
-    emc.clear();
-    EXPECT_EQ(emc.clearCount(), clearsBefore + 1);
-    // One generation bump starts the whole cache cold.
-    for (std::uint32_t i = 0; i < 200; ++i)
-        EXPECT_FALSE(emc.lookup(keyOf(i, 6, 7, 8)).has_value()) << i;
-    // Reinsertable after clear.
-    emc.insert(keyOf(5, 6, 7, 8), 2);
-    EXPECT_EQ(*emc.lookup(keyOf(5, 6, 7, 8)), 2u);
-}
-
 TEST(Emc, UpdateInPlace)
 {
     SimMemory mem(8 << 20);
@@ -73,6 +61,109 @@ TEST(Emc, UpdateInPlace)
     emc.insert(keyOf(9, 9, 9, 9), 1);
     emc.insert(keyOf(9, 9, 9, 9), 7);
     EXPECT_EQ(*emc.lookup(keyOf(9, 9, 9, 9)), 7u);
+}
+
+std::array<std::uint8_t, FiveTuple::keyBytes>
+keyForId(std::uint64_t id)
+{
+    std::array<std::uint8_t, FiveTuple::keyBytes> key{};
+    std::memcpy(key.data(), &id, sizeof(id));
+    const std::uint64_t mixed = id * 0x9e3779b97f4a7c15ull;
+    std::memcpy(key.data() + 8, &mixed, sizeof(mixed));
+    return key;
+}
+
+/** The EMC's candidate slots, recomputed from its published hash
+ *  parameters (XxMix over the key with the constructor seed). */
+std::array<std::uint64_t, 2>
+emcCandidates(std::uint64_t seed, std::uint64_t entries,
+              std::span<const std::uint8_t> key)
+{
+    const std::uint64_t h = hashBytes(HashKind::XxMix, seed, key);
+    return {h & (entries - 1), (h >> 32) & (entries - 1)};
+}
+
+/**
+ * On a two-way conflict, with both candidates live, the insert
+ * overwrites the first candidate, whichever entry sits there.
+ */
+TEST(Emc, ConflictOverwritesTheFirstCandidate)
+{
+    constexpr std::uint64_t entries = 4;
+    constexpr std::uint64_t seed = 0x9d1c;
+
+    // Find a conflict triple: kC with two distinct candidate slots,
+    // and kA/kB whose *primary* slots are exactly those two (so each
+    // fills its own slot in an empty cache).
+    std::uint64_t idA = 0, idB = 0, idC = 0;
+    std::array<std::uint64_t, 2> cand{};
+    for (std::uint64_t id = 1; !idC; ++id) {
+        const auto c = emcCandidates(seed, entries, keyForId(id));
+        if (c[0] != c[1]) {
+            idC = id;
+            cand = c;
+        }
+    }
+    for (std::uint64_t id = idC + 1; !idA || !idB; ++id) {
+        const auto c = emcCandidates(seed, entries, keyForId(id));
+        if (!idA && c[0] == cand[0])
+            idA = id;
+        else if (!idB && c[0] == cand[1])
+            idB = id;
+    }
+
+    SimMemory mem(1ull << 20);
+    ExactMatchCache emc(mem, entries, seed);
+    const auto keyA = keyForId(idA);
+    const auto keyB = keyForId(idB);
+    const auto keyC = keyForId(idC);
+    ASSERT_EQ(emc.insert(keyA, 0xa), cand[0]);
+    ASSERT_EQ(emc.insert(keyB, 0xb), cand[1]);
+    ASSERT_EQ(emc.evictOverwrites(), 0u);
+
+    EXPECT_EQ(emc.insert(keyC, 0xc), cand[0]);
+    EXPECT_EQ(emc.evictOverwrites(), 1u);
+    EXPECT_TRUE(emc.lookup(keyC).has_value());
+    EXPECT_FALSE(emc.lookup(keyA).has_value());
+    EXPECT_TRUE(emc.lookup(keyB).has_value());
+}
+
+/**
+ * Determinism: the same insert stream leaves two caches with
+ * byte-identical slabs and identical counters — with and without
+ * access tracing, so the traced twin really is the same algorithm plus
+ * a recorder.
+ */
+TEST(Emc, SameStreamSameSlabTracedOrNot)
+{
+    constexpr std::uint64_t entries = 256;
+    constexpr std::uint64_t seed = 0x5eed;
+
+    SimMemory memA(4ull << 20), memB(4ull << 20);
+    ExactMatchCache a(memA, entries, seed), b(memB, entries, seed);
+    ASSERT_EQ(a.footprintBytes(), b.footprintBytes());
+
+    AccessTrace trace;
+    std::uint64_t x = 0x1234567ull;
+    for (int op = 0; op < 20000; ++op) {
+        x ^= x << 13; // xorshift: deterministic key stream
+        x ^= x >> 7;
+        x ^= x << 17;
+        const auto key = keyForId(x % 1024); // 4x capacity: conflicts
+        trace.clear();
+        const std::uint64_t slotA = a.insert(key, x, &trace);
+        const std::uint64_t slotB = b.insert(key, x, nullptr);
+        EXPECT_EQ(slotA, slotB);
+        EXPECT_FALSE(trace.empty());
+    }
+
+    EXPECT_GT(a.evictOverwrites(), 0u) << "stream never conflicted";
+    EXPECT_EQ(a.evictOverwrites(), b.evictOverwrites());
+    EXPECT_EQ(a.lookupHits(), 0u); // inserts never count lookups
+
+    std::vector<std::uint8_t> slab(a.footprintBytes());
+    memA.read(a.baseAddr(), slab.data(), slab.size());
+    EXPECT_TRUE(memB.equals(b.baseAddr(), slab.data(), slab.size()));
 }
 
 TEST(TupleSpace, RulesGroupByMask)

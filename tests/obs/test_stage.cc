@@ -43,7 +43,7 @@ TEST(StageName, IdsIndexTheTable)
                   kStageNames[i]);
     }
     static_assert(stageId("worker/batch") == 0);
-    static_assert(stageId("revalidator/control") < numStages);
+    static_assert(stageId("revalidator/sweep") < numStages);
 }
 
 TEST(StageScope, FeedsBothRecordersUnderOneName)

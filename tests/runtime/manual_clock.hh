@@ -1,8 +1,8 @@
 /**
  * @file
- * Helpers for runtime tests that drive a manual EpochClock: sweeps,
- * EMC-policy epochs and elastic epochs happen exactly when a test
- * advances the clock, never on a wall-clock deadline.
+ * Helpers for runtime tests that drive a manual EpochClock: sweeps
+ * and elastic epochs happen exactly when a test advances the clock,
+ * never on a wall-clock deadline.
  */
 
 #ifndef HALO_TESTS_RUNTIME_MANUAL_CLOCK_HH

@@ -1,16 +1,22 @@
 /**
  * Concurrent-mode stress for the seqlocked tables (hash/seqlock.hh):
- * one writer thread mutating a CuckooHashTable / ExactMatchCache while
- * data-path readers run lock-free optimistic lookups, scalar and in
+ * one writer thread mutating a CuckooHashTable while data-path
+ * readers run lock-free optimistic lookups, scalar and in
  * full maxBulkLanes-lane bulk bursts. These tests are the TSan CI
  * job's evidence that the single-writer protocol the decoupled runtime
  * relies on (revalidator writes, workers read) is race-free, and that
  * readers never observe torn entries: a hit must return exactly the
  * value that key was inserted with.
+ *
+ * Every reader keeps probing until the writer is done and then makes
+ * one more full pass over the key range, so even a reader first
+ * scheduled after the writer finished probes (and hits) the final
+ * table.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
 #include <atomic>
 #include <chrono>
@@ -19,7 +25,6 @@
 #include <thread>
 #include <vector>
 
-#include "flow/emc.hh"
 #include "hash/cuckoo_table.hh"
 #include "mem/sim_memory.hh"
 
@@ -46,9 +51,10 @@ valueForId(std::uint64_t id)
 
 /**
  * A reader that probes full maxBulkLanes-lane bursts through @p bulk
- * (key pointers, values out -> hit mask) while the writer runs, until
- * @p done and at least once: every hit must carry exactly its own
- * key's value. Bumps @p running once it is in its loop.
+ * (key pointers, values out -> hit mask) while the writer runs, and
+ * over @p keyRange more keys once @p done: every hit must carry
+ * exactly its own key's value. Bumps @p running once it is in its
+ * loop.
  */
 template <typename BulkFn>
 std::thread
@@ -63,7 +69,9 @@ bulkReader(std::atomic<unsigned> &running, const std::atomic<bool> &done,
         std::uint64_t values[maxBulkLanes];
         std::uint64_t id = first;
         std::uint64_t hits = 0;
-        do {
+        for (std::uint64_t left = keyRange; left != 0;) {
+            if (done.load(std::memory_order_acquire))
+                left -= std::min<std::uint64_t>(left, maxBulkLanes);
             for (unsigned lane = 0; lane < maxBulkLanes; ++lane) {
                 id = (id + 41) % keyRange;
                 ids[lane] = id;
@@ -79,7 +87,7 @@ bulkReader(std::atomic<unsigned> &running, const std::atomic<bool> &done,
                     ++hits;
                 }
             }
-        } while (!done.load(std::memory_order_acquire));
+        }
         EXPECT_GT(hits, 0u);
     });
 }
@@ -114,7 +122,9 @@ TEST(ConcurrentTables, CuckooReadersNeverSeeTornEntries)
             readersRunning.fetch_add(1, std::memory_order_release);
             std::uint64_t id = r * 17;
             std::uint64_t hits = 0;
-            while (!done.load(std::memory_order_acquire)) {
+            for (std::uint64_t left = keyRange; left != 0;) {
+                if (done.load(std::memory_order_acquire))
+                    --left;
                 id = (id + 31) % keyRange;
                 const auto key = keyForId(id);
                 const auto v = table.lookup(
@@ -188,7 +198,9 @@ TEST(ConcurrentTables, FilteredCuckooReadersNeverSeeTornEntries)
             std::array<std::array<std::uint8_t, 16>, maxBulkLanes> keys;
             std::array<const std::uint8_t *, maxBulkLanes> ptrs;
             std::uint64_t values[maxBulkLanes];
-            while (!done.load(std::memory_order_acquire)) {
+            for (std::uint64_t left = keyRange; left != 0;) {
+                if (done.load(std::memory_order_acquire))
+                    --left;
                 id = (id + 37) % keyRange;
                 const auto key = keyForId(id);
                 const auto v =
@@ -254,58 +266,6 @@ TEST(ConcurrentTables, FilteredCuckooReadersNeverSeeTornEntries)
 
     EXPECT_GT(table.cuckooMoves(), 0u)
         << "stress never exercised displacement";
-}
-
-TEST(ConcurrentTables, EmcReadersNeverSeeTornEntries)
-{
-    SimMemory mem(16ull << 20);
-    ExactMatchCache emc(mem, 1024);
-    emc.enableConcurrent();
-
-    constexpr std::uint64_t keyRange = 2048; // 2x entries: evictions
-    constexpr std::uint64_t writerOps = 60000;
-    std::atomic<unsigned> readersRunning{0};
-    std::atomic<bool> done{false};
-
-    std::vector<std::thread> readers;
-    for (unsigned r = 0; r < 3; ++r) {
-        readers.emplace_back([&, r] {
-            readersRunning.fetch_add(1, std::memory_order_release);
-            std::uint64_t id = r * 13;
-            while (!done.load(std::memory_order_acquire)) {
-                id = (id + 29) % keyRange;
-                const auto key = keyForId(id);
-                const auto v = emc.lookup(
-                    std::span<const std::uint8_t, 16>(key));
-                if (v) {
-                    ASSERT_EQ(*v, valueForId(id))
-                        << "torn read of key " << id;
-                }
-            }
-        });
-    }
-    readers.push_back(bulkReader(
-        readersRunning, done, keyRange, 7,
-        [&emc](const std::uint8_t *const *keys, std::uint64_t *values) {
-            std::uint64_t slots[maxBulkLanes][2];
-            return emc.lookupBulk(keys, maxBulkLanes, values, slots);
-        }));
-
-    while (readersRunning.load(std::memory_order_acquire) < 4)
-        std::this_thread::yield();
-
-    for (std::uint64_t op = 0; op < writerOps; ++op) {
-        const std::uint64_t id = op % keyRange;
-        const auto key = keyForId(id);
-        if ((op & 7) == 0)
-            emc.erase(std::span<const std::uint8_t, 16>(key));
-        else
-            emc.insert(std::span<const std::uint8_t, 16>(key),
-                       valueForId(id));
-    }
-    done.store(true, std::memory_order_release);
-    for (auto &t : readers)
-        t.join();
 }
 
 /**

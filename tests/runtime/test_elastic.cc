@@ -450,18 +450,3 @@ TEST(ElasticRuntime, RegistersControllerAndShardMetrics)
           "halo_shard_ring_depth_hwm", "halo_rss_rebalances"})
         EXPECT_NE(text.find(name), std::string::npos) << name;
 }
-
-/** The controller reads no flow estimate: an elastic runtime without
- *  adaptive EMC puts no estimator on its workers' packet path. */
-TEST(ElasticRuntime, CreatesNoFlowEstimatorWithoutAdaptiveEmc)
-{
-    RuntimeConfig cfg;
-    cfg.numWorkers = 2;
-    cfg.shardMemBytes = 256ull << 20;
-    cfg.elastic.enabled = true;
-    const RuleSet empty;
-    Runtime rt(cfg, empty);
-    ASSERT_NE(rt.elastic(), nullptr);
-    for (unsigned i = 0; i < rt.numWorkers(); ++i)
-        EXPECT_EQ(rt.flowEstimator(i), nullptr) << "worker " << i;
-}

@@ -333,6 +333,62 @@ TEST(Runtime, DecoupledAgingSparesHitFlowsAndAgesIdleOnes)
 }
 
 /**
+ * A flow aged out by a sweep and offered again soon after (well inside
+ * the worker's 4096-packet miss-dedup window) must be upcalled and
+ * installed again: the dedup entry ends with the activity epoch its
+ * upcall was sent in. The returning packets themselves still report
+ * slowPathPending; after drain() the next round matches.
+ */
+TEST(Runtime, AgedFlowThatReturnsIsReinstalled)
+{
+    const RuleSet of = fallbackRules(7);
+    RuntimeConfig cfg = smallConfig(1);
+    cfg.decoupled = true;
+    cfg.openflowRules = &of;
+    cfg.shard.vswitch.tupleConfig.tupleCapacity = 8192;
+    cfg.revalidator.sweepIntervalMicros = 200;
+    cfg.revalidator.idleTimeoutEpochs = 2;
+    const RuleSet empty;
+    EpochClock clock(EpochClock::Kind::Manual);
+    Runtime rt(cfg, empty, &clock);
+    rt.start();
+    auto sweeps = [&rt] { return rt.snapshot().revalidator.sweeps; };
+
+    constexpr std::uint32_t flows = 20;
+    auto offerRound = [&rt] {
+        for (std::uint32_t id = 0; id < flows; ++id) {
+            const FiveTuple t = newFlow(id);
+            ASSERT_TRUE(rt.offer(Packet::fromTuple(t), t));
+        }
+        rt.drain();
+    };
+
+    offerRound();
+    RuntimeSnapshot s = rt.snapshot();
+    ASSERT_EQ(s.upcallsEnqueued, flows);
+    ASSERT_EQ(s.revalidator.installs, flows);
+
+    // No traffic: every flow ages on the sweep after the timeout.
+    for (std::uint64_t e = 0; e <= cfg.revalidator.idleTimeoutEpochs; ++e)
+        ASSERT_TRUE(tick(clock, cfg.revalidator.sweepIntervalMicros,
+                         sweeps));
+    s = rt.snapshot();
+    ASSERT_EQ(s.revalidator.agedFlows, flows);
+
+    // The flows return 2 * flows packets after their first upcall.
+    const std::uint64_t matched = s.matched;
+    offerRound();
+    s = rt.snapshot();
+    EXPECT_EQ(s.upcallsEnqueued, 2 * flows);
+    EXPECT_EQ(s.revalidator.installs, 2 * flows);
+    EXPECT_EQ(s.matched, matched);
+
+    offerRound();
+    EXPECT_EQ(rt.snapshot().matched, matched + flows);
+    rt.stop();
+}
+
+/**
  * drain() returns once the work is done, not merely dequeued: checked
  * before stop() after every round, with the revalidator still live.
  */
@@ -344,13 +400,12 @@ TEST(Runtime, DrainWaitsForPublishedWork)
     cfg.openflowRules = &of;
     cfg.enqueueRetries = UINT_MAX;
     cfg.shard.vswitch.tupleConfig.tupleCapacity = 8192;
-    cfg.promoteSampleShift = 0; // every megaflow hit asks for a promote
     const RuleSet empty;
     Runtime rt(cfg, empty);
     rt.start();
 
-    // Each round: new flows (Miss upcalls) plus repeats of the
-    // previous round's flows (megaflow hits, Promote upcalls).
+    // Each round: new flows (upcalls) plus repeats of the previous
+    // round's flows (megaflow hits).
     std::uint32_t next_flow = 0;
     for (int round = 0; round < 50; ++round) {
         for (std::uint32_t i = 0; i < 40; ++i) {
@@ -364,17 +419,17 @@ TEST(Runtime, DrainWaitsForPublishedWork)
         const RuntimeSnapshot s = rt.snapshot();
         ASSERT_EQ(s.processed, s.enqueued) << "round " << round;
         const RevalidatorCounters &r = s.revalidator;
-        ASSERT_EQ(r.upcallsProcessed, s.upcallsEnqueued + s.promotesEnqueued)
+        ASSERT_EQ(r.upcallsProcessed, s.upcallsEnqueued)
             << "round " << round;
         // Every handled request is accounted for by exactly one
         // outcome.
         ASSERT_EQ(r.installs + r.installFailures + r.unresolved +
-                      r.promotes + r.dedupHits + r.promotesThrottled,
+                      r.dedupHits,
                   r.upcallsProcessed)
             << "round " << round;
         ASSERT_EQ(s.upcallRingDepth, 0u);
     }
-    EXPECT_GT(rt.snapshot().promotesEnqueued, 0u);
+    EXPECT_GT(rt.snapshot().revalidator.installs, 0u);
     rt.stop();
 }
 
@@ -598,7 +653,7 @@ TEST(Runtime, DecoupledUpcallOverflowDropsAreCounted)
     const RuntimeSnapshot s = rt.snapshot();
     EXPECT_EQ(s.processed, offered);
     EXPECT_GT(s.upcallDrops, 0u);
-    EXPECT_LE(s.upcallsEnqueued + s.promotesEnqueued,
+    EXPECT_LE(s.upcallsEnqueued,
               offered); // enqueues bounded by traffic, drops excluded
 
     rt.stop();
@@ -709,9 +764,8 @@ TEST(Runtime, SymmetricRssKeepsConnectionsOnOneShard)
 
 /**
  * Metrics registered before start() must already carry a per-stage
- * series for every stage a thread can enter, including the
- * revalidator's control stage, which only the adaptive EMC policy
- * runs (and which had therefore never executed at registration time).
+ * series for every stage a thread can enter, although none of them
+ * had executed at registration time.
  */
 TEST(Runtime, PerfSeriesExistForEveryStageBeforeItRuns)
 {
@@ -729,7 +783,6 @@ TEST(Runtime, PerfSeriesExistForEveryStageBeforeItRuns)
     cfg.openflowRules = &of;
     cfg.warmTables = false;
     cfg.shard.vswitch.tupleConfig.tupleCapacity = 1u << 10;
-    cfg.emcPolicy.adaptive = true;
     cfg.perfEnabled = true;
     const RuleSet empty;
     Runtime rt(cfg, empty);

@@ -57,8 +57,6 @@ expectSameClassification(const PacketResult &f, const PacketResult &t,
     EXPECT_EQ(f.emcHit, t.emcHit) << "packet " << i;
     EXPECT_EQ(f.tuplesSearched, t.tuplesSearched) << "packet " << i;
     EXPECT_EQ(f.slowPathPending, t.slowPathPending) << "packet " << i;
-    EXPECT_EQ(f.emcPromote, t.emcPromote) << "packet " << i;
-    EXPECT_EQ(f.promoteValue, t.promoteValue) << "packet " << i;
 }
 
 /** Packets of a Zipf stream over @p gen's flows, every 97th one
@@ -224,7 +222,7 @@ TEST(FunctionalSwitch, MatchesTimedInlineExactUpcalls)
 TEST(FunctionalSwitch, MatchesTimedDeferredSlowPath)
 {
     // Half the flows hit the megaflow rules; the rest come back
-    // slowPathPending, and megaflow hits carry the EMC promotion wish.
+    // slowPathPending. A deferred switch runs without an EMC.
     Rules r;
     TrafficGenerator gen(r.traffic);
     const std::vector<FiveTuple> half(gen.flows().begin(),
@@ -234,6 +232,7 @@ TEST(FunctionalSwitch, MatchesTimedDeferredSlowPath)
     VSwitchConfig cfg = baseConfig();
     cfg.useOpenflowLayer = true;
     cfg.deferSlowPath = true;
+    cfg.useEmc = false;
     const std::size_t matched =
         runDifferential(cfg, megaflow, r.openflow, r.traffic, 6000);
     EXPECT_GT(matched, 0u);
@@ -249,6 +248,17 @@ TEST(FunctionalSwitch, RejectsHaloModes)
         cfg.mode = mode;
         EXPECT_THROW(VirtualSwitch(mem, cfg), FatalError);
     }
+}
+
+TEST(FunctionalSwitch, RejectsDeferredSlowPathWithEmc)
+{
+    SimMemory mem(64ull << 20);
+    VSwitchConfig cfg;
+    cfg.useOpenflowLayer = true;
+    cfg.deferSlowPath = true;
+    EXPECT_THROW(VirtualSwitch(mem, cfg), FatalError);
+    cfg.useEmc = false;
+    EXPECT_NO_THROW(VirtualSwitch(mem, cfg));
 }
 
 } // namespace

@@ -125,34 +125,6 @@ def extract_churn(doc):
     return out
 
 
-def extract_flowscale(doc):
-    out = []
-    for top in ("headline_adaptive_over_fixed",
-                "headline_off_over_fixed",
-                "small_case_adaptive_over_fixed"):
-        if _num(doc.get(top)):
-            out.append(Metric(top, doc[top], TIMING, HIGHER))
-    for run in doc.get("runs", []):
-        key = "runs[flows=%s,skew=%s,policy=%s]" % (
-            run.get("flows"), run.get("zipf_skew"), run.get("policy"))
-        # Deterministic replay: the Zipf stream and its linear-counting
-        # reference depend only on (flows, skew, packets), never on the
-        # EMC policy or the host, so committed baselines gate them
-        # exactly even under --no-timing.
-        if _num(run.get("stream_distinct_flows")):
-            out.append(Metric("%s.stream_distinct_flows" % key,
-                              run["stream_distinct_flows"],
-                              DETERMINISTIC, HIGHER))
-        if _num(run.get("ref_rel_error")):
-            out.append(Metric("%s.ref_rel_error" % key,
-                              run["ref_rel_error"], DETERMINISTIC,
-                              LOWER))
-        if _num(run.get("aggregate_cpu_pps")):
-            out.append(Metric("%s.aggregate_cpu_pps" % key,
-                              run["aggregate_cpu_pps"], TIMING, HIGHER))
-    return out
-
-
 def extract_elastic(doc):
     out = []
     for top in ("headline_elastic_over_static",
@@ -189,7 +161,6 @@ EXTRACTORS = {
     "host_throughput": extract_host_throughput,
     "multiworker_throughput": extract_multiworker,
     "churn_throughput": extract_churn,
-    "flowscale_throughput": extract_flowscale,
     "elastic_throughput": extract_elastic,
 }
 
